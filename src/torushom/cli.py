@@ -73,9 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="torushom",
         description="Random geometric simplicial complexes on the flat torus")
-    ap.add_argument("--threads", type=int, default=0,
-                    help="worker threads for experiments (results are "
-                         "independent of this setting)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw a point configuration")

@@ -2,10 +2,10 @@
 
 Cliques are generated by ordered extension: a clique is only ever extended
 by common neighbors with a strictly larger vertex index, so every clique is
-produced exactly once and in a deterministic order.  Adjacency is stored as
-packed 64-bit words.  The hot counting path is JIT-compiled with numba when
-available; a bit-identical pure-Python fallback is kept both as a safety net
-and as an independent implementation for cross-checking.
+produced exactly once and in a deterministic order.  Each vertex's
+neighbourhood is one Python int bitset, built by ``neighbour_bitsets`` from
+the packed rows of the boolean adjacency matrix; counting, enumeration and
+strong collapse (in ``homology``) all walk these bitsets.
 """
 
 from __future__ import annotations
@@ -14,64 +14,18 @@ from itertools import combinations
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+def neighbour_bitsets(adj_bool: np.ndarray) -> list[int]:
+    """Row v of a boolean (n, n) matrix as an int whose bit u is adj[v, u]."""
+    packed = np.packbits(adj_bool, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def pack_adjacency(adj_bool: np.ndarray) -> np.ndarray:
-    """Pack a boolean (n, n) adjacency matrix into (n, ceil(n/64)) uint64."""
-    n = adj_bool.shape[0]
-    w = max(1, (n + 63) // 64)
-    packed = np.zeros((n, w), dtype=np.uint64)
-    rows, cols = np.nonzero(adj_bool)
-    for r, c in zip(rows, cols):
-        packed[r, c >> 6] |= np.uint64(1) << np.uint64(c & 63)
-    return packed
-
-
-@njit(cache=True)
-def _ctz(b):
-    # index of the lowest set bit of a nonzero uint64
-    i = 0
-    if b & np.uint64(0xFFFFFFFF) == np.uint64(0):
-        b >>= np.uint64(32)
-        i += 32
-    if b & np.uint64(0xFFFF) == np.uint64(0):
-        b >>= np.uint64(16)
-        i += 16
-    if b & np.uint64(0xFF) == np.uint64(0):
-        b >>= np.uint64(8)
-        i += 8
-    if b & np.uint64(0xF) == np.uint64(0):
-        b >>= np.uint64(4)
-        i += 4
-    if b & np.uint64(0x3) == np.uint64(0):
-        b >>= np.uint64(2)
-        i += 2
-    if b & np.uint64(0x1) == np.uint64(0):
-        i += 1
-    return i
-
-
-@njit(cache=True)
-def _count_cliques_kernel(adj, max_size, cap):
-    n = adj.shape[0]
-    w = adj.shape[1]
-    counts = np.zeros(n + 1, dtype=np.int64)
-    rem = np.zeros((n + 1, w), dtype=np.uint64)
-    ones = np.uint64(0xFFFFFFFFFFFFFFFF)
+def _count_ordered_extensions(neigh: list[int], max_size: int, cap: int):
+    """Clique counts by size (a list, index = size) and whether the walk
+    finished within ``cap``."""
+    n = len(neigh)
+    counts = [0] * (n + 1)
     total = 0
     for v in range(n):
         counts[1] += 1
@@ -80,64 +34,7 @@ def _count_cliques_kernel(adj, max_size, cap):
             return counts, False
         if max_size <= 1:
             continue
-        for j in range(w):
-            rem[0, j] = adj[v, j]
-        wv = v >> 6
-        for j in range(wv):
-            rem[0, j] = np.uint64(0)
-        bit = v & 63
-        if bit == 63:
-            rem[0, wv] = np.uint64(0)
-        else:
-            rem[0, wv] &= ones << np.uint64(bit + 1)
-        level = 0
-        while level >= 0:
-            u = -1
-            for j in range(w):
-                if rem[level, j] != np.uint64(0):
-                    u = (j << 6) + _ctz(rem[level, j])
-                    break
-            if u < 0:
-                level -= 1
-                continue
-            rem[level, u >> 6] &= ~(np.uint64(1) << np.uint64(u & 63))
-            size = level + 2
-            counts[size] += 1
-            total += 1
-            if cap > 0 and total > cap:
-                return counts, False
-            if size < max_size:
-                nonzero = False
-                for j in range(w):
-                    x = rem[level, j] & adj[u, j]
-                    rem[level + 1, j] = x
-                    if x != np.uint64(0):
-                        nonzero = True
-                if nonzero:
-                    level += 1
-    return counts, True
-
-
-def _count_cliques_python(adj_bool: np.ndarray, max_size: int, cap: int):
-    """Pure-Python mirror of the kernel using int bitsets."""
-    n = adj_bool.shape[0]
-    neigh = []
-    for v in range(n):
-        m = 0
-        for u in np.nonzero(adj_bool[v])[0]:
-            m |= 1 << int(u)
-        neigh.append(m)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    total = 0
-    above = [(~((1 << (v + 1)) - 1)) for v in range(n)]
-    for v in range(n):
-        counts[1] += 1
-        total += 1
-        if cap > 0 and total > cap:
-            return counts, False
-        if max_size <= 1:
-            continue
-        stack = [neigh[v] & above[v]]
+        stack = [neigh[v] & ~((1 << (v + 1)) - 1)]
         while stack:
             cand = stack[-1]
             if cand == 0:
@@ -170,13 +67,11 @@ def count_cliques(adj_bool: np.ndarray, max_size: int | None = None,
         max_size = n
     if n == 0:
         return np.zeros(1, dtype=np.int64), True
-    if _HAVE_NUMBA and n > 16:
-        packed = pack_adjacency(adj_bool)
-        counts, complete = _count_cliques_kernel(packed, max_size, cap)
-    else:
-        counts, complete = _count_cliques_python(adj_bool, max_size, cap)
+    counts, complete = _count_ordered_extensions(
+        neighbour_bitsets(adj_bool), max_size, cap)
+    counts = np.array(counts, dtype=np.int64)
     top = max(1, int(np.nonzero(counts)[0].max(initial=1)))
-    return counts[: top + 1], bool(complete)
+    return counts[: top + 1], complete
 
 
 def enumerate_cliques(adj_bool: np.ndarray, max_size: int,
@@ -187,12 +82,7 @@ def enumerate_cliques(adj_bool: np.ndarray, max_size: int,
     ordered list of k-cliques, k = 1..max_size.
     """
     n = adj_bool.shape[0]
-    neigh = []
-    for v in range(n):
-        m = 0
-        for u in np.nonzero(adj_bool[v])[0]:
-            m |= 1 << int(u)
-        neigh.append(m)
+    neigh = neighbour_bitsets(adj_bool)
     by_size: dict[int, list[tuple[int, ...]]] = {k: [] for k in range(1, max_size + 1)}
     total = 0
     for v in range(n):

@@ -1,8 +1,10 @@
 """Rips-Vietoris complexes of point configurations on the flat torus.
 
 A Rips-Vietoris complex is the clique (flag) complex of a proximity graph,
-so it is fully determined by pairwise distances.  Two threshold conventions
-are supported:
+so it is fully determined by pairwise distances.  The graph is found by a
+sort-and-sweep neighbour search along the first coordinate, without the
+dense (n, n, d) distance tensor, and is exchanged as an (n, n) boolean
+matrix.  Two threshold conventions are supported:
 
 * ``RIPS_HALF_OPEN_2EPS``: vertices are adjacent when their distance is
   strictly below 2*epsilon.  With the max-norm metric this is the complex
@@ -27,7 +29,9 @@ import numpy as np
 
 from .cliques import count_cliques, enumerate_cliques
 from .sampling import PointConfiguration
-from .torus import Metric, TorusSpec, pairwise_distances, torus_distance
+# pairwise_distances is not called here; perfbench's import-site test
+# expects this module to hold it.
+from .torus import Metric, TorusSpec, pairwise_distances, torus_distance  # noqa: F401
 
 DEFAULT_SIMPLEX_CAP = 10_000_000
 
@@ -97,16 +101,48 @@ class GeometricComplex:
 
 
 def adjacency_matrix(config: PointConfiguration, params: ComplexParams) -> np.ndarray:
-    """Boolean threshold-graph adjacency (no self loops)."""
+    """Boolean threshold-graph adjacency (no self loops).
+
+    Points are sorted by their first coordinate and a periodic forward sweep
+    over ``concat(x, x + a)`` yields every pair whose first coordinates lie
+    within the threshold on the circle.  Each candidate pair is then tested
+    with the elementwise formula of ``torus.pairwise_distances``, so the
+    result equals the thresholded dense distance matrix bit for bit while
+    memory grows with the number of candidate pairs, not with n^2 * d.
+    """
     n = config.n
-    if n == 0:
-        return np.zeros((0, 0), dtype=bool)
-    dists = pairwise_distances(config.points, config.spec, params.metric)
-    if params.convention is Convention.RIPS_HALF_OPEN_2EPS:
-        adj = dists < params.threshold()
+    adj = np.zeros((n, n), dtype=bool)
+    if n < 2:
+        return adj
+    a = config.spec.a
+    t = params.threshold()
+    order = np.argsort(config.points[:, 0], kind="stable")
+    pts = np.asarray(config.points, dtype=float)[order]
+    x = pts[:, 0]
+    # A few ulps of slack keep the rounding of x + reach and x + a from
+    # dropping a true neighbour; the exact test below removes the extras.
+    reach = t + 8 * np.spacing(2.0 * a + t)
+    ends = np.searchsorted(np.concatenate((x, x + a)), x + reach, side="right")
+    # Candidates of sorted point i are i+1 .. end-1 (mod n): at most n - 1
+    # of them, so no point pairs with itself.
+    idx = np.arange(n)
+    counts = np.minimum(ends, idx + n) - (idx + 1)
+    i = np.repeat(idx, counts)
+    j = (np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
+         + i + 1) % n
+    diff = np.abs(pts[i] - pts[j])
+    wrapped = np.minimum(diff, a - diff)
+    if params.metric is Metric.MAX_NORM:
+        dist = wrapped.max(axis=1)
     else:
-        adj = dists <= params.threshold()
-    np.fill_diagonal(adj, False)
+        dist = np.sqrt((wrapped ** 2).sum(axis=1))
+    if params.convention is Convention.RIPS_HALF_OPEN_2EPS:
+        keep = dist < t
+    else:
+        keep = dist <= t
+    u, v = order[i[keep]], order[j[keep]]
+    adj[u, v] = True
+    adj[v, u] = True
     return adj
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cliques import neighbour_bitsets
 from .complexes import GeometricComplex, build_complex
 
 
@@ -156,12 +157,7 @@ def strong_collapse(adj_bool: np.ndarray) -> np.ndarray:
     core.  Returns the indices of the surviving core vertices.
     """
     n = adj_bool.shape[0]
-    closed = [0] * n
-    for v in range(n):
-        m = 1 << v
-        for u in np.nonzero(adj_bool[v])[0]:
-            m |= 1 << int(u)
-        closed[v] = m
+    closed = [m | 1 << v for v, m in enumerate(neighbour_bitsets(adj_bool))]
     alive_mask = (1 << n) - 1
     changed = True
     while changed:

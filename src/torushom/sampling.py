@@ -106,6 +106,11 @@ def _draw_uniform(rng: np.random.Generator, n: int, spec: TorusSpec) -> np.ndarr
     # Simplicity invariant: bitwise-duplicate rows are resampled (a
     # probability-zero event under the continuous law).
     while n > 1:
+        # Rows can only coincide where first coordinates do; that rules out
+        # nearly every draw without the full-row sort.
+        first_coords = np.sort(pts[:, 0])
+        if not (np.diff(first_coords) == 0).any():
+            break
         _, first = np.unique(pts, axis=0, return_index=True)
         dup = np.setdiff1d(np.arange(n), first)
         if dup.size == 0:

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torushom.cliques import (_count_cliques_python, brute_force_clique_counts,
-                              count_cliques, enumerate_cliques, pack_adjacency)
+from torushom.cliques import (brute_force_clique_counts, count_cliques,
+                              enumerate_cliques, neighbour_bitsets)
 
 
 def random_graph(n, p, seed):
@@ -51,17 +51,6 @@ def test_against_brute_force(n, p, seed):
     assert counts.tolist() == oracle.tolist()
 
 
-def test_numba_matches_python():
-    # n > 16 takes the compiled path; compare with the pure-Python mirror
-    adj = random_graph(40, 0.25, 7)
-    counts, complete = count_cliques(adj)
-    py_counts, py_complete = _count_cliques_python(adj, 40, 10_000_000)
-    assert complete and py_complete
-    top = len(counts)
-    assert counts.tolist() == py_counts[:top].tolist()
-    assert not py_counts[top:].any()
-
-
 def test_max_size_truncation():
     adj = complete_graph(6)
     counts, complete = count_cliques(adj, max_size=3)
@@ -89,14 +78,13 @@ def test_enumerate_matches_counts():
             assert all(adj[i, j] for i in cl for j in cl if i < j)
 
 
-def test_pack_adjacency_round_trip():
+def test_neighbour_bitsets_round_trip():
     adj = random_graph(70, 0.4, 5)
-    packed = pack_adjacency(adj)
-    assert packed.shape == (70, 2)
-    for v in range(70):
-        bits = {j for j in range(70)
-                if packed[v, j >> 6] >> np.uint64(j & 63) & np.uint64(1)}
-        assert bits == set(np.nonzero(adj[v])[0])
+    bitsets = neighbour_bitsets(adj)
+    assert len(bitsets) == 70
+    for v, m in enumerate(bitsets):
+        assert {j for j in range(70) if m >> j & 1} == set(np.nonzero(adj[v])[0])
+    assert neighbour_bitsets(np.zeros((0, 0), dtype=bool)) == []
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torushom.complexes import (ComplexParams, Convention, adjacency_matrix,
                                 boundary_matrix, build_complex, phi_k,
                                 simplex_counts)
 from torushom.sampling import Binomial, PointConfiguration, SeedSpec, sample
-from torushom.torus import Metric, TorusSpec
+from torushom.torus import Metric, TorusSpec, pairwise_distances
 
 SPEC1 = TorusSpec(d=1, a=1.0)
 SPEC2 = TorusSpec(d=2, a=1.0)
@@ -142,3 +144,51 @@ def test_boundary_composition_random():
         lo = boundary_matrix(gc, dim - 1)
         hi = boundary_matrix(gc, dim)
         assert not ((lo.astype(int) @ hi.astype(int)) % 2).any()
+
+
+@st.composite
+def lattice_configurations(draw):
+    """Points and epsilon on a lattice of spacing h = a/m, so that pairwise
+    distances tie exactly with epsilon or 2*epsilon; mixed with arbitrary
+    coordinates, the domain ends 0 and nextafter(a, 0), and thresholds of
+    a/2 or more."""
+    d = draw(st.integers(1, 3))
+    a = draw(st.sampled_from([1.0, 0.7, 2.5]))
+    m = draw(st.integers(2, 12))
+    h = a / m
+    lattice = st.integers(0, m - 1).map(lambda k: k * h)
+    coord = lattice if draw(st.booleans()) else st.one_of(
+        lattice, st.floats(0.0, a, exclude_max=True),
+        st.sampled_from([0.0, float(np.nextafter(a, 0.0))]))
+    n = draw(st.one_of(st.integers(0, 2), st.integers(3, 30)))
+    rows = draw(st.lists(st.tuples(*[coord] * d), min_size=n, max_size=n))
+    points = np.array(rows, dtype=float).reshape(n, d)
+    epsilon = draw(st.one_of(st.integers(1, m // 2).map(lambda j: j * h),
+                             st.integers(1, m // 2).map(lambda j: j * h / 2),
+                             st.floats(a / 4, a)))
+    return PointConfiguration(spec=TorusSpec(d=d, a=a), points=points), epsilon
+
+
+# At threshold eps (SUBCOMPLEX_EPS), fl(x_j - x_i) rounds down to eps while
+# fl(x_i + eps) rounds below x_j: the pair is adjacent, but only a widened
+# sweep window reaches it.
+_ULP = float(np.spacing(0.1))
+_ROUNDING_EDGE = (config_1d(_ULP / 2, 0.1 + _ULP), 0.1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_configurations(), st.sampled_from(list(Metric)),
+       st.sampled_from(list(Convention)))
+@example(_ROUNDING_EDGE, Metric.MAX_NORM, Convention.SUBCOMPLEX_EPS)
+def test_adjacency_matches_dense_distances(cfg_eps, metric, convention):
+    cfg, epsilon = cfg_eps
+    params = ComplexParams(epsilon=epsilon, metric=metric, convention=convention)
+    dists = pairwise_distances(cfg.points, cfg.spec, metric)
+    if convention is Convention.RIPS_HALF_OPEN_2EPS:
+        expected = dists < params.threshold()
+    else:
+        expected = dists <= params.threshold()
+    np.fill_diagonal(expected, False)
+    adj = adjacency_matrix(cfg, params)
+    assert adj.dtype == bool and adj.shape == (cfg.n, cfg.n)
+    assert np.array_equal(adj, expected)
