@@ -4,13 +4,12 @@ Cliques are generated by ordered extension: a clique is only ever extended
 by common neighbors with a strictly larger vertex index, so every clique is
 produced exactly once and in a deterministic order.  Each vertex's
 neighbourhood is one Python int bitset, built by ``neighbour_bitsets`` from
-the packed rows of the boolean adjacency matrix; counting, enumeration and
-strong collapse (in ``homology``) all walk these bitsets.
+the packed rows of the boolean adjacency matrix.  Clique counting and
+enumeration, strong collapse and component counting (in ``homology``) and
+pattern counting (in ``subcomplex``) all walk these bitsets.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 import numpy as np
 
@@ -113,14 +112,3 @@ def enumerate_cliques(adj_bool: np.ndarray, max_size: int,
                     stack.append(clique)
                     cands.append(child)
     return by_size, True
-
-
-def brute_force_clique_counts(adj_bool: np.ndarray, max_size: int) -> np.ndarray:
-    """Exhaustive k-subset checker; independent oracle for small graphs."""
-    n = adj_bool.shape[0]
-    counts = np.zeros(max_size + 1, dtype=np.int64)
-    for k in range(1, max_size + 1):
-        for subset in combinations(range(n), k):
-            if all(adj_bool[i, j] for i, j in combinations(subset, 2)):
-                counts[k] += 1
-    return counts

@@ -188,8 +188,16 @@ def build_complex(config: PointConfiguration, params: ComplexParams,
     truncated.
     """
     _check_radius(config, params, homology_mode)
-    adj = adjacency_matrix(config, params)
-    max_size = config.n if max_dim is None else max_dim + 1
+    return _complex_from_adjacency(config.spec, params,
+                                   adjacency_matrix(config, params), max_dim, cap)
+
+
+def _complex_from_adjacency(spec: TorusSpec, params: ComplexParams,
+                            adj: np.ndarray, max_dim: int | None = None,
+                            cap: int = DEFAULT_SIMPLEX_CAP) -> GeometricComplex:
+    """The clique complex of a built adjacency matrix, as ``build_complex``."""
+    n = adj.shape[0]
+    max_size = n if max_dim is None else max_dim + 1
     by_size, complete = enumerate_cliques(adj, max_size=max(1, max_size), cap=cap)
     dims = [k - 1 for k in by_size if by_size[k]]
     max_dim_built = max(dims) if dims else -1
@@ -197,7 +205,7 @@ def build_complex(config: PointConfiguration, params: ComplexParams,
     counts = np.array([len(simplices.get(i, ())) for i in range(max_dim_built + 1)],
                       dtype=np.int64)
     return GeometricComplex(
-        spec=config.spec, params=params, n_vertices=config.n,
+        spec=spec, params=params, n_vertices=n,
         counts=counts, max_dim_built=max_dim_built,
         truncated=not complete, simplices=simplices, adjacency=adj,
     )

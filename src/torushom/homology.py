@@ -4,8 +4,8 @@ Betti numbers come from ranks of boundary matrices computed by Gaussian
 elimination on Python-int bitset rows (fast XOR of whole rows, no numerics).
 For clique complexes that are too large to reduce directly, dominated-vertex
 strong collapse shrinks the complex to a small homotopy-equivalent core
-first.  A union-find count of graph components provides an independent
-oracle for beta_0.
+first.  A flood fill over the shared neighbour bitsets counts graph
+components, an independent oracle for beta_0.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cliques import neighbour_bitsets
-from .complexes import GeometricComplex, build_complex
+from .complexes import (GeometricComplex, _check_radius, _complex_from_adjacency,
+                        adjacency_matrix)
 
 
 def gf2_rank(rows: list[int]) -> int:
@@ -95,24 +96,20 @@ def betti_numbers(complex_: GeometricComplex, max_dim: int | None = None) -> lis
 
 
 def connected_components(adj_bool: np.ndarray) -> int:
-    """Union-find component count; independent oracle for beta_0."""
-    n = adj_bool.shape[0]
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = n
-    rows, cols = np.nonzero(adj_bool)
-    for i, j in zip(rows, cols):
-        if i < j:
-            ri, rj = find(int(i)), find(int(j))
-            if ri != rj:
-                parent[ri] = rj
-                comps -= 1
+    """Component count by bitset flood fill; independent oracle for beta_0."""
+    neigh = neighbour_bitsets(adj_bool)
+    unseen = (1 << len(neigh)) - 1
+    comps = 0
+    while unseen:
+        frontier = unseen & -unseen
+        unseen ^= frontier
+        comps += 1
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reached = neigh[low.bit_length() - 1] & unseen
+            unseen ^= reached
+            frontier |= reached
     return comps
 
 
@@ -120,7 +117,7 @@ def homology_summary(complex_: GeometricComplex) -> HomologyResult:
     """Betti numbers plus structural consistency checks.
 
     Checks performed: Euler characteristic from alternating simplex counts
-    equals the alternating sum of Betti numbers, beta_0 matches a union-find
+    equals the alternating sum of Betti numbers, beta_0 matches a flood-fill
     component count, and all Betti numbers are non-negative.
     """
     betti = betti_numbers(complex_)
@@ -135,7 +132,7 @@ def homology_summary(complex_: GeometricComplex) -> HomologyResult:
         comps = connected_components(complex_.adjacency)
         if betti and betti[0] != comps:
             violations.append(
-                f"beta_0 = {betti[0]} but union-find counts {comps} components")
+                f"beta_0 = {betti[0]} but flood fill counts {comps} components")
     for k, b in enumerate(betti):
         if b < 0:
             violations.append(f"beta_{k} = {b} is negative")
@@ -188,9 +185,6 @@ def strong_collapse(adj_bool: np.ndarray) -> np.ndarray:
 def collapsed_homology(config, params, max_dim: int | None = None,
                        core_limit: int | None = None) -> HomologyResult:
     """Homology of a Rips-Vietoris complex via strong collapse then reduction."""
-    from .complexes import adjacency_matrix, _check_radius
-    from .sampling import PointConfiguration
-
     _check_radius(config, params, homology_mode=True)
     adj = adjacency_matrix(config, params)
     if config.n == 0:
@@ -199,11 +193,7 @@ def collapsed_homology(config, params, max_dim: int | None = None,
     if core_limit is not None and core.size > core_limit:
         raise CoreTooLarge(
             f"collapsed core has {core.size} vertices (limit {core_limit})")
-    sub_adj = adj[np.ix_(core, core)]
-    sub_points = config.points[core]
-    sub_config = PointConfiguration(spec=config.spec, points=sub_points)
-    complex_ = build_complex(sub_config, params, max_dim=None,
-                             homology_mode=True)
+    complex_ = _complex_from_adjacency(config.spec, params, adj[np.ix_(core, core)])
     result = homology_summary(complex_)
     # component count must be validated on the original graph, not the core
     comps = connected_components(adj)

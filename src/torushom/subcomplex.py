@@ -15,6 +15,7 @@ from itertools import permutations
 
 import numpy as np
 
+from .cliques import neighbour_bitsets
 from .complexes import GeometricComplex
 from .joracle import MAX_ORACLE_DIMENSION
 from .moments import ModelParams
@@ -106,7 +107,12 @@ class SubcountResult:
 
 
 def count_gamma_adj(adj_bool: np.ndarray, gamma: GammaGraph) -> SubcountResult:
-    """Count unordered embeddings of the pattern into a threshold graph."""
+    """Count unordered embeddings of the pattern into a threshold graph.
+
+    Pattern vertices are placed in an order where each touches an earlier
+    one; the candidates for a position are the unused graph vertices in the
+    neighbour bitsets of all its placed pattern neighbours.
+    """
     n_pts = adj_bool.shape[0]
     if n_pts < gamma.n:
         return SubcountResult(g_gamma=0)
@@ -125,31 +131,27 @@ def count_gamma_adj(adj_bool: np.ndarray, gamma: GammaGraph) -> SubcountResult:
     for p, v in enumerate(order):
         back_edges.append([pos_of[u] for u in nb[v] if pos_of[u] < p])
 
-    labeled = 0
+    neigh = neighbour_bitsets(adj_bool)
     assignment = [0] * gamma.n
-    used = [False] * n_pts
+    last = gamma.n - 1
+    all_pts = (1 << n_pts) - 1
 
-    def extend(p: int):
-        nonlocal labeled
-        if p == gamma.n:
-            labeled += 1
-            return
-        anchors = back_edges[p]
-        if anchors:
-            candidates = np.nonzero(adj_bool[assignment[anchors[0]]])[0]
-        else:
-            candidates = range(n_pts)
-        for c in candidates:
-            c = int(c)
-            if used[c]:
-                continue
-            if all(adj_bool[assignment[q], c] for q in anchors):
-                assignment[p] = c
-                used[c] = True
-                extend(p + 1)
-                used[c] = False
+    def extend(p: int, used: int) -> int:
+        """Labeled completions of positions p.. given the earlier ones."""
+        cand = all_pts & ~used
+        for q in back_edges[p]:
+            cand &= neigh[assignment[q]]
+        if p == last:
+            return cand.bit_count()
+        total = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            assignment[p] = low.bit_length() - 1
+            total += extend(p + 1, used | low)
+        return total
 
-    extend(0)
+    labeled = extend(0, 0)
     c_gamma = automorphism_count(gamma)
     if labeled % c_gamma != 0:
         raise AssertionError(

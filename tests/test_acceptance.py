@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torushom.cliques import brute_force_clique_counts
+from oracles import brute_force_clique_counts
 from torushom.complexes import (ComplexParams, Convention, build_complex,
                                 simplex_counts)
 from torushom.harness import (ExperimentConfig, clt_rate_experiment,

@@ -1,5 +1,8 @@
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torushom.complexes import ComplexParams, Convention, build_complex
 from torushom.homology import (CoreTooLarge, betti_numbers, boundary_rank,
@@ -112,6 +115,18 @@ def test_connected_components_oracle():
                 seen.add(v)
                 stack.extend(np.nonzero(adj[v])[0])
         assert connected_components(adj) == comps
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 40), st.floats(0.0, 0.2), st.integers(0, 10 ** 6))
+@example(0, 0.0, 0)
+@example(1, 0.0, 0)
+def test_property_components_match_networkx(n, p, seed):
+    rng = np.random.default_rng(seed)
+    adj = np.triu(rng.random((n, n)) < p, 1)
+    adj = adj | adj.T
+    expect = nx.number_connected_components(nx.from_numpy_array(adj))
+    assert connected_components(adj) == expect
 
 
 def test_strong_collapse_cone_to_point():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from itertools import combinations, permutations
 
 from torushom.complexes import ComplexParams, Convention, build_complex
@@ -29,6 +31,16 @@ def random_graph(n, p, seed):
     rng = np.random.default_rng(seed)
     adj = np.triu(rng.random((n, n)) < p, 1)
     return adj | adj.T
+
+
+# every labelled connected graph on 1-4 vertices (1 + 1 + 4 + 38 patterns)
+CONNECTED_PATTERNS = [
+    GammaGraph(k, frozenset(edges))
+    for k in range(1, 5)
+    for r in range(k - 1, k * (k - 1) // 2 + 1)
+    for edges in combinations(combinations(range(k), 2), r)
+    if GammaGraph(k, frozenset(edges)).is_connected()
+]
 
 
 def test_gamma_graph_validation():
@@ -85,6 +97,19 @@ def test_against_brute_force(edges, n):
         adj = random_graph(9, 0.45, 100 + seed)
         assert count_gamma_adj(adj, gamma).g_gamma == \
             brute_force_count(adj, gamma)
+
+
+def test_connected_patterns_are_all_enumerated():
+    assert [sum(g.n == k for g in CONNECTED_PATTERNS) for k in range(1, 5)] \
+        == [1, 1, 4, 38]
+
+
+@pytest.mark.parametrize("gamma", CONNECTED_PATTERNS, ids=lambda g: str(g.to_json()))
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 9), st.floats(0.0, 1.0), st.integers(0, 10 ** 6))
+def test_property_counts_match_brute_force(gamma, n, p, seed):
+    adj = random_graph(n, p, seed)
+    assert count_gamma_adj(adj, gamma).g_gamma == brute_force_count(adj, gamma)
 
 
 def test_non_induced_semantics():
