@@ -221,23 +221,3 @@ def phi_k(points: np.ndarray, params: ComplexParams, spec: TorusSpec) -> int:
             return 0
     return 1
 
-
-def boundary_matrix(complex_: GeometricComplex, dim: int) -> np.ndarray:
-    """GF(2) boundary matrix from dim-simplices to (dim-1)-simplices.
-
-    Rows index (dim-1)-simplices, columns index dim-simplices, entries in
-    {0, 1} as uint8.
-    """
-    if complex_.simplices is None:
-        raise ValueError("complex was built without simplex lists")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    lower = complex_.simplices.get(dim - 1, [])
-    upper = complex_.simplices.get(dim, [])
-    index = {s: i for i, s in enumerate(lower)}
-    mat = np.zeros((len(lower), len(upper)), dtype=np.uint8)
-    for col, simplex in enumerate(upper):
-        for drop in range(len(simplex)):
-            face = simplex[:drop] + simplex[drop + 1:]
-            mat[index[face], col] = 1
-    return mat

@@ -2,6 +2,10 @@
 
 Betti numbers come from ranks of boundary matrices computed by Gaussian
 elimination on Python-int bitset rows (fast XOR of whole rows, no numerics).
+The maps are reduced from the top dimension down with clearing (Chen &
+Kerber's twist): a k-simplex that is the lowest set bit of a reduced row of
+the (k+1)-boundary has a boundary in the span of those of later k-simplices,
+so its row is left out of the k-boundary reduction without changing the rank.
 For clique complexes that are too large to reduce directly, dominated-vertex
 strong collapse shrinks the complex to a small homotopy-equivalent core
 first.  A flood fill over the shared neighbour bitsets counts graph
@@ -11,6 +15,7 @@ components, an independent oracle for beta_0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -19,36 +24,45 @@ from .complexes import (GeometricComplex, _check_radius, _complex_from_adjacency
                         adjacency_matrix)
 
 
-def gf2_rank(rows: list[int]) -> int:
-    """Rank over GF(2) of a matrix given as int-bitset rows."""
-    pivots: dict[int, int] = {}  # lowest set bit -> pivot row
+def gf2_rank(rows: list[int], pivot_cols: set[int] | None = None) -> int:
+    """Rank over GF(2) of a matrix given as int-bitset rows; the column index
+    of each pivot's lowest set bit is added to ``pivot_cols`` if given."""
+    pivots: dict[int, int] = {}  # column of the lowest set bit -> pivot row
     rank = 0
     for row in rows:
         while row:
-            low = row & -row
-            pivot = pivots.get(low)
+            col = (row & -row).bit_length() - 1
+            pivot = pivots.get(col)
             if pivot is None:
-                pivots[low] = row
+                pivots[col] = row
                 rank += 1
                 break
             row ^= pivot
+    if pivot_cols is not None:
+        pivot_cols.update(pivots)
     return rank
 
 
 def boundary_rank(simplices_low: list[tuple[int, ...]],
-                  simplices_high: list[tuple[int, ...]]) -> int:
-    """Rank of the GF(2) boundary map from high-dim to low-dim simplices."""
+                  simplices_high: list[tuple[int, ...]],
+                  pivots: set[tuple[int, ...]] | None = None) -> int:
+    """Rank of the GF(2) boundary map from high-dim to low-dim simplices; the
+    low simplices at the lowest set bits of the reduced rows (the pivots) are
+    added to ``pivots`` if given."""
     if not simplices_low or not simplices_high:
         return 0
     index = {s: i for i, s in enumerate(simplices_low)}
     rows = []
     for simplex in simplices_high:
         row = 0
-        for drop in range(len(simplex)):
-            face = simplex[:drop] + simplex[drop + 1:]
+        for face in combinations(simplex, len(simplex) - 1):
             row |= 1 << index[face]
         rows.append(row)
-    return gf2_rank(rows)
+    cols: set[int] = set()
+    rank = gf2_rank(rows, cols)
+    if pivots is not None:
+        pivots.update(simplices_low[i] for i in cols)
+    return rank
 
 
 @dataclass
@@ -83,11 +97,11 @@ def betti_numbers(complex_: GeometricComplex, max_dim: int | None = None) -> lis
     if complex_.n_vertices == 0:
         return []
     ranks = {}
-    for dim in range(1, report_to + 2):
-        ranks[dim] = boundary_rank(
-            complex_.simplices.get(dim - 1, []),
-            complex_.simplices.get(dim, []),
-        )
+    cleared: set[tuple[int, ...]] = set()
+    for dim in range(report_to + 1, 0, -1):
+        kept = [s for s in complex_.simplices.get(dim, []) if s not in cleared]
+        cleared = set()
+        ranks[dim] = boundary_rank(complex_.simplices.get(dim - 1, []), kept, cleared)
     betti = []
     for k in range(report_to + 1):
         s_k = len(complex_.simplices.get(k, []))
@@ -182,9 +196,12 @@ def strong_collapse(adj_bool: np.ndarray) -> np.ndarray:
     return np.array(core, dtype=np.int64)
 
 
-def collapsed_homology(config, params, max_dim: int | None = None,
+def collapsed_homology(config, params,
                        core_limit: int | None = None) -> HomologyResult:
-    """Homology of a Rips-Vietoris complex via strong collapse then reduction."""
+    """Homology of a Rips-Vietoris complex via strong collapse then reduction.
+
+    Every Betti number of the core is reported; ``core_limit`` caps its size.
+    """
     _check_radius(config, params, homology_mode=True)
     adj = adjacency_matrix(config, params)
     if config.n == 0:

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import boundary_matrix
 from torushom.complexes import (ComplexParams, Convention, adjacency_matrix,
-                                boundary_matrix, build_complex, phi_k,
-                                simplex_counts)
+                                build_complex, phi_k, simplex_counts)
 from torushom.sampling import Binomial, PointConfiguration, SeedSpec, sample
 from torushom.torus import Metric, TorusSpec, pairwise_distances
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import direct_betti_numbers
 from torushom.complexes import ComplexParams, Convention, build_complex
 from torushom.homology import (CoreTooLarge, betti_numbers, boundary_rank,
                                collapsed_homology, connected_components,
@@ -91,6 +92,51 @@ def test_torus_grid_betti_collapsed():
     res = collapsed_homology(cfg, ComplexParams(epsilon=0.105))
     assert res.betti[:3] == [1, 2, 1]
     assert res.violations == []
+
+
+@pytest.mark.parametrize("cfg, eps", [
+    (grid_config(5), 0.105),
+    (sample(Poisson(lam=60.0), SPEC2, SeedSpec(17)), 0.09),
+], ids=["king_torus_grid", "random_d2"])
+def test_clearing_lemma(cfg, eps):
+    gc = build_complex(cfg, ComplexParams(epsilon=eps))
+    simplices = gc.simplices
+    for k in range(1, gc.max_dim_built + 1):
+        pivots = set()
+        rank_up = boundary_rank(simplices[k], simplices.get(k + 1, []), pivots)
+        assert len(pivots) == rank_up
+        assert pivots <= set(simplices[k])
+        kept = [s for s in simplices[k] if s not in pivots]
+        assert (boundary_rank(simplices[k - 1], kept)
+                == boundary_rank(simplices[k - 1], simplices[k]))
+
+
+@st.composite
+def small_complexes(draw):
+    """Random configurations of up to 12 points on the d-torus, d in {1, 2, 3},
+    either uniform or snapped to a lattice (exact ties, cycles that wrap), with
+    an adjacency threshold below a/2 under either convention."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 10 ** 6)))
+    pts = rng.random((n, d))
+    if draw(st.booleans()):
+        m = draw(st.integers(3, 6))
+        pts = np.floor(pts * m) / m
+    threshold = draw(st.floats(0.05, 0.45))
+    convention = draw(st.sampled_from(list(Convention)))
+    eps = threshold / 2 if convention is Convention.RIPS_HALF_OPEN_2EPS else threshold
+    cfg = PointConfiguration(spec=TorusSpec(d=d, a=1.0), points=pts)
+    return build_complex(cfg, ComplexParams(epsilon=eps, convention=convention))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_complexes())
+def test_property_betti_match_direct_reduction(gc):
+    expect = direct_betti_numbers(gc)
+    assert betti_numbers(gc) == expect
+    for m in range(gc.max_dim_built + 2):
+        assert betti_numbers(gc, max_dim=m) == expect[:m + 1]
 
 
 def test_connected_components_oracle():
