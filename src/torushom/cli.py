@@ -142,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--quantities", required=True,
                    help="comma-separated, e.g. N_1,N_2,chi,beta_0")
-    p.add_argument("--max-dim", type=int, default=None)
+    p.add_argument("--max-dim", type=int, default=None,
+                   help="count N_k at least to this dimension")
     p.add_argument("--raw-csv", help="write per-replication values as CSV")
     p.add_argument("--out")
 
@@ -283,7 +284,7 @@ def _cmd_subcount(args):
     pc = _load_points(args.infile)
     with open(args.gamma) as fh:
         gamma = GammaGraph.from_json(json.load(fh))
-    cx = simplex_counts(pc, _params(args))
+    cx = simplex_counts(pc, _params(args), max_dim=0)  # only the adjacency is used
     result = count_gamma(cx, gamma)
     _emit({"g_gamma": result.g_gamma,
            "c_gamma": automorphism_count(gamma)}, args.out)

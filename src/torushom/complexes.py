@@ -74,7 +74,7 @@ class GeometricComplex:
     spec: TorusSpec
     params: ComplexParams
     n_vertices: int
-    counts: np.ndarray            # counts[i] = N_{i+1}, number of i-simplices... see N_k
+    counts: np.ndarray            # counts[i] = N_{i+1}, the number of i-simplices
     max_dim_built: int
     truncated: bool
     simplices: dict[int, list[tuple[int, ...]]] | None = None
@@ -161,7 +161,7 @@ def simplex_counts(config: PointConfiguration, params: ComplexParams,
                    max_dim: int | None = None,
                    cap: int = DEFAULT_SIMPLEX_CAP,
                    homology_mode: bool = False) -> GeometricComplex:
-    """Count simplices of every dimension without storing them."""
+    """Count simplices up to ``max_dim`` (default: all) without storing them."""
     _check_radius(config, params, homology_mode)
     adj = adjacency_matrix(config, params)
     max_size = None if max_dim is None else max_dim + 1

@@ -7,7 +7,8 @@ asymptotic experiments: the normal-approximation rate for standardized
 pattern counts and the torus-coverage probability.
 
 Every replication draws from its own counter-derived stream, so reports are
-bit-identical for a fixed configuration regardless of scheduling.
+bit-identical for a fixed configuration regardless of scheduling.  Cliques
+are counted only up to the largest N_k asked for; chi is a pivoted sum.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cliques import euler_characteristic
 from .complexes import ComplexParams, adjacency_matrix, build_complex, simplex_counts
 from .homology import CoreTooLarge, collapsed_homology, connected_components, homology_summary
 from .moments import ModelParams
@@ -32,6 +34,10 @@ class ReplicationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """N_k is counted to the largest k in ``quantities`` and at least to
+    dimension ``max_dim``; a replication whose count exceeds ``simplex_cap``
+    is excluded.  chi is a pivoted sum over the adjacency, never capped."""
+
     law: ProcessLaw
     spec: TorusSpec
     params: ComplexParams
@@ -113,8 +119,7 @@ def run_experiment(config: ExperimentConfig) -> ReplicationReport:
     only_beta0 = beta_indices == [0]
     needs_full_homology = bool(beta_indices) and not only_beta0
     max_k = max([p[1] for p in parsed if p[0] == "N"], default=0)
-    full_counts = any(p[0] == "chi" for p in parsed) or config.max_dim is None
-    count_dim = None if full_counts else max(config.max_dim, max_k - 1)
+    count_dim = max(max_k - 1, config.max_dim or 0)
 
     values: dict[str, list[float]] = {q: [] for q in config.quantities}
     excluded = 0
@@ -179,8 +184,7 @@ def _replication_values(pc: PointConfiguration, config: ExperimentConfig,
             k = p[1]
             row[q] = float(counts[k - 1]) if k - 1 < len(counts) else 0.0
         elif kind == "chi":
-            signs = (-1.0) ** np.arange(len(counts))
-            row[q] = float(np.sum(signs * counts))
+            row[q] = float(euler_characteristic(adj))
         elif kind == "beta":
             i = p[1]
             if homology is not None:

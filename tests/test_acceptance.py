@@ -78,7 +78,10 @@ def _run(law, d, quantities, reps, seed, eps=0.05, convention=RIPS,
                              convention=convention),
         replications=reps, master_seed=seed, quantities=tuple(quantities),
         max_dim=max_dim)
-    return run_experiment(cfg)
+    report = run_experiment(cfg)
+    # A dropped replication would bias every estimate of the fixture.
+    assert report.excluded == 0, f"{report.excluded} replications excluded"
+    return report
 
 
 CELLS = [(1, 20.0), (1, 50.0), (2, 20.0), (2, 50.0)]

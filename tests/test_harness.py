@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from torushom.complexes import ComplexParams, Convention
+from torushom.complexes import ComplexParams, Convention, simplex_counts
 from torushom.harness import (CltReport, CoverageReport, ExperimentConfig,
                               clt_rate_experiment, coverage_experiment,
                               empirical_tail, run_experiment, torus_betti)
 from torushom.moments import ModelParams, mean_Nk, mean_chi
-from torushom.sampling import Binomial, Poisson, SeedSpec
+from torushom.sampling import Binomial, Poisson, SeedSpec, sample
 from torushom.subcomplex import GammaGraph
 from torushom.torus import TorusSpec
 
@@ -81,6 +81,23 @@ def test_truncated_replications_excluded():
     report = run_experiment(cfg)
     assert report.excluded > 0
     assert report.estimates["N_1"].n == 20 - report.excluded
+
+
+def test_cap_bounds_only_the_counts_asked_for():
+    # Every draw has more than 2000 cliques in all, but fewer than 500
+    # vertices and edges: only N_1, N_2 are counted, and chi never is.
+    cfg = ExperimentConfig(law=Poisson(60.0), spec=SPEC1, params=PARAMS,
+                           replications=8, master_seed=21,
+                           quantities=("N_1", "N_2", "chi"), simplex_cap=2000)
+    report = run_experiment(cfg)
+    assert report.excluded == 0
+    base = SeedSpec(master_seed=21, stream_index=0)
+    for rep in range(8):
+        pc = sample(cfg.law, SPEC1, base.child("experiment", rep))
+        full = simplex_counts(pc, PARAMS, cap=10 ** 9)
+        assert not full.truncated and full.counts.sum() > cfg.simplex_cap
+        assert report.raw["chi"][rep] == full.euler_characteristic_counts()
+        assert report.raw["N_2"][rep] == full.N(2)
 
 
 def test_report_serialization():
