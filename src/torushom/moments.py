@@ -8,16 +8,18 @@ computed in exact rational arithmetic and converted to float only at final
 evaluation, because the alternating factorial sums cancel catastrophically
 in floating point.
 
-Third and fourth central moments are assembled from overlap-pattern sums.
-Each term pairs an exact combinatorial weight with an overlap integral: the
-two-simplex integral has a closed form (j2_closed_form); larger patterns are
-delegated to the Monte Carlo oracle in joracle.  The n = 3 and n = 4 weights
-are derived by counting slot matchings of ordered vertex tuples directly
-(choose shared slots on each simplex, contract pairs, then biject the
-residual shared classes across pairs); each term carries lambda^M where M is
-the number of distinct points in the pattern, which is forced by scaling
-invariance and reproduces the known n = 2 covariance and the Poisson count
-cumulants at k = 1.
+Central moments of every order n >= 2 are assembled from overlap patterns,
+following the diagram formula for Poisson U-statistics (Peccati & Taqqu,
+"Wiener Chaos: Moments, Cumulants and Diagrams", 2011; Reitzner & Schulte,
+Ann. Probab. 2013).  Writing N_k as a sum over ordered k-tuples of distinct
+points divided by k!, E[(N_k - E N_k)^n] is a sum over partitions of the
+n*k vertex slots in which no block holds two slots of one simplex and no
+simplex is left without a shared vertex.  Partitions with the same overlap
+signature (how many points are common to exactly each group of simplices)
+have the same integral, so each signature is visited once with its exact
+combinatorial weight and carries lambda^M, M being its number of distinct
+points.  The two-simplex integral has a closed form (j2_closed_form); larger
+patterns are delegated to the Monte Carlo oracle in joracle.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations
 
 from .joracle import JEstimate, OverlapPattern, j_oracle_mc
 from .sampling import SeedSpec
@@ -327,10 +329,54 @@ def euclid_remark_moments(spec: TorusSpec, lam: float, epsilon: float) -> dict:
 # Higher central moments via overlap-pattern assembly
 
 
+def _overlap_patterns(n: int, k: int) -> list:
+    """Overlap signatures of n (k-1)-simplices, as sorted (shared, weight, M).
+
+    ``shared`` lists (T, c_T) for every group T of at least two simplices
+    that has c_T > 0 points common to exactly the simplices in T.  Simplex i
+    then has s_i = sum of c_T over the groups T containing i shared
+    vertices, and every signature has 1 <= s_i <= k (no simplex is left
+    isolated).  ``weight`` is the exact number of slot partitions with this
+    signature, prod_i k!/(k - s_i)! / prod_T c_T!, over (k!)^n; M is the
+    number of distinct points, n*k - sum c_T (|T| - 1).
+    """
+    # lexicographic order puts every group containing i before any group
+    # whose smallest member exceeds i, so s_i is final once the walk is past
+    # them; groups with a member already at s_i = k are skipped
+    groups = sorted(t for r in range(2, n + 1) for t in combinations(range(n), r))
+    kfact = math.factorial(k)
+    found = []
+
+    def walk(g, shared, counts):
+        while g < len(groups) and k in (shared[i] for i in groups[g]):
+            g += 1
+        if 0 in shared[:groups[g][0] if g < len(groups) else n]:
+            return
+        if g == len(groups):
+            weight = Fraction(
+                math.prod(math.perm(k, s) for s in shared),
+                kfact ** n * math.prod(math.factorial(c) for _, c in counts))
+            found.append((counts, weight,
+                          n * k - sum(c * (len(t) - 1) for t, c in counts)))
+            return
+        t = groups[g]
+        for c in range(k - max(shared[i] for i in t) + 1):
+            walk(g + 1, tuple(s + c * (i in t) for i, s in enumerate(shared)),
+                 counts + ((t, c),) if c else counts)
+
+    walk(0, (0,) * n, ())
+    return sorted(found)
+
+
 def _default_j_oracle(params: ModelParams, samples: int, seed: SeedSpec):
     counter = [0]
 
     def oracle(pattern: OverlapPattern) -> JEstimate:
+        if len(pattern.sizes) == 2:
+            ((_, m12),) = pattern.shared
+            value = j2_closed_form(pattern.sizes[0] - m12, pattern.sizes[1] - m12,
+                                   m12, params.spec, params.epsilon)
+            return JEstimate(value=value, stderr=0.0, samples=0)
         counter[0] += 1
         return j_oracle_mc(pattern, params.spec, params.epsilon, samples,
                            seed.child("j_oracle", counter[0]))
@@ -338,198 +384,48 @@ def _default_j_oracle(params: ModelParams, samples: int, seed: SeedSpec):
     return oracle
 
 
-def _third_moment_terms(k: int):
-    """Index tuples (i, j, s, t, weight_fraction, pattern_counts) for n=3.
+def nth_moment_assembler(params: ModelParams, k: int, n: int,
+                         j_oracle=None, oracle_samples: int = 1_000_000,
+                         seed: SeedSpec | None = None) -> MomentValue:
+    """n-th central moment of the (k-1)-simplex count, for any n >= 2.
 
-    i, j, s are the total shared-vertex counts on each of the three
-    simplices; t is the overlap between the first two.  The resulting
-    pattern has u - t, i - t, j - t vertices shared by exactly two simplices
-    (pairs (0,1), (0,2), (1,2)) and 2t - u shared by all three, where
-    u = i + j - s; M = 3k - s - t distinct points.
+    Sums weight * lambda^M * J over the overlap patterns of n simplices in
+    sorted order, J being the pattern's overlap integral from ``j_oracle``.
+    The default oracle uses the closed form for two-simplex patterns, so
+    n = 2 reproduces the covariance diagonal, and the Monte Carlo oracle
+    (one child stream of ``seed`` per pattern) for every other pattern.
     """
-    kfact3 = Fraction(math.factorial(k)) ** 3
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            s_lo = max(abs(i - j), 1)
-            s_hi = min(i + j, k)
-            for s in range(s_lo, s_hi + 1):
-                u = i + j - s
-                t_lo = -(-u // 2)
-                t_hi = min(u, i, j)
-                for t in range(t_lo, t_hi + 1):
-                    weight = Fraction(
-                        math.comb(k, i) * math.comb(k, j) * math.comb(k, s)
-                        * math.factorial(t) * math.factorial(s)
-                        * math.comb(i, t) * math.comb(j, t)
-                        * math.comb(t, u - t)) / kfact3
-                    counts = {(0, 1): u - t, (0, 2): i - t, (1, 2): j - t,
-                              (0, 1, 2): 2 * t - u}
-                    M = 3 * k - s - t
-                    yield i, j, s, t, weight, counts, M
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if n < 2:
+        raise ValueError(f"central moment order must be >= 2, got {n}")
+    if j_oracle is None:
+        if seed is None:
+            seed = SeedSpec(master_seed=0, stream_index=0)
+        j_oracle = _default_j_oracle(params, oracle_samples, seed)
+    total = 0.0
+    var = 0.0
+    for shared, weight, M in _overlap_patterns(n, k):
+        pattern = OverlapPattern.make((k,) * n, dict(shared))
+        assert pattern.total_vertices == M
+        est = j_oracle(pattern)
+        coeff = float(weight) * params.lam ** M
+        total += coeff * est.value
+        var += (coeff * est.stderr) ** 2
+    kind = MomentKind.VARIANCE if n == 2 else MomentKind.CENTRAL_MOMENT
+    return MomentValue(value=total, kind=kind, order=n,
+                       truncation={"oracle_stderr": math.sqrt(var)})
 
 
 def third_moment_Nk(params: ModelParams, k: int,
                     j_oracle=None, oracle_samples: int = 1_000_000,
                     seed: SeedSpec | None = None) -> MomentValue:
     """Third central moment of the number of (k-1)-simplices."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if j_oracle is None:
-        if seed is None:
-            seed = SeedSpec(master_seed=0, stream_index=0)
-        j_oracle = _default_j_oracle(params, oracle_samples, seed)
-    d, a = params.spec.d, params.spec.a
-    total = 0.0
-    var = 0.0
-    for i, j, s, t, weight, counts, M in _third_moment_terms(k):
-        pattern = OverlapPattern.make(
-            (k, k, k), {sub: c for sub, c in counts.items() if c > 0})
-        assert pattern.total_vertices == M
-        est = j_oracle(pattern)
-        coeff = float(weight) * params.lam ** M
-        total += coeff * est.value
-        var += (coeff * est.stderr) ** 2
-    return MomentValue(value=total, kind=MomentKind.CENTRAL_MOMENT, order=3,
-                       truncation={"oracle_stderr": math.sqrt(var)})
-
-
-def _contingency_tables(rows: tuple[int, ...], cols: tuple[int, ...]):
-    """All nonnegative integer matrices with the given margins."""
-    if sum(rows) != sum(cols):
-        return
-    ncols = len(cols)
-
-    def rec(row_idx: int, remaining_cols: tuple[int, ...], acc):
-        if row_idx == len(rows):
-            if all(c == 0 for c in remaining_cols):
-                yield tuple(acc)
-            return
-        target = rows[row_idx]
-
-        def fill(col_idx: int, left: int, row_acc):
-            if col_idx == ncols - 1:
-                if left <= remaining_cols[col_idx]:
-                    yield tuple(row_acc) + (left,)
-                return
-            for v in range(min(left, remaining_cols[col_idx]) + 1):
-                yield from fill(col_idx + 1, left - v, tuple(row_acc) + (v,))
-
-        for row in fill(0, target, ()):
-            new_cols = tuple(c - v for c, v in zip(remaining_cols, row))
-            yield from rec(row_idx + 1, new_cols, acc + [row])
-
-    yield from rec(0, cols, [])
-
-
-def _fourth_moment_terms(k: int):
-    """Overlap patterns and weights for the fourth central moment.
-
-    The four simplices are organized as two pairs (0,1) and (2,3).  i_j is
-    the number of shared slots on simplex j; t1 = |S0 ^ S1| and
-    t2 = |S2 ^ S3|; s is the number of distinct vertices shared across the
-    two pairs.  The cross-shared vertices of the left pair fall into classes
-    (both S0 and S1, S0 only, S1 only) of sizes (2t1-u1, i1-t1, i2-t1) with
-    u1 = i1 + i2 - s, and symmetrically on the right; a contingency table
-    over these classes enumerates the cross bijections, each carrying the
-    multinomial count prod(A_x!) prod(B_y!) / prod(n_xy!).  M = 4k-t1-t2-s.
-    """
-    kfact4 = Fraction(math.factorial(k)) ** 4
-    left_members = {0: (0, 1), 1: (0,), 2: (1,)}
-    right_members = {0: (2, 3), 1: (2,), 2: (3,)}
-    for i1, i2, i3, i4 in product(range(1, k + 1), repeat=4):
-        for s in range(0, min(i1 + i2, i3 + i4) + 1):
-            u1 = i1 + i2 - s
-            u2 = i3 + i4 - s
-            if u1 < 0 or u2 < 0:
-                continue
-            for t1 in range(-(-u1 // 2), min(u1, i1, i2) + 1):
-                for t2 in range(-(-u2 // 2), min(u2, i3, i4) + 1):
-                    rows = (2 * t1 - u1, i1 - t1, i2 - t1)
-                    cols = (2 * t2 - u2, i3 - t2, i4 - t2)
-                    if min(rows) < 0 or min(cols) < 0:
-                        continue
-                    base = Fraction(
-                        math.comb(k, i1) * math.comb(k, i2)
-                        * math.comb(k, i3) * math.comb(k, i4)
-                        * math.factorial(t1) * math.comb(i1, t1)
-                        * math.comb(i2, t1) * math.comb(t1, u1 - t1)
-                        * math.factorial(t2) * math.comb(i3, t2)
-                        * math.comb(i4, t2) * math.comb(t2, u2 - t2)) / kfact4
-                    M = 4 * k - t1 - t2 - s
-                    for table in _contingency_tables(rows, cols):
-                        count = Fraction(1)
-                        for A in rows:
-                            count *= math.factorial(A)
-                        for B in cols:
-                            count *= math.factorial(B)
-                        for row in table:
-                            for v in row:
-                                count //= math.factorial(v)
-                        counts: dict[tuple[int, ...], int] = {}
-                        if u1 - t1 > 0:
-                            counts[(0, 1)] = counts.get((0, 1), 0) + (u1 - t1)
-                        if u2 - t2 > 0:
-                            counts[(2, 3)] = counts.get((2, 3), 0) + (u2 - t2)
-                        for x in range(3):
-                            for y in range(3):
-                                v = table[x][y]
-                                if v > 0:
-                                    sub = tuple(sorted(
-                                        left_members[x] + right_members[y]))
-                                    counts[sub] = counts.get(sub, 0) + v
-                        yield base * count, counts, M
+    return nth_moment_assembler(params, k, 3, j_oracle, oracle_samples, seed)
 
 
 def fourth_moment_Nk(params: ModelParams, k: int,
                      j_oracle=None, oracle_samples: int = 200_000,
                      seed: SeedSpec | None = None) -> MomentValue:
     """Fourth central moment of the number of (k-1)-simplices."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if j_oracle is None:
-        if seed is None:
-            seed = SeedSpec(master_seed=0, stream_index=0)
-        j_oracle = _default_j_oracle(params, oracle_samples, seed)
-    total = 0.0
-    var = 0.0
-    merged: dict = {}
-    for weight, counts, M in _fourth_moment_terms(k):
-        key = (tuple(sorted(counts.items())), M)
-        merged[key] = merged.get(key, Fraction(0)) + weight
-    for (counts_items, M), weight in sorted(merged.items()):
-        pattern = OverlapPattern.make((k, k, k, k), dict(counts_items))
-        assert pattern.total_vertices == M
-        est = j_oracle(pattern)
-        coeff = float(weight) * params.lam ** M
-        total += coeff * est.value
-        var += (coeff * est.stderr) ** 2
-    return MomentValue(value=total, kind=MomentKind.CENTRAL_MOMENT, order=4,
-                       truncation={"oracle_stderr": math.sqrt(var)})
-
-
-def nth_moment_assembler(params: ModelParams, k: int, n: int,
-                         j_oracle=None, oracle_samples: int = 1_000_000,
-                         seed: SeedSpec | None = None) -> MomentValue:
-    """n-th central moment of the (k-1)-simplex count, n in {2, 3, 4}.
-
-    n = 2 uses the closed-form two-simplex integrals and reproduces the
-    covariance diagonal exactly; n = 3 and n = 4 assemble overlap patterns
-    against the Monte Carlo integral oracle.
-    """
-    if n == 2:
-        d, a = params.spec.d, params.spec.a
-        total = 0.0
-        for i in range(1, k + 1):
-            weight = (Fraction(math.comb(k, i) ** 2 * math.factorial(i))
-                      / Fraction(math.factorial(k)) ** 2)
-            total += (float(weight) * params.lam ** (2 * k - i)
-                      * j2_closed_form(k - i, k - i, i, params.spec,
-                                       params.epsilon))
-        return MomentValue(value=total, kind=MomentKind.VARIANCE)
-    if n == 3:
-        return third_moment_Nk(params, k, j_oracle=j_oracle,
-                               oracle_samples=oracle_samples, seed=seed)
-    if n == 4:
-        return fourth_moment_Nk(params, k, j_oracle=j_oracle,
-                                oracle_samples=oracle_samples, seed=seed)
-    raise ValueError(f"supported moment orders are 2, 3, 4; got {n}")
+    return nth_moment_assembler(params, k, 4, j_oracle, oracle_samples, seed)

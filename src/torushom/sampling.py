@@ -96,8 +96,9 @@ class PointConfiguration:
             obj = json.loads(obj)
         spec = TorusSpec(d=obj["d"], a=obj["a"])
         pts = np.asarray(obj["points"], dtype=float).reshape(-1, spec.d)
-        if pts.size and (pts.min() < 0 or pts.max() >= spec.a):
-            raise ValueError("point coordinates must lie in [0, a)")
+        # elementwise, so NaN (for which every comparison is False) fails too
+        if not ((pts >= 0) & (pts < spec.a)).all():
+            raise ValueError("point coordinates must be finite and lie in [0, a)")
         return cls(spec=spec, points=pts)
 
 
@@ -134,23 +135,3 @@ def sample(law: ProcessLaw, spec: TorusSpec, seed: SeedSpec) -> PointConfigurati
         raise TypeError(f"unknown process law: {law!r}")
     return PointConfiguration(spec=spec, points=_draw_uniform(rng, n, spec))
 
-
-def count_in_box(config: PointConfiguration, corner, sides) -> int:
-    """Number of points in a wrap-aware axis-aligned box.
-
-    The box starts at ``corner`` (componentwise in [0, a)) and extends by
-    ``sides`` (componentwise in (0, a]) in the positive direction, wrapping
-    around the torus where needed.
-    """
-    spec = config.spec
-    corner = np.asarray(corner, dtype=float)
-    sides = np.asarray(sides, dtype=float)
-    if corner.shape != (spec.d,) or sides.shape != (spec.d,):
-        raise ValueError(f"corner and sides must have {spec.d} components")
-    if np.any(sides <= 0) or np.any(sides > spec.a):
-        raise ValueError(f"box side lengths must lie in (0, {spec.a}]")
-    if config.n == 0:
-        return 0
-    rel = np.mod(config.points - corner, spec.a)
-    inside = np.all(rel < sides, axis=1)
-    return int(inside.sum())

@@ -39,28 +39,6 @@ class TorusSpec:
         return self.a ** self.d
 
 
-def wrap_coords(x, a: float):
-    """Reduce coordinates into the canonical cell [0, a)."""
-    x = np.asarray(x, dtype=float)
-    out = np.mod(x, a)
-    # mod can return a itself for tiny negative inputs; fold those back
-    out = np.where(out >= a, out - a, out)
-    return out
-
-
-def toroidal_coordinate_distance(x: float, y: float, a: float) -> float:
-    """Wrap-around distance between two scalars on a circle of length ``a``.
-
-    Both inputs must already lie in [0, a).  The result is in [0, a/2].
-    """
-    if a <= 0:
-        raise ValueError(f"side length must be positive, got {a}")
-    if not (0 <= x < a) or not (0 <= y < a):
-        raise ValueError(f"coordinates must lie in [0, {a}): got {x}, {y}")
-    diff = abs(x - y)
-    return min(diff, a - diff)
-
-
 def torus_distance(p, q, spec: TorusSpec, metric: Metric = Metric.MAX_NORM) -> float:
     """Distance between two points of the torus under the chosen metric."""
     p = np.asarray(p, dtype=float)

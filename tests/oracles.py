@@ -1,6 +1,9 @@
-"""Exhaustive oracles that tests compare the fast graph and homology routines
-against."""
+"""Exhaustive oracles and small reference helpers that tests compare the fast
+graph, homology, geometry and moment routines against."""
 
+import math
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -64,3 +67,82 @@ def direct_betti_numbers(complex_) -> list[int]:
                    for dim in range(1, top + 2)]
     return [int(complex_.counts[k]) - ranks[k] - ranks[k + 1]
             for k in range(top + 1)]
+
+
+def slot_partition_weights(n: int, k: int) -> dict:
+    """Overlap-signature weights of n (k-1)-simplices by listing every slot
+    partition.
+
+    The n*k vertex slots (simplex i, position j) are split into blocks with
+    at most one slot of each simplex; a partition counts when every simplex
+    has a slot in a block of two or more.  Returns {(shared, M): weight},
+    where ``shared`` is the sorted tuple of (simplices of a block, number
+    of such blocks) over blocks of two or more, M the number of blocks and
+    weight the number of partitions over (k!)^n.
+    """
+    slots = [(i, j) for i in range(n) for j in range(k)]
+    tally = Counter()
+    blocks: list[list[int]] = []  # each block as its list of simplex indices
+
+    def place(pos: int) -> None:
+        if pos == len(slots):
+            shared = Counter(tuple(b) for b in blocks if len(b) > 1)
+            if len({i for t in shared for i in t}) == n:
+                tally[(tuple(sorted(shared.items())), len(blocks))] += 1
+            return
+        simplex = slots[pos][0]
+        for block in blocks:
+            if simplex not in block:
+                block.append(simplex)
+                place(pos + 1)
+                block.pop()
+        blocks.append([simplex])
+        place(pos + 1)
+        blocks.pop()
+
+    place(0)
+    return {key: Fraction(count, math.factorial(k) ** n)
+            for key, count in tally.items()}
+
+
+def count_in_box(config, corner, sides) -> int:
+    """Number of points in a wrap-aware axis-aligned box.
+
+    The box starts at ``corner`` (componentwise in [0, a)) and extends by
+    ``sides`` (componentwise in (0, a]) in the positive direction, wrapping
+    around the torus where needed.
+    """
+    spec = config.spec
+    corner = np.asarray(corner, dtype=float)
+    sides = np.asarray(sides, dtype=float)
+    if corner.shape != (spec.d,) or sides.shape != (spec.d,):
+        raise ValueError(f"corner and sides must have {spec.d} components")
+    if np.any(sides <= 0) or np.any(sides > spec.a):
+        raise ValueError(f"box side lengths must lie in (0, {spec.a}]")
+    if config.n == 0:
+        return 0
+    rel = np.mod(config.points - corner, spec.a)
+    inside = np.all(rel < sides, axis=1)
+    return int(inside.sum())
+
+
+def wrap_coords(x, a: float):
+    """Reduce coordinates into the canonical cell [0, a)."""
+    x = np.asarray(x, dtype=float)
+    out = np.mod(x, a)
+    # mod can return a itself for tiny negative inputs; fold those back
+    out = np.where(out >= a, out - a, out)
+    return out
+
+
+def toroidal_coordinate_distance(x: float, y: float, a: float) -> float:
+    """Wrap-around distance between two scalars on a circle of length ``a``.
+
+    Both inputs must already lie in [0, a).  The result is in [0, a/2].
+    """
+    if a <= 0:
+        raise ValueError(f"side length must be positive, got {a}")
+    if not (0 <= x < a) or not (0 <= y < a):
+        raise ValueError(f"coordinates must lie in [0, {a}): got {x}, {y}")
+    diff = abs(x - y)
+    return min(diff, a - diff)

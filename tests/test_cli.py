@@ -164,3 +164,12 @@ def test_bad_input_file(capsys):
     code, doc = run_cli(capsys, "complex", "--in", "/nonexistent.json",
                         "--eps", "0.05")
     assert code == 1 and "error" in doc
+
+
+def test_non_finite_point_file(tmp_path, capsys):
+    # json reads NaN; a NaN coordinate used to pass the [0, a) check and
+    # report a homology with no violation
+    path = tmp_path / "nan.json"
+    path.write_text('{"d": 1, "a": 1.0, "points": [[0.1], [NaN], [0.12]]}')
+    code, doc = run_cli(capsys, "homology", "--in", str(path), "--eps", "0.05")
+    assert code == 1 and "finite" in doc["error"]

@@ -1,11 +1,15 @@
 import math
+from fractions import Fraction
 
 import pytest
+import sympy
 
+from oracles import slot_partition_weights
 from torushom.joracle import JEstimate
 from torushom.moments import (ModelParams, MomentKind, MomentValue,
-                              alpha_beta_coeffs, bell_exponential,
-                              bell_polynomial, c_coefficient, cov_Nk_Nl,
+                              _overlap_patterns, alpha_beta_coeffs,
+                              bell_exponential, bell_polynomial,
+                              c_coefficient, cov_Nk_Nl,
                               euclid_remark_moments, fourth_moment_Nk,
                               j2_closed_form, mean_Nk, mean_Nk_binomial,
                               mean_chi, mean_chi_binomial, nth_moment_assembler,
@@ -131,6 +135,40 @@ def test_c_coefficients():
         assert c_coefficient(n, 1) == alpha + beta
 
 
+def _chi_variance_coefficient(n: int, d: int) -> Fraction:
+    """x^{n-1} coefficient of sum_{k,l} (-1)^{k+l} Cov(N_k, N_l) / (lam a^d),
+    from the terms cov_Nk_Nl sums: x^{k+l-i-1} base^d / (i! (k-i)! (l-i)!)."""
+    total = Fraction(0)
+    for k in range(1, n + 1):
+        for l in range(1, n + 1):
+            i = k + l - n
+            if 1 <= i <= min(k, l):
+                base = (Fraction(k + l - i)
+                        + Fraction(2 * (k - i) * (l - i), i + 1))
+                total += Fraction((-1) ** (k + l), math.factorial(i)
+                                  * math.factorial(k - i)
+                                  * math.factorial(l - i)) * base ** d
+    return total
+
+
+def test_c_coefficients_are_the_covariance_sum():
+    for d in (1, 2, 3):
+        for n in range(1, 16):
+            assert c_coefficient(n, d) == _chi_variance_coefficient(n, d)
+
+
+def test_alpha_beta_match_sympy_series():
+    x = sympy.symbols("x")
+    top = 20
+    alpha_gf = -x * sympy.exp(-x) + 2 * x * sympy.exp(-2 * x)
+    beta_gf = 2 * x * sympy.exp(-x) - 2 * (x + x ** 2) * sympy.exp(-2 * x)
+    alpha_poly = sympy.series(alpha_gf, x, 0, top + 1).removeO()
+    beta_poly = sympy.series(beta_gf, x, 0, top + 1).removeO()
+    for n in range(top + 1):
+        assert alpha_beta_coeffs(n) == (Fraction(str(alpha_poly.coeff(x, n))),
+                                        Fraction(str(beta_poly.coeff(x, n))))
+
+
 def test_var_chi_series_matches_closed_form_1d():
     closed = var_chi_1d(P1).value
     assert closed == pytest.approx(
@@ -166,9 +204,37 @@ def test_fourth_moment_k1_is_poisson_cumulant():
     assert mv.value == pytest.approx(20.0 + 3 * 400.0, abs=1e-6)
 
 
-def test_assembler_rejects_unsupported_order():
-    with pytest.raises(ValueError):
-        nth_moment_assembler(P1, 2, 5)
+def test_assembler_rejects_orders_below_two():
+    for n in (0, 1):
+        with pytest.raises(ValueError):
+            nth_moment_assembler(P1, 2, n)
+
+
+def test_assembler_k1_gives_poisson_central_moments():
+    # N_1 is Poisson(m), m = lam a^d; its central moments are sums of m^b
+    # over set partitions of n items into b blocks, none a singleton
+    p = ModelParams(lam=20.0, spec=SPEC1, epsilon=0.05)
+    m = 20.0
+    poisson = {2: m, 3: m, 4: m + 3 * m ** 2, 5: m + 10 * m ** 2,
+               6: m + 25 * m ** 2 + 15 * m ** 3}
+    for n, expected in poisson.items():
+        mv = nth_moment_assembler(p, 1, n, oracle_samples=10,
+                                  seed=SeedSpec(n))
+        assert mv.value == pytest.approx(expected, rel=1e-9)
+
+
+def test_overlap_patterns_match_slot_partitions():
+    for n in range(2, 10):
+        for k in range(1, 9 // n + 1):
+            listed = {(shared, M): weight
+                      for shared, weight, M in _overlap_patterns(n, k)}
+            assert listed == slot_partition_weights(n, k), (n, k)
+
+
+def test_overlap_pattern_counts():
+    # merged signatures of the former hand-written n = 3 and n = 4 terms
+    assert [len(_overlap_patterns(3, k)) for k in (1, 2, 3)] == [1, 9, 29]
+    assert [len(_overlap_patterns(4, k)) for k in (1, 2, 3)] == [4, 90, 727]
 
 
 def test_third_moment_with_injected_oracle():

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from oracles import count_in_box
 from torushom.sampling import (Binomial, PointConfiguration, Poisson,
-                               SeedSpec, count_in_box, sample)
+                               SeedSpec, sample)
 from torushom.torus import TorusSpec
 
 
@@ -75,6 +76,16 @@ def test_json_round_trip():
 def test_from_json_rejects_out_of_domain():
     with pytest.raises(ValueError):
         PointConfiguration.from_json({"d": 1, "a": 1.0, "points": [[1.0]]})
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_from_json_rejects_non_finite(bad):
+    text = f'{{"d": 1, "a": 1.0, "points": [[0.1], [{bad}], [0.12]]}}'
+    with pytest.raises(ValueError, match="finite"):
+        PointConfiguration.from_json(text)
+    with pytest.raises(ValueError, match="finite"):
+        PointConfiguration.from_json(
+            {"d": 2, "a": 1.0, "points": [[0.1, 0.2], [0.3, float(bad)]]})
 
 
 def test_law_validation():

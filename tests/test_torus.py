@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import toroidal_coordinate_distance, wrap_coords
 from torushom.torus import (Metric, TorusSpec, pairwise_distances,
-                            toroidal_coordinate_distance, torus_distance,
-                            wrap_coords)
+                            torus_distance)
 
 
 def test_spec_validation():
