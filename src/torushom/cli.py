@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -35,8 +36,19 @@ CONVENTIONS = {
 METRICS = {"max": Metric.MAX_NORM, "euclidean": Metric.EUCLIDEAN}
 
 
+def _finite(obj):
+    """``obj`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc)
+    text = json.dumps(_finite(doc), allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")

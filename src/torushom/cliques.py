@@ -6,7 +6,8 @@ produced exactly once and in a deterministic order.  The Euler
 characteristic is a signed clique sum, computed by pivoting instead of
 counting every clique (Jain & Seshadhri, WSDM 2020).  Each vertex's
 neighbourhood is one Python int bitset, built by ``neighbour_bitsets`` from
-the packed rows of the boolean adjacency matrix.  Clique counting and
+the packed rows of the boolean adjacency matrix (``row_bitsets`` reads them
+from rows packed for a whole block of graphs).  Clique counting and
 enumeration, strong collapse and component counting (in ``homology``) and
 pattern counting (in ``subcomplex``) all walk these bitsets.
 """
@@ -19,15 +20,24 @@ import numpy as np
 def neighbour_bitsets(adj_bool: np.ndarray) -> list[int]:
     """Row v of a boolean (n, n) matrix as an int whose bit u is adj[v, u]."""
     packed = np.packbits(adj_bool, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return row_bitsets(packed.tobytes(), packed.shape[1], range(packed.shape[0]))
 
 
-def _count_ordered_extensions(neigh: list[int], max_size: int, cap: int):
+def row_bitsets(packed: bytes, width: int, rows: range) -> list[int]:
+    """The given rows of a little-endian ``np.packbits`` buffer with
+    ``width`` bytes a row, each as an int."""
+    return [int.from_bytes(packed[r * width:(r + 1) * width], "little")
+            for r in rows]
+
+
+def counts_from_bitsets(neigh: list[int], max_size: int, cap: int):
     """Clique counts by size (a list, index = size) and whether the walk
     finished within ``cap``.  A candidate set adds its size to the next
     size's count when it is formed, so the top size is counted in bulk."""
     n = len(neigh)
     counts = [0] * (n + 1)
+    if n == 0:
+        return counts, True
     counts[1] = total = n
     if 0 < cap < total:
         return counts, False
@@ -66,23 +76,25 @@ def count_cliques(adj_bool: np.ndarray, max_size: int | None = None,
     then stops early and the partial counts depend on where it stopped.
     """
     n = adj_bool.shape[0]
-    if max_size is None:
-        max_size = n
     if n == 0:
         return np.zeros(1, dtype=np.int64), True
-    counts, complete = _count_ordered_extensions(
-        neighbour_bitsets(adj_bool), max_size, cap)
+    counts, complete = counts_from_bitsets(
+        neighbour_bitsets(adj_bool), n if max_size is None else max_size, cap)
     counts = np.array(counts, dtype=np.int64)
     top = max(1, int(np.nonzero(counts)[0].max(initial=1)))
     return counts[: top + 1], complete
 
 
 def euler_characteristic(adj_bool: np.ndarray) -> int:
+    """Euler characteristic of the clique complex; see ``chi_from_bitsets``."""
+    return chi_from_bitsets(neighbour_bitsets(adj_bool))
+
+
+def chi_from_bitsets(neigh: list[int]) -> int:
     """Sum of (-1)^(|C| - 1) over the nonempty cliques C, each rooted at its
     lowest vertex.  In a candidate set P, the cliques inside N[p] of the
     pivot p (most neighbours in P) cancel in pairs (T, T + p), so only the
     u in P - N[p] are followed, each with P & N(u) less the earlier u's."""
-    neigh = neighbour_bitsets(adj_bool)
     return sum(_signed_clique_sum(neigh, nb >> (v + 1) << (v + 1), 1)
                for v, nb in enumerate(neigh))
 

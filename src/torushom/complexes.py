@@ -4,7 +4,8 @@ A Rips-Vietoris complex is the clique (flag) complex of a proximity graph,
 so it is fully determined by pairwise distances.  The graph is found by a
 sort-and-sweep neighbour search along the first coordinate, without the
 dense (n, n, d) distance tensor, and is exchanged as an (n, n) boolean
-matrix.  Two threshold conventions are supported:
+matrix; one sweep also finds the edges of a whole block of configurations.
+Two threshold conventions are supported:
 
 * ``RIPS_HALF_OPEN_2EPS``: vertices are adjacent when their distance is
   strictly below 2*epsilon.  With the max-norm metric this is the complex
@@ -20,6 +21,8 @@ torus); builders enforce this in homology mode and warn otherwise.
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -100,55 +103,98 @@ class GeometricComplex:
         }
 
 
-def adjacency_matrix(config: PointConfiguration, params: ComplexParams) -> np.ndarray:
-    """Boolean threshold-graph adjacency (no self loops).
+def threshold_edges(points: np.ndarray, a: float, params: ComplexParams,
+                    starts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Edges (u, v) of the threshold graphs of one or more configurations.
 
-    Points are sorted by their first coordinate and a periodic forward sweep
-    over ``concat(x, x + a)`` yields every pair whose first coordinates lie
-    within the threshold on the circle.  Each candidate pair is then tested
-    with the elementwise formula of ``torus.pairwise_distances``, so the
-    result equals the thresholded dense distance matrix bit for bit while
-    memory grows with the number of candidate pairs, not with n^2 * d.
+    ``points`` holds the configurations one after another: configuration s
+    is rows ``starts[s]:starts[s + 1]`` (default: one configuration), and an
+    edge never joins two configurations.  Points are sorted by their first
+    coordinate, each configuration shifted by 4a so that the configurations
+    stay apart, and a periodic forward sweep yields every pair whose first
+    coordinates lie within the threshold on the circle.  Each candidate pair
+    is then tested with the elementwise formula of
+    ``torus.pairwise_distances``, so the edges are those of the thresholded
+    dense distance matrix bit for bit, while memory grows with the number of
+    candidate pairs, not with n^2 * d.  Every edge is listed once, and the
+    edges come grouped by configuration, in order.
     """
-    n = config.n
-    adj = np.zeros((n, n), dtype=bool)
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
     if n < 2:
-        return adj
-    a = config.spec.a
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
     t = params.threshold()
-    order = np.argsort(config.points[:, 0], kind="stable")
-    pts = np.asarray(config.points, dtype=float)[order]
-    x = pts[:, 0]
-    # A few ulps of slack keep the rounding of x + reach and x + a from
-    # dropping a true neighbour; the exact test below removes the extras.
-    reach = t + 8 * np.spacing(2.0 * a + t)
-    ends = np.searchsorted(np.concatenate((x, x + a)), x + reach, side="right")
-    # Candidates of sorted point i are i+1 .. end-1 (mod n): at most n - 1
-    # of them, so no point pairs with itself.
     idx = np.arange(n)
-    counts = np.minimum(ends, idx + n) - (idx + 1)
+    if starts is None:
+        lo, span, top = 0, n, 4.0 * a
+        order = np.argsort(pts[:, 0], kind="stable")
+        pts = pts[order]
+        x = pts[:, 0]
+        doubled = np.concatenate((x, x + a))
+    else:
+        sizes = np.diff(starts)
+        seg = np.repeat(np.arange(sizes.size), sizes)
+        lo, span, top = starts[seg], sizes[seg], 4.0 * a * sizes.size
+        shift = seg * (4.0 * a)
+        order = np.argsort(pts[:, 0] + shift, kind="stable")
+        pts = pts[order]
+        # sorting keeps each configuration's rows in place, so ``shift``
+        # still holds row by row
+        x = pts[:, 0] + shift
+        # each configuration followed by its copy shifted by a, in turn
+        doubled = np.empty(2 * n)
+        doubled[idx + lo] = x
+        doubled[idx + lo + span] = x + a
+    # A few ulps of slack keep the rounding of x + reach, x + a and the
+    # shifts from dropping a true neighbour; the exact test removes the
+    # extras.
+    reach = t + 8 * math.ulp(top + t)
+    ends = np.searchsorted(doubled, x + reach, side="right")
+    # Sorted point i sits at i + lo in ``doubled``; its candidates are the
+    # points at i + lo + 1 .. end - 1, wrapped round its configuration: at
+    # most span - 1 of them, so no point pairs with itself.
+    base = idx if starts is None else idx + lo
+    counts = np.minimum(ends - base, span) - 1
     i = np.repeat(idx, counts)
-    j = (np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
-         + i + 1) % n
-    diff = np.abs(pts[i] - pts[j])
-    wrapped = np.minimum(diff, a - diff)
+    step = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+    if starts is None:
+        j = (i + step) % n
+    else:
+        j = lo[i] + (i - lo[i] + step) % span[i]
+    if 2.0 * reach >= a:
+        # only a sweep reaching half way round can meet a pair from both ends
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        pair = np.unique(i * n + j)
+        i, j = pair // n, pair % n
+    wrapped = np.abs(pts[i] - pts[j])
+    np.minimum(wrapped, a - wrapped, out=wrapped)
     if params.metric is Metric.MAX_NORM:
-        dist = wrapped.max(axis=1)
+        # column by column: a maximum is exact in any order, and this is
+        # much faster than a reduction along the short rows
+        dist = functools.reduce(np.maximum, wrapped.T)
     else:
         dist = np.sqrt((wrapped ** 2).sum(axis=1))
     if params.convention is Convention.RIPS_HALF_OPEN_2EPS:
         keep = dist < t
     else:
         keep = dist <= t
-    u, v = order[i[keep]], order[j[keep]]
+    return order[i[keep]], order[j[keep]]
+
+
+def adjacency_matrix(config: PointConfiguration, params: ComplexParams) -> np.ndarray:
+    """Boolean threshold-graph adjacency (no self loops), from
+    ``threshold_edges`` of the one configuration."""
+    n = config.n
+    adj = np.zeros((n, n), dtype=bool)
+    u, v = threshold_edges(config.points, config.spec.a, params)
     adj[u, v] = True
     adj[v, u] = True
     return adj
 
 
-def _check_radius(config: PointConfiguration, params: ComplexParams,
+def _check_radius(spec: TorusSpec, params: ComplexParams,
                   homology_mode: bool) -> None:
-    limit = config.spec.a / 4.0
+    limit = spec.a / 4.0
     if params.ball_radius >= limit:
         msg = (f"ball radius {params.ball_radius} >= a/4 = {limit}; "
                f"homology may not reflect the continuous coverage region")
@@ -162,7 +208,7 @@ def simplex_counts(config: PointConfiguration, params: ComplexParams,
                    cap: int = DEFAULT_SIMPLEX_CAP,
                    homology_mode: bool = False) -> GeometricComplex:
     """Count simplices up to ``max_dim`` (default: all) without storing them."""
-    _check_radius(config, params, homology_mode)
+    _check_radius(config.spec, params, homology_mode)
     adj = adjacency_matrix(config, params)
     max_size = None if max_dim is None else max_dim + 1
     counts, complete = count_cliques(adj, max_size=max_size, cap=cap)
@@ -187,7 +233,7 @@ def build_complex(config: PointConfiguration, params: ComplexParams,
     tuples.  If the total simplex count exceeds ``cap`` the result is marked
     truncated.
     """
-    _check_radius(config, params, homology_mode)
+    _check_radius(config.spec, params, homology_mode)
     return _complex_from_adjacency(config.spec, params,
                                    adjacency_matrix(config, params), max_dim, cap)
 

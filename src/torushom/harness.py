@@ -7,29 +7,43 @@ asymptotic experiments: the normal-approximation rate for standardized
 pattern counts and the torus-coverage probability.
 
 Every replication draws from its own counter-derived stream, so reports are
-bit-identical for a fixed configuration regardless of scheduling.  Cliques
-are counted only up to the largest N_k asked for; chi is a pivoted sum.
+bit-identical for a fixed configuration regardless of scheduling.
+``run_experiment`` processes the replications in blocks: one neighbour
+sweep finds the edges of every configuration of a block, N_1 and N_2 are
+its point and edge counts, and where more is asked for, one ``np.packbits``
+over the block gives each configuration's neighbour bitsets, built once and
+walked for N_k (counted only up to the largest k asked for), chi (a pivoted
+sum) and beta_0 (a flood fill).  Full homology takes the adjacency from the
+same block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cliques import euler_characteristic
-from .complexes import ComplexParams, adjacency_matrix, build_complex, simplex_counts
-from .homology import CoreTooLarge, collapsed_homology, connected_components, homology_summary
-from .moments import ModelParams
-from .sampling import Poisson, PointConfiguration, ProcessLaw, SeedSpec, sample
-from .stats import WassersteinEstimate, wasserstein1_to_normal
+from .cliques import chi_from_bitsets, counts_from_bitsets, row_bitsets
+# simplex_counts is not called here; perfbench's import-site test expects
+# this module to hold it.
+from .complexes import (ComplexParams, _check_radius, _complex_from_adjacency,  # noqa: F401
+                        adjacency_matrix, simplex_counts, threshold_edges)
+from .homology import (CoreTooLarge, collapsed_homology, components_from_bitsets,
+                       homology_summary)
+from .sampling import Poisson, ProcessLaw, SeedSpec, sample
+from .stats import wasserstein1_to_normal
 from .subcomplex import GammaGraph, count_gamma_adj
 from .torus import TorusSpec
 
 
-class ReplicationError(RuntimeError):
-    """A single replication exceeded a resource limit."""
+# Replications run in blocks of at most _BLOCK_REPS configurations and
+# _BLOCK_CELLS cells of (points x largest configuration), which bound both
+# the boolean bitset scratch (64 KB) and the candidate pairs of the neighbour
+# sweep; a configuration too large for it runs alone.  Larger blocks were no
+# faster and raised the peak memory of a run.
+_BLOCK_REPS = 1024
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -113,32 +127,22 @@ def _parse_quantity(q: str):
 
 def run_experiment(config: ExperimentConfig) -> ReplicationReport:
     """Run all replications and aggregate the requested statistics."""
-    parsed = [_parse_quantity(q) for q in config.quantities]
-    needs_counts = any(p[0] in ("N", "chi") for p in parsed)
-    beta_indices = sorted({p[1] for p in parsed if p[0] == "beta"})
-    only_beta0 = beta_indices == [0]
-    needs_full_homology = bool(beta_indices) and not only_beta0
-    max_k = max([p[1] for p in parsed if p[0] == "N"], default=0)
-    count_dim = max(max_k - 1, config.max_dim or 0)
-
+    plan = _Plan(config)
+    if plan.needs_counts:
+        _check_radius(config.spec, config.params, homology_mode=False)
+    if plan.needs_full_homology:
+        _check_radius(config.spec, config.params, homology_mode=True)
     values: dict[str, list[float]] = {q: [] for q in config.quantities}
     excluded = 0
     homology_violations = 0
-    base = SeedSpec(master_seed=config.master_seed, stream_index=0)
-    for rep in range(config.replications):
-        seed = base.child("experiment", rep)
-        pc = sample(config.law, config.spec, seed)
-        try:
-            row = _replication_values(pc, config, parsed, needs_counts,
-                                      count_dim, only_beta0,
-                                      needs_full_homology)
-        except ReplicationError:
-            excluded += 1
-            continue
-        viol = row.pop("_violations", 0)
-        homology_violations += viol
-        for q in config.quantities:
-            values[q].append(row[q])
+    for block in _blocks(config):
+        for row in _block_rows(block, config, plan):
+            if row is None:
+                excluded += 1
+                continue
+            homology_violations += row.pop("_violations")
+            for q in config.quantities:
+                values[q].append(row[q])
 
     estimates = {}
     raw = {}
@@ -155,49 +159,105 @@ def run_experiment(config: ExperimentConfig) -> ReplicationReport:
                              homology_violations=homology_violations)
 
 
-def _replication_values(pc: PointConfiguration, config: ExperimentConfig,
-                        parsed, needs_counts, count_dim, only_beta0,
-                        needs_full_homology) -> dict:
-    row: dict[str, float] = {"_violations": 0}
-    counts = None
-    adj = None
-    if needs_counts:
-        cx = simplex_counts(pc, config.params, max_dim=count_dim,
-                            cap=config.simplex_cap)
-        if cx.truncated:
-            raise ReplicationError("simplex cap exceeded")
-        counts = cx.counts
-        adj = cx.adjacency
-    homology = None
-    if needs_full_homology:
-        cx_full = build_complex(pc, config.params, max_dim=None,
-                                cap=config.simplex_cap, homology_mode=True)
-        if cx_full.truncated:
-            raise ReplicationError("simplex cap exceeded")
-        homology = homology_summary(cx_full)
-        row["_violations"] = len(homology.violations)
-    for q, p in zip(config.quantities, parsed):
-        kind = p[0]
-        if kind == "n_points":
-            row[q] = float(pc.n)
-        elif kind == "N":
-            k = p[1]
-            row[q] = float(counts[k - 1]) if k - 1 < len(counts) else 0.0
-        elif kind == "chi":
-            row[q] = float(euler_characteristic(adj))
-        elif kind == "beta":
-            i = p[1]
-            if homology is not None:
+class _Plan:
+    """What each replication of an experiment computes."""
+
+    def __init__(self, config: ExperimentConfig):
+        self.parsed = [_parse_quantity(q) for q in config.quantities]
+        kinds = {p[0] for p in self.parsed}
+        beta_indices = sorted({p[1] for p in self.parsed if p[0] == "beta"})
+        self.needs_counts = bool(kinds & {"N", "chi"})
+        self.needs_full_homology = bool(beta_indices) and beta_indices != [0]
+        max_k = max([p[1] for p in self.parsed if p[0] == "N"], default=0)
+        # N_k is counted to the largest k asked for and at least to max_dim
+        self.max_size = max(max_k - 1, config.max_dim or 0) + 1
+        # up to N_2 the counts are the point and edge counts
+        self.clique_walk = self.needs_counts and self.max_size > 2
+        self.needs_bitsets = ("chi" in kinds or self.clique_walk
+                              or beta_indices == [0])
+        self.needs_edges = self.needs_counts or bool(beta_indices)
+
+
+def _blocks(config: ExperimentConfig):
+    """The replications' configurations in order, as lists of point arrays
+    of at most ``_BLOCK_REPS`` configurations and ``_BLOCK_CELLS`` cells of
+    (points x largest configuration); a larger configuration comes alone."""
+    base = SeedSpec(master_seed=config.master_seed, stream_index=0)
+    block: list[np.ndarray] = []
+    total = width = 0
+    for rep in range(config.replications):
+        pts = sample(config.law, config.spec, base.child("experiment", rep)).points
+        n = pts.shape[0]
+        if block and (len(block) == _BLOCK_REPS
+                      or (total + n) * max(width, n) > _BLOCK_CELLS):
+            yield block
+            block, total, width = [], 0, 0
+        block.append(pts)
+        total += n
+        width = max(width, n)
+    if block:
+        yield block
+
+
+def _block_rows(block: list[np.ndarray], config: ExperimentConfig, plan: _Plan):
+    """One dict of values per configuration of the block, or None for a
+    configuration excluded by the simplex cap.
+
+    One neighbour sweep finds the edges of every configuration; N_2 is the
+    edge count of each.  Bitsets, where needed, come from one boolean row of
+    local columns per point and one ``np.packbits`` over the block.
+    """
+    sizes = np.array([pts.shape[0] for pts in block])
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    cap = config.simplex_cap
+    if plan.needs_edges:
+        u, v = threshold_edges(np.concatenate(block), config.spec.a,
+                               config.params, starts)
+        seg = np.repeat(np.arange(len(block)), sizes)
+        edges = np.bincount(seg[u], minlength=len(block)).tolist()
+    if plan.needs_bitsets or plan.needs_full_homology:
+        local = np.arange(starts[-1]) - starts[seg]
+        scratch = np.zeros((starts[-1], sizes.max()), dtype=bool)
+        scratch[u, local[v]] = True
+        scratch[v, local[u]] = True
+    if plan.needs_bitsets:
+        packed = np.packbits(scratch, axis=1, bitorder="little")
+        buf, width = packed.tobytes(), packed.shape[1]
+    for s, (first, n) in enumerate(zip(starts.tolist(), sizes.tolist())):
+        row: dict[str, float] = {"_violations": 0}
+        if plan.needs_bitsets:
+            neigh = row_bitsets(buf, width, range(first, first + n))
+        if plan.clique_walk:
+            counts, complete = counts_from_bitsets(neigh, plan.max_size, cap)
+        elif plan.needs_counts:
+            counts = [0, n, edges[s]]
+            # the cap rule of the clique walk, which would count these
+            complete = not 0 < cap < n + (edges[s] if plan.max_size == 2 else 0)
+        if plan.needs_counts and not complete:
+            yield None
+            continue
+        homology = None
+        if plan.needs_full_homology:
+            cx = _complex_from_adjacency(config.spec, config.params,
+                                         scratch[first:first + n, :n], None, cap)
+            if cx.truncated:
+                yield None
+                continue
+            homology = homology_summary(cx)
+            row["_violations"] = len(homology.violations)
+        for q, (kind, i) in zip(config.quantities, plan.parsed):
+            if kind == "n_points":
+                row[q] = float(n)
+            elif kind == "N":
+                row[q] = float(counts[i]) if i < len(counts) else 0.0
+            elif kind == "chi":
+                row[q] = float(chi_from_bitsets(neigh))
+            elif homology is not None:
                 betti = homology.betti
                 row[q] = float(betti[i]) if i < len(betti) else 0.0
             else:
-                if adj is None:
-                    adj = adjacency_matrix(pc, config.params)
-                if pc.n == 0:
-                    row[q] = 0.0
-                else:
-                    row[q] = float(connected_components(adj))
-    return row
+                row[q] = float(components_from_bitsets(neigh)) if n else 0.0
+        yield row
 
 
 def empirical_tail(values, thresholds):
@@ -308,6 +368,8 @@ def coverage_experiment(spec: TorusSpec, params: ComplexParams, lambdas,
     are excluded and reported (the reduction of such cores is not feasible
     at desk scale).
     """
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
     target = torus_betti(spec.d)
     points = []
     for lam in [float(l) for l in lambdas]:

@@ -110,8 +110,12 @@ def betti_numbers(complex_: GeometricComplex, max_dim: int | None = None) -> lis
 
 
 def connected_components(adj_bool: np.ndarray) -> int:
+    """Component count of a graph; see ``components_from_bitsets``."""
+    return components_from_bitsets(neighbour_bitsets(adj_bool))
+
+
+def components_from_bitsets(neigh: list[int]) -> int:
     """Component count by bitset flood fill; independent oracle for beta_0."""
-    neigh = neighbour_bitsets(adj_bool)
     unseen = (1 << len(neigh)) - 1
     comps = 0
     while unseen:
@@ -202,7 +206,7 @@ def collapsed_homology(config, params,
 
     Every Betti number of the core is reported; ``core_limit`` caps its size.
     """
-    _check_radius(config, params, homology_mode=True)
+    _check_radius(config.spec, params, homology_mode=True)
     adj = adjacency_matrix(config, params)
     if config.n == 0:
         return HomologyResult(betti=[], chi_counts=0, chi_betti=0, violations=[])

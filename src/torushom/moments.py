@@ -18,8 +18,11 @@ simplex is left without a shared vertex.  Partitions with the same overlap
 signature (how many points are common to exactly each group of simplices)
 have the same integral, so each signature is visited once with its exact
 combinatorial weight and carries lambda^M, M being its number of distinct
-points.  The two-simplex integral has a closed form (j2_closed_form); larger
-patterns are delegated to the Monte Carlo oracle in joracle.
+points.  A pattern's integral is the product of its overlap components'
+integrals; the two-simplex integral has a closed form (j2_closed_form), and
+larger components are delegated to the Monte Carlo oracle in joracle, on the
+circle, since the max-norm integral in dimension d is the d-th power of the
+one-dimensional one.
 """
 
 from __future__ import annotations
@@ -368,18 +371,56 @@ def _overlap_patterns(n: int, k: int) -> list:
     return sorted(found)
 
 
-def _default_j_oracle(params: ModelParams, samples: int, seed: SeedSpec):
-    counter = [0]
+def _overlap_components(pattern: OverlapPattern) -> list[OverlapPattern]:
+    """The pattern's groups of simplices linked by shared points, each as a
+    pattern of its own, in the order of their lowest simplex."""
+    label = list(range(len(pattern.sizes)))
+    for t, _ in pattern.shared:
+        merged = {label[i] for i in t}
+        label = [min(merged) if g in merged else g for g in label]
+    parts = []
+    for root in sorted(set(label)):
+        members = [i for i, g in enumerate(label) if g == root]
+        index = {i: r for r, i in enumerate(members)}
+        parts.append(OverlapPattern.make(
+            [pattern.sizes[i] for i in members],
+            {frozenset(index[i] for i in t): c
+             for t, c in pattern.shared if min(t) in index}))
+    return parts
 
-    def oracle(pattern: OverlapPattern) -> JEstimate:
+
+def _default_j_oracle(params: ModelParams, samples: int, seed: SeedSpec):
+    """Overlap integrals of the max-norm model.  Points in separate overlap
+    components are independent, so a pattern's integral is the product of
+    its components'.  A two-simplex component has a closed form.  For any
+    other the max-norm indicator factorises over coordinates, so its
+    integral is J_1^d, J_1 being the Monte Carlo integral on the circle (one
+    child stream of ``seed`` per component); errors propagate to first
+    order."""
+    counter = [0]
+    d = params.spec.d
+    circle = TorusSpec(d=1, a=params.spec.a)
+
+    def component(pattern: OverlapPattern) -> JEstimate:
         if len(pattern.sizes) == 2:
             ((_, m12),) = pattern.shared
             value = j2_closed_form(pattern.sizes[0] - m12, pattern.sizes[1] - m12,
                                    m12, params.spec, params.epsilon)
             return JEstimate(value=value, stderr=0.0, samples=0)
         counter[0] += 1
-        return j_oracle_mc(pattern, params.spec, params.epsilon, samples,
-                           seed.child("j_oracle", counter[0]))
+        est = j_oracle_mc(pattern, circle, params.epsilon, samples,
+                          seed.child("j_oracle", counter[0]))
+        return JEstimate(value=est.value ** d,
+                         stderr=d * est.value ** (d - 1) * est.stderr,
+                         samples=est.samples)
+
+    def oracle(pattern: OverlapPattern) -> JEstimate:
+        parts = [component(c) for c in _overlap_components(pattern)]
+        stderr = math.sqrt(sum(
+            (p.stderr * math.prod(q.value for q in parts if q is not p)) ** 2
+            for p in parts))
+        return JEstimate(value=math.prod(p.value for p in parts), stderr=stderr,
+                         samples=sum(p.samples for p in parts))
 
     return oracle
 
@@ -391,9 +432,10 @@ def nth_moment_assembler(params: ModelParams, k: int, n: int,
 
     Sums weight * lambda^M * J over the overlap patterns of n simplices in
     sorted order, J being the pattern's overlap integral from ``j_oracle``.
-    The default oracle uses the closed form for two-simplex patterns, so
-    n = 2 reproduces the covariance diagonal, and the Monte Carlo oracle
-    (one child stream of ``seed`` per pattern) for every other pattern.
+    The default oracle multiplies the integrals of the pattern's overlap
+    components: the closed form for two-simplex components, so n = 2
+    reproduces the covariance diagonal, and the Monte Carlo oracle on the
+    circle, raised to the power d, for every other component.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from dataclasses import dataclass
 from typing import Union
 
@@ -33,11 +34,13 @@ class SeedSpec:
             raise ValueError("stream_index must be nonnegative")
 
     def generator(self) -> np.random.Generator:
-        key = np.array(
+        return np.random.Generator(np.random.Philox(key=self._key()))
+
+    def _key(self) -> np.ndarray:
+        return np.array(
             [self.master_seed & _MASK64, self.stream_index & _MASK64],
             dtype=np.uint64,
         )
-        return np.random.Generator(np.random.Philox(key=key))
 
     def child(self, *tokens) -> "SeedSpec":
         """Derive a stream index from arbitrary hashable tokens.
@@ -110,7 +113,7 @@ def _draw_uniform(rng: np.random.Generator, n: int, spec: TorusSpec) -> np.ndarr
         # Rows can only coincide where first coordinates do; that rules out
         # nearly every draw without the full-row sort.
         first_coords = np.sort(pts[:, 0])
-        if not (np.diff(first_coords) == 0).any():
+        if (first_coords[1:] != first_coords[:-1]).all():
             break
         _, first = np.unique(pts, axis=0, return_index=True)
         dup = np.setdiff1d(np.arange(n), first)
@@ -120,13 +123,32 @@ def _draw_uniform(rng: np.random.Generator, n: int, spec: TorusSpec) -> np.ndarr
     return pts
 
 
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+_reused = threading.local()
+
+
+def _seeded_generator(seed: SeedSpec) -> np.random.Generator:
+    """This thread's reused Philox generator, reset to the state of a fresh
+    ``seed.generator()``: the seed's key, a zero counter and an empty
+    buffer.  Resetting costs a fraction of building a new generator."""
+    rng = getattr(_reused, "rng", None)
+    if rng is None:
+        rng = _reused.rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4, "key": seed._key()},
+        "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
+
+
 def sample(law: ProcessLaw, spec: TorusSpec, seed: SeedSpec) -> PointConfiguration:
     """Draw one configuration from the process law.
 
     Poisson: N ~ Poisson(lam * a^d), then N uniform points.
     Binomial: exactly n uniform points.
     """
-    rng = seed.generator()
+    rng = _seeded_generator(seed)
     if isinstance(law, Poisson):
         n = int(rng.poisson(law.lam * spec.volume))
     elif isinstance(law, Binomial):

@@ -134,6 +134,29 @@ def test_coverage(capsys):
     assert doc["points"][0]["match_frequency"] > 0.9
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-finite {name} in JSON output")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_experiment_output_is_strict_json(capsys):
+    # one replication has no standard error: null, not NaN
+    code = main(["experiment", "--lambda", "20", "--eps", "0.05",
+                 "--reps", "1", "--seed", "3", "--quantities", "N_2"])
+    assert code == 0
+    doc = _strict_json(capsys.readouterr().out)
+    assert doc["estimates"]["N_2"]["stderr"] is None
+    assert doc["estimates"]["N_2"]["variance"] is None
+
+
+def test_coverage_rejects_zero_replications(capsys):
+    code = main(["coverage", "--eps", "0.2", "--lambdas", "60", "--reps", "0",
+                 "--seed", "5"])
+    assert code == 1
+    assert "reps" in _strict_json(capsys.readouterr().out)["error"]
+
+
 def test_clt(capsys):
     code, doc = run_cli(capsys, "clt", "--eps", "0.1",
                         "--lambdas", "10,30,90", "--reps", "120", "--seed", "6")

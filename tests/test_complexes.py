@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from oracles import boundary_matrix
 from torushom.complexes import (ComplexParams, Convention, adjacency_matrix,
-                                build_complex, phi_k, simplex_counts)
+                                build_complex, phi_k, simplex_counts,
+                                threshold_edges)
 from torushom.sampling import Binomial, PointConfiguration, SeedSpec, sample
 from torushom.torus import Metric, TorusSpec, pairwise_distances
 
@@ -146,12 +147,11 @@ def test_boundary_composition_random():
         assert not ((lo.astype(int) @ hi.astype(int)) % 2).any()
 
 
-@st.composite
-def lattice_configurations(draw):
-    """Points and epsilon on a lattice of spacing h = a/m, so that pairwise
-    distances tie exactly with epsilon or 2*epsilon; mixed with arbitrary
-    coordinates, the domain ends 0 and nextafter(a, 0), and thresholds of
-    a/2 or more."""
+def _lattice_coordinates(draw):
+    """A torus (d, a), a lattice of spacing h = a/m on it, and coordinates
+    on the lattice, so that pairwise distances tie exactly with epsilon or
+    2*epsilon; or mixed with arbitrary coordinates and the domain ends 0 and
+    nextafter(a, 0)."""
     d = draw(st.integers(1, 3))
     a = draw(st.sampled_from([1.0, 0.7, 2.5]))
     m = draw(st.integers(2, 12))
@@ -160,13 +160,39 @@ def lattice_configurations(draw):
     coord = lattice if draw(st.booleans()) else st.one_of(
         lattice, st.floats(0.0, a, exclude_max=True),
         st.sampled_from([0.0, float(np.nextafter(a, 0.0))]))
+    return d, a, m, coord
+
+
+def _lattice_points(draw, d, coord):
     n = draw(st.one_of(st.integers(0, 2), st.integers(3, 30)))
     rows = draw(st.lists(st.tuples(*[coord] * d), min_size=n, max_size=n))
-    points = np.array(rows, dtype=float).reshape(n, d)
-    epsilon = draw(st.one_of(st.integers(1, m // 2).map(lambda j: j * h),
-                             st.integers(1, m // 2).map(lambda j: j * h / 2),
-                             st.floats(a / 4, a)))
-    return PointConfiguration(spec=TorusSpec(d=d, a=a), points=points), epsilon
+    return np.array(rows, dtype=float).reshape(n, d)
+
+
+def _lattice_epsilon(draw, a, m):
+    """A lattice multiple or half multiple, or anything from a/4 to a."""
+    h = a / m
+    return draw(st.one_of(st.integers(1, m // 2).map(lambda j: j * h),
+                          st.integers(1, m // 2).map(lambda j: j * h / 2),
+                          st.floats(a / 4, a)))
+
+
+@st.composite
+def lattice_configurations(draw):
+    """One configuration on a lattice, and epsilon (see the helpers)."""
+    d, a, m, coord = _lattice_coordinates(draw)
+    cfg = PointConfiguration(spec=TorusSpec(d=d, a=a),
+                             points=_lattice_points(draw, d, coord))
+    return cfg, _lattice_epsilon(draw, a, m)
+
+
+@st.composite
+def lattice_blocks(draw):
+    """0 to 6 configurations of 0 to 30 points on one torus and lattice,
+    and one epsilon, as in a block of replications."""
+    d, a, m, coord = _lattice_coordinates(draw)
+    block = [_lattice_points(draw, d, coord) for _ in range(draw(st.integers(0, 6)))]
+    return TorusSpec(d=d, a=a), block, _lattice_epsilon(draw, a, m)
 
 
 # At threshold eps (SUBCOMPLEX_EPS), fl(x_j - x_i) rounds down to eps while
@@ -192,3 +218,33 @@ def test_adjacency_matches_dense_distances(cfg_eps, metric, convention):
     adj = adjacency_matrix(cfg, params)
     assert adj.dtype == bool and adj.shape == (cfg.n, cfg.n)
     assert np.array_equal(adj, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_blocks(), st.sampled_from(list(Metric)),
+       st.sampled_from(list(Convention)))
+def test_segmented_sweep_matches_dense_distances(block, metric, convention):
+    spec, configs, epsilon = block
+    params = ComplexParams(epsilon=epsilon, metric=metric, convention=convention)
+    sizes = [len(pts) for pts in configs]
+    starts = np.concatenate(([0], np.cumsum(sizes))).astype(np.intp)
+    points = np.concatenate(configs) if configs else np.zeros((0, spec.d))
+    u, v = threshold_edges(points, spec.a, params, starts)
+    seg = np.repeat(np.arange(len(configs)), sizes)
+    assert np.array_equal(seg[u], seg[v])
+    assert np.all(np.diff(seg[u]) >= 0)  # grouped by configuration, in order
+    for s, pts in enumerate(configs):
+        dists = pairwise_distances(pts, spec, metric)
+        if convention is Convention.RIPS_HALF_OPEN_2EPS:
+            expected = dists < params.threshold()
+        else:
+            expected = dists <= params.threshold()
+        np.fill_diagonal(expected, False)
+        mine = seg[u] == s
+        lu, lv = u[mine] - starts[s], v[mine] - starts[s]
+        pairs = set(zip(np.minimum(lu, lv).tolist(), np.maximum(lu, lv).tolist()))
+        assert len(pairs) == lu.size  # every edge once
+        got = np.zeros((len(pts), len(pts)), dtype=bool)
+        got[lu, lv] = True
+        got[lv, lu] = True
+        assert np.array_equal(got, expected)

@@ -5,9 +5,10 @@ import pytest
 import sympy
 
 from oracles import slot_partition_weights
-from torushom.joracle import JEstimate
+from torushom.joracle import JEstimate, OverlapPattern, j_oracle_mc
 from torushom.moments import (ModelParams, MomentKind, MomentValue,
-                              _overlap_patterns, alpha_beta_coeffs,
+                              _default_j_oracle, _overlap_patterns,
+                              alpha_beta_coeffs,
                               bell_exponential, bell_polynomial,
                               c_coefficient, cov_Nk_Nl,
                               euclid_remark_moments, fourth_moment_Nk,
@@ -255,6 +256,32 @@ def test_third_moment_with_injected_oracle():
     for pattern in seen:
         assert pattern.sizes == (2, 2, 2)
         pattern.validate()
+
+
+def test_default_oracle_multiplies_overlap_components():
+    p = ModelParams(lam=20.0, spec=TorusSpec(d=3, a=1.0), epsilon=0.05)
+    oracle = _default_j_oracle(p, 10, SeedSpec(0))
+    est = oracle(OverlapPattern.make((2, 2, 2, 2), {(0, 1): 1, (2, 3): 1}))
+    assert est.stderr == 0.0 and est.samples == 0
+    assert est.value == j2_closed_form(1, 1, 1, p.spec, 0.05) ** 2
+
+
+def test_fourth_moment_at_d3_fits_the_oracle_cap():
+    # M * d reaches 24 at d = 3; components and the circle keep every
+    # Monte Carlo integral within the cap
+    p = ModelParams(lam=20.0, spec=TorusSpec(d=3, a=1.0), epsilon=0.05)
+    mv = fourth_moment_Nk(p, 2, oracle_samples=10)
+    assert math.isfinite(mv.value)
+    assert math.isfinite(mv.truncation["oracle_stderr"])
+
+
+def test_default_oracle_is_the_circle_integral_to_the_power_d():
+    # three edges closing a triangle: one component, J_2 = J_1^2 for max-norm
+    p = ModelParams(lam=20.0, spec=SPEC2, epsilon=0.1)
+    pattern = OverlapPattern.make((2, 2, 2), {(0, 1): 1, (1, 2): 1, (0, 2): 1})
+    est = _default_j_oracle(p, 200_000, SeedSpec(3))(pattern)
+    direct = j_oracle_mc(pattern, SPEC2, 0.1, 200_000, SeedSpec(4))
+    assert abs(est.value - direct.value) < 4 * math.hypot(est.stderr, direct.stderr)
 
 
 def test_euclid_remark_moments():

@@ -114,3 +114,57 @@ def test_count_in_box_uniformity():
     ])
     se = counts.std(ddof=1) / np.sqrt(reps)
     assert abs(counts.mean() - lam * v) < 4 * se
+
+
+def _fresh_draw(law, spec, seed):
+    """The configuration drawn from a newly built ``seed.generator()``."""
+    rng = seed.generator()
+    n = int(rng.poisson(law.lam * spec.volume)) if isinstance(law, Poisson) else law.n
+    return rng.uniform(0.0, spec.a, size=(n, spec.d))
+
+
+SAMPLING_CASES = [(Poisson(lam=30.0), SPEC2), (Poisson(lam=5.0), SPEC1),
+                  (Binomial(n=0), SPEC2), (Binomial(n=1), SPEC1),
+                  (Binomial(n=17), SPEC2)]
+
+
+def test_sample_equals_a_fresh_generator_draw():
+    base = SeedSpec(2 ** 64 - 1, 3)
+    for r in range(20):
+        # interleaved: every law and seed in turn, each seed twice
+        for law, spec in SAMPLING_CASES + SAMPLING_CASES[::-1]:
+            seed = base.child("s", r)
+            got = sample(law, spec, seed).points
+            assert got.shape[1] == spec.d
+            assert np.array_equal(got, _fresh_draw(law, spec, seed))
+
+
+def test_sample_equals_a_fresh_generator_draw_across_threads():
+    # more threads than cores, switching often, each with its own law
+    import sys
+    import threading
+
+    seeds = [SeedSpec(7).child("t", r) for r in range(200)]
+    cases = SAMPLING_CASES[:2] * 2
+    start = threading.Barrier(len(cases))
+    results = {}
+
+    def draw(name, law, spec):
+        start.wait()
+        results[name] = [sample(law, spec, s).points for s in seeds]
+
+    threads = [threading.Thread(target=draw, args=(name, law, spec))
+               for name, (law, spec) in enumerate(cases)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for name, (law, spec) in enumerate(cases):
+        for s, got in zip(seeds, results[name]):
+            assert np.array_equal(got, _fresh_draw(law, spec, s))
