@@ -110,8 +110,8 @@ def threshold_edges(points: np.ndarray, a: float, params: ComplexParams,
     ``points`` holds the configurations one after another: configuration s
     is rows ``starts[s]:starts[s + 1]`` (default: one configuration), and an
     edge never joins two configurations.  Points are sorted by their first
-    coordinate, each configuration shifted by 4a so that the configurations
-    stay apart, and a periodic forward sweep yields every pair whose first
+    coordinate, each configuration shifted by 4a times its first row so that
+    the configurations stay apart, and a periodic forward sweep yields every pair whose first
     coordinates lie within the threshold on the circle.  Each candidate pair
     is then tested with the elementwise formula of
     ``torus.pairwise_distances``, so the edges are those of the thresholded
@@ -123,44 +123,39 @@ def threshold_edges(points: np.ndarray, a: float, params: ComplexParams,
     n = pts.shape[0]
     if n < 2:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    starts = np.array((0, n)) if starts is None else np.asarray(starts)
+    sizes = starts[1:] - starts[:-1]
+    # the first row and the size of each row's configuration
+    lo = starts[:-1].repeat(sizes)
+    span = sizes.repeat(sizes)
+    x = pts[:, 0] + lo * (4.0 * a)
+    # sorting keeps each configuration's rows in place
+    order = x.argsort(kind="stable")
+    x = x[order]
+    # Sorted point i sits at base[i] in ``doubled`` and its copy at hi[i]:
+    # each configuration followed by its copy shifted by a, in turn.
+    # ``back`` maps a place in ``doubled`` to the row of ``points``.
+    base = np.arange(n) + lo
+    hi = base + span
+    doubled = np.empty(2 * n)
+    doubled[base] = x
+    doubled[hi] = x + a
+    back = np.empty(2 * n, dtype=np.intp)
+    back[base] = order
+    back[hi] = order
     t = params.threshold()
-    idx = np.arange(n)
-    if starts is None:
-        lo, span, top = 0, n, 4.0 * a
-        order = np.argsort(pts[:, 0], kind="stable")
-        pts = pts[order]
-        x = pts[:, 0]
-        doubled = np.concatenate((x, x + a))
-    else:
-        sizes = np.diff(starts)
-        seg = np.repeat(np.arange(sizes.size), sizes)
-        lo, span, top = starts[seg], sizes[seg], 4.0 * a * sizes.size
-        shift = seg * (4.0 * a)
-        order = np.argsort(pts[:, 0] + shift, kind="stable")
-        pts = pts[order]
-        # sorting keeps each configuration's rows in place, so ``shift``
-        # still holds row by row
-        x = pts[:, 0] + shift
-        # each configuration followed by its copy shifted by a, in turn
-        doubled = np.empty(2 * n)
-        doubled[idx + lo] = x
-        doubled[idx + lo + span] = x + a
     # A few ulps of slack keep the rounding of x + reach, x + a and the
     # shifts from dropping a true neighbour; the exact test removes the
     # extras.
-    reach = t + 8 * math.ulp(top + t)
-    ends = np.searchsorted(doubled, x + reach, side="right")
-    # Sorted point i sits at i + lo in ``doubled``; its candidates are the
-    # points at i + lo + 1 .. end - 1, wrapped round its configuration: at
-    # most span - 1 of them, so no point pairs with itself.
-    base = idx if starts is None else idx + lo
+    reach = t + 8 * math.ulp(4.0 * a * n + t)
+    ends = doubled.searchsorted(x + reach, side="right")
+    # The candidates of sorted point i are the places base[i] + 1 .. end - 1
+    # of ``doubled``, which wrap round its configuration: at most
+    # span[i] - 1 of them, so no point pairs with itself.
     counts = np.minimum(ends - base, span) - 1
-    i = np.repeat(idx, counts)
-    step = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts) + 1
-    if starts is None:
-        j = (i + step) % n
-    else:
-        j = lo[i] + (i - lo[i] + step) % span[i]
+    i = order.repeat(counts)
+    j = back[np.arange(1, i.size + 1)
+             + (base - counts.cumsum() + counts).repeat(counts)]
     if 2.0 * reach >= a:
         # only a sweep reaching half way round can meet a pair from both ends
         i, j = np.minimum(i, j), np.maximum(i, j)
@@ -178,7 +173,7 @@ def threshold_edges(points: np.ndarray, a: float, params: ComplexParams,
         keep = dist < t
     else:
         keep = dist <= t
-    return order[i[keep]], order[j[keep]]
+    return i[keep], j[keep]
 
 
 def adjacency_matrix(config: PointConfiguration, params: ComplexParams) -> np.ndarray:

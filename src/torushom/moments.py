@@ -395,7 +395,8 @@ def _default_j_oracle(params: ModelParams, samples: int, seed: SeedSpec):
     its components'.  A two-simplex component has a closed form.  For any
     other the max-norm indicator factorises over coordinates, so its
     integral is J_1^d, J_1 being the Monte Carlo integral on the circle (one
-    child stream of ``seed`` per component); errors propagate to first
+    child stream of ``seed`` per component), and its error the rise of x^d
+    over one standard error of J_1.  Errors of a product propagate to first
     order."""
     counter = [0]
     d = params.spec.d
@@ -410,8 +411,11 @@ def _default_j_oracle(params: ModelParams, samples: int, seed: SeedSpec):
         counter[0] += 1
         est = j_oracle_mc(pattern, circle, params.epsilon, samples,
                           seed.child("j_oracle", counter[0]))
-        return JEstimate(value=est.value ** d,
-                         stderr=d * est.value ** (d - 1) * est.stderr,
+        # the rise of x^d over [value, value + stderr]: the first-order
+        # term and the higher ones, which keep a zero-hit estimate's error
+        stderr = sum(math.comb(d, r) * est.value ** (d - r) * est.stderr ** r
+                     for r in range(1, d + 1))
+        return JEstimate(value=est.value ** d, stderr=stderr,
                          samples=est.samples)
 
     def oracle(pattern: OverlapPattern) -> JEstimate:

@@ -275,6 +275,18 @@ def test_fourth_moment_at_d3_fits_the_oracle_cap():
     assert math.isfinite(mv.truncation["oracle_stderr"])
 
 
+def test_zero_hit_component_keeps_a_nonzero_error_at_d3():
+    # a triangle of edges at a tiny epsilon: ten circle samples find no hit,
+    # and J_1^3 = 0 must still carry the error of the circle estimate
+    p = ModelParams(lam=20.0, spec=TorusSpec(d=3, a=1.0), epsilon=1e-6)
+    pattern = OverlapPattern.make((2, 2, 2), {(0, 1): 1, (1, 2): 1, (0, 2): 1})
+    est = _default_j_oracle(p, 10, SeedSpec(0))(pattern)
+    circle = j_oracle_mc(pattern, TorusSpec(d=1, a=1.0), 1e-6, 10,
+                         SeedSpec(0).child("j_oracle", 1))
+    assert circle.value == 0.0 and est.value == 0.0
+    assert est.stderr == circle.stderr ** 3 > 0.0
+
+
 def test_default_oracle_is_the_circle_integral_to_the_power_d():
     # three edges closing a triangle: one component, J_2 = J_1^2 for max-norm
     p = ModelParams(lam=20.0, spec=SPEC2, epsilon=0.1)
