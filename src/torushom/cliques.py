@@ -127,7 +127,9 @@ def enumerate_cliques(adj_bool: np.ndarray, max_size: int,
     """List all cliques up to ``max_size`` as sorted vertex tuples.
 
     Returns (by_size, complete) where by_size[k] is the lexicographically
-    ordered list of k-cliques, k = 1..max_size.
+    ordered list of k-cliques, k = 1..max_size.  complete is False when the
+    total exceeds ``cap`` (0: no cap), as in ``counts_from_bitsets``; the
+    lists then stop where the walk stopped.
     """
     n = adj_bool.shape[0]
     neigh = neighbour_bitsets(adj_bool)
@@ -136,7 +138,7 @@ def enumerate_cliques(adj_bool: np.ndarray, max_size: int,
     for v in range(n):
         by_size[1].append((v,))
         total += 1
-        if total > cap:
+        if 0 < cap < total:
             return by_size, False
         if max_size <= 1:
             continue
@@ -153,7 +155,7 @@ def enumerate_cliques(adj_bool: np.ndarray, max_size: int,
             clique = stack[-1] + (u,)
             by_size[len(clique)].append(clique)
             total += 1
-            if total > cap:
+            if 0 < cap < total:
                 return by_size, False
             if len(clique) < max_size:
                 child = cands[-1] & neigh[u]

@@ -2,9 +2,11 @@
 
 A Rips-Vietoris complex is the clique (flag) complex of a proximity graph,
 so it is fully determined by pairwise distances.  The graph is found by a
-sort-and-sweep neighbour search along the first coordinate, without the
-dense (n, n, d) distance tensor, and is exchanged as an (n, n) boolean
-matrix; one sweep also finds the edges of a whole block of configurations.
+sort-and-sweep neighbour search along the first coordinate, which drops
+candidate pairs one further coordinate at a time before the exact distance
+test, without the dense (n, n, d) distance tensor; it is exchanged as an
+(n, n) boolean matrix, and one sweep also finds the edges of a whole block
+of configurations.
 Two threshold conventions are supported:
 
 * ``RIPS_HALF_OPEN_2EPS``: vertices are adjacent when their distance is
@@ -111,9 +113,11 @@ def threshold_edges(points: np.ndarray, a: float, params: ComplexParams,
     is rows ``starts[s]:starts[s + 1]`` (default: one configuration), and an
     edge never joins two configurations.  Points are sorted by their first
     coordinate, each configuration shifted by 4a times its first row so that
-    the configurations stay apart, and a periodic forward sweep yields every pair whose first
-    coordinates lie within the threshold on the circle.  Each candidate pair
-    is then tested with the elementwise formula of
+    the configurations stay apart, and a periodic forward sweep yields every
+    pair whose first coordinates lie within the threshold on the circle.
+    Coordinate by coordinate from the second, the candidates whose wrapped
+    difference fails the threshold are dropped, since no distance of theirs
+    can pass it.  The survivors are tested with the elementwise formula of
     ``torus.pairwise_distances``, so the edges are those of the thresholded
     dense distance matrix bit for bit, while memory grows with the number of
     candidate pairs, not with n^2 * d.  Every edge is listed once, and the
@@ -156,6 +160,19 @@ def threshold_edges(points: np.ndarray, a: float, params: ComplexParams,
     i = order.repeat(counts)
     j = back[np.arange(1, i.size + 1)
              + (base - counts.cumsum() + counts).repeat(counts)]
+    within = (np.less if params.convention is Convention.RIPS_HALF_OPEN_2EPS
+              else np.less_equal)
+    # A pair whose wrapped difference in one coordinate fails the threshold
+    # fails the exact test: the max-norm is at least that difference, and so
+    # is a rounded Euclidean norm, sqrt(fl(w * w) + non-negatives) >= w, once
+    # w * w is a normal float (hence the floor, which only keeps more).
+    bound = max(t, 2.0 ** -500)
+    for q in range(1, pts.shape[1]):
+        col = pts[:, q]
+        w = np.abs(col[i] - col[j])
+        np.minimum(w, a - w, out=w)
+        keep = np.flatnonzero(within(w, bound))
+        i, j = i.take(keep), j.take(keep)
     if 2.0 * reach >= a:
         # only a sweep reaching half way round can meet a pair from both ends
         i, j = np.minimum(i, j), np.maximum(i, j)
@@ -169,10 +186,7 @@ def threshold_edges(points: np.ndarray, a: float, params: ComplexParams,
         dist = functools.reduce(np.maximum, wrapped.T)
     else:
         dist = np.sqrt((wrapped ** 2).sum(axis=1))
-    if params.convention is Convention.RIPS_HALF_OPEN_2EPS:
-        keep = dist < t
-    else:
-        keep = dist <= t
+    keep = within(dist, t)
     return i[keep], j[keep]
 
 
@@ -225,8 +239,8 @@ def build_complex(config: PointConfiguration, params: ComplexParams,
     """Build the complex with explicit simplex lists up to ``max_dim``.
 
     Simplices are stored per dimension as lexicographically sorted vertex
-    tuples.  If the total simplex count exceeds ``cap`` the result is marked
-    truncated.
+    tuples.  If the total simplex count exceeds ``cap`` (0: no cap) the
+    result is marked truncated, the same rule as ``simplex_counts``.
     """
     _check_radius(config.spec, params, homology_mode)
     return _complex_from_adjacency(config.spec, params,
@@ -236,7 +250,8 @@ def build_complex(config: PointConfiguration, params: ComplexParams,
 def _complex_from_adjacency(spec: TorusSpec, params: ComplexParams,
                             adj: np.ndarray, max_dim: int | None = None,
                             cap: int = DEFAULT_SIMPLEX_CAP) -> GeometricComplex:
-    """The clique complex of a built adjacency matrix, as ``build_complex``."""
+    """The clique complex of a built adjacency matrix, as ``build_complex``;
+    truncated when the simplex total exceeds ``cap`` (0: no cap)."""
     n = adj.shape[0]
     max_size = n if max_dim is None else max_dim + 1
     by_size, complete = enumerate_cliques(adj, max_size=max(1, max_size), cap=cap)

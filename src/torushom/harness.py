@@ -50,7 +50,8 @@ _BLOCK_CELLS = 1 << 16
 class ExperimentConfig:
     """N_k is counted to the largest k in ``quantities`` and at least to
     dimension ``max_dim``; a replication whose count exceeds ``simplex_cap``
-    is excluded.  chi is a pivoted sum over the adjacency, never capped."""
+    (0: no cap) is excluded.  chi is a pivoted sum over the adjacency, never
+    capped."""
 
     law: ProcessLaw
     spec: TorusSpec
@@ -64,6 +65,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.simplex_cap < 0:
+            raise ValueError("simplex_cap must be >= 0 (0: no cap)")
         for q in self.quantities:
             _parse_quantity(q)
 
@@ -105,7 +108,7 @@ class ReplicationReport:
         lines = ["rep,quantity,value"]
         for q, vals in self.raw.items():
             for r, v in enumerate(vals):
-                lines.append(f"{r},{q},{v!r}")
+                lines.append(f"{r},{q},{float(v)!r}")
         return "\n".join(lines) + "\n"
 
 

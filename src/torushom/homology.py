@@ -8,8 +8,9 @@ the (k+1)-boundary has a boundary in the span of those of later k-simplices,
 so its row is left out of the k-boundary reduction without changing the rank.
 For clique complexes that are too large to reduce directly, dominated-vertex
 strong collapse shrinks the complex to a small homotopy-equivalent core
-first.  A flood fill over the shared neighbour bitsets counts graph
-components, an independent oracle for beta_0.
+first; after one full pass it re-checks only the vertices whose closed
+neighbourhood shrank.  A flood fill over the shared neighbour bitsets counts
+graph components, an independent oracle for beta_0.
 """
 
 from __future__ import annotations
@@ -170,33 +171,41 @@ def strong_collapse(adj_bool: np.ndarray) -> np.ndarray:
     in that of u.  Deleting a dominated vertex preserves the homotopy type
     of the clique complex, so homology can be read off the (usually tiny)
     core.  Returns the indices of the surviving core vertices.
+
+    Passes run in increasing vertex order until one removes nothing.  The
+    first pass checks every vertex; later ones check only the vertices whose
+    closed neighbourhood lost a vertex since their last check: closed
+    neighbourhoods only shrink, so an unchanged vertex stays undominated.
+    A removal puts the live neighbours above it into the current pass and
+    those below it into the next, so the removals, and the core, are those
+    of rescanning every live vertex each pass.  A removal updates no
+    neighbourhood: N[v] is read through the mask of live vertices, and it
+    lies inside N[u] exactly when it lies inside the live part of N[u].
     """
     n = adj_bool.shape[0]
+    alive = (1 << n) - 1
     closed = [m | 1 << v for v, m in enumerate(neighbour_bitsets(adj_bool))]
-    alive_mask = (1 << n) - 1
-    changed = True
-    while changed:
-        changed = False
-        scan = alive_mask
+    outside = [alive ^ c for c in closed]  # the complement of each N[u]
+    scan = alive
+    while scan:
+        later = 0  # the vertices to check in the next pass
         while scan:
             v = (scan & -scan).bit_length() - 1
             scan &= scan - 1
-            nb_v = closed[v]
-            cand = nb_v & ~(1 << v)  # a dominator must be a live neighbor
+            nb_v = closed[v] & alive
+            # a dominator must be a live neighbour
+            others = cand = nb_v ^ (1 << v)
             while cand:
                 u = (cand & -cand).bit_length() - 1
                 cand &= cand - 1
-                if nb_v & ~closed[u] == 0:
-                    alive_mask &= ~(1 << v)
-                    bit = ~(1 << v)
-                    nbs = nb_v & alive_mask
-                    while nbs:
-                        w = (nbs & -nbs).bit_length() - 1
-                        nbs &= nbs - 1
-                        closed[w] &= bit
-                    changed = True
+                if not nb_v & outside[u]:
+                    alive ^= 1 << v
+                    below = others & ((1 << v) - 1)
+                    later |= below
+                    scan |= others ^ below
                     break
-    core = [v for v in range(n) if alive_mask >> v & 1]
+        scan = later
+    core = [v for v in range(n) if alive >> v & 1]
     return np.array(core, dtype=np.int64)
 
 

@@ -8,6 +8,8 @@ from itertools import combinations
 
 import numpy as np
 
+from torushom.cliques import neighbour_bitsets
+
 
 def brute_force_clique_counts(adj_bool: np.ndarray, max_size: int) -> np.ndarray:
     """Exhaustive k-subset checker; independent oracle for small graphs."""
@@ -67,6 +69,38 @@ def direct_betti_numbers(complex_) -> list[int]:
                    for dim in range(1, top + 2)]
     return [int(complex_.counts[k]) - ranks[k] - ranks[k + 1]
             for k in range(top + 1)]
+
+
+def rescan_strong_collapse(adj_bool: np.ndarray) -> np.ndarray:
+    """Strong collapse by full rescans: every live vertex is checked in each
+    pass until a pass removes nothing.  Returns the core's vertex indices."""
+    n = adj_bool.shape[0]
+    closed = [m | 1 << v for v, m in enumerate(neighbour_bitsets(adj_bool))]
+    alive_mask = (1 << n) - 1
+    changed = True
+    while changed:
+        changed = False
+        scan = alive_mask
+        while scan:
+            v = (scan & -scan).bit_length() - 1
+            scan &= scan - 1
+            nb_v = closed[v]
+            cand = nb_v & ~(1 << v)  # a dominator must be a live neighbor
+            while cand:
+                u = (cand & -cand).bit_length() - 1
+                cand &= cand - 1
+                if nb_v & ~closed[u] == 0:
+                    alive_mask &= ~(1 << v)
+                    bit = ~(1 << v)
+                    nbs = nb_v & alive_mask
+                    while nbs:
+                        w = (nbs & -nbs).bit_length() - 1
+                        nbs &= nbs - 1
+                        closed[w] &= bit
+                    changed = True
+                    break
+    core = [v for v in range(n) if alive_mask >> v & 1]
+    return np.array(core, dtype=np.int64)
 
 
 def slot_partition_weights(n: int, k: int) -> dict:

@@ -124,6 +124,9 @@ def test_experiment(capsys, tmp_path):
     lines = raw.read_text().splitlines()
     assert lines[0] == "rep,quantity,value"
     assert len(lines) == 1 + 3 * 40
+    n_points = [float(line.split(",")[2]) for line in lines[1:]
+                if line.split(",")[1] == "n_points"]
+    assert sum(n_points) / len(n_points) == pytest.approx(est["mean"])
 
 
 def test_coverage(capsys):

@@ -28,6 +28,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(law=Poisson(10.0), spec=SPEC1, params=PARAMS,
                          replications=1, master_seed=1, quantities=("N_0",))
+    with pytest.raises(ValueError):
+        ExperimentConfig(law=Poisson(10.0), spec=SPEC1, params=PARAMS,
+                         replications=1, master_seed=1, quantities=("chi",),
+                         simplex_cap=-1)
 
 
 def test_reproducible_reports():
@@ -76,6 +80,15 @@ def test_binomial_law_fixed_count():
     assert report.estimates["n_points"].stderr == 0.0
 
 
+def test_zero_cap_excludes_nothing():
+    # 0 is no cap, for the clique enumeration of beta_1 as for the counts
+    for quantities in (("beta_1",), ("N_3", "chi")):
+        cfg = ExperimentConfig(law=Poisson(15.0), spec=SPEC1, params=PARAMS,
+                               replications=20, master_seed=8,
+                               quantities=quantities, simplex_cap=0)
+        assert run_experiment(cfg).excluded == 0
+
+
 def test_truncated_replications_excluded():
     cfg = ExperimentConfig(law=Poisson(40.0), spec=SPEC1, params=PARAMS,
                            replications=20, master_seed=5,
@@ -111,8 +124,11 @@ def test_report_serialization():
     assert doc["replications"] == 5
     assert "n_points" in doc["estimates"]
     csv = report.raw_csv()
-    assert csv.splitlines()[0] == "rep,quantity,value"
-    assert len(csv.splitlines()) == 6
+    lines = csv.splitlines()
+    assert lines[0] == "rep,quantity,value"
+    assert len(lines) == 6
+    values = [float(line.split(",")[2]) for line in lines[1:]]
+    assert values == report.raw["n_points"].tolist()
 
 
 def test_empirical_tail():
@@ -166,6 +182,29 @@ def test_coverage_experiment_small_run():
     assert low.match_frequency < high.match_frequency
     assert high.match_frequency > 0.9
     assert low.excluded == 0 and high.excluded == 0
+
+
+# coverage_experiment reports at d=1, eps=0.2 (subcomplex convention),
+# lambda in {10, 30, 100}, 20 replications, recorded before the incremental
+# strong collapse and the coordinate prune of the neighbour sweep.
+GOLDEN_COVERAGE = {
+    0: [(10.0, 0.0, 0.0), (30.0, 1.0, 0.0), (100.0, 1.0, 0.0)],
+    1: [(10.0, 0.1, 0.0670820393249937), (30.0, 0.9, 0.06708203932499368),
+        (100.0, 1.0, 0.0)],
+    2: [(10.0, 0.1, 0.0670820393249937), (30.0, 1.0, 0.0), (100.0, 1.0, 0.0)],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_COVERAGE))
+def test_coverage_experiment_matches_golden(seed):
+    params = ComplexParams(epsilon=0.2, convention=Convention.SUBCOMPLEX_EPS)
+    report = coverage_experiment(SPEC1, params, (10.0, 30.0, 100.0), reps=20,
+                                 seed=SeedSpec(seed))
+    assert report.to_json() == {
+        "torus_betti": [1, 1],
+        "points": [{"lambda": lam, "match_frequency": freq, "stderr": se,
+                    "excluded": 0} for lam, freq, se in GOLDEN_COVERAGE[seed]],
+    }
 
 
 RIPS = Convention.RIPS_HALF_OPEN_2EPS

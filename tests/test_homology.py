@@ -4,8 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import direct_betti_numbers
-from torushom.complexes import ComplexParams, Convention, build_complex
+from oracles import direct_betti_numbers, rescan_strong_collapse
+from torushom.complexes import (ComplexParams, Convention, adjacency_matrix,
+                                build_complex)
 from torushom.homology import (CoreTooLarge, betti_numbers, boundary_rank,
                                collapsed_homology, connected_components,
                                gf2_rank, homology_summary, strong_collapse)
@@ -194,6 +195,72 @@ def test_strong_collapse_preserves_cycle():
     assert core.size == 6
 
 
+def check_collapse(adj):
+    """strong_collapse returns the core of full rescans, and no core vertex
+    is dominated within the core: N[v] is inside N[u] for no u != v."""
+    core = strong_collapse(adj)
+    assert core.dtype == np.int64
+    assert np.array_equal(core, rescan_strong_collapse(adj))
+    closed = adj[np.ix_(core, core)] | np.eye(core.size, dtype=bool)
+    # missing[v, u] = |N[v] - N[u]|, exact in float32 below 2^24 vertices
+    missing = closed.astype(np.float32) @ (~closed).T.astype(np.float32)
+    dominated = (missing == 0) & ~np.eye(core.size, dtype=bool)
+    assert not dominated.any()
+    return core
+
+
+def _graph(n, edges):
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = True
+    return adj
+
+
+def _cycle_edges(n):
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+@st.composite
+def collapse_graphs(draw):
+    """Random graphs, or threshold graphs of uniform points at d in {1, 2, 3},
+    on 0 to 60 vertices."""
+    n = draw(st.integers(0, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 10 ** 6)))
+    if draw(st.booleans()):
+        upper = np.triu(rng.random((n, n)) < draw(st.floats(0.0, 1.0)), 1)
+        return upper | upper.T
+    d = draw(st.integers(1, 3))
+    cfg = PointConfiguration(spec=TorusSpec(d=d, a=1.0), points=rng.random((n, d)))
+    return adjacency_matrix(cfg, ComplexParams(epsilon=draw(st.floats(0.005, 0.24))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(collapse_graphs())
+def test_property_strong_collapse_matches_rescans(adj):
+    check_collapse(adj)
+
+
+@pytest.mark.parametrize("adj, core_size", [
+    (_graph(0, []), 0),
+    (_graph(1, []), 1),
+    (_graph(4, [(0, 1), (2, 3)]), 2),                         # two twin pairs
+    (_graph(7, _cycle_edges(6) + [(6, 0), (6, 1), (6, 5)]), 6),  # twin of 0
+    (_graph(7, _cycle_edges(6) + [(6, v) for v in range(6)]), 1),  # cone
+    (_graph(5, [(u, v) for u in range(5) for v in range(u)]), 1),  # K5
+    (adjacency_matrix(grid_config(5), ComplexParams(epsilon=0.105)), 25),
+], ids=["empty", "point", "twins", "cycle_twin", "cone", "complete",
+        "king_torus_grid"])
+def test_strong_collapse_explicit_graphs(adj, core_size):
+    assert check_collapse(adj).size == core_size
+
+
+def test_strong_collapse_large_draws_match_rescans():
+    rng = np.random.default_rng(2012)
+    for d, n, eps in ((2, 1600, 0.025), (3, 2000, 0.05)):
+        cfg = PointConfiguration(spec=TorusSpec(d=d, a=1.0), points=rng.random((n, d)))
+        check_collapse(adjacency_matrix(cfg, ComplexParams(epsilon=eps)))
+
+
 def test_collapse_matches_direct_homology():
     seed = SeedSpec(404)
     params = ComplexParams(epsilon=0.06, convention=Convention.SUBCOMPLEX_EPS)
@@ -206,6 +273,25 @@ def test_collapse_matches_direct_homology():
         pad = lambda b: b + [0] * (nz - len(b))
         assert pad(direct.betti) == pad(collapsed.betti)
         assert direct.violations == [] and collapsed.violations == []
+
+
+# (lambda, eps, seed, n, Betti numbers) of d=2 draws through
+# collapsed_homology, recorded before the incremental strong collapse and
+# the coordinate prune of the neighbour sweep.
+GOLDEN_COLLAPSED = [
+    (100.0, 0.1, 0, 86, [1, 6, 0, 0, 0, 0, 0]),
+    (200.0, 0.08, 1, 192, [1, 6] + [0] * 9),
+    (400.0, 0.06, 2, 399, [1, 4] + [0] * 10),
+]
+
+
+@pytest.mark.parametrize("lam, eps, seed, n, betti", GOLDEN_COLLAPSED)
+def test_collapsed_homology_matches_golden(lam, eps, seed, n, betti):
+    cfg = sample(Poisson(lam=lam), SPEC2, SeedSpec(seed))
+    res = collapsed_homology(cfg, ComplexParams(epsilon=eps))
+    assert cfg.n == n
+    assert res.betti == betti
+    assert res.violations == []
 
 
 def test_core_limit_enforced():
