@@ -15,7 +15,8 @@ import sys
 
 import numpy as np
 
-from .complexes import ComplexParams, Convention, build_complex, simplex_counts
+from .complexes import (ComplexParams, Convention, adjacency_matrix, build_complex,
+                        simplex_counts)
 from .harness import (ExperimentConfig, clt_rate_experiment,
                       coverage_experiment, run_experiment)
 from .homology import homology_summary
@@ -25,7 +26,7 @@ from .moments import (ModelParams, cov_Nk_Nl, euclid_remark_moments,
                       mean_chi_binomial, third_moment_Nk, var_chi_1d,
                       var_chi_series)
 from .sampling import Binomial, PointConfiguration, Poisson, SeedSpec, sample
-from .subcomplex import GammaGraph, automorphism_count, count_gamma
+from .subcomplex import GammaGraph, automorphism_count, count_gamma_adj
 from .tails import beta0_tail_bound, chi2d_tail_bound
 from .torus import Metric, TorusSpec
 
@@ -296,8 +297,7 @@ def _cmd_subcount(args):
     pc = _load_points(args.infile)
     with open(args.gamma) as fh:
         gamma = GammaGraph.from_json(json.load(fh))
-    cx = simplex_counts(pc, _params(args), max_dim=0)  # only the adjacency is used
-    result = count_gamma(cx, gamma)
+    result = count_gamma_adj(adjacency_matrix(pc, _params(args)), gamma)
     _emit({"g_gamma": result.g_gamma,
            "c_gamma": automorphism_count(gamma)}, args.out)
 

@@ -4,12 +4,14 @@ Cliques are generated by ordered extension: a clique is only ever extended
 by common neighbors with a strictly larger vertex index, so every clique is
 produced exactly once and in a deterministic order.  The Euler
 characteristic is a signed clique sum, computed by pivoting instead of
-counting every clique (Jain & Seshadhri, WSDM 2020).  Each vertex's
-neighbourhood is one Python int bitset, built by ``neighbour_bitsets`` from
-the packed rows of the boolean adjacency matrix (``row_bitsets`` reads them
-from rows packed for a whole block of graphs).  Clique counting and
-enumeration, strong collapse and component counting (in ``homology``) and
-pattern counting (in ``subcomplex``) all walk these bitsets.
+counting every clique (Jain & Seshadhri, WSDM 2020).
+
+A graph is passed as its neighbour bitsets: a list with one Python int per
+vertex, whose bit u is set when u is a neighbour.  They are packed once per
+configuration, by ``neighbour_bitsets`` from a boolean adjacency matrix or
+by ``row_bitsets`` from rows packed for a whole block of graphs.  Every
+walker takes them: clique counting and enumeration here, strong collapse
+and component counting in ``homology``, pattern counting in ``subcomplex``.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def counts_from_bitsets(neigh: list[int], max_size: int, cap: int):
     return counts, True
 
 
-def count_cliques(adj_bool: np.ndarray, max_size: int | None = None,
+def count_cliques(neigh: list[int], max_size: int | None = None,
                   cap: int = 10_000_000):
     """Count cliques of every size up to ``max_size`` (default: all).
 
@@ -75,19 +77,11 @@ def count_cliques(adj_bool: np.ndarray, max_size: int | None = None,
     complete is False when the total exceeds ``cap`` (0: no cap); the walk
     then stops early and the partial counts depend on where it stopped.
     """
-    n = adj_bool.shape[0]
-    if n == 0:
-        return np.zeros(1, dtype=np.int64), True
     counts, complete = counts_from_bitsets(
-        neighbour_bitsets(adj_bool), n if max_size is None else max_size, cap)
+        neigh, len(neigh) if max_size is None else max_size, cap)
     counts = np.array(counts, dtype=np.int64)
     top = max(1, int(np.nonzero(counts)[0].max(initial=1)))
     return counts[: top + 1], complete
-
-
-def euler_characteristic(adj_bool: np.ndarray) -> int:
-    """Euler characteristic of the clique complex; see ``chi_from_bitsets``."""
-    return chi_from_bitsets(neighbour_bitsets(adj_bool))
 
 
 def chi_from_bitsets(neigh: list[int]) -> int:
@@ -122,7 +116,7 @@ def _signed_clique_sum(neigh: list[int], cand: int, sign: int) -> int:
     return total
 
 
-def enumerate_cliques(adj_bool: np.ndarray, max_size: int,
+def enumerate_cliques(neigh: list[int], max_size: int,
                       cap: int = 10_000_000):
     """List all cliques up to ``max_size`` as sorted vertex tuples.
 
@@ -131,8 +125,7 @@ def enumerate_cliques(adj_bool: np.ndarray, max_size: int,
     total exceeds ``cap`` (0: no cap), as in ``counts_from_bitsets``; the
     lists then stop where the walk stopped.
     """
-    n = adj_bool.shape[0]
-    neigh = neighbour_bitsets(adj_bool)
+    n = len(neigh)
     by_size: dict[int, list[tuple[int, ...]]] = {k: [] for k in range(1, max_size + 1)}
     total = 0
     for v in range(n):

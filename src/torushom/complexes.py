@@ -4,9 +4,11 @@ A Rips-Vietoris complex is the clique (flag) complex of a proximity graph,
 so it is fully determined by pairwise distances.  The graph is found by a
 sort-and-sweep neighbour search along the first coordinate, which drops
 candidate pairs one further coordinate at a time before the exact distance
-test, without the dense (n, n, d) distance tensor; it is exchanged as an
-(n, n) boolean matrix, and one sweep also finds the edges of a whole block
-of configurations.
+test, without the dense (n, n, d) distance tensor, and one sweep also
+finds the edges of a whole block of configurations.  The graph is packed
+once into neighbour bitsets (see ``cliques``), which a complex keeps and
+every walker reads; the (n, n) boolean matrix of ``adjacency_matrix`` is
+only a way in.
 Two threshold conventions are supported:
 
 * ``RIPS_HALF_OPEN_2EPS``: vertices are adjacent when their distance is
@@ -32,7 +34,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cliques import count_cliques, enumerate_cliques
+from .cliques import count_cliques, enumerate_cliques, neighbour_bitsets
 from .sampling import PointConfiguration
 # pairwise_distances is not called here; perfbench's import-site test
 # expects this module to hold it.
@@ -83,7 +85,7 @@ class GeometricComplex:
     max_dim_built: int
     truncated: bool
     simplices: dict[int, list[tuple[int, ...]]] | None = None
-    adjacency: np.ndarray | None = field(default=None, repr=False)
+    neighbours: list[int] | None = field(default=None, repr=False)
 
     def N(self, k: int) -> int:
         """Number of (k-1)-simplices (k-vertex cliques)."""
@@ -218,17 +220,15 @@ def simplex_counts(config: PointConfiguration, params: ComplexParams,
                    homology_mode: bool = False) -> GeometricComplex:
     """Count simplices up to ``max_dim`` (default: all) without storing them."""
     _check_radius(config.spec, params, homology_mode)
-    adj = adjacency_matrix(config, params)
     max_size = None if max_dim is None else max_dim + 1
-    counts, complete = count_cliques(adj, max_size=max_size, cap=cap)
+    counts, complete = count_cliques(
+        neighbour_bitsets(adjacency_matrix(config, params)),
+        max_size=max_size, cap=cap)
     counts = counts[1:]  # drop the size-0 slot
-    if config.n == 0:
-        counts = np.zeros(0, dtype=np.int64)
-    max_dim_built = len(counts) - 1
     return GeometricComplex(
         spec=config.spec, params=params, n_vertices=config.n,
-        counts=counts, max_dim_built=max_dim_built,
-        truncated=not complete, simplices=None, adjacency=adj,
+        counts=counts, max_dim_built=len(counts) - 1,
+        truncated=not complete,
     )
 
 
@@ -243,18 +243,20 @@ def build_complex(config: PointConfiguration, params: ComplexParams,
     result is marked truncated, the same rule as ``simplex_counts``.
     """
     _check_radius(config.spec, params, homology_mode)
-    return _complex_from_adjacency(config.spec, params,
-                                   adjacency_matrix(config, params), max_dim, cap)
+    return _complex_from_bitsets(
+        config.spec, params, neighbour_bitsets(adjacency_matrix(config, params)),
+        max_dim, cap)
 
 
-def _complex_from_adjacency(spec: TorusSpec, params: ComplexParams,
-                            adj: np.ndarray, max_dim: int | None = None,
-                            cap: int = DEFAULT_SIMPLEX_CAP) -> GeometricComplex:
-    """The clique complex of a built adjacency matrix, as ``build_complex``;
-    truncated when the simplex total exceeds ``cap`` (0: no cap)."""
-    n = adj.shape[0]
+def _complex_from_bitsets(spec: TorusSpec, params: ComplexParams,
+                          neigh: list[int], max_dim: int | None = None,
+                          cap: int = DEFAULT_SIMPLEX_CAP) -> GeometricComplex:
+    """The clique complex of a graph given by its neighbour bitsets, as
+    ``build_complex``, which keeps them; truncated when the simplex total
+    exceeds ``cap`` (0: no cap)."""
+    n = len(neigh)
     max_size = n if max_dim is None else max_dim + 1
-    by_size, complete = enumerate_cliques(adj, max_size=max(1, max_size), cap=cap)
+    by_size, complete = enumerate_cliques(neigh, max_size=max(1, max_size), cap=cap)
     dims = [k - 1 for k in by_size if by_size[k]]
     max_dim_built = max(dims) if dims else -1
     simplices = {k - 1: by_size[k] for k in by_size if by_size[k]}
@@ -263,7 +265,7 @@ def _complex_from_adjacency(spec: TorusSpec, params: ComplexParams,
     return GeometricComplex(
         spec=spec, params=params, n_vertices=n,
         counts=counts, max_dim_built=max_dim_built,
-        truncated=not complete, simplices=simplices, adjacency=adj,
+        truncated=not complete, simplices=simplices, neighbours=neigh,
     )
 
 

@@ -13,8 +13,8 @@ sweep finds the edges of every configuration of a block, N_1 and N_2 are
 its point and edge counts, and where more is asked for, one ``np.packbits``
 over the block gives each configuration's neighbour bitsets, built once and
 walked for N_k (counted only up to the largest k asked for), chi (a pivoted
-sum) and beta_0 (a flood fill).  Full homology takes the adjacency from the
-same block.
+sum), beta_0 (a flood fill) and, where Betti numbers above beta_0 are
+asked for, the clique complex of full homology.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .cliques import chi_from_bitsets, counts_from_bitsets, row_bitsets
 # simplex_counts is not called here; perfbench's import-site test expects
 # this module to hold it.
-from .complexes import (ComplexParams, _check_radius, _complex_from_adjacency,  # noqa: F401
+from .complexes import (ComplexParams, _check_radius, _complex_from_bitsets,  # noqa: F401
                         adjacency_matrix, simplex_counts, threshold_edges)
 from .homology import (CoreTooLarge, collapsed_homology, components_from_bitsets,
                        homology_summary)
@@ -50,8 +50,8 @@ _BLOCK_CELLS = 1 << 16
 class ExperimentConfig:
     """N_k is counted to the largest k in ``quantities`` and at least to
     dimension ``max_dim``; a replication whose count exceeds ``simplex_cap``
-    (0: no cap) is excluded.  chi is a pivoted sum over the adjacency, never
-    capped."""
+    (0: no cap) is excluded.  chi is a pivoted sum over the neighbour
+    bitsets, never capped."""
 
     law: ProcessLaw
     spec: TorusSpec
@@ -176,9 +176,8 @@ class _Plan:
         self.max_size = max(max_k - 1, config.max_dim or 0) + 1
         # up to N_2 the counts are the point and edge counts
         self.clique_walk = self.needs_counts and self.max_size > 2
-        self.needs_bitsets = ("chi" in kinds or self.clique_walk
-                              or beta_indices == [0])
-        self.needs_edges = self.needs_counts or bool(beta_indices)
+        self.needs_bitsets = "chi" in kinds or "beta" in kinds or self.clique_walk
+        self.needs_edges = self.needs_counts or "beta" in kinds
 
 
 def _blocks(config: ExperimentConfig):
@@ -218,12 +217,11 @@ def _block_rows(block: list[np.ndarray], config: ExperimentConfig, plan: _Plan):
                                config.params, starts)
         seg = np.repeat(np.arange(len(block)), sizes)
         edges = np.bincount(seg[u], minlength=len(block)).tolist()
-    if plan.needs_bitsets or plan.needs_full_homology:
+    if plan.needs_bitsets:
         local = np.arange(starts[-1]) - starts[seg]
         scratch = np.zeros((starts[-1], sizes.max()), dtype=bool)
         scratch[u, local[v]] = True
         scratch[v, local[u]] = True
-    if plan.needs_bitsets:
         packed = np.packbits(scratch, axis=1, bitorder="little")
         buf, width = packed.tobytes(), packed.shape[1]
     for s, (first, n) in enumerate(zip(starts.tolist(), sizes.tolist())):
@@ -241,8 +239,7 @@ def _block_rows(block: list[np.ndarray], config: ExperimentConfig, plan: _Plan):
             continue
         homology = None
         if plan.needs_full_homology:
-            cx = _complex_from_adjacency(config.spec, config.params,
-                                         scratch[first:first + n, :n], None, cap)
+            cx = _complex_from_bitsets(config.spec, config.params, neigh, None, cap)
             if cx.truncated:
                 yield None
                 continue

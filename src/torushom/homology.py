@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .cliques import neighbour_bitsets
-from .complexes import (GeometricComplex, _check_radius, _complex_from_adjacency,
+from .complexes import (GeometricComplex, _check_radius, _complex_from_bitsets,
                         adjacency_matrix)
 
 
@@ -147,8 +147,8 @@ def homology_summary(complex_: GeometricComplex) -> HomologyResult:
         violations.append(
             f"euler characteristic mismatch: counts give {chi_counts}, "
             f"betti give {chi_betti}")
-    if complex_.adjacency is not None and complex_.n_vertices > 0:
-        comps = connected_components(complex_.adjacency)
+    if complex_.neighbours is not None and complex_.n_vertices > 0:
+        comps = components_from_bitsets(complex_.neighbours)
         if betti and betti[0] != comps:
             violations.append(
                 f"beta_0 = {betti[0]} but flood fill counts {comps} components")
@@ -164,6 +164,11 @@ class CoreTooLarge(RuntimeError):
 
 
 def strong_collapse(adj_bool: np.ndarray) -> np.ndarray:
+    """Core vertex indices of a graph; see ``collapse_from_bitsets``."""
+    return collapse_from_bitsets(neighbour_bitsets(adj_bool))
+
+
+def collapse_from_bitsets(neigh: list[int]) -> np.ndarray:
     """Reduce a clique complex by repeatedly deleting dominated vertices.
 
     Vertex v is dominated by a neighbor u when every neighbor of v (and v
@@ -182,9 +187,9 @@ def strong_collapse(adj_bool: np.ndarray) -> np.ndarray:
     neighbourhood: N[v] is read through the mask of live vertices, and it
     lies inside N[u] exactly when it lies inside the live part of N[u].
     """
-    n = adj_bool.shape[0]
+    n = len(neigh)
     alive = (1 << n) - 1
-    closed = [m | 1 << v for v, m in enumerate(neighbour_bitsets(adj_bool))]
+    closed = [m | 1 << v for v, m in enumerate(neigh)]
     outside = [alive ^ c for c in closed]  # the complement of each N[u]
     scan = alive
     while scan:
@@ -214,19 +219,23 @@ def collapsed_homology(config, params,
     """Homology of a Rips-Vietoris complex via strong collapse then reduction.
 
     Every Betti number of the core is reported; ``core_limit`` caps its size.
+    The graph is packed into bitsets once for the collapse and the component
+    check, and the core's induced subgraph once for its complex.
     """
     _check_radius(config.spec, params, homology_mode=True)
     adj = adjacency_matrix(config, params)
     if config.n == 0:
         return HomologyResult(betti=[], chi_counts=0, chi_betti=0, violations=[])
-    core = strong_collapse(adj)
+    neigh = neighbour_bitsets(adj)
+    core = collapse_from_bitsets(neigh)
     if core_limit is not None and core.size > core_limit:
         raise CoreTooLarge(
             f"collapsed core has {core.size} vertices (limit {core_limit})")
-    complex_ = _complex_from_adjacency(config.spec, params, adj[np.ix_(core, core)])
+    complex_ = _complex_from_bitsets(config.spec, params,
+                                     neighbour_bitsets(adj[np.ix_(core, core)]))
     result = homology_summary(complex_)
     # component count must be validated on the original graph, not the core
-    comps = connected_components(adj)
+    comps = components_from_bitsets(neigh)
     if result.betti and result.betti[0] != comps:
         result.violations.append(
             f"beta_0 = {result.betti[0]} after collapse but original graph "

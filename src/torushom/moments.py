@@ -103,15 +103,6 @@ def bell_polynomial(n: int, x: float) -> float:
     return float(sum(stirling2(n, k) * x ** k for k in range(n + 1)))
 
 
-def bell_exponential(n: int, x: float, tol: float = 1e-16) -> float:
-    """Dobinski-style evaluation B_n(x) = e^{-x} sum_k x^k k^n / k!."""
-    total = 0.0
-    term_count = max(40, int(abs(x)) * 4 + 40)
-    for k in range(term_count):
-        total += x ** k * k ** n / math.factorial(k)
-    return math.exp(-x) * total
-
-
 # ---------------------------------------------------------------------------
 # First moments
 

@@ -9,6 +9,7 @@ edge set; the division is always exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations
@@ -16,7 +17,6 @@ from itertools import permutations
 import numpy as np
 
 from .cliques import neighbour_bitsets
-from .complexes import GeometricComplex
 from .joracle import MAX_ORACLE_DIMENSION
 from .moments import ModelParams
 from .sampling import SeedSpec
@@ -83,8 +83,10 @@ class GammaGraph:
         return len(seen) == self.n
 
 
+@functools.lru_cache(maxsize=None)
 def automorphism_count(gamma: GammaGraph) -> int:
-    """Number of vertex permutations mapping the edge set onto itself."""
+    """Number of vertex permutations mapping the edge set onto itself,
+    scanned once per pattern."""
     if gamma.n > MAX_AUTOMORPHISM_VERTICES:
         raise ValueError(
             f"exhaustive automorphism scan limited to n <= {MAX_AUTOMORPHISM_VERTICES}")
@@ -157,17 +159,6 @@ def count_gamma_adj(adj_bool: np.ndarray, gamma: GammaGraph) -> SubcountResult:
         raise AssertionError(
             f"labeled count {labeled} not divisible by automorphism count {c_gamma}")
     return SubcountResult(g_gamma=labeled // c_gamma)
-
-
-def count_gamma(complex_: GeometricComplex, gamma: GammaGraph) -> SubcountResult:
-    """Count occurrences of the pattern in a built geometric complex.
-
-    The threshold convention is taken from the complex as built and never
-    rescaled here.
-    """
-    if complex_.adjacency is None:
-        raise ValueError("complex carries no adjacency matrix")
-    return count_gamma_adj(complex_.adjacency, gamma)
 
 
 def kernel_integral_f_i(gamma: GammaGraph, params: ModelParams, i: int,

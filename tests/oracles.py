@@ -139,6 +139,16 @@ def slot_partition_weights(n: int, k: int) -> dict:
             for key, count in tally.items()}
 
 
+def bell_exponential(n: int, x: float) -> float:
+    """Dobinski-style evaluation B_n(x) = e^{-x} sum_k x^k k^n / k!, a
+    reference for the exact-coefficient ``moments.bell_polynomial``."""
+    total = 0.0
+    term_count = max(40, int(abs(x)) * 4 + 40)
+    for k in range(term_count):
+        total += x ** k * k ** n / math.factorial(k)
+    return math.exp(-x) * total
+
+
 def count_in_box(config, corner, sides) -> int:
     """Number of points in a wrap-aware axis-aligned box.
 

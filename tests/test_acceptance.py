@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_clique_counts
-from torushom.complexes import (ComplexParams, Convention, build_complex,
-                                simplex_counts)
+from torushom.complexes import (ComplexParams, Convention, adjacency_matrix,
+                                build_complex, simplex_counts)
 from torushom.harness import (ExperimentConfig, clt_rate_experiment,
                               coverage_experiment, empirical_tail,
                               run_experiment)
@@ -26,7 +26,7 @@ from torushom.moments import (ModelParams, alpha_beta_coeffs, bell_polynomial,
                               nth_moment_assembler, third_moment_Nk,
                               var_chi_1d, var_chi_series)
 from torushom.sampling import Binomial, Poisson, SeedSpec, sample
-from torushom.subcomplex import GammaGraph, count_gamma
+from torushom.subcomplex import GammaGraph, count_gamma_adj
 from torushom.tails import beta0_curve, chi2d_curve, validate_bound
 from torushom.torus import Metric, TorusSpec
 
@@ -384,15 +384,15 @@ def test_criterion_14_brute_force_equivalence(report):
         pc = sample(Binomial(n=n), spec, rng_seed.child("bf", r))
         params = ComplexParams(epsilon=0.04)
         cx = build_complex(pc, params)
-        oracle = brute_force_clique_counts(cx.adjacency,
-                                           min(n, cx.max_dim_built + 2))
+        adj = adjacency_matrix(pc, params)
+        oracle = brute_force_clique_counts(adj, min(n, cx.max_dim_built + 2))
         for k in range(1, len(oracle)):
             if cx.N(k) != oracle[k]:
                 ok = False
         # complete-graph pattern counts coincide with simplex counts
         for k in (2, 3, 4):
             if k <= n:
-                g = count_gamma(cx, GammaGraph.complete(k)).g_gamma
+                g = count_gamma_adj(adj, GammaGraph.complete(k)).g_gamma
                 if g != cx.N(k):
                     ok = False
     report(14, "simplex counts equal the exhaustive subset oracle and the "

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_clique_counts
-from torushom.cliques import (count_cliques, enumerate_cliques,
-                              euler_characteristic, neighbour_bitsets)
+from torushom.cliques import (chi_from_bitsets, count_cliques, enumerate_cliques,
+                              neighbour_bitsets)
 from torushom.complexes import ComplexParams, adjacency_matrix
 from torushom.homology import collapsed_homology
 from torushom.sampling import Poisson, SeedSpec, sample
@@ -29,14 +29,14 @@ def complete_graph(n):
 
 
 def test_empty_graph():
-    counts, complete = count_cliques(np.zeros((0, 0), dtype=bool))
+    counts, complete = count_cliques([])
     assert complete and counts.tolist() == [0]
 
 
 def test_complete_graph_counts():
     from math import comb
     n = 7
-    counts, complete = count_cliques(complete_graph(n))
+    counts, complete = count_cliques(neighbour_bitsets(complete_graph(n)))
     assert complete
     assert counts.tolist() == [0] + [comb(n, k) for k in range(1, n + 1)]
 
@@ -46,14 +46,14 @@ def test_triangle_free_graph():
     adj = np.zeros((4, 4), dtype=bool)
     for i, j in [(0, 1), (1, 2), (2, 3), (3, 0)]:
         adj[i, j] = adj[j, i] = True
-    counts, complete = count_cliques(adj)
+    counts, complete = count_cliques(neighbour_bitsets(adj))
     assert complete and counts.tolist() == [0, 4, 4]
 
 
 @pytest.mark.parametrize("n,p,seed", [(10, 0.3, 1), (14, 0.5, 2), (9, 0.8, 3)])
 def test_against_brute_force(n, p, seed):
     adj = random_graph(n, p, seed)
-    counts, complete = count_cliques(adj)
+    counts, complete = count_cliques(neighbour_bitsets(adj))
     assert complete
     oracle = brute_force_clique_counts(adj, len(counts) - 1)
     assert counts.tolist() == oracle.tolist()
@@ -61,22 +61,23 @@ def test_against_brute_force(n, p, seed):
 
 def test_max_size_truncation():
     adj = complete_graph(6)
-    counts, complete = count_cliques(adj, max_size=3)
+    counts, complete = count_cliques(neighbour_bitsets(adj), max_size=3)
     assert complete
     assert counts.tolist() == [0, 6, 15, 20]
 
 
 def test_cap_reports_incomplete():
     adj = complete_graph(20)
-    counts, complete = count_cliques(adj, cap=100)
+    counts, complete = count_cliques(neighbour_bitsets(adj), cap=100)
     assert not complete
     assert counts.sum() >= 100
 
 
 def test_enumerate_matches_counts():
     adj = random_graph(15, 0.5, 11)
-    counts, _ = count_cliques(adj)
-    by_size, complete = enumerate_cliques(adj, max_size=len(counts) - 1)
+    neigh = neighbour_bitsets(adj)
+    counts, _ = count_cliques(neigh)
+    by_size, complete = enumerate_cliques(neigh, max_size=len(counts) - 1)
     assert complete
     for k, cliques in by_size.items():
         assert len(cliques) == (counts[k] if k < len(counts) else 0)
@@ -99,7 +100,7 @@ def test_neighbour_bitsets_round_trip():
 @given(st.integers(2, 8), st.floats(0.0, 1.0), st.integers(0, 10 ** 6))
 def test_property_counts_match_brute_force(n, p, seed):
     adj = random_graph(n, p, seed)
-    counts, complete = count_cliques(adj)
+    counts, complete = count_cliques(neighbour_bitsets(adj))
     assert complete
     oracle = brute_force_clique_counts(adj, n)
     top = len(counts)
@@ -114,7 +115,7 @@ def test_property_counts_match_networkx(n, p, seed):
     by_size = Counter(len(c) for c in nx.enumerate_all_cliques(
         nx.from_numpy_array(adj.astype(int))))
     for max_size in range(1, n + 1):
-        counts, complete = count_cliques(adj, max_size=max_size)
+        counts, complete = count_cliques(neighbour_bitsets(adj), max_size=max_size)
         assert complete
         expect = [0] + [by_size[k] for k in range(1, max_size + 1)]
         while len(expect) > 2 and expect[-1] == 0:
@@ -122,8 +123,8 @@ def test_property_counts_match_networkx(n, p, seed):
         assert counts.tolist() == expect
     total = sum(by_size.values())
     if total > 1:  # cap=0 means no cap
-        assert count_cliques(adj, cap=total)[1]
-        assert not count_cliques(adj, cap=total - 1)[1]
+        assert count_cliques(neighbour_bitsets(adj), cap=total)[1]
+        assert not count_cliques(neighbour_bitsets(adj), cap=total - 1)[1]
 
 
 def alternating_sum(adj):
@@ -137,7 +138,7 @@ def alternating_sum(adj):
 @example(12, 0.5, 1)
 def test_property_euler_matches_brute_force(n, p, seed):
     adj = random_graph(n, p, seed)
-    assert euler_characteristic(adj) == alternating_sum(adj)
+    assert chi_from_bitsets(neighbour_bitsets(adj)) == alternating_sum(adj)
 
 
 def king_torus_grid(m):
@@ -153,19 +154,19 @@ def king_torus_grid(m):
 
 
 def test_euler_small_complexes():
-    assert euler_characteristic(np.zeros((0, 0), dtype=bool)) == 0
-    assert euler_characteristic(np.zeros((1, 1), dtype=bool)) == 1
-    assert euler_characteristic(np.zeros((5, 5), dtype=bool)) == 5
-    assert euler_characteristic(complete_graph(9)) == 1
+    assert chi_from_bitsets(neighbour_bitsets(np.zeros((0, 0), dtype=bool))) == 0
+    assert chi_from_bitsets(neighbour_bitsets(np.zeros((1, 1), dtype=bool))) == 1
+    assert chi_from_bitsets(neighbour_bitsets(np.zeros((5, 5), dtype=bool))) == 5
+    assert chi_from_bitsets(neighbour_bitsets(complete_graph(9))) == 1
     cone = random_graph(11, 0.4, 7)
     cone[4, :] = cone[:, 4] = True
     cone[4, 4] = False
-    assert euler_characteristic(cone) == 1
+    assert chi_from_bitsets(neighbour_bitsets(cone)) == 1
     cycle = np.zeros((4, 4), dtype=bool)
     for i in range(4):
         cycle[i, (i + 1) % 4] = cycle[(i + 1) % 4, i] = True
-    assert euler_characteristic(cycle) == 0
-    assert euler_characteristic(king_torus_grid(5)) == 0
+    assert chi_from_bitsets(neighbour_bitsets(cycle)) == 0
+    assert chi_from_bitsets(neighbour_bitsets(king_torus_grid(5))) == 0
 
 
 @pytest.mark.parametrize("d,lam,seed", [(1, 200.0, 1), (1, 200.0, 2),
@@ -174,5 +175,5 @@ def test_euler_small_complexes():
 def test_euler_matches_collapsed_homology(d, lam, seed):
     params = ComplexParams(epsilon=0.05)
     pc = sample(Poisson(lam), TorusSpec(d=d, a=1.0), SeedSpec(seed))
-    chi = euler_characteristic(adjacency_matrix(pc, params))
+    chi = chi_from_bitsets(neighbour_bitsets(adjacency_matrix(pc, params)))
     assert chi == collapsed_homology(pc, params).chi_betti

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import boundary_matrix
+from torushom.cliques import neighbour_bitsets
 from torushom.complexes import (ComplexParams, Convention, adjacency_matrix,
                                 build_complex, phi_k, simplex_counts,
                                 threshold_edges)
@@ -122,6 +123,17 @@ def test_euclidean_metric_changes_adjacency():
     assert adjacency_matrix(cfg, ComplexParams(epsilon=0.1))[0, 1]
     assert not adjacency_matrix(
         cfg, ComplexParams(epsilon=0.1, metric=Metric.EUCLIDEAN))[0, 1]
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+@pytest.mark.parametrize("convention", list(Convention))
+def test_complex_keeps_the_bitsets_of_its_graph(metric, convention):
+    cfg = sample(Binomial(n=40), SPEC2, SeedSpec(31))
+    params = ComplexParams(epsilon=0.1, metric=metric, convention=convention)
+    neigh = neighbour_bitsets(adjacency_matrix(cfg, params))
+    assert any(neigh)
+    assert build_complex(cfg, params).neighbours == neigh
+    assert simplex_counts(cfg, params).neighbours is None
 
 
 def test_boundary_matrix_triangle():

@@ -1,10 +1,11 @@
 import hashlib
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
 
-from torushom import harness
+from torushom import harness, subcomplex
 from torushom.complexes import ComplexParams, Convention, simplex_counts
 from torushom.harness import (CltReport, CoverageReport, ExperimentConfig,
                               clt_rate_experiment, coverage_experiment,
@@ -170,6 +171,23 @@ def test_clt_experiment_small_run():
     assert math.isfinite(report.slope)
     doc = report.to_json()
     assert len(doc["points"]) == 3
+
+
+def test_clt_scans_automorphisms_once_per_pattern(monkeypatch):
+    scans = []
+
+    def counting(*args):
+        scans.append(args)
+        return permutations(*args)
+
+    monkeypatch.setattr(subcomplex, "permutations", counting)
+    subcomplex.automorphism_count.cache_clear()
+    params = ComplexParams(epsilon=0.1, convention=Convention.SUBCOMPLEX_EPS)
+    path = GammaGraph.make(3, [(0, 1), (1, 2)])
+    for gamma in (GammaGraph.edge(), path):
+        clt_rate_experiment(gamma, SPEC1, params, [20.0, 40.0, 80.0], reps=100,
+                            seed=SeedSpec(21))
+    assert len(scans) == 2
 
 
 def test_coverage_experiment_small_run():

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import direct_betti_numbers, rescan_strong_collapse
+from torushom import cliques, complexes, homology
 from torushom.complexes import (ComplexParams, Convention, adjacency_matrix,
                                 build_complex)
 from torushom.homology import (CoreTooLarge, betti_numbers, boundary_rank,
@@ -93,6 +94,39 @@ def test_torus_grid_betti_collapsed():
     res = collapsed_homology(cfg, ComplexParams(epsilon=0.105))
     assert res.betti[:3] == [1, 2, 1]
     assert res.violations == []
+
+
+def test_summary_flags_bitsets_that_disagree_with_simplices():
+    # one edge added to or removed from the neighbour bitsets changes the
+    # flood-fill component count but not the simplices
+    apart = comp([[0.1], [0.6]], SPEC1, 0.05)
+    assert homology_summary(apart).violations == []
+    apart.neighbours = [0b10, 0b01]
+    assert homology_summary(apart).violations == [
+        "beta_0 = 2 but flood fill counts 1 components"]
+    close = comp([[0.1], [0.15]], SPEC1, 0.05)
+    assert homology_summary(close).violations == []
+    close.neighbours = [0, 0]
+    assert homology_summary(close).violations == [
+        "beta_0 = 1 but flood fill counts 2 components"]
+
+
+def test_graph_packed_once_per_configuration(monkeypatch):
+    packs = []
+
+    def counting(adj):
+        packs.append(adj.shape[0])
+        return cliques.neighbour_bitsets(adj)
+
+    for module in (complexes, homology):
+        monkeypatch.setattr(module, "neighbour_bitsets", counting)
+    cfg = sample(Poisson(lam=60.0), SPEC2, SeedSpec(17))
+    params = ComplexParams(epsilon=0.09)
+    homology_summary(build_complex(cfg, params, homology_mode=True))
+    assert packs == [cfg.n]
+    packs.clear()
+    collapsed_homology(cfg, params)
+    assert len(packs) == 2 and packs[0] == cfg.n  # the graph, then its core
 
 
 @pytest.mark.parametrize("cfg, eps", [

@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from oracles import slot_partition_weights
+from oracles import bell_exponential, slot_partition_weights
 from torushom.joracle import JEstimate, OverlapPattern, j_oracle_mc
 from torushom.moments import (ModelParams, MomentKind, MomentValue,
                               _default_j_oracle, _overlap_patterns,
                               alpha_beta_coeffs,
-                              bell_exponential, bell_polynomial,
+                              bell_polynomial,
                               c_coefficient, cov_Nk_Nl,
                               euclid_remark_moments, fourth_moment_Nk,
                               j2_closed_form, mean_Nk, mean_Nk_binomial,

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from itertools import combinations, permutations
 
-from torushom.complexes import ComplexParams, Convention, build_complex
+from torushom.complexes import ComplexParams, Convention, adjacency_matrix
 from torushom.moments import ModelParams
 from torushom.sampling import Binomial, PointConfiguration, SeedSpec, sample
-from torushom.subcomplex import (GammaGraph, automorphism_count, count_gamma,
-                                 count_gamma_adj, kernel_integral_f_i)
+from torushom.subcomplex import (GammaGraph, automorphism_count, count_gamma_adj,
+                                 kernel_integral_f_i)
 from torushom.torus import TorusSpec
 
 SPEC1 = TorusSpec(d=1, a=1.0)
@@ -124,8 +124,8 @@ def test_count_gamma_uses_complex_threshold():
     cfg = sample(Binomial(n=20), SPEC1, SeedSpec(6))
     sub = ComplexParams(epsilon=0.1, convention=Convention.SUBCOMPLEX_EPS)
     rips = ComplexParams(epsilon=0.1)
-    n_sub = count_gamma(build_complex(cfg, sub), GammaGraph.edge()).g_gamma
-    n_rips = count_gamma(build_complex(cfg, rips), GammaGraph.edge()).g_gamma
+    n_sub = count_gamma_adj(adjacency_matrix(cfg, sub), GammaGraph.edge()).g_gamma
+    n_rips = count_gamma_adj(adjacency_matrix(cfg, rips), GammaGraph.edge()).g_gamma
     assert n_sub <= n_rips  # threshold eps vs 2 eps
 
 
