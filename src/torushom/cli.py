@@ -71,12 +71,11 @@ def _seedspec(args) -> SeedSpec:
     return SeedSpec(master_seed=args.seed, stream_index=0)
 
 
-def _add_geometry(p, eps_required=True):
+def _add_geometry(p):
     p.add_argument("--d", type=int, default=1, help="torus dimension")
     p.add_argument("--a", type=float, default=1.0, help="torus side length")
-    if eps_required:
-        p.add_argument("--eps", type=float, required=True,
-                       help="proximity parameter epsilon")
+    p.add_argument("--eps", type=float, required=True,
+                   help="proximity parameter epsilon")
     p.add_argument("--metric", choices=sorted(METRICS), default="max")
     p.add_argument("--convention", choices=sorted(CONVENTIONS),
                    default="rips2eps")

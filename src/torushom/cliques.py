@@ -116,25 +116,22 @@ def _signed_clique_sum(neigh: list[int], cand: int, sign: int) -> int:
     return total
 
 
-def enumerate_cliques(neigh: list[int], max_size: int,
-                      cap: int = 10_000_000):
-    """List all cliques up to ``max_size`` as sorted vertex tuples.
+def enumerate_cliques(neigh: list[int], cap: int = 10_000_000):
+    """List every clique as a sorted vertex tuple.
 
     Returns (by_size, complete) where by_size[k] is the lexicographically
-    ordered list of k-cliques, k = 1..max_size.  complete is False when the
-    total exceeds ``cap`` (0: no cap), as in ``counts_from_bitsets``; the
-    lists then stop where the walk stopped.
+    ordered list of k-cliques, k = 1..n.  complete is False when the total
+    exceeds ``cap`` (0: no cap), as in ``counts_from_bitsets``; the lists
+    then stop where the walk stopped.
     """
     n = len(neigh)
-    by_size: dict[int, list[tuple[int, ...]]] = {k: [] for k in range(1, max_size + 1)}
+    by_size: dict[int, list[tuple[int, ...]]] = {k: [] for k in range(1, n + 1)}
     total = 0
     for v in range(n):
         by_size[1].append((v,))
         total += 1
         if 0 < cap < total:
             return by_size, False
-        if max_size <= 1:
-            continue
         stack = [(v,), ]
         cands = [neigh[v] & ~((1 << (v + 1)) - 1)]
         while cands:
@@ -150,9 +147,8 @@ def enumerate_cliques(neigh: list[int], max_size: int,
             total += 1
             if 0 < cap < total:
                 return by_size, False
-            if len(clique) < max_size:
-                child = cands[-1] & neigh[u]
-                if child:
-                    stack.append(clique)
-                    cands.append(child)
+            child = cands[-1] & neigh[u]
+            if child:
+                stack.append(clique)
+                cands.append(child)
     return by_size, True

@@ -78,8 +78,6 @@ class ComplexParams:
 
 @dataclass
 class GeometricComplex:
-    spec: TorusSpec
-    params: ComplexParams
     n_vertices: int
     counts: np.ndarray            # counts[i] = N_{i+1}, the number of i-simplices
     max_dim_built: int
@@ -216,55 +214,48 @@ def _check_radius(spec: TorusSpec, params: ComplexParams,
 
 def simplex_counts(config: PointConfiguration, params: ComplexParams,
                    max_dim: int | None = None,
-                   cap: int = DEFAULT_SIMPLEX_CAP,
-                   homology_mode: bool = False) -> GeometricComplex:
-    """Count simplices up to ``max_dim`` (default: all) without storing them."""
-    _check_radius(config.spec, params, homology_mode)
+                   cap: int = DEFAULT_SIMPLEX_CAP) -> GeometricComplex:
+    """Count simplices up to ``max_dim`` (default: all) without storing them;
+    truncated when the simplex total exceeds ``cap`` (0: no cap)."""
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0 (0: no cap), got {cap}")
+    _check_radius(config.spec, params, homology_mode=False)
     max_size = None if max_dim is None else max_dim + 1
     counts, complete = count_cliques(
         neighbour_bitsets(adjacency_matrix(config, params)),
         max_size=max_size, cap=cap)
     counts = counts[1:]  # drop the size-0 slot
     return GeometricComplex(
-        spec=config.spec, params=params, n_vertices=config.n,
-        counts=counts, max_dim_built=len(counts) - 1,
+        n_vertices=config.n, counts=counts, max_dim_built=len(counts) - 1,
         truncated=not complete,
     )
 
 
 def build_complex(config: PointConfiguration, params: ComplexParams,
-                  max_dim: int | None = None,
-                  cap: int = DEFAULT_SIMPLEX_CAP,
                   homology_mode: bool = False) -> GeometricComplex:
-    """Build the complex with explicit simplex lists up to ``max_dim``.
+    """Build the complex with explicit simplex lists of every dimension.
 
     Simplices are stored per dimension as lexicographically sorted vertex
-    tuples.  If the total simplex count exceeds ``cap`` (0: no cap) the
+    tuples.  If the total simplex count exceeds ``DEFAULT_SIMPLEX_CAP`` the
     result is marked truncated, the same rule as ``simplex_counts``.
     """
     _check_radius(config.spec, params, homology_mode)
-    return _complex_from_bitsets(
-        config.spec, params, neighbour_bitsets(adjacency_matrix(config, params)),
-        max_dim, cap)
+    return _complex_from_bitsets(neighbour_bitsets(adjacency_matrix(config, params)))
 
 
-def _complex_from_bitsets(spec: TorusSpec, params: ComplexParams,
-                          neigh: list[int], max_dim: int | None = None,
+def _complex_from_bitsets(neigh: list[int],
                           cap: int = DEFAULT_SIMPLEX_CAP) -> GeometricComplex:
     """The clique complex of a graph given by its neighbour bitsets, as
     ``build_complex``, which keeps them; truncated when the simplex total
     exceeds ``cap`` (0: no cap)."""
-    n = len(neigh)
-    max_size = n if max_dim is None else max_dim + 1
-    by_size, complete = enumerate_cliques(neigh, max_size=max(1, max_size), cap=cap)
+    by_size, complete = enumerate_cliques(neigh, cap=cap)
     dims = [k - 1 for k in by_size if by_size[k]]
     max_dim_built = max(dims) if dims else -1
     simplices = {k - 1: by_size[k] for k in by_size if by_size[k]}
     counts = np.array([len(simplices.get(i, ())) for i in range(max_dim_built + 1)],
                       dtype=np.int64)
     return GeometricComplex(
-        spec=spec, params=params, n_vertices=n,
-        counts=counts, max_dim_built=max_dim_built,
+        n_vertices=len(neigh), counts=counts, max_dim_built=max_dim_built,
         truncated=not complete, simplices=simplices, neighbours=neigh,
     )
 

@@ -3,8 +3,8 @@
 Runs experiments over Poisson/Binomial configurations, estimates means,
 variances, central moments and tails of simplex counts, Euler
 characteristic, Betti numbers and pattern counts, and provides the two
-asymptotic experiments: the normal-approximation rate for standardized
-pattern counts and the torus-coverage probability.
+asymptotic experiments: the normal-approximation rate of pattern counts
+and the torus-coverage probability.
 
 Every replication draws from its own counter-derived stream, so reports are
 bit-identical for a fixed configuration regardless of scheduling.
@@ -32,7 +32,7 @@ from .complexes import (ComplexParams, _check_radius, _complex_from_bitsets,  # 
 from .homology import (CoreTooLarge, collapsed_homology, components_from_bitsets,
                        homology_summary)
 from .sampling import Poisson, ProcessLaw, SeedSpec, sample
-from .stats import wasserstein1_to_normal
+from .stats import MIN_NORMALITY_SAMPLE, wasserstein1_to_normal
 from .subcomplex import GammaGraph, count_gamma_adj
 from .torus import TorusSpec
 
@@ -44,6 +44,10 @@ from .torus import TorusSpec
 # faster and raised the peak memory of a run.
 _BLOCK_REPS = 1024
 _BLOCK_CELLS = 1 << 16
+
+# coverage_experiment excludes a replication whose collapsed core has more
+# vertices than this: reducing such a core is not feasible at desk scale.
+CORE_LIMIT = 60
 
 
 @dataclass(frozen=True)
@@ -239,7 +243,7 @@ def _block_rows(block: list[np.ndarray], config: ExperimentConfig, plan: _Plan):
             continue
         homology = None
         if plan.needs_full_homology:
-            cx = _complex_from_bitsets(config.spec, config.params, neigh, None, cap)
+            cx = _complex_from_bitsets(neigh, cap)
             if cx.truncated:
                 yield None
                 continue
@@ -300,7 +304,7 @@ class CltReport:
 def clt_rate_experiment(gamma: GammaGraph, spec: TorusSpec,
                         params: ComplexParams, lambdas, reps: int,
                         seed: SeedSpec) -> CltReport:
-    """Normal-approximation rate of the standardized pattern count.
+    """Normal-approximation rate of the pattern count.
 
     For each intensity: draw ``reps`` Poisson configurations, count the
     pattern, standardize by the empirical mean and standard deviation, and
@@ -310,6 +314,8 @@ def clt_rate_experiment(gamma: GammaGraph, spec: TorusSpec,
     lambdas = [float(l) for l in lambdas]
     if len(lambdas) < 3 or any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("need at least 3 strictly increasing intensities")
+    if reps < MIN_NORMALITY_SAMPLE:
+        raise ValueError(f"need reps >= {MIN_NORMALITY_SAMPLE}, got {reps}")
     points = []
     for lam in lambdas:
         vals = np.empty(reps)
@@ -359,14 +365,12 @@ def torus_betti(d: int) -> tuple[int, ...]:
 
 
 def coverage_experiment(spec: TorusSpec, params: ComplexParams, lambdas,
-                        reps: int, seed: SeedSpec,
-                        core_limit: int = 60) -> CoverageReport:
+                        reps: int, seed: SeedSpec) -> CoverageReport:
     """Frequency of recovering the torus Betti numbers, per intensity.
 
     Homology is computed after a strong collapse of the clique complex;
-    replications whose collapsed core stays above ``core_limit`` vertices
-    are excluded and reported (the reduction of such cores is not feasible
-    at desk scale).
+    replications whose collapsed core stays above ``CORE_LIMIT`` vertices
+    are excluded and reported.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -379,7 +383,7 @@ def coverage_experiment(spec: TorusSpec, params: ComplexParams, lambdas,
         for rep in range(reps):
             pc = sample(Poisson(lam=lam), spec, seed.child("coverage", lam, rep))
             try:
-                result = collapsed_homology(pc, params, core_limit=core_limit)
+                result = collapsed_homology(pc, params, core_limit=CORE_LIMIT)
             except CoreTooLarge:
                 excluded += 1
                 continue

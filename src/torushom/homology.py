@@ -82,29 +82,23 @@ class HomologyResult:
         }
 
 
-def betti_numbers(complex_: GeometricComplex, max_dim: int | None = None) -> list[int]:
-    """Betti numbers beta_0..beta_top over GF(2).
-
-    ``max_dim`` limits the highest homology degree reported; the complex must
-    contain simplices one dimension above it for the answer to be exact in
-    that degree (a clique complex built to full dimension always qualifies).
-    """
+def betti_numbers(complex_: GeometricComplex) -> list[int]:
+    """Betti numbers beta_0..beta_top over GF(2) of a full clique complex."""
     if complex_.simplices is None:
         raise ValueError("complex was built without simplex lists")
     if complex_.truncated:
         raise ValueError("complex is truncated; homology would be unreliable")
     top = complex_.max_dim_built
-    report_to = top if max_dim is None else min(max_dim, top)
     if complex_.n_vertices == 0:
         return []
     ranks = {}
     cleared: set[tuple[int, ...]] = set()
-    for dim in range(report_to + 1, 0, -1):
+    for dim in range(top + 1, 0, -1):
         kept = [s for s in complex_.simplices.get(dim, []) if s not in cleared]
         cleared = set()
         ranks[dim] = boundary_rank(complex_.simplices.get(dim - 1, []), kept, cleared)
     betti = []
-    for k in range(report_to + 1):
+    for k in range(top + 1):
         s_k = len(complex_.simplices.get(k, []))
         betti.append(s_k - ranks.get(k, 0) - ranks.get(k + 1, 0))
     return betti
@@ -231,8 +225,7 @@ def collapsed_homology(config, params,
     if core_limit is not None and core.size > core_limit:
         raise CoreTooLarge(
             f"collapsed core has {core.size} vertices (limit {core_limit})")
-    complex_ = _complex_from_bitsets(config.spec, params,
-                                     neighbour_bitsets(adj[np.ix_(core, core)]))
+    complex_ = _complex_from_bitsets(neighbour_bitsets(adj[np.ix_(core, core)]))
     result = homology_summary(complex_)
     # component count must be validated on the original graph, not the core
     comps = components_from_bitsets(neigh)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sampling import SeedSpec
-from .torus import Metric, TorusSpec
+from .torus import TorusSpec
 
 MAX_ORACLE_DIMENSION = 12
 
@@ -92,13 +92,13 @@ class JEstimate:
 
 def j_oracle_mc(pattern: OverlapPattern, spec: TorusSpec, epsilon: float,
                 samples: int, seed: SeedSpec,
-                metric: Metric = Metric.MAX_NORM,
                 batch: int = 200_000) -> JEstimate:
     """Estimate the overlap integral of prod_i phi_{p_i} over [0,a)^{M*d}.
 
     phi_p is the indicator that p points are pairwise within 2*epsilon in
-    toroidal distance.  The estimate is a^{M*d} times the hit fraction; the
-    standard error comes from the binomial variance of the hit indicator.
+    max-norm toroidal distance.  The estimate is a^{M*d} times the hit
+    fraction; the standard error comes from the binomial variance of the hit
+    indicator.
     """
     pattern.validate()
     M = pattern.total_vertices
@@ -126,11 +126,7 @@ def j_oracle_mc(pattern: OverlapPattern, spec: TorusSpec, epsilon: float,
         for i, j in pairs:
             diff = np.abs(pts[:, i, :] - pts[:, j, :])
             diff = np.minimum(diff, a - diff)
-            if metric is Metric.MAX_NORM:
-                dist = diff.max(axis=1)
-            else:
-                dist = np.sqrt((diff * diff).sum(axis=1))
-            ok &= dist < threshold
+            ok &= diff.max(axis=1) < threshold
         hits += int(ok.sum())
         done += m
     p = hits / samples

@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the smallest sample ``wasserstein1_to_normal`` accepts
+MIN_NORMALITY_SAMPLE = 100
+
 _A = (3.3871328727963666080e0, 1.3314166789178437745e2,
       1.9715909503065514427e3, 1.3731693765509461125e4,
       4.5921953931549871457e4, 6.7265770927008700853e4,
@@ -83,8 +86,8 @@ def wasserstein1_to_normal(sample) -> WassersteinEstimate:
     """
     xs = np.sort(np.asarray(sample, dtype=float))
     m = xs.size
-    if m < 100:
-        raise ValueError(f"need at least 100 values, got {m}")
+    if m < MIN_NORMALITY_SAMPLE:
+        raise ValueError(f"need at least {MIN_NORMALITY_SAMPLE} values, got {m}")
     if xs[0] == xs[-1]:
         raise ValueError("degenerate (constant) sample")
     qs = np.array([normal_quantile((i - 0.5) / m) for i in range(1, m + 1)])

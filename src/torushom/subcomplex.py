@@ -101,7 +101,6 @@ def automorphism_count(gamma: GammaGraph) -> int:
 @dataclass(frozen=True)
 class SubcountResult:
     g_gamma: int
-    standardized: float | None = None
 
     def __post_init__(self):
         if self.g_gamma < 0:
@@ -113,8 +112,10 @@ def count_gamma_adj(adj_bool: np.ndarray, gamma: GammaGraph) -> SubcountResult:
 
     Pattern vertices are placed in an order where each touches an earlier
     one; the candidates for a position are the unused graph vertices in the
-    neighbour bitsets of all its placed pattern neighbours.
+    neighbour bitsets of all its placed pattern neighbours.  The pattern
+    size limit of ``automorphism_count`` is checked before any search.
     """
+    c_gamma = automorphism_count(gamma)
     n_pts = adj_bool.shape[0]
     if n_pts < gamma.n:
         return SubcountResult(g_gamma=0)
@@ -154,7 +155,6 @@ def count_gamma_adj(adj_bool: np.ndarray, gamma: GammaGraph) -> SubcountResult:
         return total
 
     labeled = extend(0, 0)
-    c_gamma = automorphism_count(gamma)
     if labeled % c_gamma != 0:
         raise AssertionError(
             f"labeled count {labeled} not divisible by automorphism count {c_gamma}")

@@ -8,28 +8,8 @@ tail, valid above the stated centering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
-
-import numpy as np
 
 from .moments import ModelParams
-
-
-class TailQuantity(Enum):
-    BETA0 = "beta0"
-    CHI_2D = "chi2d"
-
-
-@dataclass(frozen=True)
-class TailBoundCurve:
-    quantity: TailQuantity
-    grid: tuple[tuple[float, float], ...]  # (threshold, bound) pairs
-
-    def __post_init__(self):
-        for _, b in self.grid:
-            if not (0.0 < b <= 1.0):
-                raise ValueError(f"bound values must lie in (0, 1], got {b}")
 
 
 def beta0_tail_bound(params: ModelParams, y: float) -> float:
@@ -59,58 +39,3 @@ def chi2d_tail_bound(var_chi: float, x: float) -> float:
     if var_chi <= 0.0:
         raise ValueError("var_chi must be positive")
     return math.exp(-(x / 4.0) * math.log1p(2.0 * x / var_chi))
-
-
-def beta0_curve(params: ModelParams, thresholds) -> TailBoundCurve:
-    grid = tuple((float(y), beta0_tail_bound(params, y)) for y in thresholds)
-    return TailBoundCurve(quantity=TailQuantity.BETA0, grid=grid)
-
-
-def chi2d_curve(var_chi: float, deviations) -> TailBoundCurve:
-    grid = tuple((float(x), chi2d_tail_bound(var_chi, x)) for x in deviations)
-    return TailBoundCurve(quantity=TailQuantity.CHI_2D, grid=grid)
-
-
-@dataclass(frozen=True)
-class BoundViolation:
-    threshold: float
-    bound: float
-    empirical: float
-    stderr: float
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    quantity: TailQuantity
-    rows: tuple[tuple[float, float, float, float, bool], ...]
-    violations: tuple[BoundViolation, ...]
-
-    def to_csv(self) -> str:
-        lines = ["quantity,threshold,bound,empirical,stderr,violated"]
-        for thr, bound, emp, se, bad in self.rows:
-            lines.append(f"{self.quantity.value},{thr!r},{bound!r},{emp!r},"
-                         f"{se!r},{str(bad).lower()}")
-        return "\n".join(lines) + "\n"
-
-
-def validate_bound(curve: TailBoundCurve, empirical) -> BoundReport:
-    """Check empirical tail estimates against a bound curve.
-
-    ``empirical`` is a sequence of (threshold, p_hat, stderr) triples aligned
-    with the curve's grid.  A grid point is violated when the empirical tail
-    minus 3 standard errors of Monte Carlo noise still exceeds the bound.
-    """
-    rows = []
-    violations = []
-    by_thr = {float(t): (float(p), float(se)) for t, p, se in empirical}
-    for thr, bound in curve.grid:
-        if thr not in by_thr:
-            raise ValueError(f"no empirical estimate at threshold {thr}")
-        p_hat, se = by_thr[thr]
-        bad = p_hat - 3.0 * se > bound
-        rows.append((thr, bound, p_hat, se, bad))
-        if bad:
-            violations.append(BoundViolation(threshold=thr, bound=bound,
-                                             empirical=p_hat, stderr=se))
-    return BoundReport(quantity=curve.quantity, rows=tuple(rows),
-                       violations=tuple(violations))

@@ -59,6 +59,14 @@ def test_complex_and_homology(tmp_path, capsys):
     assert hdoc["chi_counts"] == chi
 
 
+def test_complex_rejects_negative_cap(tmp_path, capsys):
+    path = write_points(tmp_path, capsys, lam=30.0, seed=4)
+    code, doc = run_cli(capsys, "complex", "--in", str(path), "--eps", "0.05",
+                        "--cap", "-1")
+    assert code == 1
+    assert "cap" in doc["error"]
+
+
 def test_moment_mean_chi_example(capsys):
     code, doc = run_cli(capsys, "moment", "--quantity", "mean_chi",
                         "--lambda", "30", "--eps", "0.05")

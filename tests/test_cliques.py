@@ -77,7 +77,7 @@ def test_enumerate_matches_counts():
     adj = random_graph(15, 0.5, 11)
     neigh = neighbour_bitsets(adj)
     counts, _ = count_cliques(neigh)
-    by_size, complete = enumerate_cliques(neigh, max_size=len(counts) - 1)
+    by_size, complete = enumerate_cliques(neigh)
     assert complete
     for k, cliques in by_size.items():
         assert len(cliques) == (counts[k] if k < len(counts) else 0)

@@ -83,12 +83,12 @@ def test_homology_mode_radius_guard():
     cfg = config_1d(0.1, 0.2)
     big = ComplexParams(epsilon=0.25)  # ball radius 0.25 = a/4
     with pytest.raises(ValueError):
-        simplex_counts(cfg, big, homology_mode=True)
+        build_complex(cfg, big, homology_mode=True)
     with pytest.warns(UserWarning):
-        simplex_counts(cfg, big, homology_mode=False)
+        simplex_counts(cfg, big)
     # subcomplex convention halves the radius, so eps=0.25 is fine
     ok = ComplexParams(epsilon=0.25, convention=Convention.SUBCOMPLEX_EPS)
-    simplex_counts(cfg, ok, homology_mode=True)
+    build_complex(cfg, ok, homology_mode=True)
 
 
 def test_empty_configuration():

@@ -158,6 +158,20 @@ def test_clt_experiment_validation():
                             SeedSpec(1))
 
 
+def test_clt_experiment_rejects_small_reps_before_sampling(monkeypatch):
+    calls = []
+
+    def counting_sample(*args, **kwargs):
+        calls.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "sample", counting_sample)
+    with pytest.raises(ValueError):
+        clt_rate_experiment(GammaGraph.edge(), SPEC1, PARAMS,
+                            [10.0, 20.0, 40.0], 99, SeedSpec(1))
+    assert calls == []
+
+
 def test_clt_experiment_small_run():
     gamma = GammaGraph.edge()
     params = ComplexParams(epsilon=0.1, convention=Convention.SUBCOMPLEX_EPS)
@@ -200,6 +214,16 @@ def test_coverage_experiment_small_run():
     assert low.match_frequency < high.match_frequency
     assert high.match_frequency > 0.9
     assert low.excluded == 0 and high.excluded == 0
+
+
+def test_coverage_experiment_excludes_large_cores(monkeypatch):
+    monkeypatch.setattr(harness, "CORE_LIMIT", 0)
+    params = ComplexParams(epsilon=0.2, convention=Convention.SUBCOMPLEX_EPS)
+    report = coverage_experiment(SPEC1, params, [30.0, 60.0], reps=5,
+                                 seed=SeedSpec(4))
+    for p in report.points:
+        assert p.excluded == 5
+        assert math.isnan(p.match_frequency) and math.isnan(p.stderr)
 
 
 # coverage_experiment reports at d=1, eps=0.2 (subcomplex convention),

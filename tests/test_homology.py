@@ -168,10 +168,7 @@ def small_complexes(draw):
 @settings(max_examples=150, deadline=None)
 @given(small_complexes())
 def test_property_betti_match_direct_reduction(gc):
-    expect = direct_betti_numbers(gc)
-    assert betti_numbers(gc) == expect
-    for m in range(gc.max_dim_built + 2):
-        assert betti_numbers(gc, max_dim=m) == expect[:m + 1]
+    assert betti_numbers(gc) == direct_betti_numbers(gc)
 
 
 def test_connected_components_oracle():

@@ -134,6 +134,16 @@ def test_too_few_points():
     assert count_gamma_adj(adj, GammaGraph.complete(3)).g_gamma == 0
 
 
+def test_pattern_size_limit_checked_before_search():
+    # an 11-vertex pattern is over the automorphism-scan limit; it must be
+    # rejected even when there are too few points to place it
+    path = GammaGraph.make(11, [(i, i + 1) for i in range(10)])
+    adj = np.ones((5, 5), dtype=bool)
+    np.fill_diagonal(adj, False)
+    with pytest.raises(ValueError):
+        count_gamma_adj(adj, path)
+
+
 def test_kernel_integral_arity_n_is_indicator():
     params = ModelParams(lam=10.0, spec=SPEC1, epsilon=0.1)
     gamma = GammaGraph.edge()

@@ -3,9 +3,7 @@ import math
 import pytest
 
 from torushom.moments import ModelParams
-from torushom.tails import (BoundReport, TailBoundCurve, TailQuantity,
-                            beta0_curve, beta0_tail_bound, chi2d_curve,
-                            chi2d_tail_bound, validate_bound)
+from torushom.tails import beta0_tail_bound, chi2d_tail_bound
 from torushom.torus import TorusSpec
 
 P1 = ModelParams(lam=10.0, spec=TorusSpec(d=1, a=1.0), epsilon=0.05)
@@ -40,46 +38,19 @@ def test_chi2d_bound_frozen_value():
         chi2d_tail_bound(0.0, 1.0)
 
 
-def test_curves():
-    curve = beta0_curve(P1, [12.0, 20.0])
-    assert curve.quantity is TailQuantity.BETA0
-    assert curve.grid[1] == (20.0, pytest.approx(0.03125))
-    curve2 = chi2d_curve(1.0, [4.0])
-    assert curve2.grid == ((4.0, pytest.approx(1.0 / 9.0)),)
+def test_beta0_bound_frozen_value_d2():
+    # d = 2, lam = 10, y = 20: u = 10, v = (2^2-1)^2 * 10 = 90, so the
+    # bound is exp(-5 log(10/9)) = (9/10)^5
+    p2 = ModelParams(lam=10.0, spec=TorusSpec(d=2, a=1.0), epsilon=0.05)
+    assert beta0_tail_bound(p2, 20.0) == pytest.approx(0.9 ** 5, abs=1e-12)
 
 
-def test_curve_rejects_out_of_range_bounds():
-    with pytest.raises(ValueError):
-        TailBoundCurve(quantity=TailQuantity.BETA0, grid=((1.0, 0.0),))
-    with pytest.raises(ValueError):
-        TailBoundCurve(quantity=TailQuantity.BETA0, grid=((1.0, 1.5),))
-
-
-def test_validate_bound_flags_only_clear_violations():
-    curve = beta0_curve(P1, [20.0])
-    bound = curve.grid[0][1]
-    # just above the bound but within 3 SE: not a violation
-    report = validate_bound(curve, [(20.0, bound + 0.01, 0.01)])
-    assert report.violations == ()
-    assert report.rows[0][4] is False
-    # far above the bound with tiny SE: violation
-    report = validate_bound(curve, [(20.0, bound + 0.1, 0.001)])
-    assert len(report.violations) == 1
-    v = report.violations[0]
-    assert v.threshold == 20.0 and v.empirical == pytest.approx(bound + 0.1)
-
-
-def test_validate_bound_requires_matching_grid():
-    curve = beta0_curve(P1, [20.0])
-    with pytest.raises(ValueError):
-        validate_bound(curve, [(21.0, 0.01, 0.001)])
-
-
-def test_report_csv():
-    curve = chi2d_curve(1.0, [4.0])
-    report = validate_bound(curve, [(4.0, 0.05, 0.01)])
-    csv = report.to_csv()
-    lines = csv.strip().split("\n")
-    assert lines[0] == "quantity,threshold,bound,empirical,stderr,violated"
-    assert lines[1].startswith("chi2d,4.0,")
-    assert lines[1].endswith(",false")
+def test_chi2d_bound_monotone():
+    xs = [0.5, 1.0, 4.0, 10.0, 40.0]
+    bounds = [chi2d_tail_bound(2.0, x) for x in xs]
+    assert all(b1 > b2 for b1, b2 in zip(bounds, bounds[1:]))
+    assert all(0 < b < 1 for b in bounds)
+    # a larger variance gives a weaker (larger) bound at the same deviation
+    variances = [0.5, 1.0, 5.0, 50.0]
+    by_var = [chi2d_tail_bound(v, 4.0) for v in variances]
+    assert all(b1 < b2 for b1, b2 in zip(by_var, by_var[1:]))
