@@ -219,6 +219,8 @@ def simplex_counts(config: PointConfiguration, params: ComplexParams,
     truncated when the simplex total exceeds ``cap`` (0: no cap)."""
     if cap < 0:
         raise ValueError(f"cap must be >= 0 (0: no cap), got {cap}")
+    if max_dim is not None and max_dim < 0:
+        raise ValueError(f"max_dim must be >= 0, got {max_dim}")
     _check_radius(config.spec, params, homology_mode=False)
     max_size = None if max_dim is None else max_dim + 1
     counts, complete = count_cliques(

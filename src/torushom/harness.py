@@ -8,12 +8,14 @@ and the torus-coverage probability.
 
 Every replication draws from its own counter-derived stream, so reports are
 bit-identical for a fixed configuration regardless of scheduling.
-``run_experiment`` processes the replications in blocks: one neighbour
-sweep finds the edges of every configuration of a block, N_1 and N_2 are
-its point and edge counts, and where more is asked for, one ``np.packbits``
-over the block gives each configuration's neighbour bitsets, built once and
-walked for N_k (counted only up to the largest k asked for), chi (a pivoted
-sum), beta_0 (a flood fill) and, where Betti numbers above beta_0 are
+``run_experiment`` and ``clt_rate_experiment`` process the replications in
+blocks: one neighbour sweep finds the edges of every configuration of a
+block, N_1 and N_2 are its point and edge counts, a star pattern is counted
+from each configuration's degrees, and where more is asked for, one
+``np.packbits`` over the block gives each configuration's neighbour
+bitsets, built once and walked for N_k (counted only up to the largest k
+asked for), chi (a pivoted sum), beta_0 (a flood fill), any pattern other
+than a star (a bitset search) and, where Betti numbers above beta_0 are
 asked for, the clique complex of full homology.
 """
 
@@ -28,12 +30,12 @@ from .cliques import chi_from_bitsets, counts_from_bitsets, row_bitsets
 # simplex_counts is not called here; perfbench's import-site test expects
 # this module to hold it.
 from .complexes import (ComplexParams, _check_radius, _complex_from_bitsets,  # noqa: F401
-                        adjacency_matrix, simplex_counts, threshold_edges)
+                        simplex_counts, threshold_edges)
 from .homology import (CoreTooLarge, collapsed_homology, components_from_bitsets,
                        homology_summary)
 from .sampling import Poisson, ProcessLaw, SeedSpec, sample
 from .stats import MIN_NORMALITY_SAMPLE, wasserstein1_to_normal
-from .subcomplex import GammaGraph, count_gamma_adj
+from .subcomplex import GammaGraph, count_gamma, star_arms
 from .torus import TorusSpec
 
 
@@ -71,6 +73,8 @@ class ExperimentConfig:
             raise ValueError("replications must be >= 1")
         if self.simplex_cap < 0:
             raise ValueError("simplex_cap must be >= 0 (0: no cap)")
+        if self.max_dim is not None and self.max_dim < 0:
+            raise ValueError(f"max_dim must be >= 0, got {self.max_dim}")
         for q in self.quantities:
             _parse_quantity(q)
 
@@ -142,7 +146,10 @@ def run_experiment(config: ExperimentConfig) -> ReplicationReport:
     values: dict[str, list[float]] = {q: [] for q in config.quantities}
     excluded = 0
     homology_violations = 0
-    for block in _blocks(config):
+    base = SeedSpec(master_seed=config.master_seed, stream_index=0)
+    draws = (sample(config.law, config.spec, base.child("experiment", rep)).points
+             for rep in range(config.replications))
+    for block in _blocks(draws):
         for row in _block_rows(block, config, plan):
             if row is None:
                 excluded += 1
@@ -184,15 +191,13 @@ class _Plan:
         self.needs_edges = self.needs_counts or "beta" in kinds
 
 
-def _blocks(config: ExperimentConfig):
-    """The replications' configurations in order, as lists of point arrays
-    of at most ``_BLOCK_REPS`` configurations and ``_BLOCK_CELLS`` cells of
+def _blocks(draws):
+    """The configurations drawn, in order, as lists of point arrays of at
+    most ``_BLOCK_REPS`` configurations and ``_BLOCK_CELLS`` cells of
     (points x largest configuration); a larger configuration comes alone."""
-    base = SeedSpec(master_seed=config.master_seed, stream_index=0)
     block: list[np.ndarray] = []
     total = width = 0
-    for rep in range(config.replications):
-        pts = sample(config.law, config.spec, base.child("experiment", rep)).points
+    for pts in draws:
         n = pts.shape[0]
         if block and (len(block) == _BLOCK_REPS
                       or (total + n) * max(width, n) > _BLOCK_CELLS):
@@ -205,16 +210,35 @@ def _blocks(config: ExperimentConfig):
         yield block
 
 
+def _block_layout(block: list[np.ndarray]):
+    """The size and first row of each configuration of a block."""
+    sizes = np.array([pts.shape[0] for pts in block])
+    return sizes, np.concatenate(([0], np.cumsum(sizes)))
+
+
+def _block_bitsets(sizes: np.ndarray, starts: np.ndarray, u: np.ndarray,
+                   v: np.ndarray) -> list[list[int]]:
+    """Each configuration's neighbour bitsets, given the block's edges: one
+    boolean row of local columns per point and one ``np.packbits`` over the
+    block."""
+    local = np.arange(starts[-1]) - starts[:-1].repeat(sizes)
+    scratch = np.zeros((starts[-1], sizes.max()), dtype=bool)
+    scratch[u, local[v]] = True
+    scratch[v, local[u]] = True
+    packed = np.packbits(scratch, axis=1, bitorder="little")
+    buf, width = packed.tobytes(), packed.shape[1]
+    return [row_bitsets(buf, width, range(first, first + n))
+            for first, n in zip(starts.tolist(), sizes.tolist())]
+
+
 def _block_rows(block: list[np.ndarray], config: ExperimentConfig, plan: _Plan):
     """One dict of values per configuration of the block, or None for a
     configuration excluded by the simplex cap.
 
     One neighbour sweep finds the edges of every configuration; N_2 is the
-    edge count of each.  Bitsets, where needed, come from one boolean row of
-    local columns per point and one ``np.packbits`` over the block.
+    edge count of each.  Bitsets come from ``_block_bitsets`` where needed.
     """
-    sizes = np.array([pts.shape[0] for pts in block])
-    starts = np.concatenate(([0], np.cumsum(sizes)))
+    sizes, starts = _block_layout(block)
     cap = config.simplex_cap
     if plan.needs_edges:
         u, v = threshold_edges(np.concatenate(block), config.spec.a,
@@ -222,16 +246,11 @@ def _block_rows(block: list[np.ndarray], config: ExperimentConfig, plan: _Plan):
         seg = np.repeat(np.arange(len(block)), sizes)
         edges = np.bincount(seg[u], minlength=len(block)).tolist()
     if plan.needs_bitsets:
-        local = np.arange(starts[-1]) - starts[seg]
-        scratch = np.zeros((starts[-1], sizes.max()), dtype=bool)
-        scratch[u, local[v]] = True
-        scratch[v, local[u]] = True
-        packed = np.packbits(scratch, axis=1, bitorder="little")
-        buf, width = packed.tobytes(), packed.shape[1]
-    for s, (first, n) in enumerate(zip(starts.tolist(), sizes.tolist())):
+        block_neigh = _block_bitsets(sizes, starts, u, v)
+    for s, n in enumerate(sizes.tolist()):
         row: dict[str, float] = {"_violations": 0}
         if plan.needs_bitsets:
-            neigh = row_bitsets(buf, width, range(first, first + n))
+            neigh = block_neigh[s]
         if plan.clique_walk:
             counts, complete = counts_from_bitsets(neigh, plan.max_size, cap)
         elif plan.needs_counts:
@@ -307,9 +326,10 @@ def clt_rate_experiment(gamma: GammaGraph, spec: TorusSpec,
     """Normal-approximation rate of the pattern count.
 
     For each intensity: draw ``reps`` Poisson configurations, count the
-    pattern, standardize by the empirical mean and standard deviation, and
-    estimate the Wasserstein-1 distance to the standard normal.  The
-    distances should decay roughly like lambda^{-1/2}.
+    pattern (``subcomplex.count_gamma``, over the edges of one neighbour
+    sweep per block), standardize by the empirical mean and standard
+    deviation, and estimate the Wasserstein-1 distance to the standard
+    normal.  The distances should decay roughly like lambda^{-1/2}.
     """
     lambdas = [float(l) for l in lambdas]
     if len(lambdas) < 3 or any(b <= a for a, b in zip(lambdas, lambdas[1:])):
@@ -318,11 +338,18 @@ def clt_rate_experiment(gamma: GammaGraph, spec: TorusSpec,
         raise ValueError(f"need reps >= {MIN_NORMALITY_SAMPLE}, got {reps}")
     points = []
     for lam in lambdas:
-        vals = np.empty(reps)
-        for rep in range(reps):
-            pc = sample(Poisson(lam=lam), spec, seed.child("clt", lam, rep))
-            adj = adjacency_matrix(pc, params)
-            vals[rep] = count_gamma_adj(adj, gamma).g_gamma
+        draws = (sample(Poisson(lam=lam), spec, seed.child("clt", lam, rep)).points
+                 for rep in range(reps))
+        counts = []
+        for block in _blocks(draws):
+            sizes, starts = _block_layout(block)
+            u, v = threshold_edges(np.concatenate(block), spec.a, params, starts)
+            degrees = np.bincount(np.concatenate((u, v)), minlength=starts[-1])
+            rows = ([None] * len(block) if star_arms(gamma)
+                    else _block_bitsets(sizes, starts, u, v))
+            for deg, neigh in zip(np.split(degrees, starts[1:-1]), rows):
+                counts.append(count_gamma(gamma, deg, neigh))
+        vals = np.array(counts, dtype=float)
         mean = float(vals.mean())
         std = float(vals.std(ddof=1))
         if std == 0.0:

@@ -4,7 +4,9 @@ An occurrence of a pattern graph Gamma is an injective vertex map whose
 required edges all pass the distance threshold (non-induced semantics:
 extra edges among the image vertices are allowed).  Unordered occurrences
 are the labeled embeddings divided by the automorphism count of Gamma's
-edge set; the division is always exact.
+edge set; the division is always exact.  ``count_gamma`` picks the rule
+from the pattern's shape: a star K_{1,k} is counted from the degree
+sequence, any other pattern by a search over the neighbour bitsets.
 """
 
 from __future__ import annotations
@@ -108,17 +110,53 @@ class SubcountResult:
 
 
 def count_gamma_adj(adj_bool: np.ndarray, gamma: GammaGraph) -> SubcountResult:
-    """Count unordered embeddings of the pattern into a threshold graph.
+    """Count unordered embeddings of the pattern into a threshold graph
+    given by its boolean adjacency matrix (see ``count_gamma``)."""
+    return SubcountResult(g_gamma=count_gamma(
+        gamma, adj_bool.sum(axis=1), neighbour_bitsets(adj_bool)))
 
-    Pattern vertices are placed in an order where each touches an earlier
-    one; the candidates for a position are the unused graph vertices in the
-    neighbour bitsets of all its placed pattern neighbours.  The pattern
-    size limit of ``automorphism_count`` is checked before any search.
+
+@functools.lru_cache(maxsize=None)
+def star_arms(gamma: GammaGraph) -> int:
+    """k when the pattern is the star K_{1,k} with k >= 1 (the edge, the
+    2-path, ...), else 0."""
+    k = gamma.n - 1
+    if k < 1 or len(gamma.edges) != k:
+        return 0
+    degree = [sum(v in e for e in gamma.edges) for v in range(gamma.n)]
+    return k if max(degree) == k else 0
+
+
+def count_gamma(gamma: GammaGraph, degrees: np.ndarray,
+                neigh: list[int] | None) -> int:
+    """Unordered embeddings of the pattern into a graph given by its degree
+    sequence and its neighbour bitsets, which a star does not read (None).
+
+    A star K_{1,k} has sum_v (deg v)_k labelled embeddings (centre on v,
+    leaves on k distinct neighbours), summed in Python ints over the degree
+    histogram, so exact at any size; any other pattern is searched for.
+    The pattern size limit of ``automorphism_count`` is checked first.
     """
     c_gamma = automorphism_count(gamma)
-    n_pts = adj_bool.shape[0]
-    if n_pts < gamma.n:
-        return SubcountResult(g_gamma=0)
+    if len(degrees) < gamma.n:
+        return 0
+    k = star_arms(gamma)
+    if k:
+        labeled = sum(c * math.perm(d, k)
+                      for d, c in enumerate(np.bincount(degrees).tolist()) if c)
+    else:
+        labeled = _search(neigh, gamma)
+    if labeled % c_gamma != 0:
+        raise AssertionError(
+            f"labeled count {labeled} not divisible by automorphism count {c_gamma}")
+    return labeled // c_gamma
+
+
+def _search(neigh: list[int], gamma: GammaGraph) -> int:
+    """Labelled embeddings, placing the pattern vertices in an order where
+    each touches an earlier one; the candidates for a position are the
+    unused vertices in the neighbour bitsets of all its placed pattern
+    neighbours."""
     nb = gamma.neighbors()
     # order pattern vertices so each (after the first) touches an earlier one
     order = [0]
@@ -134,10 +172,9 @@ def count_gamma_adj(adj_bool: np.ndarray, gamma: GammaGraph) -> SubcountResult:
     for p, v in enumerate(order):
         back_edges.append([pos_of[u] for u in nb[v] if pos_of[u] < p])
 
-    neigh = neighbour_bitsets(adj_bool)
     assignment = [0] * gamma.n
     last = gamma.n - 1
-    all_pts = (1 << n_pts) - 1
+    all_pts = (1 << len(neigh)) - 1
 
     def extend(p: int, used: int) -> int:
         """Labeled completions of positions p.. given the earlier ones."""
@@ -154,11 +191,7 @@ def count_gamma_adj(adj_bool: np.ndarray, gamma: GammaGraph) -> SubcountResult:
             total += extend(p + 1, used | low)
         return total
 
-    labeled = extend(0, 0)
-    if labeled % c_gamma != 0:
-        raise AssertionError(
-            f"labeled count {labeled} not divisible by automorphism count {c_gamma}")
-    return SubcountResult(g_gamma=labeled // c_gamma)
+    return extend(0, 0)
 
 
 def kernel_integral_f_i(gamma: GammaGraph, params: ModelParams, i: int,

@@ -67,6 +67,22 @@ def test_complex_rejects_negative_cap(tmp_path, capsys):
     assert "cap" in doc["error"]
 
 
+def test_complex_rejects_negative_max_dim(tmp_path, capsys):
+    path = write_points(tmp_path, capsys, lam=30.0, seed=4)
+    code, doc = run_cli(capsys, "complex", "--in", str(path), "--eps", "0.05",
+                        "--max-dim", "-5")
+    assert code == 1
+    assert "max_dim" in doc["error"]
+
+
+def test_experiment_rejects_negative_max_dim(capsys):
+    code, doc = run_cli(capsys, "experiment", "--lambda", "10", "--eps", "0.05",
+                        "--reps", "2", "--seed", "1", "--quantities", "N_2",
+                        "--max-dim", "-1")
+    assert code == 1
+    assert "max_dim" in doc["error"]
+
+
 def test_moment_mean_chi_example(capsys):
     code, doc = run_cli(capsys, "moment", "--quantity", "mean_chi",
                         "--lambda", "30", "--eps", "0.05")

@@ -107,6 +107,13 @@ def test_max_dim_truncates_dimensions():
     assert not only_edges.truncated
 
 
+def test_negative_max_dim_rejected():
+    cfg = sample(Binomial(n=30), SPEC1, SeedSpec(23))
+    for max_dim in (-1, -5):
+        with pytest.raises(ValueError, match="max_dim"):
+            simplex_counts(cfg, ComplexParams(epsilon=0.1), max_dim=max_dim)
+
+
 def test_phi_k_indicator():
     params = ComplexParams(epsilon=0.1)
     assert phi_k(np.array([[0.0], [0.15]]), params, SPEC1) == 1

@@ -5,7 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from torushom import harness, subcomplex
+from torushom import cliques, complexes, harness, homology, subcomplex
 from torushom.complexes import ComplexParams, Convention, simplex_counts
 from torushom.harness import (CltReport, CoverageReport, ExperimentConfig,
                               clt_rate_experiment, coverage_experiment,
@@ -33,6 +33,10 @@ def test_config_validation():
         ExperimentConfig(law=Poisson(10.0), spec=SPEC1, params=PARAMS,
                          replications=1, master_seed=1, quantities=("chi",),
                          simplex_cap=-1)
+    with pytest.raises(ValueError, match="max_dim"):
+        ExperimentConfig(law=Poisson(10.0), spec=SPEC1, params=PARAMS,
+                         replications=1, master_seed=1, quantities=("chi",),
+                         max_dim=-3)
 
 
 def test_reproducible_reports():
@@ -172,6 +176,46 @@ def test_clt_experiment_rejects_small_reps_before_sampling(monkeypatch):
     assert calls == []
 
 
+def test_clt_experiment_sweeps_once_per_block(monkeypatch):
+    calls = {"sample": 0, "threshold_edges": 0, "adjacency_matrix": 0,
+             "neighbour_bitsets": 0}
+    blocks = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def counting_blocks(draws):
+        for block in real_blocks(draws):
+            blocks.append(len(block))
+            yield block
+
+    real_blocks = harness._blocks
+    monkeypatch.setattr(harness, "_blocks", counting_blocks)
+    monkeypatch.setattr(harness, "sample", counting("sample", sample))
+    monkeypatch.setattr(harness, "threshold_edges",
+                        counting("threshold_edges", harness.threshold_edges))
+    for module in (cliques, complexes, harness, homology, subcomplex):
+        for name in ("adjacency_matrix", "neighbour_bitsets"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counting(name, getattr(module, name)))
+    params = ComplexParams(epsilon=0.05, convention=Convention.SUBCOMPLEX_EPS)
+    lambdas = [50.0, 100.0, 200.0]
+    for gamma in (GammaGraph.make(3, [(0, 1), (1, 2)]), GammaGraph.complete(3)):
+        blocks.clear()
+        for name in calls:
+            calls[name] = 0
+        clt_rate_experiment(gamma, TorusSpec(d=2, a=1.0), params, lambdas,
+                            reps=100, seed=SeedSpec(5))
+        assert sum(blocks) == 100 * len(lambdas)
+        assert calls == {"sample": 100 * len(lambdas),
+                         "threshold_edges": len(blocks),
+                         "adjacency_matrix": 0, "neighbour_bitsets": 0}
+
+
 def test_clt_experiment_small_run():
     gamma = GammaGraph.edge()
     params = ComplexParams(epsilon=0.1, convention=Convention.SUBCOMPLEX_EPS)
@@ -246,6 +290,45 @@ def test_coverage_experiment_matches_golden(seed):
         "torus_betti": [1, 1],
         "points": [{"lambda": lam, "match_frequency": freq, "stderr": se,
                     "excluded": 0} for lam, freq, se in GOLDEN_COVERAGE[seed]],
+    }
+
+
+# clt_rate_experiment reports at eps=0.05 (subcomplex convention), 100
+# replications, SeedSpec(11), recorded from the per-replication engine that
+# preceded the block engine: (pattern, d, [(lambda, d_w, mean, std)], slope).
+# The edge and the 2-path are stars, counted from the degree sequence; the
+# triangle goes through the bitset search.
+GOLDEN_CLT = {
+    "edge": (GammaGraph.edge(), 1, [
+        (20.0, 0.12830141871887116, 19.72, 10.097584469625007),
+        (40.0, 0.1342419103337156, 83.02, 28.73353019689292),
+        (80.0, 0.1234200553356925, 321.06, 74.86024959681185)],
+        -0.027980138437542528),
+    "2-path": (GammaGraph.make(3, [(0, 1), (1, 2)]), 2, [
+        (50.0, 0.2675343951939982, 5.62, 5.060802028504689),
+        (100.0, 0.1746397513913801, 49.11, 25.554811363780086),
+        (200.0, 0.2319242261901601, 408.29, 127.17714480839771)],
+        -0.10303542679889566),
+    "triangle": (GammaGraph.complete(3), 2, [
+        (50.0, 0.349968571555754, 0.98, 1.1189822215393825),
+        (100.0, 0.17834205176470583, 9.17, 5.7613392803262595),
+        (200.0, 0.27046786638146225, 77.71, 27.679732219759206)],
+        -0.18588408371840084),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CLT))
+def test_clt_experiment_matches_golden(name):
+    gamma, d, points, slope = GOLDEN_CLT[name]
+    params = ComplexParams(epsilon=0.05, convention=Convention.SUBCOMPLEX_EPS)
+    report = clt_rate_experiment(gamma, TorusSpec(d=d, a=1.0), params,
+                                 [p[0] for p in points], reps=100,
+                                 seed=SeedSpec(11))
+    assert report.to_json() == {
+        "points": [{"lambda": lam, "d_w": d_w, "mean": mean, "std": std}
+                   for lam, d_w, mean, std in points],
+        "slope": slope,
+        "strictly_decreasing": False,
     }
 
 

@@ -144,6 +144,17 @@ def test_pattern_size_limit_checked_before_search():
         count_gamma_adj(adj, path)
 
 
+def test_star_count_is_exact_beyond_int64():
+    # K_{1,7} in K_300: 300 * (299)_7 labelled embeddings, more than 2^63,
+    # over the 7! leaf permutations
+    adj = np.ones((300, 300), dtype=bool)
+    np.fill_diagonal(adj, False)
+    star = GammaGraph.make(8, [(0, i) for i in range(1, 8)])
+    assert 300 * math.perm(299, 7) > 2 ** 63
+    assert count_gamma_adj(adj, star).g_gamma == 300 * math.comb(299, 7) \
+        == 11848497951490200
+
+
 def test_kernel_integral_arity_n_is_indicator():
     params = ModelParams(lam=10.0, spec=SPEC1, epsilon=0.1)
     gamma = GammaGraph.edge()
