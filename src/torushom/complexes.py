@@ -8,7 +8,9 @@ test, without the dense (n, n, d) distance tensor, and one sweep also
 finds the edges of a whole block of configurations.  The graph is packed
 once into neighbour bitsets (see ``cliques``), which a complex keeps and
 every walker reads; the (n, n) boolean matrix of ``adjacency_matrix`` is
-only a way in.
+only a way in.  A complex stores its simplex counts and that graph, never a
+list of its simplices: homology (see ``homology``) lists only the cliques of
+a collapsed core.
 Two threshold conventions are supported:
 
 * ``RIPS_HALF_OPEN_2EPS``: vertices are adjacent when their distance is
@@ -34,7 +36,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cliques import count_cliques, enumerate_cliques, neighbour_bitsets
+from .cliques import count_cliques, neighbour_bitsets
 from .sampling import PointConfiguration
 # pairwise_distances is not called here; perfbench's import-site test
 # expects this module to hold it.
@@ -82,7 +84,6 @@ class GeometricComplex:
     counts: np.ndarray            # counts[i] = N_{i+1}, the number of i-simplices
     max_dim_built: int
     truncated: bool
-    simplices: dict[int, list[tuple[int, ...]]] | None = None
     neighbours: list[int] | None = field(default=None, repr=False)
 
     def N(self, k: int) -> int:
@@ -235,11 +236,11 @@ def simplex_counts(config: PointConfiguration, params: ComplexParams,
 
 def build_complex(config: PointConfiguration, params: ComplexParams,
                   homology_mode: bool = False) -> GeometricComplex:
-    """Build the complex with explicit simplex lists of every dimension.
+    """Count the simplices of every dimension and keep the neighbour bitsets
+    of the graph, from which ``homology.betti_numbers`` works.
 
-    Simplices are stored per dimension as lexicographically sorted vertex
-    tuples.  If the total simplex count exceeds ``DEFAULT_SIMPLEX_CAP`` the
-    result is marked truncated, the same rule as ``simplex_counts``.
+    If the total simplex count exceeds ``DEFAULT_SIMPLEX_CAP`` the result is
+    marked truncated, the same rule as ``simplex_counts``.
     """
     _check_radius(config.spec, params, homology_mode)
     return _complex_from_bitsets(neighbour_bitsets(adjacency_matrix(config, params)))
@@ -250,15 +251,11 @@ def _complex_from_bitsets(neigh: list[int],
     """The clique complex of a graph given by its neighbour bitsets, as
     ``build_complex``, which keeps them; truncated when the simplex total
     exceeds ``cap`` (0: no cap)."""
-    by_size, complete = enumerate_cliques(neigh, cap=cap)
-    dims = [k - 1 for k in by_size if by_size[k]]
-    max_dim_built = max(dims) if dims else -1
-    simplices = {k - 1: by_size[k] for k in by_size if by_size[k]}
-    counts = np.array([len(simplices.get(i, ())) for i in range(max_dim_built + 1)],
-                      dtype=np.int64)
+    counts, complete = count_cliques(neigh, cap=cap)
+    counts = counts[1:]  # drop the size-0 slot
     return GeometricComplex(
-        n_vertices=len(neigh), counts=counts, max_dim_built=max_dim_built,
-        truncated=not complete, simplices=simplices, neighbours=neigh,
+        n_vertices=len(neigh), counts=counts, max_dim_built=len(counts) - 1,
+        truncated=not complete, neighbours=neigh,
     )
 
 

@@ -1,16 +1,19 @@
 """Simplicial homology over GF(2).
 
-Betti numbers come from ranks of boundary matrices computed by Gaussian
-elimination on Python-int bitset rows (fast XOR of whole rows, no numerics).
-The maps are reduced from the top dimension down with clearing (Chen &
-Kerber's twist): a k-simplex that is the lowest set bit of a reduced row of
-the (k+1)-boundary has a boundary in the span of those of later k-simplices,
-so its row is left out of the k-boundary reduction without changing the rank.
-For clique complexes that are too large to reduce directly, dominated-vertex
-strong collapse shrinks the complex to a small homotopy-equivalent core
-first; after one full pass it re-checks only the vertices whose closed
-neighbourhood shrank.  A flood fill over the shared neighbour bitsets counts
-graph components, an independent oracle for beta_0.
+Betti numbers of a clique complex are read off a small homotopy-equivalent
+core of its graph: strong collapse deletes dominated vertices and edge
+collapse dominated edges (Boissonnat & Pritam, SoCG 2020), in turn until
+neither deletes anything, and only the core's cliques are listed.  Their
+boundary maps are ranked by Gaussian elimination on Python-int bitset rows
+(fast XOR of whole rows, no numerics), from the top dimension down with
+clearing (Chen & Kerber's twist): a k-simplex that is the lowest set bit of
+a reduced row of the (k+1)-boundary has a boundary in the span of those of
+later k-simplices, so its row is left out of the k-boundary reduction
+without changing the rank.  Strong collapse re-checks, after one full pass,
+only the vertices whose closed neighbourhood shrank.  A flood fill over the
+shared neighbour bitsets counts graph components, an independent oracle for
+beta_0, and the complex's own simplex counts give an Euler characteristic
+that the core's Betti numbers must match.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cliques import neighbour_bitsets
+from .cliques import enumerate_cliques, neighbour_bitsets
 from .complexes import (GeometricComplex, _check_radius, _complex_from_bitsets,
                         adjacency_matrix)
 
@@ -83,25 +86,86 @@ class HomologyResult:
 
 
 def betti_numbers(complex_: GeometricComplex) -> list[int]:
-    """Betti numbers beta_0..beta_top over GF(2) of a full clique complex."""
-    if complex_.simplices is None:
-        raise ValueError("complex was built without simplex lists")
+    """Betti numbers beta_0..beta_top over GF(2) of a full clique complex,
+    read off the cliques of its collapsed core (see ``collapsed_core``)."""
+    if complex_.neighbours is None:
+        raise ValueError("complex was built without its neighbour bitsets")
     if complex_.truncated:
         raise ValueError("complex is truncated; homology would be unreliable")
-    top = complex_.max_dim_built
     if complex_.n_vertices == 0:
         return []
-    ranks = {}
+    # a subcomplex of one counted within the cap, so it needs none
+    by_size, _ = enumerate_cliques(collapsed_core(complex_.neighbours), cap=0)
+    simplices = [s for s in by_size.values() if s]  # by size, from 1
+    ranks = [0] * (len(simplices) + 1)
     cleared: set[tuple[int, ...]] = set()
-    for dim in range(top + 1, 0, -1):
-        kept = [s for s in complex_.simplices.get(dim, []) if s not in cleared]
+    for dim in range(len(simplices) - 1, 0, -1):
+        kept = [s for s in simplices[dim] if s not in cleared]
         cleared = set()
-        ranks[dim] = boundary_rank(complex_.simplices.get(dim - 1, []), kept, cleared)
-    betti = []
-    for k in range(top + 1):
-        s_k = len(complex_.simplices.get(k, []))
-        betti.append(s_k - ranks.get(k, 0) - ranks.get(k + 1, 0))
-    return betti
+        ranks[dim] = boundary_rank(simplices[dim - 1], kept, cleared)
+    betti = [len(s_k) - ranks[k] - ranks[k + 1] for k, s_k in enumerate(simplices)]
+    return betti + [0] * (complex_.max_dim_built + 1 - len(betti))
+
+
+def collapsed_core(neigh: list[int]) -> list[int]:
+    """Neighbour bitsets of a homotopy-equivalent core of a clique complex,
+    relabelled 0..m-1: strong collapse (``collapse_from_bitsets``) and edge
+    collapse (``_collapse_edges``) alternate until neither removes anything.
+    The input is left as it is."""
+    core = _induced(neigh, collapse_from_bitsets(neigh))
+    while _collapse_edges(core):
+        keep = collapse_from_bitsets(core)
+        if keep.size == len(core):
+            break
+        core = _induced(core, keep)
+    return core
+
+
+def _induced(neigh: list[int], keep: np.ndarray) -> list[int]:
+    """Bitsets of the subgraph induced on the sorted vertices ``keep``,
+    relabelled by their places in it."""
+    place = {v: i for i, v in enumerate(keep.tolist())}
+    mask = sum(1 << v for v in place)
+    out = []
+    for v in place:
+        rest, row = neigh[v] & mask, 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row |= 1 << place[low.bit_length() - 1]
+        out.append(row)
+    return out
+
+
+def _collapse_edges(neigh: list[int]) -> bool:
+    """Delete dominated edges in place, in passes over every edge until one
+    deletes nothing; whether any went.
+
+    Edge uv is dominated by a common neighbour w when N[u] & N[v] lies in
+    N[w], closed neighbourhoods; deleting it keeps the homotopy type of the
+    clique complex (Boissonnat & Pritam, SoCG 2020).
+    """
+    removed = 0
+    while True:
+        before = removed
+        for u in range(len(neigh)):
+            later = neigh[u] >> (u + 1) << (u + 1)
+            while later:
+                bit_v = later & -later
+                later ^= bit_v
+                v = bit_v.bit_length() - 1
+                common = cand = neigh[u] & neigh[v]
+                while cand:
+                    bit_w = cand & -cand
+                    cand ^= bit_w
+                    others = common ^ bit_w
+                    if others & neigh[bit_w.bit_length() - 1] == others:
+                        neigh[u] ^= bit_v
+                        neigh[v] ^= 1 << u
+                        removed += 1
+                        break
+        if removed == before:
+            return removed > 0
 
 
 def connected_components(adj_bool: np.ndarray) -> int:
@@ -129,9 +193,10 @@ def components_from_bitsets(neigh: list[int]) -> int:
 def homology_summary(complex_: GeometricComplex) -> HomologyResult:
     """Betti numbers plus structural consistency checks.
 
-    Checks performed: Euler characteristic from alternating simplex counts
-    equals the alternating sum of Betti numbers, beta_0 matches a flood-fill
-    component count, and all Betti numbers are non-negative.
+    Checks performed: Euler characteristic from the alternating simplex
+    counts of the full complex equals the alternating sum of the Betti
+    numbers of its collapsed core, beta_0 matches a flood-fill component
+    count of the full graph, and all Betti numbers are non-negative.
     """
     betti = betti_numbers(complex_)
     chi_counts = complex_.euler_characteristic_counts()
@@ -210,22 +275,22 @@ def collapse_from_bitsets(neigh: list[int]) -> np.ndarray:
 
 def collapsed_homology(config, params,
                        core_limit: int | None = None) -> HomologyResult:
-    """Homology of a Rips-Vietoris complex via strong collapse then reduction.
+    """Homology of a Rips-Vietoris complex via its strong-collapse core.
 
-    Every Betti number of the core is reported; ``core_limit`` caps its size.
-    The graph is packed into bitsets once for the collapse and the component
-    check, and the core's induced subgraph once for its complex.
+    Every Betti number of the core is reported (as many as its top
+    dimension + 1), computed by ``homology_summary`` of the core's complex;
+    ``core_limit`` caps the core's size.  The graph is packed into bitsets
+    once, for the collapse, the core's complex and the component check.
     """
     _check_radius(config.spec, params, homology_mode=True)
-    adj = adjacency_matrix(config, params)
     if config.n == 0:
         return HomologyResult(betti=[], chi_counts=0, chi_betti=0, violations=[])
-    neigh = neighbour_bitsets(adj)
+    neigh = neighbour_bitsets(adjacency_matrix(config, params))
     core = collapse_from_bitsets(neigh)
     if core_limit is not None and core.size > core_limit:
         raise CoreTooLarge(
             f"collapsed core has {core.size} vertices (limit {core_limit})")
-    complex_ = _complex_from_bitsets(neighbour_bitsets(adj[np.ix_(core, core)]))
+    complex_ = _complex_from_bitsets(_induced(neigh, core))
     result = homology_summary(complex_)
     # component count must be validated on the original graph, not the core
     comps = components_from_bitsets(neigh)

@@ -22,18 +22,27 @@ def brute_force_clique_counts(adj_bool: np.ndarray, max_size: int) -> np.ndarray
     return counts
 
 
+def clique_simplices(complex_, dim: int) -> list[tuple[int, ...]]:
+    """The dim-simplices of a clique complex in lexicographic order, by
+    testing every (dim + 1)-subset of its vertices against the neighbour
+    bitsets the complex keeps."""
+    neigh = complex_.neighbours
+    if neigh is None:
+        raise ValueError("complex was built without its neighbour bitsets")
+    return [s for s in combinations(range(len(neigh)), dim + 1)
+            if all(neigh[u] >> v & 1 for u, v in combinations(s, 2))]
+
+
 def boundary_matrix(complex_, dim: int) -> np.ndarray:
     """GF(2) boundary matrix from dim-simplices to (dim-1)-simplices.
 
-    Rows index (dim-1)-simplices, columns index dim-simplices, entries in
-    {0, 1} as uint8.
+    Rows index (dim-1)-simplices, columns index dim-simplices, both listed
+    by ``clique_simplices``; entries in {0, 1} as uint8.
     """
-    if complex_.simplices is None:
-        raise ValueError("complex was built without simplex lists")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    lower = complex_.simplices.get(dim - 1, [])
-    upper = complex_.simplices.get(dim, [])
+    lower = clique_simplices(complex_, dim - 1)
+    upper = clique_simplices(complex_, dim)
     index = {s: i for i, s in enumerate(lower)}
     mat = np.zeros((len(lower), len(upper)), dtype=np.uint8)
     for col, simplex in enumerate(upper):
@@ -63,11 +72,11 @@ def dense_gf2_rank(mat: np.ndarray) -> int:
 
 def direct_betti_numbers(complex_) -> list[int]:
     """Betti numbers beta_0..beta_top from the GF(2) rank of every full
-    boundary matrix, with no clearing."""
+    boundary matrix, with no clearing and no collapse."""
     top = complex_.max_dim_built
     ranks = [0] + [dense_gf2_rank(boundary_matrix(complex_, dim))
                    for dim in range(1, top + 2)]
-    return [int(complex_.counts[k]) - ranks[k] - ranks[k + 1]
+    return [len(clique_simplices(complex_, k)) - ranks[k] - ranks[k + 1]
             for k in range(top + 1)]
 
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import boundary_matrix
-from torushom.cliques import neighbour_bitsets
+from oracles import boundary_matrix, clique_simplices
+from torushom.cliques import enumerate_cliques, neighbour_bitsets
 from torushom.complexes import (ComplexParams, Convention, adjacency_matrix,
                                 build_complex, phi_k, simplex_counts,
                                 threshold_edges)
@@ -74,9 +74,13 @@ def test_build_matches_counts():
     counted = simplex_counts(cfg, params)
     built = build_complex(cfg, params)
     assert built.counts.tolist() == counted.counts.tolist()
-    for dim, simplices in built.simplices.items():
-        assert len(simplices) == built.counts[dim]
-        assert simplices == sorted(simplices)
+    # the complex stores no simplices: list them from the bitsets it keeps
+    by_size, complete = enumerate_cliques(built.neighbours)
+    assert complete
+    for dim in range(built.max_dim_built + 2):
+        simplices = clique_simplices(built, dim)
+        assert by_size.get(dim + 1, []) == simplices
+        assert len(simplices) == built.N(dim + 1)
 
 
 def test_homology_mode_radius_guard():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import direct_betti_numbers, rescan_strong_collapse
 from torushom import cliques, complexes, homology
+from torushom.cliques import enumerate_cliques, neighbour_bitsets
 from torushom.complexes import (ComplexParams, Convention, adjacency_matrix,
                                 build_complex)
 from torushom.homology import (CoreTooLarge, betti_numbers, boundary_rank,
@@ -98,17 +99,18 @@ def test_torus_grid_betti_collapsed():
 
 def test_summary_flags_bitsets_that_disagree_with_simplices():
     # one edge added to or removed from the neighbour bitsets changes the
-    # flood-fill component count but not the simplices
+    # Betti numbers, which come from the bitsets, but not the simplex
+    # counts, so the Euler-Poincare check fails
     apart = comp([[0.1], [0.6]], SPEC1, 0.05)
     assert homology_summary(apart).violations == []
     apart.neighbours = [0b10, 0b01]
     assert homology_summary(apart).violations == [
-        "beta_0 = 2 but flood fill counts 1 components"]
+        "euler characteristic mismatch: counts give 2, betti give 1"]
     close = comp([[0.1], [0.15]], SPEC1, 0.05)
     assert homology_summary(close).violations == []
     close.neighbours = [0, 0]
     assert homology_summary(close).violations == [
-        "beta_0 = 1 but flood fill counts 2 components"]
+        "euler characteristic mismatch: counts give 1, betti give 2"]
 
 
 def test_graph_packed_once_per_configuration(monkeypatch):
@@ -126,7 +128,7 @@ def test_graph_packed_once_per_configuration(monkeypatch):
     assert packs == [cfg.n]
     packs.clear()
     collapsed_homology(cfg, params)
-    assert len(packs) == 2 and packs[0] == cfg.n  # the graph, then its core
+    assert packs == [cfg.n]  # the core's bitsets are cut from the graph's
 
 
 @pytest.mark.parametrize("cfg, eps", [
@@ -135,7 +137,8 @@ def test_graph_packed_once_per_configuration(monkeypatch):
 ], ids=["king_torus_grid", "random_d2"])
 def test_clearing_lemma(cfg, eps):
     gc = build_complex(cfg, ComplexParams(epsilon=eps))
-    simplices = gc.simplices
+    by_size, _ = enumerate_cliques(gc.neighbours)
+    simplices = {k - 1: s for k, s in by_size.items()}
     for k in range(1, gc.max_dim_built + 1):
         pivots = set()
         rank_up = boundary_rank(simplices[k], simplices.get(k + 1, []), pivots)
@@ -168,6 +171,23 @@ def small_complexes(draw):
 @settings(max_examples=150, deadline=None)
 @given(small_complexes())
 def test_property_betti_match_direct_reduction(gc):
+    assert betti_numbers(gc) == direct_betti_numbers(gc)
+
+
+@st.composite
+def small_graphs(draw):
+    """Random graphs on up to 10 vertices, not only threshold graphs."""
+    n = draw(st.integers(0, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 10 ** 6)))
+    upper = np.triu(rng.random((n, n)) < draw(st.floats(0.0, 1.0)), 1)
+    return upper | upper.T
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+@example(np.zeros((0, 0), dtype=bool))
+def test_property_betti_match_direct_reduction_any_graph(adj):
+    gc = complexes._complex_from_bitsets(neighbour_bitsets(adj))
     assert betti_numbers(gc) == direct_betti_numbers(gc)
 
 
@@ -285,6 +305,28 @@ def test_strong_collapse_explicit_graphs(adj, core_size):
     assert check_collapse(adj).size == core_size
 
 
+def _cross_polytope(m):
+    """Boundary of the m-dimensional cross-polytope, a flag (m-1)-sphere:
+    2m vertices, each adjacent to all but its antipode."""
+    return _graph(2 * m, [(u, v) for u in range(2 * m) for v in range(u)
+                          if u // 2 != v // 2])
+
+
+@pytest.mark.parametrize("adj, betti", [
+    (_graph(4, _cycle_edges(4)), [1, 1]),
+    (_graph(5, _cycle_edges(5)), [1, 1]),
+    (_cross_polytope(3), [1, 0, 1]),
+    (_cross_polytope(4), [1, 0, 0, 1]),
+], ids=["4_cycle", "5_cycle", "octahedron", "16_cell"])
+def test_collapse_keeps_flag_complexes_without_dominated_faces(adj, betti):
+    # no vertex and no edge is dominated, so the core is the whole graph
+    neigh = neighbour_bitsets(adj)
+    assert homology.collapsed_core(neigh) == neighbour_bitsets(adj)
+    assert neigh == neighbour_bitsets(adj)  # the input is left as it is
+    gc = complexes._complex_from_bitsets(neigh)
+    assert betti_numbers(gc) == betti == direct_betti_numbers(gc)
+
+
 def test_strong_collapse_large_draws_match_rescans():
     rng = np.random.default_rng(2012)
     for d, n, eps in ((2, 1600, 0.025), (3, 2000, 0.05)):
@@ -323,6 +365,50 @@ def test_collapsed_homology_matches_golden(lam, eps, seed, n, betti):
     assert cfg.n == n
     assert res.betti == betti
     assert res.violations == []
+
+
+# (d, lambda, eps, seed, n, homology_summary(build_complex(...)).to_json())
+# of full-complex draws, recorded while homology still reduced every
+# simplex of the complex.
+GOLDEN_HOMOLOGY = [
+    (2, 1600.0, 0.025, 1, 1577, {"betti": [1, 81] + [0] * 12, "chi_counts": -80,
+                                 "chi_betti": -80, "violations": []}),
+    (1, 80.0, 0.035, 1, 75, {"betti": [1, 1] + [0] * 9, "chi_counts": 0,
+                             "chi_betti": 0, "violations": []}),
+    (3, 400.0, 0.08, 6, 411, {"betti": [1, 102, 12] + [0] * 5, "chi_counts": -89,
+                              "chi_betti": -89, "violations": []}),
+]
+
+
+@pytest.mark.parametrize("d, lam, eps, seed, n, summary", GOLDEN_HOMOLOGY)
+def test_homology_summary_matches_golden(d, lam, eps, seed, n, summary):
+    cfg = sample(Poisson(lam=lam), TorusSpec(d=d, a=1.0), SeedSpec(seed))
+    res = homology_summary(build_complex(cfg, ComplexParams(epsilon=eps),
+                                         homology_mode=True))
+    assert cfg.n == n
+    assert res.to_json() == summary
+
+
+def test_homology_lists_and_reduces_only_the_core(monkeypatch):
+    listed, rows = [], []
+
+    def listing(neigh, *args, **kwargs):
+        listed.append(len(neigh))
+        return enumerate_cliques(neigh, *args, **kwargs)
+
+    def reducing(low, high, pivots=None):
+        rows.append(len(high))
+        return boundary_rank(low, high, pivots)
+
+    monkeypatch.setattr(homology, "enumerate_cliques", listing)
+    monkeypatch.setattr(homology, "boundary_rank", reducing)
+    cfg = sample(Poisson(lam=1600.0), SPEC2, SeedSpec(1))
+    gc = build_complex(cfg, ComplexParams(epsilon=0.025), homology_mode=True)
+    assert listed == []
+    assert homology_summary(gc).violations == []
+    # the full complex has about 437k simplices
+    assert len(listed) == 1 and listed[0] < cfg.n
+    assert sum(rows) < 5000
 
 
 def test_core_limit_enforced():
