@@ -16,7 +16,8 @@ from each configuration's degrees, and where more is asked for, one
 bitsets, built once and walked for N_k (counted only up to the largest k
 asked for), chi (a pivoted sum), beta_0 (a flood fill), any pattern other
 than a star (a bitset search) and, where Betti numbers above beta_0 are
-asked for, the clique complex of full homology.
+asked for, the clique complex of full homology, whose one full count then
+gives N_k as well.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from .cliques import chi_from_bitsets, counts_from_bitsets, row_bitsets
 # this module to hold it.
 from .complexes import (ComplexParams, _check_radius, _complex_from_bitsets,  # noqa: F401
                         simplex_counts, threshold_edges)
-from .homology import (CoreTooLarge, collapsed_homology, components_from_bitsets,
-                       homology_summary)
+from .homology import collapsed_homology, components_from_bitsets, homology_summary
 from .sampling import Poisson, ProcessLaw, SeedSpec, sample
 from .stats import MIN_NORMALITY_SAMPLE, wasserstein1_to_normal
 from .subcomplex import GammaGraph, count_gamma, star_arms
@@ -46,10 +46,6 @@ from .torus import TorusSpec
 # faster and raised the peak memory of a run.
 _BLOCK_REPS = 1024
 _BLOCK_CELLS = 1 << 16
-
-# coverage_experiment excludes a replication whose collapsed core has more
-# vertices than this: reducing such a core is not feasible at desk scale.
-CORE_LIMIT = 60
 
 
 @dataclass(frozen=True)
@@ -251,21 +247,22 @@ def _block_rows(block: list[np.ndarray], config: ExperimentConfig, plan: _Plan):
         row: dict[str, float] = {"_violations": 0}
         if plan.needs_bitsets:
             neigh = block_neigh[s]
-        if plan.clique_walk:
+        complete = True
+        if plan.needs_full_homology:
+            # one full walk: it exceeds the cap whenever a shorter one would
+            cx = _complex_from_bitsets(neigh, cap)
+            counts, complete = [0, *cx.counts], not cx.truncated
+        elif plan.clique_walk:
             counts, complete = counts_from_bitsets(neigh, plan.max_size, cap)
         elif plan.needs_counts:
             counts = [0, n, edges[s]]
             # the cap rule of the clique walk, which would count these
             complete = not 0 < cap < n + (edges[s] if plan.max_size == 2 else 0)
-        if plan.needs_counts and not complete:
+        if not complete:
             yield None
             continue
         homology = None
         if plan.needs_full_homology:
-            cx = _complex_from_bitsets(neigh, cap)
-            if cx.truncated:
-                yield None
-                continue
             homology = homology_summary(cx)
             row["_violations"] = len(homology.violations)
         for q, (kind, i) in zip(config.quantities, plan.parsed):
@@ -369,6 +366,8 @@ class CoveragePoint:
     lam: float
     match_frequency: float
     stderr: float
+    # always 0, as no replication is excluded; perfbench still reads it, and
+    # the benchmark change of ROADMAP item 1 removes it
     excluded: int
 
 
@@ -395,34 +394,30 @@ def coverage_experiment(spec: TorusSpec, params: ComplexParams, lambdas,
                         reps: int, seed: SeedSpec) -> CoverageReport:
     """Frequency of recovering the torus Betti numbers, per intensity.
 
-    Homology is computed after a strong collapse of the clique complex;
-    replications whose collapsed core stays above ``CORE_LIMIT`` vertices
-    are excluded and reported.
+    Homology is computed by ``collapsed_homology``; a replication whose
+    homology fails its checks raises ``RuntimeError``.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    laws = [Poisson(lam=float(l)) for l in lambdas]
+    if not laws:
+        raise ValueError("need at least one intensity")
     target = torus_betti(spec.d)
     points = []
-    for lam in [float(l) for l in lambdas]:
+    for law in laws:
         matches = 0
-        n_ok = 0
-        excluded = 0
         for rep in range(reps):
-            pc = sample(Poisson(lam=lam), spec, seed.child("coverage", lam, rep))
-            try:
-                result = collapsed_homology(pc, params, core_limit=CORE_LIMIT)
-            except CoreTooLarge:
-                excluded += 1
-                continue
-            n_ok += 1
-            betti = result.betti
-            padded = tuple(betti[i] if i < len(betti) else 0
-                           for i in range(spec.d + 1))
-            extra = any(b != 0 for b in betti[spec.d + 1:])
-            if padded == target and not extra:
-                matches += 1
-        freq = matches / n_ok if n_ok else math.nan
-        se = math.sqrt(freq * (1.0 - freq) / n_ok) if n_ok else math.nan
-        points.append(CoveragePoint(lam=lam, match_frequency=freq, stderr=se,
-                                    excluded=excluded))
+            pc = sample(law, spec, seed.child("coverage", law.lam, rep))
+            result = collapsed_homology(pc, params)
+            if result.violations:
+                raise RuntimeError(
+                    f"homology check failed at lambda={law.lam}, replication "
+                    f"{rep}: {'; '.join(result.violations)}")
+            # a match may differ from the target only by trailing zeros
+            betti = tuple(result.betti)
+            matches += betti == target + (0,) * (len(betti) - len(target))
+        freq = matches / reps
+        se = math.sqrt(freq * (1.0 - freq) / reps)
+        points.append(CoveragePoint(lam=law.lam, match_frequency=freq, stderr=se,
+                                    excluded=0))
     return CoverageReport(points=tuple(points), torus_betti=target)

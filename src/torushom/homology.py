@@ -10,10 +10,14 @@ clearing (Chen & Kerber's twist): a k-simplex that is the lowest set bit of
 a reduced row of the (k+1)-boundary has a boundary in the span of those of
 later k-simplices, so its row is left out of the k-boundary reduction
 without changing the rank.  Strong collapse re-checks, after one full pass,
-only the vertices whose closed neighbourhood shrank.  A flood fill over the
-shared neighbour bitsets counts graph components, an independent oracle for
-beta_0, and the complex's own simplex counts give an Euler characteristic
-that the core's Betti numbers must match.
+only the vertices whose closed neighbourhood shrank.
+
+Both entry points run the same checks on the Betti numbers: their
+alternating sum must equal an Euler characteristic found without the core
+(the simplex counts of a counted complex for ``homology_summary``, the
+pivoted clique sum over the strong-collapse core for
+``collapsed_homology``, which counts nothing), beta_0 must equal a flood
+fill's component count of the whole graph, and none may be negative.
 """
 
 from __future__ import annotations
@@ -23,9 +27,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .cliques import enumerate_cliques, neighbour_bitsets
-from .complexes import (GeometricComplex, _check_radius, _complex_from_bitsets,
-                        adjacency_matrix)
+from .cliques import chi_from_bitsets, enumerate_cliques, neighbour_bitsets
+from .complexes import GeometricComplex, _check_radius, adjacency_matrix
 
 
 def gf2_rank(rows: list[int], pivot_cols: set[int] | None = None) -> int:
@@ -87,15 +90,22 @@ class HomologyResult:
 
 def betti_numbers(complex_: GeometricComplex) -> list[int]:
     """Betti numbers beta_0..beta_top over GF(2) of a full clique complex,
-    read off the cliques of its collapsed core (see ``collapsed_core``)."""
+    read off the cliques of its collapsed core (see ``collapsed_core``) and
+    padded with zeros to the complex's top dimension."""
     if complex_.neighbours is None:
         raise ValueError("complex was built without its neighbour bitsets")
     if complex_.truncated:
         raise ValueError("complex is truncated; homology would be unreliable")
-    if complex_.n_vertices == 0:
-        return []
-    # a subcomplex of one counted within the cap, so it needs none
-    by_size, _ = enumerate_cliques(collapsed_core(complex_.neighbours), cap=0)
+    neigh = complex_.neighbours
+    betti = _core_betti(_induced(neigh, collapse_from_bitsets(neigh)))
+    return betti + [0] * (complex_.max_dim_built + 1 - len(betti))
+
+
+def _core_betti(strong: list[int]) -> list[int]:
+    """Betti numbers of the clique complex of a strong-collapse core, one
+    per dimension of its collapsed core's cliques."""
+    # the core is small, so listing its cliques needs no cap
+    by_size, _ = enumerate_cliques(collapsed_core(strong), cap=0)
     simplices = [s for s in by_size.values() if s]  # by size, from 1
     ranks = [0] * (len(simplices) + 1)
     cleared: set[tuple[int, ...]] = set()
@@ -103,16 +113,16 @@ def betti_numbers(complex_: GeometricComplex) -> list[int]:
         kept = [s for s in simplices[dim] if s not in cleared]
         cleared = set()
         ranks[dim] = boundary_rank(simplices[dim - 1], kept, cleared)
-    betti = [len(s_k) - ranks[k] - ranks[k + 1] for k, s_k in enumerate(simplices)]
-    return betti + [0] * (complex_.max_dim_built + 1 - len(betti))
+    return [len(s_k) - ranks[k] - ranks[k + 1] for k, s_k in enumerate(simplices)]
 
 
-def collapsed_core(neigh: list[int]) -> list[int]:
-    """Neighbour bitsets of a homotopy-equivalent core of a clique complex,
-    relabelled 0..m-1: strong collapse (``collapse_from_bitsets``) and edge
-    collapse (``_collapse_edges``) alternate until neither removes anything.
+def collapsed_core(strong: list[int]) -> list[int]:
+    """Neighbour bitsets of a homotopy-equivalent core of the clique complex
+    of a graph with no dominated vertex (a strong-collapse core), relabelled
+    0..m-1: edge collapse (``_collapse_edges``) and strong collapse
+    (``collapse_from_bitsets``) alternate until neither removes anything.
     The input is left as it is."""
-    core = _induced(neigh, collapse_from_bitsets(neigh))
+    core = list(strong)
     while _collapse_edges(core):
         keep = collapse_from_bitsets(core)
         if keep.size == len(core):
@@ -191,35 +201,33 @@ def components_from_bitsets(neigh: list[int]) -> int:
 
 
 def homology_summary(complex_: GeometricComplex) -> HomologyResult:
-    """Betti numbers plus structural consistency checks.
+    """Betti numbers (``betti_numbers``) checked against the Euler
+    characteristic of the full complex's simplex counts and a flood fill of
+    its graph; see ``_checked``."""
+    return _checked(betti_numbers(complex_), complex_.euler_characteristic_counts(),
+                    complex_.neighbours)
 
-    Checks performed: Euler characteristic from the alternating simplex
-    counts of the full complex equals the alternating sum of the Betti
-    numbers of its collapsed core, beta_0 matches a flood-fill component
-    count of the full graph, and all Betti numbers are non-negative.
-    """
-    betti = betti_numbers(complex_)
-    chi_counts = complex_.euler_characteristic_counts()
+
+def _checked(betti: list[int], chi_counts: int, neigh: list[int]) -> HomologyResult:
+    """The Betti numbers of the clique complex of the graph ``neigh`` with
+    their violations: an alternating sum other than the Euler characteristic
+    ``chi_counts``, a beta_0 other than the flood fill's component count,
+    and negative values."""
     chi_betti = int(sum((-1) ** k * b for k, b in enumerate(betti)))
     violations = []
     if chi_counts != chi_betti:
         violations.append(
             f"euler characteristic mismatch: counts give {chi_counts}, "
             f"betti give {chi_betti}")
-    if complex_.neighbours is not None and complex_.n_vertices > 0:
-        comps = components_from_bitsets(complex_.neighbours)
-        if betti and betti[0] != comps:
-            violations.append(
-                f"beta_0 = {betti[0]} but flood fill counts {comps} components")
+    comps = components_from_bitsets(neigh)
+    if betti and betti[0] != comps:
+        violations.append(
+            f"beta_0 = {betti[0]} but flood fill counts {comps} components")
     for k, b in enumerate(betti):
         if b < 0:
             violations.append(f"beta_{k} = {b} is negative")
     return HomologyResult(betti=betti, chi_counts=chi_counts,
-                         chi_betti=chi_betti, violations=violations)
-
-
-class CoreTooLarge(RuntimeError):
-    """Strong collapse left a core above the caller's size limit."""
+                          chi_betti=chi_betti, violations=violations)
 
 
 def strong_collapse(adj_bool: np.ndarray) -> np.ndarray:
@@ -273,29 +281,16 @@ def collapse_from_bitsets(neigh: list[int]) -> np.ndarray:
     return np.array(core, dtype=np.int64)
 
 
-def collapsed_homology(config, params,
-                       core_limit: int | None = None) -> HomologyResult:
-    """Homology of a Rips-Vietoris complex via its strong-collapse core.
+def collapsed_homology(config, params) -> HomologyResult:
+    """Homology of a Rips-Vietoris complex without counting its simplices.
 
-    Every Betti number of the core is reported (as many as its top
-    dimension + 1), computed by ``homology_summary`` of the core's complex;
-    ``core_limit`` caps the core's size.  The graph is packed into bitsets
-    once, for the collapse, the core's complex and the component check.
+    The Betti numbers are those of ``_core_betti``, one per dimension of the
+    collapsed core's cliques.  They are checked (``_checked``) against the
+    pivoted Euler characteristic (``chi_from_bitsets``) of the strong-collapse
+    core, which the core's homotopy type shares, and the flood fill of the
+    whole graph.  The graph is packed into bitsets once.
     """
     _check_radius(config.spec, params, homology_mode=True)
-    if config.n == 0:
-        return HomologyResult(betti=[], chi_counts=0, chi_betti=0, violations=[])
     neigh = neighbour_bitsets(adjacency_matrix(config, params))
-    core = collapse_from_bitsets(neigh)
-    if core_limit is not None and core.size > core_limit:
-        raise CoreTooLarge(
-            f"collapsed core has {core.size} vertices (limit {core_limit})")
-    complex_ = _complex_from_bitsets(_induced(neigh, core))
-    result = homology_summary(complex_)
-    # component count must be validated on the original graph, not the core
-    comps = components_from_bitsets(neigh)
-    if result.betti and result.betti[0] != comps:
-        result.violations.append(
-            f"beta_0 = {result.betti[0]} after collapse but original graph "
-            f"has {comps} components")
-    return result
+    strong = _induced(neigh, collapse_from_bitsets(neigh))
+    return _checked(_core_betti(strong), chi_from_bitsets(strong), neigh)

@@ -184,6 +184,15 @@ def test_coverage_rejects_zero_replications(capsys):
     assert "reps" in _strict_json(capsys.readouterr().out)["error"]
 
 
+@pytest.mark.parametrize("lambdas, message", [
+    ("", "at least one intensity"), ("30,-5", "intensity must be positive")])
+def test_coverage_rejects_bad_intensities(capsys, lambdas, message):
+    code = main(["coverage", "--eps", "0.2", "--lambdas", lambdas, "--reps", "3",
+                 "--seed", "5"])
+    assert code == 1
+    assert message in _strict_json(capsys.readouterr().out)["error"]
+
+
 def test_clt(capsys):
     code, doc = run_cli(capsys, "clt", "--eps", "0.1",
                         "--lambdas", "10,30,90", "--reps", "120", "--seed", "6")

@@ -120,6 +120,25 @@ def test_cap_bounds_only_the_counts_asked_for():
         assert report.raw["N_2"][rep] == full.N(2)
 
 
+def test_full_homology_counts_cliques_once(monkeypatch):
+    # N_3 and beta_1: the full count of the homology complex gives N_3 too
+    walks = []
+    walk = cliques.counts_from_bitsets
+
+    def counting(*args):
+        walks.append(len(args[0]))
+        return walk(*args)
+
+    for module in (cliques, harness):
+        monkeypatch.setattr(module, "counts_from_bitsets", counting)
+    cfg = ExperimentConfig(law=Poisson(30.0), spec=TorusSpec(d=2, a=1.0),
+                           params=ComplexParams(epsilon=0.07), replications=10,
+                           master_seed=7, quantities=("N_3", "beta_1"))
+    report = run_experiment(cfg)
+    assert report.excluded == 0
+    assert len(walks) == 10
+
+
 def test_report_serialization():
     cfg = ExperimentConfig(law=Poisson(10.0), spec=SPEC1, params=PARAMS,
                            replications=5, master_seed=2,
@@ -260,14 +279,54 @@ def test_coverage_experiment_small_run():
     assert low.excluded == 0 and high.excluded == 0
 
 
-def test_coverage_experiment_excludes_large_cores(monkeypatch):
-    monkeypatch.setattr(harness, "CORE_LIMIT", 0)
+def test_coverage_experiment_d2_has_no_exclusions():
+    params = ComplexParams(epsilon=0.05)
+    report = coverage_experiment(TorusSpec(d=2, a=1.0), params, [400.0], reps=5,
+                                 seed=SeedSpec(3))
+    (point,) = report.points
+    assert point.excluded == 0
+    assert 0.0 <= point.match_frequency <= 1.0
+
+
+def test_coverage_experiment_raises_on_homology_violation(monkeypatch):
+    collapse_edges = homology._collapse_edges
+
+    def dropping(neigh):
+        # Once the real collapse removes nothing, no edge is dominated, so
+        # deleting one changes the homotopy type; False ends the collapse.
+        if collapse_edges(neigh):
+            return True
+        u = next((v for v, nb in enumerate(neigh) if nb), None)
+        if u is not None:
+            w = (neigh[u] & -neigh[u]).bit_length() - 1
+            neigh[u] ^= 1 << w
+            neigh[w] ^= 1 << u
+        return False
+
+    monkeypatch.setattr(homology, "_collapse_edges", dropping)
     params = ComplexParams(epsilon=0.2, convention=Convention.SUBCOMPLEX_EPS)
-    report = coverage_experiment(SPEC1, params, [30.0, 60.0], reps=5,
-                                 seed=SeedSpec(4))
-    for p in report.points:
-        assert p.excluded == 5
-        assert math.isnan(p.match_frequency) and math.isnan(p.stderr)
+    pc = sample(Poisson(lam=60.0), SPEC1, SeedSpec(4).child("coverage", 60.0, 0))
+    violations = homology.collapsed_homology(pc, params).violations
+    assert violations == ["euler characteristic mismatch: counts give 0, betti give 1"]
+    with pytest.raises(RuntimeError, match="lambda=60.0, replication 0: "
+                       + violations[0]):
+        coverage_experiment(SPEC1, params, [60.0], reps=5, seed=SeedSpec(4))
+
+
+def test_coverage_experiment_rejects_bad_intensities_before_sampling(monkeypatch):
+    calls = []
+
+    def counting_sample(*args, **kwargs):
+        calls.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "sample", counting_sample)
+    params = ComplexParams(epsilon=0.2, convention=Convention.SUBCOMPLEX_EPS)
+    with pytest.raises(ValueError, match="at least one intensity"):
+        coverage_experiment(SPEC1, params, [], reps=5, seed=SeedSpec(4))
+    with pytest.raises(ValueError, match="intensity must be positive"):
+        coverage_experiment(SPEC1, params, [30.0, -5.0], reps=5, seed=SeedSpec(4))
+    assert calls == []
 
 
 # coverage_experiment reports at d=1, eps=0.2 (subcomplex convention),

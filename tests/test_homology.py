@@ -9,9 +9,9 @@ from torushom import cliques, complexes, homology
 from torushom.cliques import enumerate_cliques, neighbour_bitsets
 from torushom.complexes import (ComplexParams, Convention, adjacency_matrix,
                                 build_complex)
-from torushom.homology import (CoreTooLarge, betti_numbers, boundary_rank,
-                               collapsed_homology, connected_components,
-                               gf2_rank, homology_summary, strong_collapse)
+from torushom.homology import (betti_numbers, boundary_rank, collapsed_homology,
+                               connected_components, gf2_rank, homology_summary,
+                               strong_collapse)
 from torushom.sampling import Binomial, PointConfiguration, Poisson, SeedSpec, sample
 from torushom.torus import TorusSpec
 
@@ -350,12 +350,21 @@ def test_collapse_matches_direct_homology():
 
 # (lambda, eps, seed, n, Betti numbers) of d=2 draws through
 # collapsed_homology, recorded before the incremental strong collapse and
-# the coordinate prune of the neighbour sweep.
+# the coordinate prune of the neighbour sweep.  The lists then ran to the
+# strong-collapse core's top dimension (RECORDED_COLLAPSED); they now end at
+# the collapsed core's, which drops only trailing zeros.
 GOLDEN_COLLAPSED = [
-    (100.0, 0.1, 0, 86, [1, 6, 0, 0, 0, 0, 0]),
-    (200.0, 0.08, 1, 192, [1, 6] + [0] * 9),
-    (400.0, 0.06, 2, 399, [1, 4] + [0] * 10),
+    (100.0, 0.1, 0, 86, [1, 6]),
+    (200.0, 0.08, 1, 192, [1, 6]),
+    (400.0, 0.06, 2, 399, [1, 4]),
 ]
+RECORDED_COLLAPSED = [[1, 6, 0, 0, 0, 0, 0], [1, 6] + [0] * 9, [1, 4] + [0] * 10]
+
+
+def test_collapsed_golden_drops_only_trailing_zeros():
+    for (*_, betti), recorded in zip(GOLDEN_COLLAPSED, RECORDED_COLLAPSED):
+        assert betti[-1] != 0
+        assert recorded == betti + [0] * (len(recorded) - len(betti))
 
 
 @pytest.mark.parametrize("lam, eps, seed, n, betti", GOLDEN_COLLAPSED)
@@ -409,12 +418,6 @@ def test_homology_lists_and_reduces_only_the_core(monkeypatch):
     # the full complex has about 437k simplices
     assert len(listed) == 1 and listed[0] < cfg.n
     assert sum(rows) < 5000
-
-
-def test_core_limit_enforced():
-    cfg = grid_config(5)
-    with pytest.raises(CoreTooLarge):
-        collapsed_homology(cfg, ComplexParams(epsilon=0.105), core_limit=3)
 
 
 def test_betti_requires_stored_simplices():
