@@ -368,7 +368,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         _DISPATCH[args.command](args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, RuntimeError) as exc:
         print(json.dumps({"error": str(exc)}))
         return 1
     return 0

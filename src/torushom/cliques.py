@@ -1,8 +1,9 @@
 """Clique counting, enumeration and the Euler characteristic of clique complexes.
 
 Cliques are generated by ordered extension: a clique is only ever extended
-by common neighbors with a strictly larger vertex index, so every clique is
-produced exactly once and in a deterministic order.  The Euler
+by common neighbours with a strictly smaller vertex index, highest first
+(``enumerate_cliques``: larger, to list in lexicographic order), so every
+clique is produced exactly once and in a deterministic order.  The Euler
 characteristic is a signed clique sum, computed by pivoting instead of
 counting every clique (Jain & Seshadhri, WSDM 2020).
 
@@ -53,9 +54,9 @@ def counts_from_bitsets(neigh: list[int], max_size: int, cap: int):
             stack.pop()
             size -= 1
             continue
-        low = cand & -cand
-        stack[-1] = cand = cand ^ low
-        child = cand & neigh[low.bit_length() - 1]
+        u = cand.bit_length() - 1
+        stack[-1] = cand = cand ^ 1 << u
+        child = cand & neigh[u]
         if child:
             found = child.bit_count()
             counts[size] += found
@@ -86,10 +87,10 @@ def count_cliques(neigh: list[int], max_size: int | None = None,
 
 def chi_from_bitsets(neigh: list[int]) -> int:
     """Sum of (-1)^(|C| - 1) over the nonempty cliques C, each rooted at its
-    lowest vertex.  In a candidate set P, the cliques inside N[p] of the
+    highest vertex.  In a candidate set P, the cliques inside N[p] of the
     pivot p (most neighbours in P) cancel in pairs (T, T + p), so only the
     u in P - N[p] are followed, each with P & N(u) less the earlier u's."""
-    return sum(_signed_clique_sum(neigh, nb >> (v + 1) << (v + 1), 1)
+    return sum(_signed_clique_sum(neigh, nb & (1 << v) - 1, 1)
                for v, nb in enumerate(neigh))
 
 
@@ -100,19 +101,19 @@ def _signed_clique_sum(neigh: list[int], cand: int, sign: int) -> int:
     best = -1
     rest = cand
     while rest:
-        low = rest & -rest
-        rest ^= low
-        inside = cand & neigh[low.bit_length() - 1]
+        u = rest.bit_length() - 1
+        rest ^= 1 << u
+        inside = cand & neigh[u]
         degree = inside.bit_count()
         if degree > best:
-            best, cone = degree, inside | low
+            best, cone = degree, inside ^ 1 << u
     total = 0
-    out = cand & ~cone
+    out = cand ^ cone
     while out:
-        low = out & -out
-        out ^= low
-        total += _signed_clique_sum(neigh, cand & neigh[low.bit_length() - 1], -sign)
-        cand ^= low
+        u = out.bit_length() - 1
+        out ^= 1 << u
+        total += _signed_clique_sum(neigh, cand & neigh[u], -sign)
+        cand ^= 1 << u
     return total
 
 

@@ -140,20 +140,22 @@ def _induced(neigh: list[int], keep: np.ndarray) -> list[int]:
     for v in place:
         rest, row = neigh[v] & mask, 0
         while rest:
-            low = rest & -rest
-            rest ^= low
-            row |= 1 << place[low.bit_length() - 1]
+            u = rest.bit_length() - 1
+            rest ^= 1 << u
+            row |= 1 << place[u]
         out.append(row)
     return out
 
 
 def _collapse_edges(neigh: list[int]) -> bool:
-    """Delete dominated edges in place, in passes over every edge until one
-    deletes nothing; whether any went.
+    """Delete dominated edges in place, in passes over the edges uv (u < v,
+    lexicographic) until one deletes nothing; whether any went.
 
     Edge uv is dominated by a common neighbour w when N[u] & N[v] lies in
     N[w], closed neighbourhoods; deleting it keeps the homotopy type of the
-    clique complex (Boissonnat & Pritam, SoCG 2020).
+    clique complex (Boissonnat & Pritam, SoCG 2020).  A candidate w that
+    fails has a witness x in N(u) & N(v) outside N[w], and every dominator
+    lies in N(x), so the candidates shrink to those.
     """
     removed = 0
     while True:
@@ -166,14 +168,15 @@ def _collapse_edges(neigh: list[int]) -> bool:
                 v = bit_v.bit_length() - 1
                 common = cand = neigh[u] & neigh[v]
                 while cand:
-                    bit_w = cand & -cand
-                    cand ^= bit_w
-                    others = common ^ bit_w
-                    if others & neigh[bit_w.bit_length() - 1] == others:
+                    w = cand.bit_length() - 1
+                    others = common ^ 1 << w
+                    hit = others & neigh[w]
+                    if hit == others:
                         neigh[u] ^= bit_v
                         neigh[v] ^= 1 << u
                         removed += 1
                         break
+                    cand &= neigh[(others ^ hit).bit_length() - 1]
         if removed == before:
             return removed > 0
 
@@ -188,13 +191,13 @@ def components_from_bitsets(neigh: list[int]) -> int:
     unseen = (1 << len(neigh)) - 1
     comps = 0
     while unseen:
-        frontier = unseen & -unseen
+        frontier = 1 << unseen.bit_length() - 1
         unseen ^= frontier
         comps += 1
         while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            reached = neigh[low.bit_length() - 1] & unseen
+            v = frontier.bit_length() - 1
+            frontier ^= 1 << v
+            reached = neigh[v] & unseen
             unseen ^= reached
             frontier |= reached
     return comps
@@ -238,11 +241,12 @@ def strong_collapse(adj_bool: np.ndarray) -> np.ndarray:
 def collapse_from_bitsets(neigh: list[int]) -> np.ndarray:
     """Reduce a clique complex by repeatedly deleting dominated vertices.
 
-    Vertex v is dominated by a neighbor u when every neighbor of v (and v
-    itself) is adjacent to u, i.e. the closed neighborhood of v is contained
-    in that of u.  Deleting a dominated vertex preserves the homotopy type
-    of the clique complex, so homology can be read off the (usually tiny)
-    core.  Returns the indices of the surviving core vertices.
+    Vertex v is dominated by a neighbour u when N[v] lies in N[u], closed
+    neighbourhoods; deleting it keeps the homotopy type of the clique
+    complex, so homology can be read off the (usually tiny) core of
+    surviving vertices, whose indices are returned.  A candidate u that
+    fails has a witness w in N[v] outside N[u], and every dominator lies in
+    N[w], so the candidates shrink to those.
 
     Passes run in increasing vertex order until one removes nothing.  The
     first pass checks every vertex; later ones check only the vertices whose
@@ -268,14 +272,14 @@ def collapse_from_bitsets(neigh: list[int]) -> np.ndarray:
             # a dominator must be a live neighbour
             others = cand = nb_v ^ (1 << v)
             while cand:
-                u = (cand & -cand).bit_length() - 1
-                cand &= cand - 1
-                if not nb_v & outside[u]:
+                miss = nb_v & outside[cand.bit_length() - 1]
+                if not miss:
                     alive ^= 1 << v
                     below = others & ((1 << v) - 1)
                     later |= below
                     scan |= others ^ below
                     break
+                cand &= closed[miss.bit_length() - 1]
         scan = later
     core = [v for v in range(n) if alive >> v & 1]
     return np.array(core, dtype=np.int64)

@@ -112,6 +112,51 @@ def rescan_strong_collapse(adj_bool: np.ndarray) -> np.ndarray:
     return np.array(core, dtype=np.int64)
 
 
+def rescan_edge_collapse(neigh: list[int]) -> bool:
+    """Edge collapse by full rescans: in each pass every edge uv (u < v) is
+    tested in lexicographic order against its common neighbours w one by
+    one, lowest first, and deleted in place when N[u] & N[v] lies in N[w];
+    passes run until one deletes nothing.  Returns whether any edge went."""
+    removed = 0
+    while True:
+        before = removed
+        for u in range(len(neigh)):
+            later = neigh[u] >> (u + 1) << (u + 1)
+            while later:
+                bit_v = later & -later
+                later ^= bit_v
+                v = bit_v.bit_length() - 1
+                common = cand = neigh[u] & neigh[v]
+                while cand:
+                    bit_w = cand & -cand
+                    cand ^= bit_w
+                    others = common ^ bit_w
+                    if others & neigh[bit_w.bit_length() - 1] == others:
+                        neigh[u] ^= bit_v
+                        neigh[v] ^= 1 << u
+                        removed += 1
+                        break
+        if removed == before:
+            return removed > 0
+
+
+def dropping_edge_collapse(collapse_edges):
+    """An edge collapse that runs ``collapse_edges`` and, once that removes
+    nothing, deletes one more edge and returns False.  No edge is dominated
+    then, so the deletion changes the homotopy type of the clique complex:
+    a fault for the homology checks to catch."""
+    def dropping(neigh: list[int]) -> bool:
+        if collapse_edges(neigh):
+            return True
+        u = next((v for v, nb in enumerate(neigh) if nb), None)
+        if u is not None:
+            w = (neigh[u] & -neigh[u]).bit_length() - 1
+            neigh[u] ^= 1 << w
+            neigh[w] ^= 1 << u
+        return False
+    return dropping
+
+
 def slot_partition_weights(n: int, k: int) -> dict:
     """Overlap-signature weights of n (k-1)-simplices by listing every slot
     partition.

@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from oracles import dropping_edge_collapse
+from torushom import homology
 from torushom.cli import main
 
 
@@ -175,6 +177,15 @@ def test_experiment_output_is_strict_json(capsys):
     doc = _strict_json(capsys.readouterr().out)
     assert doc["estimates"]["N_2"]["stderr"] is None
     assert doc["estimates"]["N_2"]["variance"] is None
+
+
+def test_coverage_reports_a_homology_violation_as_an_error(capsys, monkeypatch):
+    monkeypatch.setattr(homology, "_collapse_edges",
+                        dropping_edge_collapse(homology._collapse_edges))
+    code, doc = run_cli(capsys, "coverage", "--eps", "0.2", "--lambdas", "60",
+                        "--reps", "3", "--seed", "4")
+    assert code == 1
+    assert doc["error"].startswith("homology check failed at lambda=60.0")
 
 
 def test_coverage_rejects_zero_replications(capsys):

@@ -5,6 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from oracles import dropping_edge_collapse
 from torushom import cliques, complexes, harness, homology, subcomplex
 from torushom.complexes import ComplexParams, Convention, simplex_counts
 from torushom.harness import (CltReport, CoverageReport, ExperimentConfig,
@@ -289,21 +290,8 @@ def test_coverage_experiment_d2_has_no_exclusions():
 
 
 def test_coverage_experiment_raises_on_homology_violation(monkeypatch):
-    collapse_edges = homology._collapse_edges
-
-    def dropping(neigh):
-        # Once the real collapse removes nothing, no edge is dominated, so
-        # deleting one changes the homotopy type; False ends the collapse.
-        if collapse_edges(neigh):
-            return True
-        u = next((v for v, nb in enumerate(neigh) if nb), None)
-        if u is not None:
-            w = (neigh[u] & -neigh[u]).bit_length() - 1
-            neigh[u] ^= 1 << w
-            neigh[w] ^= 1 << u
-        return False
-
-    monkeypatch.setattr(homology, "_collapse_edges", dropping)
+    monkeypatch.setattr(homology, "_collapse_edges",
+                        dropping_edge_collapse(homology._collapse_edges))
     params = ComplexParams(epsilon=0.2, convention=Convention.SUBCOMPLEX_EPS)
     pc = sample(Poisson(lam=60.0), SPEC1, SeedSpec(4).child("coverage", 60.0, 0))
     violations = homology.collapsed_homology(pc, params).violations

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import direct_betti_numbers, rescan_strong_collapse
+from oracles import (direct_betti_numbers, rescan_edge_collapse,
+                     rescan_strong_collapse)
 from torushom import cliques, complexes, homology
-from torushom.cliques import enumerate_cliques, neighbour_bitsets
+from torushom.cliques import (chi_from_bitsets, count_cliques, enumerate_cliques,
+                              neighbour_bitsets)
 from torushom.complexes import (ComplexParams, Convention, adjacency_matrix,
                                 build_complex)
 from torushom.homology import (betti_numbers, boundary_rank, collapsed_homology,
@@ -291,6 +293,23 @@ def test_property_strong_collapse_matches_rescans(adj):
     check_collapse(adj)
 
 
+def check_edge_collapse(neigh):
+    """_collapse_edges deletes the edges of full rescans and reports the
+    same flag; returns the collapsed bitsets."""
+    fast, rescanned = list(neigh), list(neigh)
+    assert homology._collapse_edges(fast) == rescan_edge_collapse(rescanned)
+    assert fast == rescanned
+    return fast
+
+
+@settings(max_examples=300, deadline=None)
+@given(collapse_graphs())
+def test_property_edge_collapse_matches_rescans(adj):
+    neigh = neighbour_bitsets(adj)
+    check_edge_collapse(neigh)
+    check_edge_collapse(homology._induced(neigh, strong_collapse(adj)))
+
+
 @pytest.mark.parametrize("adj, core_size", [
     (_graph(0, []), 0),
     (_graph(1, []), 1),
@@ -332,6 +351,20 @@ def test_strong_collapse_large_draws_match_rescans():
     for d, n, eps in ((2, 1600, 0.025), (3, 2000, 0.05)):
         cfg = PointConfiguration(spec=TorusSpec(d=d, a=1.0), points=rng.random((n, d)))
         check_collapse(adjacency_matrix(cfg, ComplexParams(epsilon=eps)))
+
+
+def test_dense_draw_collapses_match_rescans():
+    # d=2, lambda=1600, eps=0.05 (mean degree about 64): the densest graphs
+    # the coverage sweep meets, where the witness chains are longest
+    cfg = sample(Poisson(lam=1600.0), SPEC2, SeedSpec(2))
+    adj = adjacency_matrix(cfg, ComplexParams(epsilon=0.05))
+    assert 60 < adj.sum() / cfg.n < 68
+    neigh = neighbour_bitsets(adj)
+    strong = homology._induced(neigh, check_collapse(adj))
+    edged = check_edge_collapse(strong)
+    counts, complete = count_cliques(edged, cap=0)
+    chi = int(sum((-1) ** (k - 1) * c for k, c in enumerate(counts) if k))
+    assert [chi_from_bitsets(g) for g in (neigh, strong, edged)] == [chi] * 3
 
 
 def test_collapse_matches_direct_homology():
