@@ -3,9 +3,14 @@
 The covariance and higher central moments of simplex counts reduce to
 integrals of products of simplex indicators over configurations of M
 distinct points, where the n simplices share vertices according to a fixed
-overlap pattern.  For n = 2 a closed form exists (see moments.j2_closed_form);
-for n >= 3 the integral is estimated here by plain Monte Carlo over
-[0, a)^{M*d}.
+overlap pattern.  The moment assembly (moments._default_j_oracle) takes each
+linked component of a pattern in the first of three cases that applies:
+
+- two simplices: a closed form (moments.j2_closed_form);
+- a union graph whose blocks are all cliques, while 2*epsilon <= a/3: a
+  closed form too (moments.clique_block_integral);
+- any other: the plain Monte Carlo estimate over [0, a)^{M*d} made here, on
+  the circle (d = 1), raised to the power d.
 """
 
 from __future__ import annotations
@@ -108,6 +113,8 @@ def j_oracle_mc(pattern: OverlapPattern, spec: TorusSpec, epsilon: float,
             f"integral dimension M*d = {M * d} exceeds cap {MAX_ORACLE_DIMENSION}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if batch < 1:
+        raise ValueError("batch must be >= 1")
     lists = pattern.vertex_lists()
     pairs = set()
     for verts in lists:

@@ -19,21 +19,25 @@ signature (how many points are common to exactly each group of simplices)
 have the same integral, so each signature is visited once with its exact
 combinatorial weight and carries lambda^M, M being its number of distinct
 points.  A pattern's integral is the product of its overlap components'
-integrals; the two-simplex integral has a closed form (j2_closed_form), and
-larger components are delegated to the Monte Carlo oracle in joracle, on the
-circle, since the max-norm integral in dimension d is the d-th power of the
-one-dimensional one.
+integrals, and the max-norm integral in dimension d is the d-th power of the
+one on the circle.  A two-simplex component has a closed form
+(j2_closed_form); a component whose union graph has only cliques as blocks
+has one too (clique_block_integral); any other is delegated to the Monte
+Carlo oracle in joracle, on the circle.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import and_
 
+from .cliques import enumerate_cliques
 from .joracle import JEstimate, OverlapPattern, j_oracle_mc
 from .sampling import SeedSpec
 from .torus import TorusSpec
@@ -168,7 +172,7 @@ def mean_chi_binomial(spec: TorusSpec, epsilon: float, n: int) -> MomentValue:
 
 
 # ---------------------------------------------------------------------------
-# Two-simplex overlap integral and covariances
+# Exact overlap integrals and covariances
 
 
 def j2_closed_form(m1: int, m2: int, m12: int, spec: TorusSpec,
@@ -186,6 +190,38 @@ def j2_closed_form(m1: int, m2: int, m12: int, spec: TorusSpec,
     d, a = spec.d, spec.a
     base = m1 + m2 + m12 + 2.0 * m1 * m2 / (m12 + 1.0)
     return base ** d * a ** d * (2.0 * epsilon) ** ((m1 + m2 + m12 - 1) * d)
+
+
+def clique_block_integral(pattern: OverlapPattern, spec: TorusSpec,
+                          epsilon: float) -> float | None:
+    """Overlap integral of a linked pattern whose union graph has only
+    cliques as blocks, or None for any other pattern.
+
+    The union graph has the pattern's M points as vertices, and each simplex
+    adds the edges of a clique.  Its maximal cliques Q are its blocks
+    exactly when they form a hypertree, sum of (|Q| - 1) = M - 1.  Fixing
+    one point, each block then places its other points independently of the
+    rest, a clique K_m on the line with volume m t^(m-1) (t = 2 epsilon), so
+    J_1 = a t^(M-1) prod |Q| and the max-norm integral is J_1^d.  The circle
+    behaves like the line only while points pairwise closer than t fit an
+    arc shorter than t, that is for t <= a/3; beyond that None is returned.
+    """
+    t, a = 2.0 * epsilon, spec.a
+    if 3.0 * t > a:
+        return None
+    M = pattern.total_vertices
+    neigh = [0] * M
+    for verts in pattern.vertex_lists():
+        mask = sum(1 << v for v in verts)
+        for v in verts:
+            neigh[v] |= mask ^ 1 << v
+    by_size, _ = enumerate_cliques(neigh, cap=0)
+    # a clique is maximal when its vertices have no common neighbour
+    blocks = [len(c) for cliques in by_size.values() for c in cliques
+              if not reduce(and_, (neigh[v] for v in c))]
+    if sum(m - 1 for m in blocks) != M - 1:
+        return None
+    return (a * t ** (M - 1) * math.prod(blocks)) ** spec.d
 
 
 def cov_Nk_Nl(params: ModelParams, k: int, l: int) -> MomentValue:
@@ -380,26 +416,42 @@ def _overlap_components(pattern: OverlapPattern) -> list[OverlapPattern]:
     return parts
 
 
-def _default_j_oracle(params: ModelParams, samples: int, seed: SeedSpec):
+def _default_j_oracle(params: ModelParams, samples: int, seed: SeedSpec,
+                      tally: Counter | None = None):
     """Overlap integrals of the max-norm model.  Points in separate overlap
     components are independent, so a pattern's integral is the product of
-    its components'.  A two-simplex component has a closed form.  For any
-    other the max-norm indicator factorises over coordinates, so its
-    integral is J_1^d, J_1 being the Monte Carlo integral on the circle (one
-    child stream of ``seed`` per component), and its error the rise of x^d
-    over one standard error of J_1.  Errors of a product propagate to first
-    order."""
+    its components'.  The max-norm indicator factorises over coordinates, so
+    a component's integral is J_1^d, J_1 being its integral on the circle.
+    Each component takes the first of three cases that applies:
+
+    - two simplices: ``j2_closed_form``;
+    - a union graph with only cliques as blocks, at t <= a/3:
+      ``clique_block_integral``;
+    - any other: J_1 from the Monte Carlo oracle on the circle, its error the
+      rise of x^d over one standard error of J_1.
+
+    Each component of three or more simplices, exact or not, takes the next
+    child stream ``seed.child("j_oracle", i)``, so a Monte Carlo component
+    keeps its stream whichever components before it are exact.  ``tally``
+    counts the components under ``exact_components`` (the first two cases)
+    and ``mc_components``.  Errors of a product propagate to first order."""
     counter = [0]
     d = params.spec.d
     circle = TorusSpec(d=1, a=params.spec.a)
+    tally = Counter() if tally is None else tally
 
     def component(pattern: OverlapPattern) -> JEstimate:
         if len(pattern.sizes) == 2:
             ((_, m12),) = pattern.shared
             value = j2_closed_form(pattern.sizes[0] - m12, pattern.sizes[1] - m12,
                                    m12, params.spec, params.epsilon)
+        else:
+            counter[0] += 1
+            value = clique_block_integral(pattern, params.spec, params.epsilon)
+        if value is not None:
+            tally["exact_components"] += 1
             return JEstimate(value=value, stderr=0.0, samples=0)
-        counter[0] += 1
+        tally["mc_components"] += 1
         est = j_oracle_mc(pattern, circle, params.epsilon, samples,
                           seed.child("j_oracle", counter[0]))
         # the rise of x^d over [value, value + stderr]: the first-order
@@ -428,18 +480,26 @@ def nth_moment_assembler(params: ModelParams, k: int, n: int,
     Sums weight * lambda^M * J over the overlap patterns of n simplices in
     sorted order, J being the pattern's overlap integral from ``j_oracle``.
     The default oracle multiplies the integrals of the pattern's overlap
-    components: the closed form for two-simplex components, so n = 2
-    reproduces the covariance diagonal, and the Monte Carlo oracle on the
-    circle, raised to the power d, for every other component.
+    components, each in the first of three cases that applies: the closed
+    form for two simplices, so n = 2 reproduces the covariance diagonal; the
+    exact clique-block integral when every block of the component's union
+    graph is a clique and t <= a/3; otherwise the Monte Carlo oracle on the
+    circle with ``oracle_samples`` samples, raised to the power d.  With the
+    default oracle, ``truncation`` also counts the component integrals taken
+    exactly (``exact_components``) and by Monte Carlo (``mc_components``).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < 2:
         raise ValueError(f"central moment order must be >= 2, got {n}")
+    if oracle_samples < 1:
+        raise ValueError(f"oracle_samples must be >= 1, got {oracle_samples}")
+    tally = {}
     if j_oracle is None:
         if seed is None:
             seed = SeedSpec(master_seed=0, stream_index=0)
-        j_oracle = _default_j_oracle(params, oracle_samples, seed)
+        tally = Counter(exact_components=0, mc_components=0)
+        j_oracle = _default_j_oracle(params, oracle_samples, seed, tally)
     total = 0.0
     var = 0.0
     for shared, weight, M in _overlap_patterns(n, k):
@@ -451,7 +511,7 @@ def nth_moment_assembler(params: ModelParams, k: int, n: int,
         var += (coeff * est.stderr) ** 2
     kind = MomentKind.VARIANCE if n == 2 else MomentKind.CENTRAL_MOMENT
     return MomentValue(value=total, kind=kind, order=n,
-                       truncation={"oracle_stderr": math.sqrt(var)})
+                       truncation={"oracle_stderr": math.sqrt(var), **tally})
 
 
 def third_moment_Nk(params: ModelParams, k: int,

@@ -111,6 +111,14 @@ def test_moment_third_requires_seed(capsys):
     assert code == 1 and "seed" in doc["error"]
 
 
+def test_moment_third_rejects_zero_oracle_samples(capsys):
+    # the third moment of N_2 samples no component, yet the count is checked
+    code, doc = run_cli(capsys, "moment", "--quantity", "third_moment",
+                        "--lambda", "20", "--eps", "0.05", "--k", "2",
+                        "--oracle-samples", "0", "--seed", "1")
+    assert code == 1 and "oracle_samples" in doc["error"]
+
+
 def test_moment_third_k1(capsys):
     code, doc = run_cli(capsys, "moment", "--quantity", "third_moment",
                         "--lambda", "20", "--eps", "0.05", "--k", "1",

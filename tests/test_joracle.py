@@ -79,3 +79,11 @@ def test_dimension_cap():
         j_oracle_mc(pattern, SPEC1, 0.05, 100, SeedSpec(0))
     with pytest.raises(ValueError):
         j_oracle_mc(OverlapPattern.make((2,)), SPEC1, 0.05, 0, SeedSpec(0))
+
+
+def test_batch_must_be_positive():
+    # a zero batch used to loop forever, drawing no sample per pass
+    for batch in (0, -1):
+        with pytest.raises(ValueError, match="batch"):
+            j_oracle_mc(OverlapPattern.make((2,)), SPEC1, 0.05, 100,
+                        SeedSpec(0), batch=batch)

@@ -7,10 +7,10 @@ import sympy
 from oracles import bell_exponential, slot_partition_weights
 from torushom.joracle import JEstimate, OverlapPattern, j_oracle_mc
 from torushom.moments import (ModelParams, MomentKind, MomentValue,
-                              _default_j_oracle, _overlap_patterns,
-                              alpha_beta_coeffs,
+                              _default_j_oracle, _overlap_components,
+                              _overlap_patterns, alpha_beta_coeffs,
                               bell_polynomial,
-                              c_coefficient, cov_Nk_Nl,
+                              c_coefficient, clique_block_integral, cov_Nk_Nl,
                               euclid_remark_moments, fourth_moment_Nk,
                               j2_closed_form, mean_Nk, mean_Nk_binomial,
                               mean_chi, mean_chi_binomial, nth_moment_assembler,
@@ -275,25 +275,115 @@ def test_fourth_moment_at_d3_fits_the_oracle_cap():
     assert math.isfinite(mv.truncation["oracle_stderr"])
 
 
+# four edges closing a 4-cycle: one component whose block is no clique, so
+# the default oracle takes it by Monte Carlo
+C4 = OverlapPattern.make((2, 2, 2, 2),
+                         {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1})
+TRIANGLE = OverlapPattern.make((2, 2, 2), {(0, 1): 1, (1, 2): 1, (0, 2): 1})
+
+
 def test_zero_hit_component_keeps_a_nonzero_error_at_d3():
-    # a triangle of edges at a tiny epsilon: ten circle samples find no hit,
+    # a 4-cycle of edges at a tiny epsilon: ten circle samples find no hit,
     # and J_1^3 = 0 must still carry the error of the circle estimate
     p = ModelParams(lam=20.0, spec=TorusSpec(d=3, a=1.0), epsilon=1e-6)
-    pattern = OverlapPattern.make((2, 2, 2), {(0, 1): 1, (1, 2): 1, (0, 2): 1})
-    est = _default_j_oracle(p, 10, SeedSpec(0))(pattern)
-    circle = j_oracle_mc(pattern, TorusSpec(d=1, a=1.0), 1e-6, 10,
+    est = _default_j_oracle(p, 10, SeedSpec(0))(C4)
+    circle = j_oracle_mc(C4, TorusSpec(d=1, a=1.0), 1e-6, 10,
                          SeedSpec(0).child("j_oracle", 1))
     assert circle.value == 0.0 and est.value == 0.0
     assert est.stderr == circle.stderr ** 3 > 0.0
 
 
 def test_default_oracle_is_the_circle_integral_to_the_power_d():
-    # three edges closing a triangle: one component, J_2 = J_1^2 for max-norm
+    # a 4-cycle of edges: one component, J_2 = J_1^2 for max-norm
     p = ModelParams(lam=20.0, spec=SPEC2, epsilon=0.1)
-    pattern = OverlapPattern.make((2, 2, 2), {(0, 1): 1, (1, 2): 1, (0, 2): 1})
-    est = _default_j_oracle(p, 200_000, SeedSpec(3))(pattern)
-    direct = j_oracle_mc(pattern, SPEC2, 0.1, 200_000, SeedSpec(4))
+    est = _default_j_oracle(p, 200_000, SeedSpec(3))(C4)
+    direct = j_oracle_mc(C4, SPEC2, 0.1, 200_000, SeedSpec(4))
     assert abs(est.value - direct.value) < 4 * math.hypot(est.stderr, direct.stderr)
+
+
+def _components(n, k):
+    """The distinct overlap components of n (k-1)-simplices."""
+    return sorted({c for shared, _, _ in _overlap_patterns(n, k)
+                   for c in _overlap_components(
+                       OverlapPattern.make((k,) * n, dict(shared)))},
+                  key=repr)
+
+
+def test_clique_block_integrals_match_monte_carlo():
+    # eps = 0.15 keeps t = 0.3 <= a/3 with hit fractions that Monte Carlo
+    # resolves; every covered component of three or more simplices is checked
+    checked = 0
+    for n, k in ((3, 2), (3, 3), (4, 2)):
+        for i, comp in enumerate(_components(n, k)):
+            exact = clique_block_integral(comp, SPEC1, 0.15)
+            if exact is None or len(comp.sizes) == 2:
+                continue
+            est = j_oracle_mc(comp, SPEC1, 0.15, 100_000,
+                              SeedSpec(900 + 100 * n + 10 * k, i))
+            assert abs(exact - est.value) <= 4 * est.stderr, (comp, exact, est)
+            checked += 1
+    assert checked == 9 + 9 + 75
+
+
+def test_clique_block_integral_equals_the_two_simplex_closed_form():
+    # where both apply: one shared point, or one simplex inside the other
+    for m1, m2, m12 in ((1, 1, 1), (2, 2, 1), (1, 3, 1), (0, 2, 2), (0, 1, 1),
+                        (3, 0, 1), (0, 0, 3)):
+        pattern = OverlapPattern.make((m1 + m12, m2 + m12), {(0, 1): m12})
+        for d in (1, 2, 3):
+            spec = TorusSpec(d=d, a=1.3)
+            assert clique_block_integral(pattern, spec, 0.07) == pytest.approx(
+                j2_closed_form(m1, m2, m12, spec, 0.07), rel=1e-12)
+
+
+def test_clique_block_integral_declines_other_blocks():
+    # the 4-cycle and K4 - e (two triangles on an edge) are blocks but not
+    # cliques; a triangle beyond t = a/3 no longer behaves as on the line
+    assert clique_block_integral(C4, SPEC1, 0.05) is None
+    assert clique_block_integral(OverlapPattern.make((3, 3), {(0, 1): 2}),
+                                 SPEC1, 0.05) is None
+    assert clique_block_integral(TRIANGLE, SPEC1, 0.05) == pytest.approx(
+        3 * 0.1 ** 2, rel=1e-12)
+    assert clique_block_integral(TRIANGLE, SPEC1, 0.2) is None
+
+
+def test_triangle_component_beyond_a_third_falls_back_to_monte_carlo():
+    p = ModelParams(lam=20.0, spec=SPEC1, epsilon=0.2)
+    est = _default_j_oracle(p, 1_000, SeedSpec(6))(TRIANGLE)
+    circle = j_oracle_mc(TRIANGLE, SPEC1, 0.2, 1_000,
+                         SeedSpec(6).child("j_oracle", 1))
+    assert est == circle and est.samples == 1_000
+
+
+def test_exact_components_advance_the_stream_counter():
+    # a Monte Carlo component takes the stream of its place among all the
+    # components of three or more simplices, exact ones included
+    p = ModelParams(lam=20.0, spec=SPEC1, epsilon=0.05)
+    oracle = _default_j_oracle(p, 1_000, SeedSpec(7))
+    assert oracle(TRIANGLE).samples == 0
+    assert oracle(C4) == j_oracle_mc(C4, SPEC1, 0.05, 1_000,
+                                     SeedSpec(7).child("j_oracle", 2))
+
+
+def test_third_moment_of_N2_is_exact_and_counts_its_components():
+    p = ModelParams(lam=20.0, spec=SPEC1, epsilon=0.05)
+    mv = third_moment_Nk(p, 2, seed=SeedSpec(1))
+    assert mv.value == pytest.approx(6360.0, rel=1e-12)
+    assert mv.truncation == {"oracle_stderr": 0.0, "exact_components": 9,
+                             "mc_components": 0}
+    # N_3: 9 of 29 components exact; fourth moment of N_2: the 24 two-simplex
+    # components and 75 of the other 78 exact
+    trunc = third_moment_Nk(p, 3, oracle_samples=10).truncation
+    assert (trunc["exact_components"], trunc["mc_components"]) == (9, 20)
+    trunc = fourth_moment_Nk(p, 2, oracle_samples=10).truncation
+    assert (trunc["exact_components"], trunc["mc_components"]) == (99, 3)
+
+
+def test_assembler_checks_the_sample_count_before_any_pattern():
+    # no component of the third moment of N_2 is sampled, and still
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="oracle_samples"):
+            third_moment_Nk(P1, 2, oracle_samples=samples)
 
 
 def test_euclid_remark_moments():
