@@ -15,11 +15,11 @@ import sys
 
 import numpy as np
 
-from .complexes import (ComplexParams, Convention, adjacency_matrix, build_complex,
+from .complexes import (ComplexParams, Convention, adjacency_matrix,
                         simplex_counts)
 from .harness import (ExperimentConfig, clt_rate_experiment,
                       coverage_experiment, run_experiment)
-from .homology import homology_summary
+from .homology import collapsed_homology
 from .joracle import OverlapPattern, j_oracle_mc
 from .moments import (ModelParams, cov_Nk_Nl, euclid_remark_moments,
                       fourth_moment_Nk, mean_Nk, mean_Nk_binomial, mean_chi,
@@ -211,8 +211,7 @@ def _cmd_complex(args):
 
 def _cmd_homology(args):
     pc = _load_points(args.infile)
-    cx = build_complex(pc, _params(args), homology_mode=True)
-    _emit(homology_summary(cx).to_json(), args.out)
+    _emit(collapsed_homology(pc, _params(args)).to_json(), args.out)
 
 
 def _model_params(args) -> ModelParams:

@@ -8,9 +8,10 @@ test, without the dense (n, n, d) distance tensor, and one sweep also
 finds the edges of a whole block of configurations.  The graph is packed
 once into neighbour bitsets (see ``cliques``), which a complex keeps and
 every walker reads; the (n, n) boolean matrix of ``adjacency_matrix`` is
-only a way in.  A complex stores its simplex counts and that graph, never a
-list of its simplices: homology (see ``homology``) lists only the cliques of
-a collapsed core.
+only a way in.  ``simplex_counts`` counts a complex's simplices by a clique
+walk; ``build_complex`` counts only its vertices and edges and keeps its
+graph, from which homology (see ``homology``) lists only the cliques of a
+collapsed core.  Neither stores a list of simplices.
 Two threshold conventions are supported:
 
 * ``RIPS_HALF_OPEN_2EPS``: vertices are adjacent when their distance is
@@ -236,26 +237,20 @@ def simplex_counts(config: PointConfiguration, params: ComplexParams,
 
 def build_complex(config: PointConfiguration, params: ComplexParams,
                   homology_mode: bool = False) -> GeometricComplex:
-    """Count the simplices of every dimension and keep the neighbour bitsets
-    of the graph, from which ``homology.betti_numbers`` works.
-
-    If the total simplex count exceeds ``DEFAULT_SIMPLEX_CAP`` the result is
-    marked truncated, the same rule as ``simplex_counts``.
+    """The neighbour bitsets of the graph, from which
+    ``homology.homology_summary`` works, with N_1 and N_2 (the counts of
+    ``simplex_counts(config, params, max_dim=1)``, found without a clique
+    walk).  Never truncated: the simplex cap bounds the listing of the
+    collapsed core's cliques in ``homology``, which raises when it is hit.
     """
     _check_radius(config.spec, params, homology_mode)
-    return _complex_from_bitsets(neighbour_bitsets(adjacency_matrix(config, params)))
-
-
-def _complex_from_bitsets(neigh: list[int],
-                          cap: int = DEFAULT_SIMPLEX_CAP) -> GeometricComplex:
-    """The clique complex of a graph given by its neighbour bitsets, as
-    ``build_complex``, which keeps them; truncated when the simplex total
-    exceeds ``cap`` (0: no cap)."""
-    counts, complete = count_cliques(neigh, cap=cap)
-    counts = counts[1:]  # drop the size-0 slot
+    adj = adjacency_matrix(config, params)
+    n, edges = config.n, int(np.count_nonzero(adj)) // 2
+    # trimmed after the largest nonzero size, as by ``count_cliques``
+    counts = np.array([n, edges][:bool(n) + bool(edges)], dtype=np.int64)
     return GeometricComplex(
-        n_vertices=len(neigh), counts=counts, max_dim_built=len(counts) - 1,
-        truncated=not complete, neighbours=neigh,
+        n_vertices=n, counts=counts, max_dim_built=len(counts) - 1,
+        truncated=False, neighbours=neighbour_bitsets(adj),
     )
 
 

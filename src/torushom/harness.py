@@ -16,8 +16,8 @@ from each configuration's degrees, and where more is asked for, one
 bitsets, built once and walked for N_k (counted only up to the largest k
 asked for), chi (a pivoted sum), beta_0 (a flood fill), any pattern other
 than a star (a bitset search) and, where Betti numbers above beta_0 are
-asked for, the clique complex of full homology, whose one full count then
-gives N_k as well.
+asked for, ``homology.homology_from_bitsets``, which lists only the cliques
+of a collapsed core and counts none of the full complex.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ import numpy as np
 from .cliques import chi_from_bitsets, counts_from_bitsets, row_bitsets
 # simplex_counts is not called here; perfbench's import-site test expects
 # this module to hold it.
-from .complexes import (ComplexParams, _check_radius, _complex_from_bitsets,  # noqa: F401
-                        simplex_counts, threshold_edges)
-from .homology import collapsed_homology, components_from_bitsets, homology_summary
+from .complexes import (ComplexParams, _check_radius, simplex_counts,  # noqa: F401
+                        threshold_edges)
+from .homology import (SimplexCapExceeded, collapsed_homology,
+                       components_from_bitsets, homology_from_bitsets)
 from .sampling import Poisson, ProcessLaw, SeedSpec, sample
 from .stats import MIN_NORMALITY_SAMPLE, wasserstein1_to_normal
 from .subcomplex import GammaGraph, count_gamma, star_arms
@@ -51,9 +52,10 @@ _BLOCK_CELLS = 1 << 16
 @dataclass(frozen=True)
 class ExperimentConfig:
     """N_k is counted to the largest k in ``quantities`` and at least to
-    dimension ``max_dim``; a replication whose count exceeds ``simplex_cap``
-    (0: no cap) is excluded.  chi is a pivoted sum over the neighbour
-    bitsets, never capped."""
+    dimension ``max_dim``.  A replication is excluded when that count, or
+    the listing of the collapsed core's cliques for Betti numbers above
+    beta_0, exceeds ``simplex_cap`` (0: no cap).  chi is a pivoted sum over
+    the neighbour bitsets and beta_0 a flood fill, never capped."""
 
     law: ProcessLaw
     spec: TorusSpec
@@ -248,23 +250,23 @@ def _block_rows(block: list[np.ndarray], config: ExperimentConfig, plan: _Plan):
         if plan.needs_bitsets:
             neigh = block_neigh[s]
         complete = True
-        if plan.needs_full_homology:
-            # one full walk: it exceeds the cap whenever a shorter one would
-            cx = _complex_from_bitsets(neigh, cap)
-            counts, complete = [0, *cx.counts], not cx.truncated
-        elif plan.clique_walk:
+        if plan.clique_walk:
             counts, complete = counts_from_bitsets(neigh, plan.max_size, cap)
         elif plan.needs_counts:
             counts = [0, n, edges[s]]
             # the cap rule of the clique walk, which would count these
             complete = not 0 < cap < n + (edges[s] if plan.max_size == 2 else 0)
+        homology = None
+        if complete and plan.needs_full_homology:
+            try:
+                homology = homology_from_bitsets(neigh, cap)
+            except SimplexCapExceeded:
+                complete = False
+            else:
+                row["_violations"] = len(homology.violations)
         if not complete:
             yield None
             continue
-        homology = None
-        if plan.needs_full_homology:
-            homology = homology_summary(cx)
-            row["_violations"] = len(homology.violations)
         for q, (kind, i) in zip(config.quantities, plan.parsed):
             if kind == "n_points":
                 row[q] = float(n)
@@ -278,20 +280,6 @@ def _block_rows(block: list[np.ndarray], config: ExperimentConfig, plan: _Plan):
             else:
                 row[q] = float(components_from_bitsets(neigh)) if n else 0.0
         yield row
-
-
-def empirical_tail(values, thresholds):
-    """Upper-tail estimates P_hat(X >= y) with binomial standard errors."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty sample")
-    out = []
-    n = arr.size
-    for y in thresholds:
-        p = float(np.mean(arr >= y))
-        se = math.sqrt(p * (1.0 - p) / n)
-        out.append((float(y), p, se))
-    return out
 
 
 @dataclass(frozen=True)

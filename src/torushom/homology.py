@@ -3,21 +3,23 @@
 Betti numbers of a clique complex are read off a small homotopy-equivalent
 core of its graph: strong collapse deletes dominated vertices and edge
 collapse dominated edges (Boissonnat & Pritam, SoCG 2020), in turn until
-neither deletes anything, and only the core's cliques are listed.  Their
-boundary maps are ranked by Gaussian elimination on Python-int bitset rows
-(fast XOR of whole rows, no numerics), from the top dimension down with
-clearing (Chen & Kerber's twist): a k-simplex that is the lowest set bit of
-a reduced row of the (k+1)-boundary has a boundary in the span of those of
-later k-simplices, so its row is left out of the k-boundary reduction
-without changing the rank.  Strong collapse re-checks, after one full pass,
-only the vertices whose closed neighbourhood shrank.
+neither deletes anything, and only the core's cliques are listed; no
+simplex of the full complex is counted or listed.  Their boundary maps are
+ranked by Gaussian elimination on Python-int bitset rows (fast XOR of whole
+rows, no numerics), from the top dimension down with clearing (Chen &
+Kerber's twist): a k-simplex that is the lowest set bit of a reduced row of
+the (k+1)-boundary has a boundary in the span of those of later k-simplices,
+so its row is left out of the k-boundary reduction without changing the
+rank.  Strong collapse re-checks, after one full pass, only the vertices
+whose closed neighbourhood shrank.
 
-Both entry points run the same checks on the Betti numbers: their
-alternating sum must equal an Euler characteristic found without the core
-(the simplex counts of a counted complex for ``homology_summary``, the
-pivoted clique sum over the strong-collapse core for
-``collapsed_homology``, which counts nothing), beta_0 must equal a flood
-fill's component count of the whole graph, and none may be negative.
+``homology_from_bitsets`` computes every Betti number; the other entry
+points only find or unpack the graph.  Its checks: the alternating sum of
+the Betti numbers must equal the pivoted Euler characteristic of the
+strong-collapse core (``chi_from_bitsets``, which lists no clique and
+shares the complex's homotopy type but not the edge collapse), beta_0 must
+equal a flood fill's component count of the whole graph, and none may be
+negative.  The list ends at the collapsed core's top dimension.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from itertools import combinations
 import numpy as np
 
 from .cliques import chi_from_bitsets, enumerate_cliques, neighbour_bitsets
-from .complexes import GeometricComplex, _check_radius, adjacency_matrix
+from .complexes import (DEFAULT_SIMPLEX_CAP, GeometricComplex, _check_radius,
+                        adjacency_matrix)
 
 
 def gf2_rank(rows: list[int], pivot_cols: set[int] | None = None) -> int:
@@ -88,24 +91,26 @@ class HomologyResult:
         }
 
 
-def betti_numbers(complex_: GeometricComplex) -> list[int]:
-    """Betti numbers beta_0..beta_top over GF(2) of a full clique complex,
-    read off the cliques of its collapsed core (see ``collapsed_core``) and
-    padded with zeros to the complex's top dimension."""
-    if complex_.neighbours is None:
-        raise ValueError("complex was built without its neighbour bitsets")
-    if complex_.truncated:
-        raise ValueError("complex is truncated; homology would be unreliable")
-    neigh = complex_.neighbours
-    betti = _core_betti(_induced(neigh, collapse_from_bitsets(neigh)))
-    return betti + [0] * (complex_.max_dim_built + 1 - len(betti))
+class SimplexCapExceeded(ValueError):
+    """The collapsed core of a graph has more cliques than the simplex cap."""
 
 
-def _core_betti(strong: list[int]) -> list[int]:
-    """Betti numbers of the clique complex of a strong-collapse core, one
-    per dimension of its collapsed core's cliques."""
-    # the core is small, so listing its cliques needs no cap
-    by_size, _ = enumerate_cliques(collapsed_core(strong), cap=0)
+def homology_from_bitsets(neigh: list[int],
+                          cap: int = DEFAULT_SIMPLEX_CAP) -> HomologyResult:
+    """Checked Betti numbers of the clique complex of the graph ``neigh``.
+
+    The Betti numbers come from the cliques of the collapsed core
+    (``collapsed_core``) of the strong-collapse core, one per dimension of
+    those cliques, and are checked (``_checked``) against the pivoted Euler
+    characteristic of the strong-collapse core and the flood fill of the
+    whole graph.  Raises ``SimplexCapExceeded`` when the collapsed core has
+    more than ``cap`` cliques (0: no cap).
+    """
+    strong = _induced(neigh, collapse_from_bitsets(neigh))
+    by_size, complete = enumerate_cliques(collapsed_core(strong), cap)
+    if not complete:
+        raise SimplexCapExceeded(
+            f"the collapsed core has more than simplex_cap = {cap} simplices")
     simplices = [s for s in by_size.values() if s]  # by size, from 1
     ranks = [0] * (len(simplices) + 1)
     cleared: set[tuple[int, ...]] = set()
@@ -113,7 +118,20 @@ def _core_betti(strong: list[int]) -> list[int]:
         kept = [s for s in simplices[dim] if s not in cleared]
         cleared = set()
         ranks[dim] = boundary_rank(simplices[dim - 1], kept, cleared)
-    return [len(s_k) - ranks[k] - ranks[k + 1] for k, s_k in enumerate(simplices)]
+    betti = [len(s_k) - ranks[k] - ranks[k + 1] for k, s_k in enumerate(simplices)]
+    return _checked(betti, chi_from_bitsets(strong), neigh)
+
+
+def homology_summary(complex_: GeometricComplex) -> HomologyResult:
+    """``homology_from_bitsets`` of the graph a complex keeps."""
+    if complex_.neighbours is None:
+        raise ValueError("complex was built without its neighbour bitsets")
+    return homology_from_bitsets(complex_.neighbours)
+
+
+def betti_numbers(complex_: GeometricComplex) -> list[int]:
+    """The Betti numbers of ``homology_summary``."""
+    return homology_summary(complex_).betti
 
 
 def collapsed_core(strong: list[int]) -> list[int]:
@@ -203,14 +221,6 @@ def components_from_bitsets(neigh: list[int]) -> int:
     return comps
 
 
-def homology_summary(complex_: GeometricComplex) -> HomologyResult:
-    """Betti numbers (``betti_numbers``) checked against the Euler
-    characteristic of the full complex's simplex counts and a flood fill of
-    its graph; see ``_checked``."""
-    return _checked(betti_numbers(complex_), complex_.euler_characteristic_counts(),
-                    complex_.neighbours)
-
-
 def _checked(betti: list[int], chi_counts: int, neigh: list[int]) -> HomologyResult:
     """The Betti numbers of the clique complex of the graph ``neigh`` with
     their violations: an alternating sum other than the Euler characteristic
@@ -286,15 +296,7 @@ def collapse_from_bitsets(neigh: list[int]) -> np.ndarray:
 
 
 def collapsed_homology(config, params) -> HomologyResult:
-    """Homology of a Rips-Vietoris complex without counting its simplices.
-
-    The Betti numbers are those of ``_core_betti``, one per dimension of the
-    collapsed core's cliques.  They are checked (``_checked``) against the
-    pivoted Euler characteristic (``chi_from_bitsets``) of the strong-collapse
-    core, which the core's homotopy type shares, and the flood fill of the
-    whole graph.  The graph is packed into bitsets once.
-    """
+    """``homology_from_bitsets`` of a Rips-Vietoris complex in homology
+    mode, its graph packed into bitsets once."""
     _check_radius(config.spec, params, homology_mode=True)
-    neigh = neighbour_bitsets(adjacency_matrix(config, params))
-    strong = _induced(neigh, collapse_from_bitsets(neigh))
-    return _checked(_core_betti(strong), chi_from_bitsets(strong), neigh)
+    return homology_from_bitsets(neighbour_bitsets(adjacency_matrix(config, params)))

@@ -22,18 +22,15 @@ def brute_force_clique_counts(adj_bool: np.ndarray, max_size: int) -> np.ndarray
     return counts
 
 
-def clique_simplices(complex_, dim: int) -> list[tuple[int, ...]]:
-    """The dim-simplices of a clique complex in lexicographic order, by
-    testing every (dim + 1)-subset of its vertices against the neighbour
-    bitsets the complex keeps."""
-    neigh = complex_.neighbours
-    if neigh is None:
-        raise ValueError("complex was built without its neighbour bitsets")
+def clique_simplices(neigh: list[int], dim: int) -> list[tuple[int, ...]]:
+    """The dim-simplices of the clique complex of the graph ``neigh``
+    (neighbour bitsets) in lexicographic order, by testing every
+    (dim + 1)-subset of its vertices."""
     return [s for s in combinations(range(len(neigh)), dim + 1)
             if all(neigh[u] >> v & 1 for u, v in combinations(s, 2))]
 
 
-def boundary_matrix(complex_, dim: int) -> np.ndarray:
+def boundary_matrix(neigh: list[int], dim: int) -> np.ndarray:
     """GF(2) boundary matrix from dim-simplices to (dim-1)-simplices.
 
     Rows index (dim-1)-simplices, columns index dim-simplices, both listed
@@ -41,8 +38,8 @@ def boundary_matrix(complex_, dim: int) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    lower = clique_simplices(complex_, dim - 1)
-    upper = clique_simplices(complex_, dim)
+    lower = clique_simplices(neigh, dim - 1)
+    upper = clique_simplices(neigh, dim)
     index = {s: i for i, s in enumerate(lower)}
     mat = np.zeros((len(lower), len(upper)), dtype=np.uint8)
     for col, simplex in enumerate(upper):
@@ -70,14 +67,17 @@ def dense_gf2_rank(mat: np.ndarray) -> int:
     return rank
 
 
-def direct_betti_numbers(complex_) -> list[int]:
-    """Betti numbers beta_0..beta_top from the GF(2) rank of every full
-    boundary matrix, with no clearing and no collapse."""
-    top = complex_.max_dim_built
-    ranks = [0] + [dense_gf2_rank(boundary_matrix(complex_, dim))
-                   for dim in range(1, top + 2)]
-    return [len(clique_simplices(complex_, k)) - ranks[k] - ranks[k + 1]
-            for k in range(top + 1)]
+def direct_betti_numbers(neigh: list[int]) -> list[int]:
+    """Betti numbers beta_0..beta_top of the clique complex of the graph
+    ``neigh``, top its largest dimension with a simplex (found by testing
+    every subset), from the GF(2) rank of every full boundary matrix, with
+    no clearing and no collapse."""
+    simplices = []
+    while found := clique_simplices(neigh, len(simplices)):
+        simplices.append(found)
+    ranks = ([0] + [dense_gf2_rank(boundary_matrix(neigh, dim))
+                    for dim in range(1, len(simplices))] + [0])
+    return [len(s_k) - ranks[k] - ranks[k + 1] for k, s_k in enumerate(simplices)]
 
 
 def rescan_strong_collapse(adj_bool: np.ndarray) -> np.ndarray:
@@ -155,6 +155,20 @@ def dropping_edge_collapse(collapse_edges):
             neigh[w] ^= 1 << u
         return False
     return dropping
+
+
+def empirical_tail(values, thresholds):
+    """Upper-tail estimates P_hat(X >= y) with binomial standard errors."""
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        raise ValueError("empty sample")
+    out = []
+    n = arr.size
+    for y in thresholds:
+        p = float(np.mean(arr >= y))
+        se = math.sqrt(p * (1.0 - p) / n)
+        out.append((float(y), p, se))
+    return out
 
 
 def slot_partition_weights(n: int, k: int) -> dict:

@@ -11,13 +11,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import brute_force_clique_counts
+from oracles import brute_force_clique_counts, empirical_tail
+from torushom.cliques import neighbour_bitsets
 from torushom.complexes import (ComplexParams, Convention, adjacency_matrix,
-                                build_complex, simplex_counts)
+                                simplex_counts)
 from torushom.harness import (ExperimentConfig, clt_rate_experiment,
-                              coverage_experiment, empirical_tail,
-                              run_experiment)
-from torushom.homology import homology_summary
+                              coverage_experiment, run_experiment)
+from torushom.homology import homology_from_bitsets
 from torushom.joracle import OverlapPattern, j_oracle_mc
 from torushom.moments import (ModelParams, alpha_beta_coeffs, bell_polynomial,
                               c_coefficient, cov_Nk_Nl, euclid_remark_moments,
@@ -301,8 +301,7 @@ def test_criterion_09_homology_structure(report):
     bad = 0
     for r in range(1000):
         pc = sample(Poisson(lam=50.0), spec, seed.child("hom", r))
-        cx = build_complex(pc, params, homology_mode=True)
-        res = homology_summary(cx)
+        res = homology_from_bitsets(neighbour_bitsets(adjacency_matrix(pc, params)))
         betti = res.betti
         beta_d = betti[2] if len(betti) > 2 else 0
         if res.violations:
@@ -385,7 +384,7 @@ def test_criterion_14_brute_force_equivalence(report):
         spec = TorusSpec(d=d, a=1.0)
         pc = sample(Binomial(n=n), spec, rng_seed.child("bf", r))
         params = ComplexParams(epsilon=0.04)
-        cx = build_complex(pc, params)
+        cx = simplex_counts(pc, params)
         adj = adjacency_matrix(pc, params)
         oracle = brute_force_clique_counts(adj, min(n, cx.max_dim_built + 2))
         for k in range(1, len(oracle)):

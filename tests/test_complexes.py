@@ -73,14 +73,28 @@ def test_build_matches_counts():
     params = ComplexParams(epsilon=0.1)
     counted = simplex_counts(cfg, params)
     built = build_complex(cfg, params)
-    assert built.counts.tolist() == counted.counts.tolist()
+    assert built.counts.tolist() == counted.counts[:2].tolist()
     # the complex stores no simplices: list them from the bitsets it keeps
     by_size, complete = enumerate_cliques(built.neighbours)
     assert complete
-    for dim in range(built.max_dim_built + 2):
-        simplices = clique_simplices(built, dim)
+    for dim in range(counted.max_dim_built + 2):
+        simplices = clique_simplices(built.neighbours, dim)
         assert by_size.get(dim + 1, []) == simplices
-        assert len(simplices) == built.N(dim + 1)
+        assert len(simplices) == counted.N(dim + 1)
+
+
+@pytest.mark.parametrize("xs", [(), (0.1,), (0.1, 0.5), (0.1, 0.15, 0.5),
+                                (0.0, 0.05, 0.10)],
+                         ids=["empty", "point", "no_edge", "edge", "triangle"])
+def test_build_counts_only_vertices_and_edges(xs):
+    cfg = config_1d(*xs)
+    params = ComplexParams(epsilon=0.1)
+    built = build_complex(cfg, params, homology_mode=True)
+    edges_only = simplex_counts(cfg, params, max_dim=1)
+    assert built.counts.dtype == edges_only.counts.dtype
+    assert built.counts.tolist() == edges_only.counts.tolist()
+    assert built.max_dim_built == edges_only.max_dim_built
+    assert built.truncated is False
 
 
 def test_homology_mode_radius_guard():
@@ -150,10 +164,11 @@ def test_complex_keeps_the_bitsets_of_its_graph(metric, convention):
 def test_boundary_matrix_triangle():
     # three mutually close points: one triangle
     cfg = config_1d(0.0, 0.05, 0.10)
-    gc = build_complex(cfg, ComplexParams(epsilon=0.1))
-    assert gc.counts.tolist() == [3, 3, 1]
-    d1 = boundary_matrix(gc, 1)
-    d2 = boundary_matrix(gc, 2)
+    params = ComplexParams(epsilon=0.1)
+    assert simplex_counts(cfg, params).counts.tolist() == [3, 3, 1]
+    neigh = build_complex(cfg, params).neighbours
+    d1 = boundary_matrix(neigh, 1)
+    d2 = boundary_matrix(neigh, 2)
     assert d1.shape == (3, 3) and d2.shape == (3, 1)
     assert d1.sum(axis=0).tolist() == [2, 2, 2]
     assert d2.sum() == 3
@@ -163,10 +178,11 @@ def test_boundary_matrix_triangle():
 
 def test_boundary_composition_random():
     cfg = sample(Binomial(n=20), SPEC2, SeedSpec(31))
-    gc = build_complex(cfg, ComplexParams(epsilon=0.12))
-    for dim in range(2, gc.max_dim_built + 1):
-        lo = boundary_matrix(gc, dim - 1)
-        hi = boundary_matrix(gc, dim)
+    params = ComplexParams(epsilon=0.12)
+    neigh = build_complex(cfg, params).neighbours
+    for dim in range(2, simplex_counts(cfg, params).max_dim_built + 1):
+        lo = boundary_matrix(neigh, dim - 1)
+        hi = boundary_matrix(neigh, dim)
         assert not ((lo.astype(int) @ hi.astype(int)) % 2).any()
 
 

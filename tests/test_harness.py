@@ -5,12 +5,12 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from oracles import dropping_edge_collapse
+from oracles import dropping_edge_collapse, empirical_tail
 from torushom import cliques, complexes, harness, homology, subcomplex
 from torushom.complexes import ComplexParams, Convention, simplex_counts
 from torushom.harness import (CltReport, CoverageReport, ExperimentConfig,
                               clt_rate_experiment, coverage_experiment,
-                              empirical_tail, run_experiment, torus_betti)
+                              run_experiment, torus_betti)
 from torushom.moments import ModelParams, mean_Nk, mean_chi
 from torushom.sampling import Binomial, Poisson, SeedSpec, sample
 from torushom.subcomplex import GammaGraph
@@ -121,8 +121,8 @@ def test_cap_bounds_only_the_counts_asked_for():
         assert report.raw["N_2"][rep] == full.N(2)
 
 
-def test_full_homology_counts_cliques_once(monkeypatch):
-    # N_3 and beta_1: the full count of the homology complex gives N_3 too
+def _count_walks(monkeypatch) -> list[int]:
+    """The vertex count of each clique walk from now on."""
     walks = []
     walk = cliques.counts_from_bitsets
 
@@ -132,12 +132,40 @@ def test_full_homology_counts_cliques_once(monkeypatch):
 
     for module in (cliques, harness):
         monkeypatch.setattr(module, "counts_from_bitsets", counting)
+    return walks
+
+
+def test_full_homology_counts_cliques_once(monkeypatch):
+    # N_3 and beta_1: one walk, to N_3, per replication; homology counts none
+    walks = _count_walks(monkeypatch)
     cfg = ExperimentConfig(law=Poisson(30.0), spec=TorusSpec(d=2, a=1.0),
                            params=ComplexParams(epsilon=0.07), replications=10,
                            master_seed=7, quantities=("N_3", "beta_1"))
     report = run_experiment(cfg)
     assert report.excluded == 0
     assert len(walks) == 10
+
+
+def test_betti_numbers_count_no_cliques(monkeypatch):
+    walks = _count_walks(monkeypatch)
+    cfg = ExperimentConfig(law=Poisson(30.0), spec=TorusSpec(d=2, a=1.0),
+                           params=ComplexParams(epsilon=0.07), replications=10,
+                           master_seed=7, quantities=("beta_0", "beta_1"))
+    report = run_experiment(cfg)
+    assert report.excluded == 0 and report.homology_violations == 0
+    assert walks == []
+
+
+def test_cap_on_the_core_excludes_betti_replications():
+    # a core that is a cycle of m > 5 vertices has 2m > 10 cliques
+    capped, free = (run_experiment(ExperimentConfig(
+        law=Poisson(40.0), spec=SPEC1, params=PARAMS, replications=20,
+        master_seed=5, quantities=("beta_1",), simplex_cap=cap)) for cap in (10, 0))
+    assert capped.excluded > 0 and free.excluded == 0
+    assert capped.estimates["beta_1"].n == 20 - capped.excluded
+    # only the replications with a cycle are dropped
+    assert capped.raw["beta_1"].tolist() == [0.0] * capped.estimates["beta_1"].n
+    assert free.raw["beta_1"].sum() == capped.excluded
 
 
 def test_report_serialization():

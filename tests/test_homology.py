@@ -1,18 +1,23 @@
+import json
+
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (direct_betti_numbers, rescan_edge_collapse,
-                     rescan_strong_collapse)
+from oracles import (direct_betti_numbers, dropping_edge_collapse,
+                     rescan_edge_collapse, rescan_strong_collapse)
 from torushom import cliques, complexes, homology
+from torushom.cli import main
 from torushom.cliques import (chi_from_bitsets, count_cliques, enumerate_cliques,
                               neighbour_bitsets)
 from torushom.complexes import (ComplexParams, Convention, adjacency_matrix,
                                 build_complex)
-from torushom.homology import (betti_numbers, boundary_rank, collapsed_homology,
-                               connected_components, gf2_rank, homology_summary,
+from torushom.harness import ExperimentConfig, run_experiment
+from torushom.homology import (SimplexCapExceeded, betti_numbers, boundary_rank,
+                               collapsed_homology, connected_components, gf2_rank,
+                               homology_from_bitsets, homology_summary,
                                strong_collapse)
 from torushom.sampling import Binomial, PointConfiguration, Poisson, SeedSpec, sample
 from torushom.torus import TorusSpec
@@ -99,20 +104,28 @@ def test_torus_grid_betti_collapsed():
     assert res.violations == []
 
 
-def test_summary_flags_bitsets_that_disagree_with_simplices():
-    # one edge added to or removed from the neighbour bitsets changes the
-    # Betti numbers, which come from the bitsets, but not the simplex
-    # counts, so the Euler-Poincare check fails
-    apart = comp([[0.1], [0.6]], SPEC1, 0.05)
-    assert homology_summary(apart).violations == []
-    apart.neighbours = [0b10, 0b01]
-    assert homology_summary(apart).violations == [
-        "euler characteristic mismatch: counts give 2, betti give 1"]
-    close = comp([[0.1], [0.15]], SPEC1, 0.05)
-    assert homology_summary(close).violations == []
-    close.neighbours = [0, 0]
-    assert homology_summary(close).violations == [
-        "euler characteristic mismatch: counts give 1, betti give 2"]
+def test_every_entry_point_reports_a_collapse_that_drops_an_edge(
+        monkeypatch, tmp_path, capsys):
+    # Deleting an undominated edge of the collapsed core turns the core's
+    # cycle into a path: beta_1 falls to 0 while the Euler characteristic of
+    # the strong-collapse core stays 0, so the Euler-Poincare check fails.
+    monkeypatch.setattr(homology, "_collapse_edges",
+                        dropping_edge_collapse(homology._collapse_edges))
+    params = ComplexParams(epsilon=0.2, convention=Convention.SUBCOMPLEX_EPS)
+    pc = sample(Poisson(lam=60.0), SPEC1, SeedSpec(4).child("coverage", 60.0, 0))
+    expected = ["euler characteristic mismatch: counts give 0, betti give 1"]
+    assert homology_summary(build_complex(pc, params, homology_mode=True)
+                            ).violations == expected
+    assert collapsed_homology(pc, params).violations == expected
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(pc.to_json()))
+    assert main(["homology", "--in", str(path), "--eps", "0.2",
+                 "--convention", "subeps"]) == 0
+    assert json.loads(capsys.readouterr().out)["violations"] == expected
+    report = run_experiment(ExperimentConfig(
+        law=Poisson(lam=60.0), spec=SPEC1, params=params, replications=5,
+        master_seed=4, quantities=("beta_1",)))
+    assert report.excluded == 0 and report.homology_violations > 0
 
 
 def test_graph_packed_once_per_configuration(monkeypatch):
@@ -141,7 +154,8 @@ def test_clearing_lemma(cfg, eps):
     gc = build_complex(cfg, ComplexParams(epsilon=eps))
     by_size, _ = enumerate_cliques(gc.neighbours)
     simplices = {k - 1: s for k, s in by_size.items()}
-    for k in range(1, gc.max_dim_built + 1):
+    top = max(k for k, s in simplices.items() if s)
+    for k in range(1, top + 1):
         pivots = set()
         rank_up = boundary_rank(simplices[k], simplices.get(k + 1, []), pivots)
         assert len(pivots) == rank_up
@@ -170,10 +184,31 @@ def small_complexes(draw):
     return build_complex(cfg, ComplexParams(epsilon=eps, convention=convention))
 
 
+def trimmed(betti):
+    """A Betti list without its trailing zeros."""
+    out = list(betti)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def check_against_direct_reduction(neigh):
+    """The entry point's Betti numbers are those of the full reduction, up to
+    trailing zeros, and its chi_counts is the alternating sum of the clique
+    counts, a chi found without the pivoted sum it uses."""
+    res = homology_from_bitsets(neigh)
+    assert res.violations == []
+    assert trimmed(res.betti) == trimmed(direct_betti_numbers(neigh))
+    counts, complete = count_cliques(neigh, cap=0)
+    assert complete
+    assert res.chi_counts == sum((-1) ** (k - 1) * int(c)
+                                 for k, c in enumerate(counts) if k)
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_complexes())
 def test_property_betti_match_direct_reduction(gc):
-    assert betti_numbers(gc) == direct_betti_numbers(gc)
+    check_against_direct_reduction(gc.neighbours)
 
 
 @st.composite
@@ -189,8 +224,7 @@ def small_graphs(draw):
 @given(small_graphs())
 @example(np.zeros((0, 0), dtype=bool))
 def test_property_betti_match_direct_reduction_any_graph(adj):
-    gc = complexes._complex_from_bitsets(neighbour_bitsets(adj))
-    assert betti_numbers(gc) == direct_betti_numbers(gc)
+    check_against_direct_reduction(neighbour_bitsets(adj))
 
 
 def test_connected_components_oracle():
@@ -342,8 +376,7 @@ def test_collapse_keeps_flag_complexes_without_dominated_faces(adj, betti):
     neigh = neighbour_bitsets(adj)
     assert homology.collapsed_core(neigh) == neighbour_bitsets(adj)
     assert neigh == neighbour_bitsets(adj)  # the input is left as it is
-    gc = complexes._complex_from_bitsets(neigh)
-    assert betti_numbers(gc) == betti == direct_betti_numbers(gc)
+    assert homology_from_bitsets(neigh).betti == betti == direct_betti_numbers(neigh)
 
 
 def test_strong_collapse_large_draws_match_rescans():
@@ -368,17 +401,22 @@ def test_dense_draw_collapses_match_rescans():
 
 
 def test_collapse_matches_direct_homology():
+    # every simplex of the full complex listed and reduced, with no collapse
+    # and no clearing, against the collapsed core's Betti numbers
     seed = SeedSpec(404)
     params = ComplexParams(epsilon=0.06, convention=Convention.SUBCOMPLEX_EPS)
     for r in range(10):
         cfg = sample(Poisson(lam=40.0), SPEC1, seed.child("c", r))
-        direct = homology_summary(
-            build_complex(cfg, params, homology_mode=True))
+        by_size, complete = enumerate_cliques(
+            neighbour_bitsets(adjacency_matrix(cfg, params)), cap=0)
+        assert complete
+        simplices = [s for s in by_size.values() if s]
+        ranks = ([0] + [boundary_rank(simplices[k - 1], simplices[k])
+                        for k in range(1, len(simplices))] + [0])
+        direct = [len(s) - ranks[k] - ranks[k + 1] for k, s in enumerate(simplices)]
         collapsed = collapsed_homology(cfg, params)
-        nz = max(len(direct.betti), len(collapsed.betti))
-        pad = lambda b: b + [0] * (nz - len(b))
-        assert pad(direct.betti) == pad(collapsed.betti)
-        assert direct.violations == [] and collapsed.violations == []
+        assert trimmed(direct) == trimmed(collapsed.betti)
+        assert collapsed.violations == []
 
 
 # (lambda, eps, seed, n, Betti numbers) of d=2 draws through
@@ -411,15 +449,26 @@ def test_collapsed_homology_matches_golden(lam, eps, seed, n, betti):
 
 # (d, lambda, eps, seed, n, homology_summary(build_complex(...)).to_json())
 # of full-complex draws, recorded while homology still reduced every
-# simplex of the complex.
+# simplex of the complex.  The Betti lists then ran to the full complex's
+# top dimension (RECORDED_HOMOLOGY_BETTI); they now end at the collapsed
+# core's, which drops only trailing zeros.
 GOLDEN_HOMOLOGY = [
-    (2, 1600.0, 0.025, 1, 1577, {"betti": [1, 81] + [0] * 12, "chi_counts": -80,
+    (2, 1600.0, 0.025, 1, 1577, {"betti": [1, 81], "chi_counts": -80,
                                  "chi_betti": -80, "violations": []}),
-    (1, 80.0, 0.035, 1, 75, {"betti": [1, 1] + [0] * 9, "chi_counts": 0,
+    (1, 80.0, 0.035, 1, 75, {"betti": [1, 1], "chi_counts": 0,
                              "chi_betti": 0, "violations": []}),
-    (3, 400.0, 0.08, 6, 411, {"betti": [1, 102, 12] + [0] * 5, "chi_counts": -89,
+    (3, 400.0, 0.08, 6, 411, {"betti": [1, 102, 12], "chi_counts": -89,
                               "chi_betti": -89, "violations": []}),
 ]
+RECORDED_HOMOLOGY_BETTI = [[1, 81] + [0] * 12, [1, 1] + [0] * 9,
+                           [1, 102, 12] + [0] * 5]
+
+
+def test_homology_golden_drops_only_trailing_zeros():
+    for (*_, summary), recorded in zip(GOLDEN_HOMOLOGY, RECORDED_HOMOLOGY_BETTI):
+        betti = summary["betti"]
+        assert betti[-1] != 0
+        assert recorded == betti + [0] * (len(recorded) - len(betti))
 
 
 @pytest.mark.parametrize("d, lam, eps, seed, n, summary", GOLDEN_HOMOLOGY)
@@ -451,6 +500,36 @@ def test_homology_lists_and_reduces_only_the_core(monkeypatch):
     # the full complex has about 437k simplices
     assert len(listed) == 1 and listed[0] < cfg.n
     assert sum(rows) < 5000
+
+
+def test_cap_bounds_the_listing_of_the_core():
+    # the king-move torus grid collapses to a core of 25 vertices, 75 edges
+    # and 50 triangles
+    neigh = neighbour_bitsets(adjacency_matrix(grid_config(5),
+                                               ComplexParams(epsilon=0.105)))
+    assert homology_from_bitsets(neigh, cap=150).betti[:3] == [1, 2, 1]
+    with pytest.raises(ValueError, match="simplex_cap = 149"):
+        homology_from_bitsets(neigh, cap=149)
+    with pytest.raises(SimplexCapExceeded):
+        homology_from_bitsets(neigh, cap=24)
+    assert homology_from_bitsets(neigh, cap=0).betti[:3] == [1, 2, 1]
+
+
+def test_homology_walks_no_clique_count(monkeypatch):
+    walks = []
+    walk = cliques.counts_from_bitsets
+
+    def counting(*args):
+        walks.append(len(args[0]))
+        return walk(*args)
+
+    monkeypatch.setattr(cliques, "counts_from_bitsets", counting)
+    cfg = sample(Poisson(lam=1600.0), SPEC2, SeedSpec(1))
+    params = ComplexParams(epsilon=0.025)
+    summary = homology_summary(build_complex(cfg, params, homology_mode=True))
+    assert summary == collapsed_homology(cfg, params)
+    assert summary.betti == [1, 81] and summary.violations == []
+    assert walks == []
 
 
 def test_betti_requires_stored_simplices():
