@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 
+from .cliques import DEFAULT_SIMPLEX_CAP
 from .complexes import (ComplexParams, Convention, adjacency_matrix,
                         simplex_counts)
 from .harness import (ExperimentConfig, clt_rate_experiment,
@@ -101,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     _add_geometry(p)
     p.add_argument("--max-dim", type=int, default=None)
-    p.add_argument("--cap", type=int, default=10_000_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_SIMPLEX_CAP)
     p.add_argument("--out")
 
     p = sub.add_parser("homology", help="Betti numbers of a configuration")

@@ -8,29 +8,26 @@ characteristic is a signed clique sum, computed by pivoting instead of
 counting every clique (Jain & Seshadhri, WSDM 2020).
 
 A graph is passed as its neighbour bitsets: a list with one Python int per
-vertex, whose bit u is set when u is a neighbour.  They are packed once per
-configuration, by ``neighbour_bitsets`` from a boolean adjacency matrix or
-by ``row_bitsets`` from rows packed for a whole block of graphs.  Every
-walker takes them: clique counting and enumeration here, strong collapse
-and component counting in ``homology``, pattern counting in ``subcomplex``.
+vertex, whose bit u is set when u is a neighbour.  ``neighbour_bitsets``
+packs them from boolean rows: a graph's adjacency matrix, or the rows of a
+whole block of graphs at once.  Every walker takes them: clique counting
+and enumeration here, strong collapse and component counting in
+``homology``, pattern counting in ``subcomplex``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-
-def neighbour_bitsets(adj_bool: np.ndarray) -> list[int]:
-    """Row v of a boolean (n, n) matrix as an int whose bit u is adj[v, u]."""
-    packed = np.packbits(adj_bool, axis=1, bitorder="little")
-    return row_bitsets(packed.tobytes(), packed.shape[1], range(packed.shape[0]))
+DEFAULT_SIMPLEX_CAP = 10_000_000
 
 
-def row_bitsets(packed: bytes, width: int, rows: range) -> list[int]:
-    """The given rows of a little-endian ``np.packbits`` buffer with
-    ``width`` bytes a row, each as an int."""
-    return [int.from_bytes(packed[r * width:(r + 1) * width], "little")
-            for r in rows]
+def neighbour_bitsets(rows: np.ndarray) -> list[int]:
+    """Row v of a boolean matrix as an int whose bit u is rows[v, u]."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    buf, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(buf[r * width:(r + 1) * width], "little")
+            for r in range(packed.shape[0])]
 
 
 def counts_from_bitsets(neigh: list[int], max_size: int, cap: int):
@@ -70,7 +67,7 @@ def counts_from_bitsets(neigh: list[int], max_size: int, cap: int):
 
 
 def count_cliques(neigh: list[int], max_size: int | None = None,
-                  cap: int = 10_000_000):
+                  cap: int = DEFAULT_SIMPLEX_CAP):
     """Count cliques of every size up to ``max_size`` (default: all).
 
     Returns (counts, complete): counts[k] is the number of k-cliques
@@ -117,7 +114,7 @@ def _signed_clique_sum(neigh: list[int], cand: int, sign: int) -> int:
     return total
 
 
-def enumerate_cliques(neigh: list[int], cap: int = 10_000_000):
+def enumerate_cliques(neigh: list[int], cap: int = DEFAULT_SIMPLEX_CAP):
     """List every clique as a sorted vertex tuple.
 
     Returns (by_size, complete) where by_size[k] is the lexicographically

@@ -37,13 +37,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .cliques import count_cliques, neighbour_bitsets
+from .cliques import DEFAULT_SIMPLEX_CAP, count_cliques, neighbour_bitsets
 from .sampling import PointConfiguration
 # pairwise_distances is not called here; perfbench's import-site test
 # expects this module to hold it.
 from .torus import Metric, TorusSpec, pairwise_distances, torus_distance  # noqa: F401
-
-DEFAULT_SIMPLEX_CAP = 10_000_000
 
 
 class Convention(Enum):

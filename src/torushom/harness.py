@@ -8,16 +8,16 @@ and the torus-coverage probability.
 
 Every replication draws from its own counter-derived stream, so reports are
 bit-identical for a fixed configuration regardless of scheduling.
-``run_experiment`` and ``clt_rate_experiment`` process the replications in
-blocks: one neighbour sweep finds the edges of every configuration of a
-block, N_1 and N_2 are its point and edge counts, a star pattern is counted
-from each configuration's degrees, and where more is asked for, one
-``np.packbits`` over the block gives each configuration's neighbour
-bitsets, built once and walked for N_k (counted only up to the largest k
-asked for), chi (a pivoted sum), beta_0 (a flood fill), any pattern other
-than a star (a bitset search) and, where Betti numbers above beta_0 are
-asked for, ``homology.homology_from_bitsets``, which lists only the cliques
-of a collapsed core and counts none of the full complex.
+All three experiments take their graphs from ``_graphs``, which processes
+the replications in blocks: one neighbour sweep finds the edges of every
+configuration of a block, N_1 and N_2 are its point and edge counts, a star
+pattern is counted from each configuration's degrees, and where more is
+asked for, one ``neighbour_bitsets`` over the block gives each
+configuration's neighbour bitsets, built once and walked for N_k (counted
+only up to the largest k asked for), chi (a pivoted sum), beta_0 (a flood
+fill), any pattern other than a star (a bitset search) and Betti numbers
+above beta_0 (``homology.homology_from_bitsets``, which lists only the
+cliques of a collapsed core and counts none of the full complex).
 """
 
 from __future__ import annotations
@@ -27,13 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cliques import chi_from_bitsets, counts_from_bitsets, row_bitsets
+from .cliques import (DEFAULT_SIMPLEX_CAP, chi_from_bitsets, counts_from_bitsets,
+                      neighbour_bitsets)
 # simplex_counts is not called here; perfbench's import-site test expects
 # this module to hold it.
 from .complexes import (ComplexParams, _check_radius, simplex_counts,  # noqa: F401
                         threshold_edges)
-from .homology import (SimplexCapExceeded, collapsed_homology,
-                       components_from_bitsets, homology_from_bitsets)
+from .homology import (SimplexCapExceeded, components_from_bitsets,
+                       homology_from_bitsets)
 from .sampling import Poisson, ProcessLaw, SeedSpec, sample
 from .stats import MIN_NORMALITY_SAMPLE, wasserstein1_to_normal
 from .subcomplex import GammaGraph, count_gamma, star_arms
@@ -64,7 +65,7 @@ class ExperimentConfig:
     master_seed: int
     quantities: tuple[str, ...]
     max_dim: int | None = None
-    simplex_cap: int = 10_000_000
+    simplex_cap: int = DEFAULT_SIMPLEX_CAP
 
     def __post_init__(self):
         if self.replications < 1:
@@ -147,14 +148,15 @@ def run_experiment(config: ExperimentConfig) -> ReplicationReport:
     base = SeedSpec(master_seed=config.master_seed, stream_index=0)
     draws = (sample(config.law, config.spec, base.child("experiment", rep)).points
              for rep in range(config.replications))
-    for block in _blocks(draws):
-        for row in _block_rows(block, config, plan):
-            if row is None:
-                excluded += 1
-                continue
-            homology_violations += row.pop("_violations")
-            for q in config.quantities:
-                values[q].append(row[q])
+    for n, edges, _, neigh in _graphs(draws, config.spec.a, config.params,
+                                      plan.needs_bitsets):
+        row = _row(config, plan, n, edges, neigh)
+        if row is None:
+            excluded += 1
+            continue
+        homology_violations += row.pop("_violations")
+        for q in config.quantities:
+            values[q].append(row[q])
 
     estimates = {}
     raw = {}
@@ -186,7 +188,6 @@ class _Plan:
         # up to N_2 the counts are the point and edge counts
         self.clique_walk = self.needs_counts and self.max_size > 2
         self.needs_bitsets = "chi" in kinds or "beta" in kinds or self.clique_walk
-        self.needs_edges = self.needs_counts or "beta" in kinds
 
 
 def _blocks(draws):
@@ -208,78 +209,69 @@ def _blocks(draws):
         yield block
 
 
-def _block_layout(block: list[np.ndarray]):
-    """The size and first row of each configuration of a block."""
-    sizes = np.array([pts.shape[0] for pts in block])
-    return sizes, np.concatenate(([0], np.cumsum(sizes)))
+def _graphs(draws, a: float, params: ComplexParams, bitsets: bool):
+    """The threshold graph of each configuration drawn, in order, as its
+    point count, edge count, degree sequence and, if ``bitsets``, neighbour
+    bitsets (else None).
 
-
-def _block_bitsets(sizes: np.ndarray, starts: np.ndarray, u: np.ndarray,
-                   v: np.ndarray) -> list[list[int]]:
-    """Each configuration's neighbour bitsets, given the block's edges: one
-    boolean row of local columns per point and one ``np.packbits`` over the
-    block."""
-    local = np.arange(starts[-1]) - starts[:-1].repeat(sizes)
-    scratch = np.zeros((starts[-1], sizes.max()), dtype=bool)
-    scratch[u, local[v]] = True
-    scratch[v, local[u]] = True
-    packed = np.packbits(scratch, axis=1, bitorder="little")
-    buf, width = packed.tobytes(), packed.shape[1]
-    return [row_bitsets(buf, width, range(first, first + n))
-            for first, n in zip(starts.tolist(), sizes.tolist())]
-
-
-def _block_rows(block: list[np.ndarray], config: ExperimentConfig, plan: _Plan):
-    """One dict of values per configuration of the block, or None for a
-    configuration excluded by the simplex cap.
-
-    One neighbour sweep finds the edges of every configuration; N_2 is the
-    edge count of each.  Bitsets come from ``_block_bitsets`` where needed.
+    One neighbour sweep finds the edges of a whole block of configurations
+    (``_blocks``), and one ``neighbour_bitsets`` packs a boolean row of
+    local columns per point of the block.
     """
-    sizes, starts = _block_layout(block)
-    cap = config.simplex_cap
-    if plan.needs_edges:
-        u, v = threshold_edges(np.concatenate(block), config.spec.a,
-                               config.params, starts)
+    for block in _blocks(draws):
+        sizes = np.array([pts.shape[0] for pts in block])
+        starts = np.concatenate(([0], np.cumsum(sizes)))
+        u, v = threshold_edges(np.concatenate(block), a, params, starts)
+        degrees = np.bincount(np.concatenate((u, v)), minlength=starts[-1])
         seg = np.repeat(np.arange(len(block)), sizes)
         edges = np.bincount(seg[u], minlength=len(block)).tolist()
-    if plan.needs_bitsets:
-        block_neigh = _block_bitsets(sizes, starts, u, v)
-    for s, n in enumerate(sizes.tolist()):
-        row: dict[str, float] = {"_violations": 0}
-        if plan.needs_bitsets:
-            neigh = block_neigh[s]
-        complete = True
-        if plan.clique_walk:
-            counts, complete = counts_from_bitsets(neigh, plan.max_size, cap)
-        elif plan.needs_counts:
-            counts = [0, n, edges[s]]
-            # the cap rule of the clique walk, which would count these
-            complete = not 0 < cap < n + (edges[s] if plan.max_size == 2 else 0)
-        homology = None
-        if complete and plan.needs_full_homology:
-            try:
-                homology = homology_from_bitsets(neigh, cap)
-            except SimplexCapExceeded:
-                complete = False
-            else:
-                row["_violations"] = len(homology.violations)
+        neigh = None
+        if bitsets:
+            local = np.arange(starts[-1]) - starts[:-1].repeat(sizes)
+            scratch = np.zeros((starts[-1], sizes.max()), dtype=bool)
+            scratch[u, local[v]] = True
+            scratch[v, local[u]] = True
+            neigh = neighbour_bitsets(scratch)
+        for s, (first, n) in enumerate(zip(starts.tolist(), sizes.tolist())):
+            yield (n, edges[s], degrees[first:first + n],
+                   None if neigh is None else neigh[first:first + n])
+
+
+def _row(config: ExperimentConfig, plan: _Plan, n: int, edges: int,
+         neigh: list[int] | None):
+    """The values of one configuration, with its homology violations under
+    "_violations", or None when the simplex cap excludes it."""
+    cap = config.simplex_cap
+    if plan.clique_walk:
+        counts, complete = counts_from_bitsets(neigh, plan.max_size, cap)
         if not complete:
-            yield None
-            continue
-        for q, (kind, i) in zip(config.quantities, plan.parsed):
-            if kind == "n_points":
-                row[q] = float(n)
-            elif kind == "N":
-                row[q] = float(counts[i]) if i < len(counts) else 0.0
-            elif kind == "chi":
-                row[q] = float(chi_from_bitsets(neigh))
-            elif homology is not None:
-                betti = homology.betti
-                row[q] = float(betti[i]) if i < len(betti) else 0.0
-            else:
-                row[q] = float(components_from_bitsets(neigh)) if n else 0.0
-        yield row
+            return None
+    elif plan.needs_counts:
+        counts = [0, n, edges]
+        # the cap rule of the clique walk, which would count these
+        if 0 < cap < n + (edges if plan.max_size == 2 else 0):
+            return None
+    row: dict[str, float] = {"_violations": 0}
+    homology = None
+    if plan.needs_full_homology:
+        try:
+            homology = homology_from_bitsets(neigh, cap)
+        except SimplexCapExceeded:
+            return None
+        row["_violations"] = len(homology.violations)
+    for q, (kind, i) in zip(config.quantities, plan.parsed):
+        if kind == "n_points":
+            row[q] = float(n)
+        elif kind == "N":
+            row[q] = float(counts[i]) if i < len(counts) else 0.0
+        elif kind == "chi":
+            row[q] = float(chi_from_bitsets(neigh))
+        elif homology is not None:
+            betti = homology.betti
+            row[q] = float(betti[i]) if i < len(betti) else 0.0
+        else:
+            row[q] = float(components_from_bitsets(neigh)) if n else 0.0
+    return row
 
 
 @dataclass(frozen=True)
@@ -325,15 +317,8 @@ def clt_rate_experiment(gamma: GammaGraph, spec: TorusSpec,
     for lam in lambdas:
         draws = (sample(Poisson(lam=lam), spec, seed.child("clt", lam, rep)).points
                  for rep in range(reps))
-        counts = []
-        for block in _blocks(draws):
-            sizes, starts = _block_layout(block)
-            u, v = threshold_edges(np.concatenate(block), spec.a, params, starts)
-            degrees = np.bincount(np.concatenate((u, v)), minlength=starts[-1])
-            rows = ([None] * len(block) if star_arms(gamma)
-                    else _block_bitsets(sizes, starts, u, v))
-            for deg, neigh in zip(np.split(degrees, starts[1:-1]), rows):
-                counts.append(count_gamma(gamma, deg, neigh))
+        counts = [count_gamma(gamma, deg, neigh) for _, _, deg, neigh
+                  in _graphs(draws, spec.a, params, not star_arms(gamma))]
         vals = np.array(counts, dtype=float)
         mean = float(vals.mean())
         std = float(vals.std(ddof=1))
@@ -382,21 +367,25 @@ def coverage_experiment(spec: TorusSpec, params: ComplexParams, lambdas,
                         reps: int, seed: SeedSpec) -> CoverageReport:
     """Frequency of recovering the torus Betti numbers, per intensity.
 
-    Homology is computed by ``collapsed_homology``; a replication whose
-    homology fails its checks raises ``RuntimeError``.
+    The replications of an intensity run in blocks, as in
+    ``run_experiment``, and the Betti numbers of each come from
+    ``homology.homology_from_bitsets``; a replication whose homology fails
+    its checks raises ``RuntimeError``.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     laws = [Poisson(lam=float(l)) for l in lambdas]
     if not laws:
         raise ValueError("need at least one intensity")
+    _check_radius(spec, params, homology_mode=True)
     target = torus_betti(spec.d)
     points = []
     for law in laws:
+        draws = (sample(law, spec, seed.child("coverage", law.lam, rep)).points
+                 for rep in range(reps))
         matches = 0
-        for rep in range(reps):
-            pc = sample(law, spec, seed.child("coverage", law.lam, rep))
-            result = collapsed_homology(pc, params)
+        for rep, (_, _, _, neigh) in enumerate(_graphs(draws, spec.a, params, True)):
+            result = homology_from_bitsets(neigh)
             if result.violations:
                 raise RuntimeError(
                     f"homology check failed at lambda={law.lam}, replication "

@@ -29,9 +29,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .cliques import chi_from_bitsets, enumerate_cliques, neighbour_bitsets
-from .complexes import (DEFAULT_SIMPLEX_CAP, GeometricComplex, _check_radius,
-                        adjacency_matrix)
+from .cliques import (DEFAULT_SIMPLEX_CAP, chi_from_bitsets, enumerate_cliques,
+                      neighbour_bitsets)
+from .complexes import GeometricComplex, _check_radius, adjacency_matrix
 
 
 def gf2_rank(rows: list[int], pivot_cols: set[int] | None = None) -> int:
@@ -296,7 +296,8 @@ def collapse_from_bitsets(neigh: list[int]) -> np.ndarray:
 
 
 def collapsed_homology(config, params) -> HomologyResult:
-    """``homology_from_bitsets`` of a Rips-Vietoris complex in homology
-    mode, its graph packed into bitsets once."""
+    """``homology_from_bitsets`` of one configuration's Rips-Vietoris
+    complex in homology mode, its graph packed into bitsets once; the
+    experiments of ``harness`` pack the graphs of a block at once instead."""
     _check_radius(config.spec, params, homology_mode=True)
     return homology_from_bitsets(neighbour_bitsets(adjacency_matrix(config, params)))

@@ -23,6 +23,8 @@ from .sampling import SeedSpec
 from .torus import TorusSpec
 
 MAX_ORACLE_DIMENSION = 12
+# Monte Carlo points drawn per pass, which bounds the memory of a pass
+MC_BATCH = 200_000
 
 
 @dataclass(frozen=True)
@@ -96,8 +98,7 @@ class JEstimate:
 
 
 def j_oracle_mc(pattern: OverlapPattern, spec: TorusSpec, epsilon: float,
-                samples: int, seed: SeedSpec,
-                batch: int = 200_000) -> JEstimate:
+                samples: int, seed: SeedSpec) -> JEstimate:
     """Estimate the overlap integral of prod_i phi_{p_i} over [0,a)^{M*d}.
 
     phi_p is the indicator that p points are pairwise within 2*epsilon in
@@ -113,8 +114,6 @@ def j_oracle_mc(pattern: OverlapPattern, spec: TorusSpec, epsilon: float,
             f"integral dimension M*d = {M * d} exceeds cap {MAX_ORACLE_DIMENSION}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
     lists = pattern.vertex_lists()
     pairs = set()
     for verts in lists:
@@ -127,7 +126,7 @@ def j_oracle_mc(pattern: OverlapPattern, spec: TorusSpec, epsilon: float,
     hits = 0
     done = 0
     while done < samples:
-        m = min(batch, samples - done)
+        m = min(MC_BATCH, samples - done)
         pts = rng.random((m, M, d)) * a
         ok = np.ones(m, dtype=bool)
         for i, j in pairs:

@@ -19,7 +19,7 @@ from itertools import permutations
 import numpy as np
 
 from .cliques import neighbour_bitsets
-from .joracle import MAX_ORACLE_DIMENSION
+from .joracle import MAX_ORACLE_DIMENSION, MC_BATCH
 from .moments import ModelParams
 from .sampling import SeedSpec
 
@@ -228,10 +228,9 @@ def kernel_integral_f_i(gamma: GammaGraph, params: ModelParams, i: int,
         return prefactor * ok
     rng = seed.generator()
     hits = 0
-    batch = 200_000
     done = 0
     while done < samples:
-        m = min(batch, samples - done)
+        m = min(MC_BATCH, samples - done)
         freepts = rng.random((m, free, d)) * a
         ok = np.ones(m, dtype=bool)
         for u, v in gamma.edges:

