@@ -1,4 +1,4 @@
-"""Monte Carlo oracle for overlap integrals of simplex indicator products.
+"""Monte Carlo integrals on the circle: overlap integrals and chaos kernels.
 
 The covariance and higher central moments of simplex counts reduce to
 integrals of products of simplex indicators over configurations of M
@@ -9,13 +9,20 @@ linked component of a pattern in the first of three cases that applies:
 - two simplices: a closed form (moments.j2_closed_form);
 - a union graph whose blocks are all cliques, while 2*epsilon <= a/3: a
   closed form too (moments.clique_block_integral);
-- any other: the plain Monte Carlo estimate over [0, a)^{M*d} made here, on
-  the circle (d = 1), raised to the power d.
+- any other: the Monte Carlo estimate ``j_oracle_mc`` made here.
+
+The max-norm indicator is a product over coordinates of indicators on the
+circle, so an integral over [0, a)^{M*d} is J_1^d, J_1 being the integral
+over [0, a)^M.  ``circle_hits`` is the one sampling loop: ``j_oracle_mc``
+estimates J_1 with it, and ``subcomplex.kernel_integral_f_i`` one circle
+integral per coordinate of its fixed points.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -97,45 +104,60 @@ class JEstimate:
     samples: int
 
 
+def circle_hits(rng: np.random.Generator, free: int, fixed, pairs,
+                a: float, threshold: float, strict: bool, samples: int) -> int:
+    """Draws, out of ``samples``, in which every pair of points is closer
+    than ``threshold`` on the circle of length ``a`` (at most ``threshold``
+    unless ``strict``).
+
+    Points 0..free-1 are drawn uniformly, ``MC_BATCH`` draws per pass;
+    points free.. are the coordinates ``fixed``.  ``pairs`` lists the (i, j)
+    index pairs to test.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    fixed = np.asarray(fixed, dtype=float)
+    hits = 0
+    for done in range(0, samples, MC_BATCH):
+        m = min(MC_BATCH, samples - done)
+        pts = np.concatenate((rng.random((m, free)) * a,
+                              np.broadcast_to(fixed, (m, fixed.size))), axis=1)
+        ok = np.ones(m, dtype=bool)
+        for i, j in pairs:
+            diff = np.abs(pts[:, i] - pts[:, j])
+            diff = np.minimum(diff, a - diff)
+            ok &= diff < threshold if strict else diff <= threshold
+        hits += int(ok.sum())
+    return hits
+
+
 def j_oracle_mc(pattern: OverlapPattern, spec: TorusSpec, epsilon: float,
                 samples: int, seed: SeedSpec) -> JEstimate:
     """Estimate the overlap integral of prod_i phi_{p_i} over [0,a)^{M*d}.
 
     phi_p is the indicator that p points are pairwise within 2*epsilon in
-    max-norm toroidal distance.  The estimate is a^{M*d} times the hit
-    fraction; the standard error comes from the binomial variance of the hit
-    indicator.
+    max-norm toroidal distance.  J_1, the integral on the circle, is a^M
+    times the hit fraction of ``circle_hits``, with the standard error of the
+    binomial hit count; the estimate is J_1^d, its error the rise of x^d over
+    [J_1, J_1 + stderr]: the first-order term and the higher ones, which keep
+    a zero-hit estimate's error.
     """
     pattern.validate()
+    if not (epsilon > 0.0 and math.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     M = pattern.total_vertices
-    d, a = spec.d, spec.a
-    if M * d > MAX_ORACLE_DIMENSION:
+    if M > MAX_ORACLE_DIMENSION:
         raise ValueError(
-            f"integral dimension M*d = {M * d} exceeds cap {MAX_ORACLE_DIMENSION}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    lists = pattern.vertex_lists()
-    pairs = set()
-    for verts in lists:
-        for x in range(len(verts)):
-            for y in range(x + 1, len(verts)):
-                pairs.add((min(verts[x], verts[y]), max(verts[x], verts[y])))
-    pairs = sorted(pairs)
-    threshold = 2.0 * epsilon
-    rng = seed.generator()
-    hits = 0
-    done = 0
-    while done < samples:
-        m = min(MC_BATCH, samples - done)
-        pts = rng.random((m, M, d)) * a
-        ok = np.ones(m, dtype=bool)
-        for i, j in pairs:
-            diff = np.abs(pts[:, i, :] - pts[:, j, :])
-            diff = np.minimum(diff, a - diff)
-            ok &= diff.max(axis=1) < threshold
-        hits += int(ok.sum())
-        done += m
+            f"integral dimension M = {M} exceeds cap {MAX_ORACLE_DIMENSION}")
+    pairs = {pair for verts in pattern.vertex_lists()
+             for pair in combinations(verts, 2)}
+    hits = circle_hits(seed.generator(), M, (), pairs, spec.a, 2.0 * epsilon,
+                       True, samples)
     p = hits / samples
-    volume = float(a ** (M * d))
-    se = volume * float(np.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples))
-    return JEstimate(value=volume * p, stderr=se, samples=samples)
+    volume = float(spec.a ** M)
+    value = volume * p
+    se = volume * math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples)
+    d = spec.d
+    stderr = sum(math.comb(d, r) * value ** (d - r) * se ** r
+                 for r in range(1, d + 1))
+    return JEstimate(value=value ** d, stderr=stderr, samples=samples)

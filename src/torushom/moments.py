@@ -23,7 +23,7 @@ integrals, and the max-norm integral in dimension d is the d-th power of the
 one on the circle.  A two-simplex component has a closed form
 (j2_closed_form); a component whose union graph has only cliques as blocks
 has one too (clique_block_integral); any other is delegated to the Monte
-Carlo oracle in joracle, on the circle.
+Carlo oracle in joracle, which samples on the circle.
 """
 
 from __future__ import annotations
@@ -43,6 +43,12 @@ from .sampling import SeedSpec
 from .torus import TorusSpec
 
 
+def _check_epsilon(spec: TorusSpec, epsilon: float) -> None:
+    if not (0.0 < epsilon < spec.a / 4.0):
+        raise ValueError(f"epsilon must lie in (0, a/4) = (0, {spec.a / 4.0}), "
+                         f"got {epsilon}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     lam: float
@@ -52,10 +58,7 @@ class ModelParams:
     def __post_init__(self):
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
             raise ValueError(f"lambda must be positive and finite, got {self.lam}")
-        if not (0.0 < self.epsilon < self.spec.a / 4.0):
-            raise ValueError(
-                f"epsilon must lie in (0, a/4) = (0, {self.spec.a / 4.0}), "
-                f"got {self.epsilon}")
+        _check_epsilon(self.spec, self.epsilon)
 
     @property
     def x(self) -> float:
@@ -123,6 +126,7 @@ def mean_Nk(params: ModelParams, k: int) -> MomentValue:
 
 def mean_Nk_binomial(spec: TorusSpec, epsilon: float, n: int, k: int) -> MomentValue:
     """Expected (k-1)-simplex count for n independent uniform points."""
+    _check_epsilon(spec, epsilon)
     if k < 0 or n < 0:
         raise ValueError("n and k must be >= 0")
     if k > n or k == 0:
@@ -163,6 +167,7 @@ def mean_chi(params: ModelParams) -> MomentValue:
 
 def mean_chi_binomial(spec: TorusSpec, epsilon: float, n: int) -> MomentValue:
     """Expected Euler characteristic for n uniform points (alternating sum)."""
+    _check_epsilon(spec, epsilon)
     if n < 0:
         raise ValueError("n must be >= 0")
     total = 0.0
@@ -420,15 +425,14 @@ def _default_j_oracle(params: ModelParams, samples: int, seed: SeedSpec,
                       tally: Counter | None = None):
     """Overlap integrals of the max-norm model.  Points in separate overlap
     components are independent, so a pattern's integral is the product of
-    its components'.  The max-norm indicator factorises over coordinates, so
-    a component's integral is J_1^d, J_1 being its integral on the circle.
-    Each component takes the first of three cases that applies:
+    its components'.  Each component takes the first of three cases that
+    applies:
 
     - two simplices: ``j2_closed_form``;
     - a union graph with only cliques as blocks, at t <= a/3:
       ``clique_block_integral``;
-    - any other: J_1 from the Monte Carlo oracle on the circle, its error the
-      rise of x^d over one standard error of J_1.
+    - any other: ``j_oracle_mc``, which samples on the circle and returns
+      J_1^d with its error.
 
     Each component of three or more simplices, exact or not, takes the next
     child stream ``seed.child("j_oracle", i)``, so a Monte Carlo component
@@ -436,8 +440,6 @@ def _default_j_oracle(params: ModelParams, samples: int, seed: SeedSpec,
     counts the components under ``exact_components`` (the first two cases)
     and ``mc_components``.  Errors of a product propagate to first order."""
     counter = [0]
-    d = params.spec.d
-    circle = TorusSpec(d=1, a=params.spec.a)
     tally = Counter() if tally is None else tally
 
     def component(pattern: OverlapPattern) -> JEstimate:
@@ -452,14 +454,8 @@ def _default_j_oracle(params: ModelParams, samples: int, seed: SeedSpec,
             tally["exact_components"] += 1
             return JEstimate(value=value, stderr=0.0, samples=0)
         tally["mc_components"] += 1
-        est = j_oracle_mc(pattern, circle, params.epsilon, samples,
-                          seed.child("j_oracle", counter[0]))
-        # the rise of x^d over [value, value + stderr]: the first-order
-        # term and the higher ones, which keep a zero-hit estimate's error
-        stderr = sum(math.comb(d, r) * est.value ** (d - r) * est.stderr ** r
-                     for r in range(1, d + 1))
-        return JEstimate(value=est.value ** d, stderr=stderr,
-                         samples=est.samples)
+        return j_oracle_mc(pattern, params.spec, params.epsilon, samples,
+                           seed.child("j_oracle", counter[0]))
 
     def oracle(pattern: OverlapPattern) -> JEstimate:
         parts = [component(c) for c in _overlap_components(pattern)]
@@ -483,8 +479,8 @@ def nth_moment_assembler(params: ModelParams, k: int, n: int,
     components, each in the first of three cases that applies: the closed
     form for two simplices, so n = 2 reproduces the covariance diagonal; the
     exact clique-block integral when every block of the component's union
-    graph is a clique and t <= a/3; otherwise the Monte Carlo oracle on the
-    circle with ``oracle_samples`` samples, raised to the power d.  With the
+    graph is a clique and t <= a/3; otherwise the Monte Carlo oracle
+    ``j_oracle_mc`` with ``oracle_samples`` samples.  With the
     default oracle, ``truncation`` also counts the component integrals taken
     exactly (``exact_components``) and by Monte Carlo (``mc_components``).
     """

@@ -19,7 +19,7 @@ from itertools import permutations
 import numpy as np
 
 from .cliques import neighbour_bitsets
-from .joracle import MAX_ORACLE_DIMENSION, MC_BATCH
+from .joracle import MAX_ORACLE_DIMENSION, circle_hits
 from .moments import ModelParams
 from .sampling import SeedSpec
 
@@ -195,53 +195,32 @@ def _search(neigh: list[int], gamma: GammaGraph) -> int:
 
 
 def kernel_integral_f_i(gamma: GammaGraph, params: ModelParams, i: int,
-                        fixed_points, samples: int, seed: SeedSpec,
-                        threshold: float | None = None) -> float:
+                        fixed_points, samples: int, seed: SeedSpec) -> float:
     """Monte Carlo value of the i-th chaos kernel of the pattern count.
 
     f_i is C(n, i) * lambda^{n-i} times the integral of the pattern
     indicator over the n - i free vertices, evaluated at ``fixed_points``
-    (a list of i points occupying the last i pattern slots).  For i = n no
-    integration happens and the value is the indicator itself.  The pattern
-    edge threshold defaults to epsilon (the subcomplex convention).
+    (a list of i points occupying the last i pattern slots).  An edge holds
+    when its ends lie within epsilon in max-norm (the subcomplex
+    convention), so the integral is the product over the d coordinates of
+    integrals on the circle, each with that coordinate of the fixed points,
+    from ``joracle.circle_hits`` on one generator.  For i = n every draw
+    tests the fixed points alone, and the value is the indicator itself.
     """
     n = gamma.n
     if not (0 <= i <= n):
         raise ValueError("need 0 <= i <= n")
-    fixed = np.asarray(fixed_points, dtype=float).reshape(i, params.spec.d)
-    free = n - i
     d, a = params.spec.d, params.spec.a
-    if free * d > MAX_ORACLE_DIMENSION:
-        raise ValueError(f"integral dimension {free * d} exceeds cap "
+    fixed = np.asarray(fixed_points, dtype=float).reshape(i, d)
+    if not np.all((fixed >= 0.0) & (fixed < a)):
+        raise ValueError(f"fixed points must lie in [0, {a})^{d}")
+    free = n - i
+    if free > MAX_ORACLE_DIMENSION:
+        raise ValueError(f"integral dimension {free} exceeds cap "
                          f"{MAX_ORACLE_DIMENSION}")
-    if threshold is None:
-        threshold = params.epsilon
-    prefactor = math.comb(n, i) * params.lam ** free
-    if free == 0:
-        pts = fixed
-        ok = 1
-        for u, v in gamma.edges:
-            diff = np.abs(pts[u] - pts[v])
-            diff = np.minimum(diff, a - diff)
-            if diff.max() > threshold:
-                ok = 0
-        return prefactor * ok
     rng = seed.generator()
-    hits = 0
-    done = 0
-    while done < samples:
-        m = min(MC_BATCH, samples - done)
-        freepts = rng.random((m, free, d)) * a
-        ok = np.ones(m, dtype=bool)
-        for u, v in gamma.edges:
-            pu = freepts[:, u, :] if u < free else np.broadcast_to(
-                fixed[u - free], (m, d))
-            pv = freepts[:, v, :] if v < free else np.broadcast_to(
-                fixed[v - free], (m, d))
-            diff = np.abs(pu - pv)
-            diff = np.minimum(diff, a - diff)
-            ok &= diff.max(axis=1) <= threshold
-        hits += int(ok.sum())
-        done += m
-    volume = a ** (free * d)
-    return prefactor * volume * hits / samples
+    value = math.comb(n, i) * params.lam ** free * a ** (free * d)
+    for c in range(d):
+        value = value * circle_hits(rng, free, fixed[:, c], gamma.edges, a,
+                                    params.epsilon, False, samples) / samples
+    return value

@@ -258,3 +258,21 @@ def toroidal_coordinate_distance(x: float, y: float, a: float) -> float:
         raise ValueError(f"coordinates must lie in [0, {a}): got {x}, {y}")
     diff = abs(x - y)
     return min(diff, a - diff)
+
+
+def full_dimension_overlap_integral(pattern, spec, epsilon: float,
+                                    samples: int, rng) -> tuple[float, float]:
+    """Plain Monte Carlo of an overlap integral over all M*d coordinates of
+    [0, a)^{M*d}, with no use of the max-norm factorisation: a reference for
+    ``joracle.j_oracle_mc``, which samples the circle and takes the d-th
+    power.  Returns (value, standard error)."""
+    M, d, a = pattern.total_vertices, spec.d, spec.a
+    pts = rng.random((samples, M, d)) * a
+    ok = np.ones(samples, dtype=bool)
+    for verts in pattern.vertex_lists():
+        for u, v in combinations(verts, 2):
+            gap = np.abs(np.mod(pts[:, u] - pts[:, v] + a / 2, a) - a / 2)
+            ok &= gap.max(axis=1) < 2.0 * epsilon
+    volume = a ** (M * d)
+    p = ok.mean()
+    return volume * p, volume * math.sqrt(p * (1.0 - p) / samples)

@@ -105,6 +105,14 @@ def test_moment_missing_argument(capsys):
     assert code == 1 and "error" in doc
 
 
+@pytest.mark.parametrize("argv", [
+    ("--quantity", "mean_Nk_binomial", "--eps", "-0.1", "--n", "10", "--k", "2"),
+    ("--quantity", "mean_chi_binomial", "--eps", "0.4", "--n", "10")])
+def test_binomial_moments_reject_epsilon_out_of_range(capsys, argv):
+    code, doc = run_cli(capsys, "moment", *argv)
+    assert code == 1 and "epsilon" in doc["error"]
+
+
 def test_moment_third_requires_seed(capsys):
     code, doc = run_cli(capsys, "moment", "--quantity", "third_moment",
                         "--lambda", "20", "--eps", "0.05", "--k", "1")
@@ -230,6 +238,14 @@ def test_j_oracle_example(tmp_path, capsys):
     assert doc["M"] == 3
     # closed form: (1+1+1+2*1*1/2) * (2 eps)^2 = 0.04
     assert doc["value"] == pytest.approx(0.04, abs=5 * doc["stderr"])
+
+
+def test_j_oracle_rejects_a_negative_epsilon(tmp_path, capsys):
+    ppath = tmp_path / "pattern.json"
+    ppath.write_text(json.dumps({"sizes": [2]}))
+    code, doc = run_cli(capsys, "j-oracle", "--pattern", str(ppath),
+                        "--eps", "-0.1", "--seed", "2")
+    assert code == 1 and "epsilon" in doc["error"]
 
 
 def test_usage_error_exit_code():

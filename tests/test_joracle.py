@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -77,8 +79,40 @@ def test_batching_invariance(monkeypatch):
 
 
 def test_dimension_cap():
+    # the cap bounds M, the dimension sampled on the circle, at every d
     pattern = OverlapPattern.make((13,))
     with pytest.raises(ValueError):
         j_oracle_mc(pattern, SPEC1, 0.05, 100, SeedSpec(0))
-    with pytest.raises(ValueError):
+    est = j_oracle_mc(OverlapPattern.make((7,)), TorusSpec(d=2, a=1.0), 0.2,
+                      100, SeedSpec(0))
+    assert est.samples == 100
+    with pytest.raises(ValueError, match="samples"):
         j_oracle_mc(OverlapPattern.make((2,)), SPEC1, 0.05, 0, SeedSpec(0))
+
+
+@pytest.mark.parametrize("eps", (-0.1, 0.0, math.inf, math.nan))
+def test_epsilon_must_be_positive_and_finite(eps):
+    with pytest.raises(ValueError, match="epsilon"):
+        j_oracle_mc(OverlapPattern.make((2,)), SPEC1, eps, 100, SeedSpec(0))
+
+
+C4 = OverlapPattern.make((2, 2, 2, 2),
+                         {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1})
+
+
+def test_max_norm_integral_is_the_circle_integral_to_the_power_d():
+    # one stream, one circle estimate: J_2 = J_1^2, and its error is the
+    # rise of x^2 over one standard error of J_1
+    circle = j_oracle_mc(C4, SPEC1, 0.1, 50_000, SeedSpec(5))
+    plane = j_oracle_mc(C4, TorusSpec(d=2, a=1.0), 0.1, 50_000, SeedSpec(5))
+    assert plane.value == circle.value ** 2
+    assert plane.stderr == 2 * circle.value * circle.stderr + circle.stderr ** 2
+    assert plane.samples == circle.samples == 50_000
+
+
+def test_circle_hits_strict_and_closed_thresholds():
+    # fixed points exactly 0.25 apart: within 0.25 closed, not strictly
+    rng = np.random.default_rng(0)
+    for strict, hits in ((False, 5), (True, 0)):
+        assert joracle.circle_hits(rng, 0, [0.25, 0.5], [(0, 1)], 1.0, 0.25,
+                                   strict, 5) == hits

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from oracles import bell_exponential, slot_partition_weights
+from oracles import (bell_exponential, full_dimension_overlap_integral,
+                     slot_partition_weights)
 from torushom.joracle import JEstimate, OverlapPattern, j_oracle_mc
 from torushom.moments import (ModelParams, MomentKind, MomentValue,
                               _default_j_oracle, _overlap_components,
@@ -93,6 +94,15 @@ def test_mean_chi_d2_d3():
     x3 = p3.x
     assert mean_chi(p3).value == pytest.approx(
         30.0 * math.exp(-x3) * (1.0 - 3.0 * x3 + x3 ** 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("eps", (-0.1, 0.0, 0.25, 0.4, math.nan))
+def test_binomial_means_check_epsilon(eps):
+    # the same range as ModelParams: 0 < eps < a/4
+    with pytest.raises(ValueError, match="epsilon"):
+        mean_Nk_binomial(SPEC1, eps, 10, 2)
+    with pytest.raises(ValueError, match="epsilon"):
+        mean_chi_binomial(SPEC1, eps, 10)
 
 
 def test_mean_chi_binomial():
@@ -294,11 +304,13 @@ def test_zero_hit_component_keeps_a_nonzero_error_at_d3():
 
 
 def test_default_oracle_is_the_circle_integral_to_the_power_d():
-    # a 4-cycle of edges: one component, J_2 = J_1^2 for max-norm
+    # a 4-cycle of edges: one component, J_2 = J_1^2 for max-norm, against a
+    # plain estimate over all M*d = 8 coordinates
     p = ModelParams(lam=20.0, spec=SPEC2, epsilon=0.1)
     est = _default_j_oracle(p, 200_000, SeedSpec(3))(C4)
-    direct = j_oracle_mc(C4, SPEC2, 0.1, 200_000, SeedSpec(4))
-    assert abs(est.value - direct.value) < 4 * math.hypot(est.stderr, direct.stderr)
+    value, se = full_dimension_overlap_integral(
+        C4, SPEC2, 0.1, 200_000, SeedSpec(4).generator())
+    assert abs(est.value - value) < 4 * math.hypot(est.stderr, se)
 
 
 def _components(n, k):

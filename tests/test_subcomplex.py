@@ -182,3 +182,30 @@ def test_kernel_integral_validation():
     with pytest.raises(ValueError):
         kernel_integral_f_i(GammaGraph.edge(), params, 3, [[0.1]] * 3,
                             10, SeedSpec(0))
+    with pytest.raises(ValueError, match="samples"):
+        kernel_integral_f_i(GammaGraph.edge(), params, 1, [[0.1]], 0,
+                            SeedSpec(0))
+    # a fixed point outside the cell used to double the edge kernel at 1.3
+    # and quadruple it at -0.7
+    for x in (1.3, -0.7, 1.0, math.nan):
+        with pytest.raises(ValueError, match="fixed points"):
+            kernel_integral_f_i(GammaGraph.edge(), params, 1, [[x]], 10,
+                                SeedSpec(0))
+
+
+def test_two_path_kernels_factorise_over_coordinates():
+    # the path 0-1-2 at d = 2, edges within eps = 0.1, a = 1: per coordinate
+    # the free points contribute a window of 2 eps each, so
+    # f_0 = lam^3 (a (2 eps)^2)^2 = 1.6, f_1 = 3 lam^2 ((2 eps)^2)^2 = 0.48
+    # and f_2 = 3 lam (2 eps)^2 = 1.2 with the fixed points within eps.  Each
+    # coordinate's hit fraction p is binomial, so the product of the two has
+    # relative standard error sqrt(2 (1 - p) / (p N)) to first order.
+    params = ModelParams(lam=10.0, spec=SPEC2, epsilon=0.1)
+    path = GammaGraph.make(3, [(0, 1), (1, 2)])
+    samples = 100_000
+    fixed = [[0.5, 0.5], [0.55, 0.42]]
+    for i, exact, p in ((0, 1.6, 0.04), (1, 0.48, 0.04), (2, 1.2, 0.2)):
+        value = kernel_integral_f_i(path, params, i, fixed[:i], samples,
+                                    SeedSpec(12, i))
+        se = exact * math.sqrt(2 * (1 - p) / (p * samples))
+        assert abs(value - exact) <= 4 * se, (i, value, exact, se)
