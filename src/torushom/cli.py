@@ -122,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--l", type=int)
     p.add_argument("--n", type=int, help="point count for Binomial formulas")
-    p.add_argument("--n-terms", type=int, default=60)
     p.add_argument("--oracle-samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
@@ -130,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tail", help="concentration-bound values")
     p.add_argument("--quantity", required=True, choices=["beta0", "chi2d"])
     p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--d", type=int, default=1)
+    p.add_argument("--d", type=int,
+                   help="torus dimension (default 1 for beta0; chi2d is d=2)")
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--y", type=float, help="threshold for the beta0 bound")
@@ -249,7 +249,7 @@ def _cmd_moment(args):
         mv = cov_Nk_Nl(_model_params(args), need(args.k, "k"),
                        need(args.l, "l"))
     elif q == "var_chi_series":
-        mv = var_chi_series(_model_params(args), args.n_terms)
+        mv = var_chi_series(_model_params(args))
     elif q == "var_chi_1d":
         mv = var_chi_1d(_model_params(args))
     elif q in ("third_moment", "fourth_moment"):
@@ -273,11 +273,15 @@ def _cmd_tail(args):
     if args.quantity == "beta0":
         if args.lam is None or args.y is None:
             raise ValueError("beta0 bound needs --lambda and --y")
-        params = ModelParams(lam=args.lam, spec=TorusSpec(d=args.d, a=args.a),
+        d = 1 if args.d is None else args.d
+        params = ModelParams(lam=args.lam, spec=TorusSpec(d=d, a=args.a),
                              epsilon=args.eps)
         bound = beta0_tail_bound(params, args.y)
         _emit({"quantity": "beta0", "y": args.y, "bound": bound}, args.out)
     else:
+        if args.d not in (None, 2):
+            raise ValueError(
+                f"the chi2d bound holds on the 2-torus, got --d {args.d}")
         if args.x is None:
             raise ValueError("chi2d bound needs --x")
         var_chi = args.var_chi
@@ -286,7 +290,7 @@ def _cmd_tail(args):
                 raise ValueError("chi2d bound needs --var-chi or --lambda")
             params = ModelParams(lam=args.lam, spec=TorusSpec(d=2, a=args.a),
                                  epsilon=args.eps)
-            var_chi = var_chi_series(params, 60).value
+            var_chi = var_chi_series(params).value
         bound = chi2d_tail_bound(var_chi, args.x)
         _emit({"quantity": "chi2d", "x": args.x, "var_chi": var_chi,
                "bound": bound}, args.out)
@@ -368,7 +372,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         _DISPATCH[args.command](args)
-    except (ValueError, OSError, KeyError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, OSError, KeyError,
+            RuntimeError) as exc:
         print(json.dumps({"error": str(exc)}))
         return 1
     return 0

@@ -6,7 +6,9 @@ pairwise threshold 2*epsilon.  Combinatorial coefficients (Stirling numbers,
 the c_n^d variance coefficients, the alpha_n/beta_n series coefficients) are
 computed in exact rational arithmetic and converted to float only at final
 evaluation, because the alternating factorial sums cancel catastrophically
-in floating point.
+in floating point.  So each Euler-characteristic moment is computed once,
+the mean from its closed form in d terms and the variance from its series
+summed exactly to convergence, never as a float alternating sum over k.
 
 Central moments of every order n >= 2 are assembled from overlap patterns,
 following the diagram formula for Poisson U-statistics (Peccati & Taqqu,
@@ -136,44 +138,32 @@ def mean_Nk_binomial(spec: TorusSpec, epsilon: float, n: int, k: int) -> MomentV
     return MomentValue(value=value, kind=MomentKind.MEAN)
 
 
-def _chi_alternating_series(params: ModelParams) -> tuple[float, dict]:
-    """chi mean as the alternating series over mean simplex counts."""
-    total = 0.0
-    small_streak = 0
-    k = 0
-    last = math.inf
-    while small_streak < 3 and k < 10_000:
-        k += 1
-        term = (-1.0) ** (k + 1) * mean_Nk(params, k).value
-        total += term
-        if last != 0.0 and abs(term) <= 1e-14 * max(abs(total), 1.0):
-            small_streak += 1
-        else:
-            small_streak = 0
-        last = term
-    return total, {"terms": k, "tail_estimate": abs(last)}
-
-
 def mean_chi(params: ModelParams) -> MomentValue:
     """Expected Euler characteristic, closed Bell-polynomial form."""
     d, a = params.spec.d, params.spec.a
     x = params.x
     value = (a / (2.0 * params.epsilon)) ** d * math.exp(-x) * (
         -bell_polynomial(d, -x))
-    series_value, trunc = _chi_alternating_series(params)
-    trunc["alternating_series_value"] = series_value
-    return MomentValue(value=value, kind=MomentKind.MEAN, truncation=trunc)
+    return MomentValue(value=value, kind=MomentKind.MEAN)
 
 
 def mean_chi_binomial(spec: TorusSpec, epsilon: float, n: int) -> MomentValue:
-    """Expected Euler characteristic for n uniform points (alternating sum)."""
+    """Expected Euler characteristic for n uniform points, in closed form.
+
+    The alternating sum over k of E[N_k] = C(n, k) k^d p^(k-1), p =
+    (2 epsilon / a)^d, collapses through k^d = sum_j S(d, j) (k)_j into d
+    terms, sum_{j=1}^{min(d, n)} S(d, j) (n)_j (-1)^(j+1) p^(j-1)
+    (1 - p)^(n-j): the Binomial counterpart of ``mean_chi``'s Bell form.
+    """
     _check_epsilon(spec, epsilon)
     if n < 0:
         raise ValueError("n must be >= 0")
-    total = 0.0
-    for k in range(1, n + 1):
-        total += (-1.0) ** (k + 1) * mean_Nk_binomial(spec, epsilon, n, k).value
-    return MomentValue(value=total, kind=MomentKind.MEAN)
+    d = spec.d
+    p = (2.0 * epsilon / spec.a) ** d
+    value = sum((-1) ** (j + 1) * stirling2(d, j) * math.perm(n, j)
+                * p ** (j - 1) * (1.0 - p) ** (n - j)
+                for j in range(1, min(d, n) + 1))
+    return MomentValue(value=float(value), kind=MomentKind.MEAN)
 
 
 # ---------------------------------------------------------------------------
@@ -252,54 +242,53 @@ def cov_Nk_Nl(params: ModelParams, k: int, l: int) -> MomentValue:
 
 @lru_cache(maxsize=None)
 def c_coefficient(n: int, d: int) -> Fraction:
-    """Series coefficient c_n^d of the Euler-characteristic variance."""
+    """Series coefficient c_n^d of the Euler-characteristic variance.
+
+    Its factorials 1/((n-j)! (n-i)! m!), m = i + j - n, are multinomials
+    over n!, and its bases n + 2(n-i)(n-j)/(1+m) have denominators dividing
+    lcm(2..n+1), so it is summed in integers over n! lcm(2..n+1)^d.
+    """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    total = Fraction(0)
-    j_lo = -(-(n + 1) // 2)  # ceil((n+1)/2)
-    for j in range(j_lo, n + 1):
-        inner = Fraction(0)
+    lcm = math.lcm(*range(2, n + 2)) ** d
+    total = 0
+    for j in range(-(-(n + 1) // 2), n + 1):
         for i in range(n - j + 1, j + 1):
-            base = Fraction(n) + Fraction(2 * (n - i) * (n - j), 1 + i + j - n)
-            inner += (Fraction((-1) ** (i + j))
-                      / (math.factorial(n - j) * math.factorial(n - i)
-                         * math.factorial(i + j - n))) * base ** d
-        diag_base = Fraction(n) + Fraction(2 * (n - j) ** 2, 1 + 2 * j - n)
-        diag = (Fraction(1, math.factorial(n - j) ** 2
-                         * math.factorial(2 * j - n)) * diag_base ** d)
-        total += 2 * inner - diag
-    return total
+            m = i + j - n
+            term = (math.comb(n, m) * math.comb(n - m, n - j)
+                    * (n * (1 + m) + 2 * (n - i) * (n - j)) ** d
+                    * (lcm // (1 + m) ** d))
+            total += (-1) ** (i + j) * (2 if i < j else 1) * term
+    return Fraction(total, math.factorial(n) * lcm)
 
 
-def var_chi_series(params: ModelParams, n_terms: int) -> MomentValue:
-    """Euler-characteristic variance as a power series in lambda*(2eps)^d."""
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-    d, a = params.spec.d, params.spec.a
-    x = params.x
-    pref = params.lam * a ** d
-    # the partial sums cancel by many orders of magnitude around n ~ 2x, so
-    # the series is accumulated in exact rationals and rounded once
-    xf = Fraction(x)
-    acc = Fraction(0)
-    last = 0.0
-    for n in range(1, n_terms + 1):
-        term = c_coefficient(n, d) * xf ** (n - 1)
+VAR_CHI_MAX_TERMS = 150
+
+
+def var_chi_series(params: ModelParams) -> MomentValue:
+    """Euler-characteristic variance as a power series in lambda*(2eps)^d,
+    lambda a^d sum_n c_n^d x^(n-1), summed to convergence.
+
+    The partial sums cancel by many orders of magnitude around n ~ 2x, so
+    the series is accumulated in exact rationals and rounded once.  It stops
+    once three terms in a row are each below 2^-60 of the positive partial
+    sum, and raises ValueError when that has not happened within
+    VAR_CHI_MAX_TERMS terms (x beyond about 17).  ``truncation`` records the
+    number of terms summed.
+    """
+    d, x = params.spec.d, Fraction(params.x)
+    acc, power, small = Fraction(0), Fraction(1), 0
+    for n in range(1, VAR_CHI_MAX_TERMS + 1):
+        term = c_coefficient(n, d) * power
         acc += term
-        last = float(term)
-    total = pref * float(acc)
-    # terms behave like |c_n^d| x^{n-1} with an e^x-type tail; report the
-    # last included term scaled by a crude geometric continuation
-    tail = abs(pref * last) * max(x / max(n_terms, 1), x) if n_terms else 0.0
-    value = total
-    trunc = {"terms": n_terms, "tail_estimate": abs(pref * last),
-             "tail_geometric": tail}
-    if value < 0.0:
-        # heavily truncated alternating series can dip below zero; surface
-        # the partial sum without asserting variance positivity
-        return MomentValue(value=value, kind=MomentKind.CENTRAL_MOMENT,
-                           order=2, truncation=trunc)
-    return MomentValue(value=value, kind=MomentKind.VARIANCE, truncation=trunc)
+        small = small + 1 if abs(term) * 2 ** 60 < acc else 0
+        if small == 3:
+            value = params.lam * params.spec.a ** d * float(acc)
+            return MomentValue(value=value, kind=MomentKind.VARIANCE,
+                               truncation={"terms": n})
+        power *= x
+    raise ValueError(f"the chi-variance series has not converged within "
+                     f"{VAR_CHI_MAX_TERMS} terms at x = {params.x}")
 
 
 def var_chi_1d(params: ModelParams) -> MomentValue:
@@ -342,10 +331,13 @@ def euclid_remark_moments(spec: TorusSpec, lam: float, epsilon: float) -> dict:
     variances are for the pairwise threshold 2*epsilon (the two conventions
     coexist in the source formulas and are preserved as stated, with the
     first Var N_3 factor read as (4 lambda eps^2)^3 to keep the term
-    dimensionally consistent with the rest of its series).
+    dimensionally consistent with the rest of its series).  epsilon must
+    lie in (0, a/4): a disc of the pairwise radius 2*epsilon wraps around
+    the torus once 2*epsilon reaches a/2.
     """
     if spec.d != 2:
         raise ValueError("Euclidean remark values require d = 2")
+    _check_epsilon(spec, epsilon)
     a = spec.a
     pi = math.pi
     en2 = pi * (a * lam * epsilon) ** 2 / 2.0

@@ -217,6 +217,43 @@ def bell_exponential(n: int, x: float) -> float:
     return math.exp(-x) * total
 
 
+def chi_alternating_series(params) -> Fraction:
+    """E[chi] as the alternating series sum_k (-1)^(k+1) E[N_k] over the
+    Poisson mean simplex counts lam a^d x^(k-1) k^d / k!, in exact
+    rationals, a reference for the Bell form of ``moments.mean_chi``.
+
+    Once the terms decrease, the alternating series is off by less than the
+    next term, so the sum stops when a decreasing term falls below 2^-60 of
+    the partial sum."""
+    d = params.spec.d
+    x = Fraction(params.x)
+    scale = Fraction(params.lam) * Fraction(params.spec.a) ** d
+    total, last, k = Fraction(0), math.inf, 0
+    while True:
+        k += 1
+        term = scale * x ** (k - 1) * k ** d / math.factorial(k)
+        total += term if k % 2 else -term
+        if term < last and term * 2 ** 60 < abs(total):
+            return total
+        last = term
+
+
+def chi_binomial_alternating_sum(spec, epsilon: float, n: int) -> Fraction:
+    """E[chi] for n uniform points as the alternating sum over k of the
+    Binomial mean simplex counts C(n, k) k^d p^(k-1), p = (2 epsilon/a)^d,
+    in exact rationals, with p the d-th power of the float 2 epsilon/a.
+
+    With p = P/Q, Horner's rule on sum_k c_k P^(k-1) Q^(n-k) keeps every
+    step in integers, and the sum is that over Q^(n-1)."""
+    p = Fraction(2.0 * epsilon / spec.a) ** spec.d
+    acc, q_power = 0, 1
+    for k in range(n, 0, -1):
+        acc = acc * p.numerator + ((-1) ** (k + 1) * math.comb(n, k)
+                                   * k ** spec.d * q_power)
+        q_power *= p.denominator
+    return Fraction(acc * p.denominator, q_power)
+
+
 def count_in_box(config, corner, sides) -> int:
     """Number of points in a wrap-aware axis-aligned box.
 

@@ -192,12 +192,12 @@ def test_criterion_04_var_chi(cell_reports, report):
         for eps in (0.03, 0.06):
             params = ModelParams(lam=lam, spec=TorusSpec(d=1, a=1.0),
                                  epsilon=eps)
-            series = var_chi_series(params, 60).value
+            series = var_chi_series(params).value
             closed = var_chi_1d(params).value
             if abs(series - closed) > 1e-8 * abs(closed):
                 series_ok = False
     params2 = ModelParams(lam=50.0, spec=TorusSpec(d=2, a=1.0), epsilon=0.05)
-    analytic = var_chi_series(params2, 60).value
+    analytic = var_chi_series(params2).value
     emp, se = _var_with_se(cell_reports[(2, 50.0)].raw["chi"])
     z = abs(emp - analytic) / se
     report(4, "chi-variance series matches the d=1 closed form to 1e-8 and "
@@ -284,7 +284,7 @@ def test_criterion_08_concentration(beta0_report, cell_reports, report):
                    for y, p, se in emp)
 
     params2 = ModelParams(lam=50.0, spec=TorusSpec(d=2, a=1.0), epsilon=0.05)
-    var2 = var_chi_series(params2, 60).value
+    var2 = var_chi_series(params2).value
     chi = cell_reports[(2, 50.0)].raw["chi"]
     deviations = [6.0, 10.0, 14.0, 18.0, 22.0]
     emp2 = empirical_tail(chi - mean_chi(params2).value, deviations)

@@ -6,6 +6,19 @@ import pytest
 from oracles import dropping_edge_collapse
 from torushom import homology
 from torushom.cli import main
+from torushom.moments import (ModelParams, cov_Nk_Nl, euclid_remark_moments,
+                              fourth_moment_Nk, mean_Nk, mean_Nk_binomial,
+                              mean_chi, mean_chi_binomial, third_moment_Nk,
+                              var_chi_1d, var_chi_series)
+from torushom.sampling import SeedSpec
+from torushom.tails import beta0_tail_bound, chi2d_tail_bound
+from torushom.torus import TorusSpec
+
+SPEC1 = TorusSpec(d=1, a=1.0)
+SPEC2 = TorusSpec(d=2, a=1.0)
+P1 = ModelParams(lam=30.0, spec=SPEC1, epsilon=0.05)
+P2 = ModelParams(lam=1000.0, spec=SPEC2, epsilon=0.05)
+SEED = SeedSpec(master_seed=1, stream_index=0)
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +153,101 @@ def test_tail_beta0_example(capsys):
                         "--lambda", "10", "--y", "20")
     assert code == 0
     assert doc["bound"] == pytest.approx(0.03125)
+
+
+MOMENT = ("moment", "--lambda", "30", "--eps", "0.05", "--quantity")
+
+
+def _chi2d_expected():
+    var_chi = var_chi_series(P2).value
+    return {"var_chi": var_chi, "bound": chi2d_tail_bound(var_chi, 5.0)}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    pytest.param(MOMENT + ("mean_Nk", "--k", "3"),
+                 lambda: {"value": mean_Nk(P1, 3).value}, id="mean_Nk"),
+    pytest.param(MOMENT + ("mean_Nk_binomial", "--n", "20", "--k", "2"),
+                 lambda: {"value": mean_Nk_binomial(SPEC1, 0.05, 20, 2).value},
+                 id="mean_Nk_binomial"),
+    pytest.param(MOMENT + ("mean_chi",),
+                 lambda: {"value": mean_chi(P1).value}, id="mean_chi"),
+    pytest.param(MOMENT + ("mean_chi_binomial", "--n", "20"),
+                 lambda: {"value": mean_chi_binomial(SPEC1, 0.05, 20).value},
+                 id="mean_chi_binomial"),
+    pytest.param(MOMENT + ("cov_Nk_Nl", "--k", "3", "--l", "2"),
+                 lambda: {"value": cov_Nk_Nl(P1, 3, 2).value}, id="cov_Nk_Nl"),
+    pytest.param(MOMENT + ("var_chi_series",),
+                 lambda: {"value": var_chi_series(P1).value,
+                          "truncation": var_chi_series(P1).truncation},
+                 id="var_chi_series"),
+    pytest.param(MOMENT + ("var_chi_1d",),
+                 lambda: {"value": var_chi_1d(P1).value}, id="var_chi_1d"),
+    pytest.param(MOMENT + ("third_moment", "--k", "2", "--seed", "1"),
+                 lambda: {"value": third_moment_Nk(P1, 2, seed=SEED).value},
+                 id="third_moment"),
+    pytest.param(MOMENT + ("fourth_moment", "--k", "2", "--seed", "1",
+                           "--oracle-samples", "2000"),
+                 lambda: {"value": fourth_moment_Nk(
+                     P1, 2, oracle_samples=2000, seed=SEED).value},
+                 id="fourth_moment"),
+    pytest.param(("moment", "--quantity", "euclid_remark", "--d", "2",
+                  "--lambda", "20", "--eps", "0.05"),
+                 lambda: euclid_remark_moments(SPEC2, 20.0, 0.05),
+                 id="euclid_remark"),
+    pytest.param(("tail", "--quantity", "beta0", "--lambda", "30",
+                  "--eps", "0.05", "--y", "40"),
+                 lambda: {"bound": beta0_tail_bound(P1, 40.0)}, id="beta0"),
+    pytest.param(("tail", "--quantity", "chi2d", "--lambda", "1000",
+                  "--eps", "0.05", "--x", "5"), _chi2d_expected, id="chi2d"),
+])
+def test_every_moment_and_tail_quantity(capsys, argv, expected):
+    # each prints one JSON document holding the library's value
+    code = main(list(argv))
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0 and len(lines) == 1
+    doc = json.loads(lines[0])
+    want = expected()
+    assert {key: doc[key] for key in want} == want
+
+
+def test_tail_chi2d_rejects_other_dimensions(capsys):
+    argv = ("tail", "--quantity", "chi2d", "--lambda", "1000", "--eps", "0.05",
+            "--x", "5")
+    code, doc = run_cli(capsys, *argv, "--d", "3")
+    assert code == 1 and "2-torus" in doc["error"]
+    code, doc = run_cli(capsys, *argv, "--d", "2")
+    assert code == 0 and doc["var_chi"] == var_chi_series(P2).value
+
+
+def test_moment_var_chi_series_reports_no_convergence(capsys):
+    # x = 100: the series does not converge within its term budget
+    code, doc = run_cli(capsys, "moment", "--quantity", "var_chi_series",
+                        "--lambda", "1000", "--eps", "0.05")
+    assert code == 1 and "not converged" in doc["error"]
+
+
+def test_moment_has_no_term_count_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["moment", "--quantity", "var_chi_series", "--lambda", "30",
+              "--eps", "0.05", "--n-terms", "60"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_moment_overflow_is_a_domain_error(capsys):
+    # C(2000, 1000) does not fit a float: one error line, no traceback
+    code = main(["moment", "--quantity", "mean_Nk_binomial", "--eps", "0.05",
+                 "--n", "2000", "--k", "1000"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert "error" in json.loads(lines[0])
+
+
+@pytest.mark.parametrize("eps", ("-0.1", "0.25", "nan"))
+def test_euclid_remark_rejects_epsilon_out_of_range(capsys, eps):
+    code, doc = run_cli(capsys, "moment", "--quantity", "euclid_remark",
+                        "--d", "2", "--lambda", "20", "--eps", eps)
+    assert code == 1 and "epsilon" in doc["error"]
 
 
 def test_subcount(tmp_path, capsys):

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from oracles import (bell_exponential, full_dimension_overlap_integral,
-                     slot_partition_weights)
+from oracles import (bell_exponential, chi_alternating_series,
+                     chi_binomial_alternating_sum,
+                     full_dimension_overlap_integral, slot_partition_weights)
 from torushom.joracle import JEstimate, OverlapPattern, j_oracle_mc
-from torushom.moments import (ModelParams, MomentKind, MomentValue,
-                              _default_j_oracle, _overlap_components,
+from torushom.moments import (VAR_CHI_MAX_TERMS, ModelParams, MomentKind,
+                              MomentValue, _default_j_oracle, _overlap_components,
                               _overlap_patterns, alpha_beta_coeffs,
                               bell_polynomial,
                               c_coefficient, clique_block_integral, cov_Nk_Nl,
@@ -79,9 +80,20 @@ def test_mean_chi_closed_form():
     mv = mean_chi(P1)
     assert mv.value == pytest.approx(30.0 * math.exp(-3.0), abs=1e-12)
     assert mv.value == pytest.approx(1.4936120510359183, abs=1e-12)
-    # alternating series over mean simplex counts must agree
-    assert mv.truncation["alternating_series_value"] == pytest.approx(
-        mv.value, rel=1e-9)
+    assert mv.truncation is None
+    # the exact alternating series over mean simplex counts must agree
+    assert mv.value == pytest.approx(float(chi_alternating_series(P1)),
+                                     rel=1e-12)
+
+
+def test_mean_chi_large_x_is_the_bell_value():
+    # x = 100: the terms of the alternating series reach 1e41, the sum 4e-41
+    p = ModelParams(lam=1000.0, spec=SPEC1, epsilon=0.05)
+    assert p.x == pytest.approx(100.0)
+    assert mean_chi(p).value == pytest.approx(10.0 * 100.0 * math.exp(-100.0),
+                                              rel=1e-12)
+    assert mean_chi(p).value == pytest.approx(
+        float(chi_alternating_series(p)), rel=1e-12)
 
 
 def test_mean_chi_d2_d3():
@@ -110,6 +122,23 @@ def test_mean_chi_binomial():
     assert mean_chi_binomial(SPEC1, 0.05, 3).value == pytest.approx(2.43)
     assert mean_chi_binomial(SPEC1, 0.05, 0).value == 0.0
     assert mean_chi_binomial(SPEC1, 0.05, 1).value == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+@pytest.mark.parametrize("eps", (0.01, 0.05, 0.2))
+def test_mean_chi_binomial_matches_exact_alternating_sum(d, eps):
+    # the d-term closed form against the n-term alternating sum, summed in
+    # exact rationals; the tolerance is relative to the largest closed-form
+    # term, since at d >= 2 the terms can cancel to a tiny mean
+    spec = TorusSpec(d=d, a=1.0)
+    p = (2.0 * eps) ** d
+    for n in (0, 1, 2, 3, 5, 20, 100, 300, 1000):
+        largest = max((stirling2(d, j) * math.perm(n, j) * p ** (j - 1)
+                       * (1.0 - p) ** (n - j)
+                       for j in range(1, min(d, n) + 1)), default=0.0)
+        exact = float(chi_binomial_alternating_sum(spec, eps, n))
+        value = mean_chi_binomial(spec, eps, n).value
+        assert abs(value - exact) <= 1e-12 * largest, (n, value, exact)
 
 
 def test_j2_closed_form_values():
@@ -141,7 +170,8 @@ def test_c_coefficients():
     assert c_coefficient(1, 1) == 1
     assert c_coefficient(1, 2) == 1
     assert c_coefficient(2, 1) == -3
-    for n in range(1, 21):
+    # every coefficient that var_chi_series may sum at d = 1
+    for n in range(1, VAR_CHI_MAX_TERMS + 1):
         alpha, beta = alpha_beta_coeffs(n)
         assert c_coefficient(n, 1) == alpha + beta
 
@@ -184,12 +214,26 @@ def test_var_chi_series_matches_closed_form_1d():
     closed = var_chi_1d(P1).value
     assert closed == pytest.approx(
         30 * math.exp(-3.0) - 180 * math.exp(-6.0), abs=1e-12)
-    series = var_chi_series(P1, 40)
-    assert series.value == pytest.approx(closed, rel=1e-10)
-    # heavy truncation reported, not hidden
-    short = var_chi_series(P1, 3)
-    assert short.truncation["terms"] == 3
-    assert short.value != pytest.approx(closed, rel=1e-3)
+    series = var_chi_series(P1)
+    assert series.kind is MomentKind.VARIANCE
+    assert series.value == pytest.approx(closed, rel=1e-12)
+    assert series.truncation == {"terms": 49}
+
+
+@pytest.mark.parametrize("lam", (20.0, 100.0))
+def test_var_chi_series_converges_to_closed_form_1d(lam):
+    # x = 2 and x = 10, whose partial sums are still negative at 60 terms
+    params = ModelParams(lam=lam, spec=SPEC1, epsilon=0.05)
+    series = var_chi_series(params)
+    assert series.kind is MomentKind.VARIANCE
+    assert series.value == pytest.approx(var_chi_1d(params).value, rel=1e-12)
+
+
+def test_var_chi_series_raises_when_not_converged():
+    # x = 100 needs far more terms than the module's budget
+    params = ModelParams(lam=1000.0, spec=SPEC1, epsilon=0.05)
+    with pytest.raises(ValueError, match="not converged"):
+        var_chi_series(params)
 
 
 def test_var_chi_1d_requires_d1():
@@ -407,3 +451,11 @@ def test_euclid_remark_moments():
     assert vals["VarN2"] > 0 and vals["VarN3"] > 0
     with pytest.raises(ValueError):
         euclid_remark_moments(SPEC1, 10.0, 0.05)
+
+
+@pytest.mark.parametrize("eps", (-0.1, 0.0, 0.25, math.nan))
+def test_euclid_remark_moments_check_epsilon(eps):
+    # the variances use the pairwise threshold 2 eps, which must stay below
+    # a/2, so the range is that of ModelParams: 0 < eps < a/4
+    with pytest.raises(ValueError, match="epsilon"):
+        euclid_remark_moments(SPEC2, 10.0, eps)

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import count_in_box
 from torushom.sampling import (Binomial, PointConfiguration, Poisson,
-                               SeedSpec, sample)
+                               SeedSpec, _draw_uniform, sample)
 from torushom.torus import TorusSpec
 
 
@@ -49,6 +49,35 @@ def test_points_in_domain_and_distinct():
     assert cfg.points.min() >= 0.0
     assert cfg.points.max() < 1.0
     assert len(np.unique(cfg.points, axis=0)) == cfg.n
+
+
+class ScriptedGenerator:
+    """A generator stub whose uniform draws are given in advance."""
+
+    def __init__(self, *draws):
+        self.draws = [np.array(d, dtype=float) for d in draws]
+        self.sizes = []
+
+    def uniform(self, low, high, size):
+        self.sizes.append(size)
+        return self.draws.pop(0)
+
+
+def test_draw_uniform_redraws_a_duplicate_row():
+    # rows 0 and 2 coincide: the later one is redrawn, the others are kept
+    rng = ScriptedGenerator([[0.1, 0.2], [0.5, 0.6], [0.1, 0.2]],
+                            [[0.7, 0.8]])
+    pts = _draw_uniform(rng, 3, SPEC2)
+    assert pts.tolist() == [[0.1, 0.2], [0.5, 0.6], [0.7, 0.8]]
+    assert rng.sizes == [(3, 2), (1, 2)] and not rng.draws
+
+
+def test_draw_uniform_keeps_a_draw_without_duplicates():
+    # a shared first coordinate alone is not a duplicate row
+    first = [[0.1, 0.2], [0.1, 0.3], [0.4, 0.5]]
+    rng = ScriptedGenerator(first)
+    assert _draw_uniform(rng, 3, SPEC2).tolist() == first
+    assert rng.sizes == [(3, 2)]
 
 
 def test_poisson_count_distribution():
