@@ -155,8 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--quantities", required=True,
                    help="comma-separated, e.g. N_1,N_2,chi,beta_0")
-    p.add_argument("--max-dim", type=int, default=None,
-                   help="count N_k at least to this dimension")
     p.add_argument("--raw-csv", help="write per-replication values as CSV")
     p.add_argument("--out")
 
@@ -310,7 +308,7 @@ def _cmd_experiment(args):
     cfg = ExperimentConfig(
         law=_law(args), spec=TorusSpec(d=args.d, a=args.a),
         params=_params(args), replications=args.reps,
-        master_seed=args.seed, quantities=quantities, max_dim=args.max_dim)
+        master_seed=args.seed, quantities=quantities)
     report = run_experiment(cfg)
     if args.raw_csv:
         with open(args.raw_csv, "w") as fh:
@@ -344,6 +342,8 @@ def _cmd_coverage(args):
 def _cmd_joracle(args):
     with open(args.pattern) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("an overlap pattern is a JSON object with sizes and shared")
     shared = {tuple(entry["simplices"]): entry["count"]
               for entry in doc.get("shared", [])}
     pattern = OverlapPattern.make(doc["sizes"], shared)

@@ -18,6 +18,8 @@ only up to the largest k asked for), chi (a pivoted sum), beta_0 (a flood
 fill), any pattern other than a star (a bitset search) and Betti numbers
 above beta_0 (``homology.homology_from_bitsets``, which lists only the
 cliques of a collapsed core and counts none of the full complex).
+Every replication counts: a cap overrun raises ``SimplexCapExceeded`` and a
+failed homology check ``RuntimeError``, naming the replication.
 """
 
 from __future__ import annotations
@@ -52,11 +54,9 @@ _BLOCK_CELLS = 1 << 16
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """N_k is counted to the largest k in ``quantities`` and at least to
-    dimension ``max_dim``.  A replication is excluded when that count, or
-    the listing of the collapsed core's cliques for Betti numbers above
-    beta_0, exceeds ``simplex_cap`` (0: no cap).  chi is a pivoted sum over
-    the neighbour bitsets and beta_0 a flood fill, never capped."""
+    """N_k is counted to the largest k in ``quantities``.  ``max_dim`` is
+    validated and otherwise unused: perfbench still passes it, and the
+    benchmark change of ROADMAP item 1 removes it."""
 
     law: ProcessLaw
     spec: TorusSpec
@@ -65,13 +65,10 @@ class ExperimentConfig:
     master_seed: int
     quantities: tuple[str, ...]
     max_dim: int | None = None
-    simplex_cap: int = DEFAULT_SIMPLEX_CAP
 
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if self.simplex_cap < 0:
-            raise ValueError("simplex_cap must be >= 0 (0: no cap)")
         if self.max_dim is not None and self.max_dim < 0:
             raise ValueError(f"max_dim must be >= 0, got {self.max_dim}")
         for q in self.quantities:
@@ -96,8 +93,10 @@ class ReplicationReport:
     config: ExperimentConfig
     estimates: dict[str, QuantityStats]
     raw: dict[str, np.ndarray]
-    excluded: int
-    homology_violations: int
+    # always 0, as nothing is dropped and a violation raises; perfbench
+    # still reads both, and the benchmark change of ROADMAP item 1 removes them
+    excluded: int = 0
+    homology_violations: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -143,34 +142,23 @@ def run_experiment(config: ExperimentConfig) -> ReplicationReport:
     if plan.needs_full_homology:
         _check_radius(config.spec, config.params, homology_mode=True)
     values: dict[str, list[float]] = {q: [] for q in config.quantities}
-    excluded = 0
-    homology_violations = 0
     base = SeedSpec(master_seed=config.master_seed, stream_index=0)
     draws = (sample(config.law, config.spec, base.child("experiment", rep)).points
              for rep in range(config.replications))
-    for n, edges, _, neigh in _graphs(draws, config.spec.a, config.params,
-                                      plan.needs_bitsets):
-        row = _row(config, plan, n, edges, neigh)
-        if row is None:
-            excluded += 1
-            continue
-        homology_violations += row.pop("_violations")
-        for q in config.quantities:
-            values[q].append(row[q])
+    for rep, (n, edges, _, neigh) in enumerate(
+            _graphs(draws, config.spec.a, config.params, plan.needs_bitsets)):
+        row = _row(plan, n, edges, neigh, f"replication {rep}")
+        for q, value in zip(config.quantities, row):
+            values[q].append(value)
 
+    raw = {q: np.asarray(v, dtype=float) for q, v in values.items()}
+    n = config.replications
     estimates = {}
-    raw = {}
-    for q in config.quantities:
-        arr = np.asarray(values[q], dtype=float)
-        raw[q] = arr
-        n = arr.size
-        mean = float(arr.mean()) if n else math.nan
+    for q, arr in raw.items():
         var = float(arr.var(ddof=1)) if n > 1 else math.nan
-        se = math.sqrt(var / n) if n > 1 else math.nan
-        estimates[q] = QuantityStats(mean=mean, stderr=se, variance=var, n=n)
-    return ReplicationReport(config=config, estimates=estimates, raw=raw,
-                             excluded=excluded,
-                             homology_violations=homology_violations)
+        estimates[q] = QuantityStats(mean=float(arr.mean()), stderr=math.sqrt(var / n),
+                                     variance=var, n=n)
+    return ReplicationReport(config=config, estimates=estimates, raw=raw)
 
 
 class _Plan:
@@ -182,11 +170,10 @@ class _Plan:
         beta_indices = sorted({p[1] for p in self.parsed if p[0] == "beta"})
         self.needs_counts = bool(kinds & {"N", "chi"})
         self.needs_full_homology = bool(beta_indices) and beta_indices != [0]
-        max_k = max([p[1] for p in self.parsed if p[0] == "N"], default=0)
-        # N_k is counted to the largest k asked for and at least to max_dim
-        self.max_size = max(max_k - 1, config.max_dim or 0) + 1
-        # up to N_2 the counts are the point and edge counts
-        self.clique_walk = self.needs_counts and self.max_size > 2
+        # N_k is counted to the largest k asked for; up to N_2 the counts
+        # are the point and edge counts
+        self.max_size = max([p[1] for p in self.parsed if p[0] == "N"], default=0)
+        self.clique_walk = self.max_size > 2
         self.needs_bitsets = "chi" in kinds or "beta" in kinds or self.clique_walk
 
 
@@ -237,41 +224,44 @@ def _graphs(draws, a: float, params: ComplexParams, bitsets: bool):
                    None if neigh is None else neigh[first:first + n])
 
 
-def _row(config: ExperimentConfig, plan: _Plan, n: int, edges: int,
-         neigh: list[int] | None):
-    """The values of one configuration, with its homology violations under
-    "_violations", or None when the simplex cap excludes it."""
-    cap = config.simplex_cap
+def _row(plan: _Plan, n: int, edges: int, neigh: list[int] | None,
+         where: str) -> list[float]:
+    """The values of one configuration, in the order of ``plan.parsed``;
+    ``where`` names the configuration in the errors raised."""
+    counts = [0, n, edges]
     if plan.clique_walk:
-        counts, complete = counts_from_bitsets(neigh, plan.max_size, cap)
+        counts, complete = counts_from_bitsets(neigh, plan.max_size,
+                                               DEFAULT_SIMPLEX_CAP)
         if not complete:
-            return None
-    elif plan.needs_counts:
-        counts = [0, n, edges]
-        # the cap rule of the clique walk, which would count these
-        if 0 < cap < n + (edges if plan.max_size == 2 else 0):
-            return None
-    row: dict[str, float] = {"_violations": 0}
-    homology = None
-    if plan.needs_full_homology:
-        try:
-            homology = homology_from_bitsets(neigh, cap)
-        except SimplexCapExceeded:
-            return None
-        row["_violations"] = len(homology.violations)
-    for q, (kind, i) in zip(config.quantities, plan.parsed):
+            raise SimplexCapExceeded(
+                f"{where}: more than DEFAULT_SIMPLEX_CAP = {DEFAULT_SIMPLEX_CAP} "
+                f"cliques of at most {plan.max_size} vertices")
+    betti = _betti(neigh, where) if plan.needs_full_homology else None
+    row = []
+    for kind, i in plan.parsed:
         if kind == "n_points":
-            row[q] = float(n)
+            row.append(float(n))
         elif kind == "N":
-            row[q] = float(counts[i]) if i < len(counts) else 0.0
+            row.append(float(counts[i]) if i < len(counts) else 0.0)
         elif kind == "chi":
-            row[q] = float(chi_from_bitsets(neigh))
-        elif homology is not None:
-            betti = homology.betti
-            row[q] = float(betti[i]) if i < len(betti) else 0.0
+            row.append(float(chi_from_bitsets(neigh)))
+        elif betti is not None:
+            row.append(float(betti[i]) if i < len(betti) else 0.0)
         else:
-            row[q] = float(components_from_bitsets(neigh)) if n else 0.0
+            row.append(float(components_from_bitsets(neigh)) if n else 0.0)
     return row
+
+
+def _betti(neigh: list[int], where: str) -> list[int]:
+    """``homology_from_bitsets``'s Betti numbers; errors name ``where``."""
+    try:
+        result = homology_from_bitsets(neigh)
+    except SimplexCapExceeded as exc:
+        raise SimplexCapExceeded(f"{where}: {exc}") from None
+    if result.violations:
+        raise RuntimeError(f"homology check failed at {where}: "
+                           f"{'; '.join(result.violations)}")
+    return result.betti
 
 
 @dataclass(frozen=True)
@@ -341,7 +331,7 @@ class CoveragePoint:
     stderr: float
     # always 0, as no replication is excluded; perfbench still reads it, and
     # the benchmark change of ROADMAP item 1 removes it
-    excluded: int
+    excluded: int = 0
 
 
 @dataclass(frozen=True)
@@ -368,9 +358,8 @@ def coverage_experiment(spec: TorusSpec, params: ComplexParams, lambdas,
     """Frequency of recovering the torus Betti numbers, per intensity.
 
     The replications of an intensity run in blocks, as in
-    ``run_experiment``, and the Betti numbers of each come from
-    ``homology.homology_from_bitsets``; a replication whose homology fails
-    its checks raises ``RuntimeError``.
+    ``run_experiment``, and the Betti numbers of each come from ``_betti``:
+    a replication whose homology fails its checks raises ``RuntimeError``.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -385,16 +374,10 @@ def coverage_experiment(spec: TorusSpec, params: ComplexParams, lambdas,
                  for rep in range(reps))
         matches = 0
         for rep, (_, _, _, neigh) in enumerate(_graphs(draws, spec.a, params, True)):
-            result = homology_from_bitsets(neigh)
-            if result.violations:
-                raise RuntimeError(
-                    f"homology check failed at lambda={law.lam}, replication "
-                    f"{rep}: {'; '.join(result.violations)}")
             # a match may differ from the target only by trailing zeros
-            betti = tuple(result.betti)
+            betti = tuple(_betti(neigh, f"lambda={law.lam}, replication {rep}"))
             matches += betti == target + (0,) * (len(betti) - len(target))
         freq = matches / reps
         se = math.sqrt(freq * (1.0 - freq) / reps)
-        points.append(CoveragePoint(lam=law.lam, match_frequency=freq, stderr=se,
-                                    excluded=0))
+        points.append(CoveragePoint(lam=law.lam, match_frequency=freq, stderr=se))
     return CoverageReport(points=tuple(points), torus_betti=target)

@@ -92,25 +92,27 @@ class HomologyResult:
 
 
 class SimplexCapExceeded(ValueError):
-    """The collapsed core of a graph has more cliques than the simplex cap."""
+    """A clique walk, or the listing of a collapsed core's cliques, passed
+    the simplex cap."""
 
 
-def homology_from_bitsets(neigh: list[int],
-                          cap: int = DEFAULT_SIMPLEX_CAP) -> HomologyResult:
+def homology_from_bitsets(neigh: list[int]) -> HomologyResult:
     """Checked Betti numbers of the clique complex of the graph ``neigh``.
 
     The Betti numbers come from the cliques of the collapsed core
     (``collapsed_core``) of the strong-collapse core, one per dimension of
     those cliques, and are checked (``_checked``) against the pivoted Euler
     characteristic of the strong-collapse core and the flood fill of the
-    whole graph.  Raises ``SimplexCapExceeded`` when the collapsed core has
-    more than ``cap`` cliques (0: no cap).
+    whole graph; the failed checks are listed in ``violations``.  Raises
+    ``SimplexCapExceeded`` when the collapsed core has more than
+    ``DEFAULT_SIMPLEX_CAP`` cliques.
     """
     strong = _induced(neigh, collapse_from_bitsets(neigh))
-    by_size, complete = enumerate_cliques(collapsed_core(strong), cap)
+    by_size, complete = enumerate_cliques(collapsed_core(strong),
+                                          DEFAULT_SIMPLEX_CAP)
     if not complete:
-        raise SimplexCapExceeded(
-            f"the collapsed core has more than simplex_cap = {cap} simplices")
+        raise SimplexCapExceeded("the collapsed core has more than DEFAULT_SIMPLEX_CAP"
+                                 f" = {DEFAULT_SIMPLEX_CAP} simplices")
     simplices = [s for s in by_size.values() if s]  # by size, from 1
     ranks = [0] * (len(simplices) + 1)
     cleared: set[tuple[int, ...]] = set()

@@ -116,26 +116,33 @@ def bell_polynomial(n: int, x: float) -> float:
 # First moments
 
 
+def _exact(params: ModelParams) -> tuple[Fraction, Fraction]:
+    """lambda*a^d and x = lambda*(2*epsilon)^d, exact from the float inputs."""
+    lam, a, eps = (Fraction(v) for v in (params.lam, params.spec.a, params.epsilon))
+    return lam * a ** params.spec.d, lam * (2 * eps) ** params.spec.d
+
+
 def mean_Nk(params: ModelParams, k: int) -> MomentValue:
-    """Expected number of (k-1)-simplices of the Poisson-process complex."""
+    """Expected number of (k-1)-simplices of the Poisson-process complex,
+    lambda a^d x^(k-1) k^d / k!, in exact rationals rounded once."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    d, a = params.spec.d, params.spec.a
-    value = (params.lam * a ** d * params.x ** (k - 1) * k ** d
-             / math.factorial(k))
-    return MomentValue(value=value, kind=MomentKind.MEAN)
+    volume, x = _exact(params)
+    value = volume * x ** (k - 1) * k ** params.spec.d / math.factorial(k)
+    return MomentValue(value=float(value), kind=MomentKind.MEAN)
 
 
 def mean_Nk_binomial(spec: TorusSpec, epsilon: float, n: int, k: int) -> MomentValue:
-    """Expected (k-1)-simplex count for n independent uniform points."""
+    """Expected (k-1)-simplex count for n independent uniform points,
+    C(n, k) k^d (2 epsilon / a)^(d(k-1)), in exact rationals rounded once."""
     _check_epsilon(spec, epsilon)
     if k < 0 or n < 0:
         raise ValueError("n and k must be >= 0")
     if k > n or k == 0:
         return MomentValue(value=0.0, kind=MomentKind.MEAN)
-    d, a = spec.d, spec.a
-    value = math.comb(n, k) * k ** d * (2.0 * epsilon / a) ** (d * (k - 1))
-    return MomentValue(value=value, kind=MomentKind.MEAN)
+    d, p = spec.d, 2 * Fraction(epsilon) / Fraction(spec.a)
+    value = math.comb(n, k) * k ** d * p ** (d * (k - 1))
+    return MomentValue(value=float(value), kind=MomentKind.MEAN)
 
 
 def mean_chi(params: ModelParams) -> MomentValue:
@@ -220,20 +227,20 @@ def clique_block_integral(pattern: OverlapPattern, spec: TorusSpec,
 
 
 def cov_Nk_Nl(params: ModelParams, k: int, l: int) -> MomentValue:
-    """Covariance of the numbers of (k-1)- and (l-1)-simplices."""
+    """Covariance of the numbers of (k-1)- and (l-1)-simplices, in exact
+    rationals rounded once."""
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
     k, l = max(k, l), min(k, l)
-    d, a = params.spec.d, params.spec.a
-    total = 0.0
-    for i in range(1, l + 1):
-        coeff = Fraction(1, math.factorial(i) * math.factorial(k - i)
-                         * math.factorial(l - i))
-        base = Fraction(k + l - i) + Fraction(2 * (k - i) * (l - i), i + 1)
-        total += (params.lam * a ** d * params.x ** (k + l - i - 1)
-                  * float(coeff) * float(base) ** d)
+    d = params.spec.d
+    volume, x = _exact(params)
+    # base_i = k + l - i + 2(k-i)(l-i)/(i+1), over i! (k-i)! (l-i)!
+    total = sum(x ** (k + l - i - 1)
+                * Fraction((k + l - i) * (i + 1) + 2 * (k - i) * (l - i), i + 1) ** d
+                / (math.factorial(i) * math.factorial(k - i) * math.factorial(l - i))
+                for i in range(1, l + 1))
     kind = MomentKind.VARIANCE if k == l else MomentKind.COVARIANCE
-    return MomentValue(value=total, kind=kind)
+    return MomentValue(value=float(volume * total), kind=kind)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,9 @@ class PointConfiguration:
     def from_json(cls, obj) -> "PointConfiguration":
         if isinstance(obj, (str, bytes)):
             obj = json.loads(obj)
+        if not isinstance(obj, dict):
+            raise ValueError("a point configuration is a JSON object with "
+                             "d, a and points")
         spec = TorusSpec(d=obj["d"], a=obj["a"])
         pts = np.asarray(obj["points"], dtype=float).reshape(-1, spec.d)
         # elementwise, so NaN (for which every comparison is False) fails too

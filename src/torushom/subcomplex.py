@@ -50,6 +50,8 @@ class GammaGraph:
 
     @staticmethod
     def from_json(doc: dict) -> "GammaGraph":
+        if not isinstance(doc, dict):
+            raise ValueError("a pattern graph is a JSON object with n and edges")
         return GammaGraph.make(int(doc["n"]), doc.get("edges", []))
 
     def to_json(self) -> dict:

@@ -21,7 +21,7 @@ def beta0_tail_bound(params: ModelParams, y: float) -> float:
     """
     d, a = params.spec.d, params.spec.a
     mean_proxy = params.lam * a ** d
-    if y <= mean_proxy:
+    if not y > mean_proxy:  # NaN fails too
         raise ValueError(
             f"bound valid only above the mean proxy lambda*a^d = {mean_proxy}")
     u = y - mean_proxy
@@ -34,8 +34,8 @@ def chi2d_tail_bound(var_chi: float, x: float) -> float:
 
     Uses that adding one point changes chi by at most 2.
     """
-    if x <= 0.0:
-        raise ValueError("deviation x must be positive")
-    if var_chi <= 0.0:
-        raise ValueError("var_chi must be positive")
+    if not x > 0.0:  # NaN fails too
+        raise ValueError(f"deviation x must be positive, got {x}")
+    if not 0.0 < var_chi < math.inf:
+        raise ValueError(f"var_chi must be positive and finite, got {var_chi}")
     return math.exp(-(x / 4.0) * math.log1p(2.0 * x / var_chi))

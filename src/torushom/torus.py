@@ -9,6 +9,7 @@ meaningful for the d=2 closed forms that assume round balls.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,8 @@ class TorusSpec:
     def __post_init__(self):
         if int(self.d) != self.d or self.d < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.d}")
-        if not (self.a > 0):
-            raise ValueError(f"side length must be positive, got {self.a}")
+        if not (0 < self.a < math.inf):
+            raise ValueError(f"side length must be positive and finite, got {self.a}")
 
     @property
     def volume(self) -> float:

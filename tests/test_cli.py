@@ -4,7 +4,7 @@ import math
 import pytest
 
 from oracles import dropping_edge_collapse
-from torushom import homology
+from torushom import harness, homology
 from torushom.cli import main
 from torushom.moments import (ModelParams, cov_Nk_Nl, euclid_remark_moments,
                               fourth_moment_Nk, mean_Nk, mean_Nk_binomial,
@@ -90,12 +90,13 @@ def test_complex_rejects_negative_max_dim(tmp_path, capsys):
     assert "max_dim" in doc["error"]
 
 
-def test_experiment_rejects_negative_max_dim(capsys):
-    code, doc = run_cli(capsys, "experiment", "--lambda", "10", "--eps", "0.05",
-                        "--reps", "2", "--seed", "1", "--quantities", "N_2",
-                        "--max-dim", "-1")
-    assert code == 1
-    assert "max_dim" in doc["error"]
+def test_experiment_has_no_max_dim_option(capsys):
+    # it only chose which replications a cap dropped, and none is dropped
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--lambda", "10", "--eps", "0.05", "--reps", "2",
+              "--seed", "1", "--quantities", "N_2", "--max-dim", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_moment_mean_chi_example(capsys):
@@ -156,6 +157,7 @@ def test_tail_beta0_example(capsys):
 
 
 MOMENT = ("moment", "--lambda", "30", "--eps", "0.05", "--quantity")
+MOMENT_LARGE = ("moment", "--lambda", "1000", "--eps", "0.05", "--quantity")
 
 
 def _chi2d_expected():
@@ -234,10 +236,23 @@ def test_moment_has_no_term_count_option(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, reference", [
+    (MOMENT_LARGE + ("mean_Nk", "--k", "200"), 2.5359539069622313e28),
+    (MOMENT_LARGE + ("mean_Nk_binomial", "--n", "2000", "--k", "300"),
+     1.0841414987809494e69),
+    (MOMENT_LARGE + ("cov_Nk_Nl", "--k", "200", "--l", "200"),
+     8.9168098649918700e130),
+], ids=("mean_Nk", "mean_Nk_binomial", "cov_Nk_Nl"))
+def test_moment_large_means(capsys, argv, reference):
+    code, doc = run_cli(capsys, *argv)
+    assert code == 0 and doc["value"] == pytest.approx(reference, rel=1e-12)
+
+
 def test_moment_overflow_is_a_domain_error(capsys):
-    # C(2000, 1000) does not fit a float: one error line, no traceback
-    code = main(["moment", "--quantity", "mean_Nk_binomial", "--eps", "0.05",
-                 "--n", "2000", "--k", "1000"])
+    # E[N_600] of 2000 points at eps = 0.24 is about 1e340, beyond a float:
+    # one error line, no traceback
+    code = main(["moment", "--quantity", "mean_Nk_binomial", "--eps", "0.24",
+                 "--n", "2000", "--k", "600"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 1 and len(lines) == 1
     assert "error" in json.loads(lines[0])
@@ -277,6 +292,16 @@ def test_experiment(capsys, tmp_path):
     n_points = [float(line.split(",")[2]) for line in lines[1:]
                 if line.split(",")[1] == "n_points"]
     assert sum(n_points) / len(n_points) == pytest.approx(est["mean"])
+
+
+def test_experiment_reports_a_cap_overrun(monkeypatch, capsys):
+    # the clique walk to N_3 passes a cap of 1500 in some replication
+    monkeypatch.setattr(harness, "DEFAULT_SIMPLEX_CAP", 1500)
+    code = main(["experiment", "--lambda", "60", "--eps", "0.05", "--reps", "60",
+                 "--seed", "109", "--quantities", "N_1,N_2,N_3,chi"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert json.loads(lines[0])["error"].startswith("replication ")
 
 
 def test_coverage(capsys):
@@ -375,3 +400,39 @@ def test_non_finite_point_file(tmp_path, capsys):
     path.write_text('{"d": 1, "a": 1.0, "points": [[0.1], [NaN], [0.12]]}')
     code, doc = run_cli(capsys, "homology", "--in", str(path), "--eps", "0.05")
     assert code == 1 and "finite" in doc["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("tail", "--quantity", "beta0", "--lambda", "20", "--y", "nan"),
+    ("tail", "--quantity", "chi2d", "--lambda", "1000", "--x", "nan"),
+    ("tail", "--quantity", "chi2d", "--var-chi", "nan", "--x", "5"),
+    ("moment", "--quantity", "mean_Nk", "--lambda", "20", "--eps", "0.05",
+     "--k", "2", "--a", "inf"),
+], ids=("beta0-y", "chi2d-x", "chi2d-var-chi", "moment-a"))
+def test_non_finite_inputs_are_domain_errors(capsys, argv):
+    code, doc = run_cli(capsys, *argv)
+    assert code == 1 and "error" in doc
+
+
+@pytest.mark.parametrize("role", ["complex", "homology", "subcount-in",
+                                  "subcount-gamma", "j-oracle"])
+def test_malformed_documents_are_domain_errors(tmp_path, capsys, role):
+    # a JSON document that is not an object: one error line, no traceback
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    points = write_points(tmp_path, capsys)
+    gamma = tmp_path / "gamma.json"
+    gamma.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
+    argv = {
+        "complex": ["complex", "--in", bad, "--eps", "0.05"],
+        "homology": ["homology", "--in", bad, "--eps", "0.05"],
+        "subcount-in": ["subcount", "--in", bad, "--gamma", gamma, "--eps", "0.05"],
+        "subcount-gamma": ["subcount", "--in", points, "--gamma", bad,
+                           "--eps", "0.05"],
+        "j-oracle": ["j-oracle", "--pattern", bad, "--eps", "0.05",
+                     "--samples", "100", "--seed", "1"],
+    }[role]
+    code = main([str(a) for a in argv])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert "JSON object" in json.loads(lines[0])["error"]

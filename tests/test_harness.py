@@ -30,10 +30,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(law=Poisson(10.0), spec=SPEC1, params=PARAMS,
                          replications=1, master_seed=1, quantities=("N_0",))
-    with pytest.raises(ValueError):
-        ExperimentConfig(law=Poisson(10.0), spec=SPEC1, params=PARAMS,
-                         replications=1, master_seed=1, quantities=("chi",),
-                         simplex_cap=-1)
     with pytest.raises(ValueError, match="max_dim"):
         ExperimentConfig(law=Poisson(10.0), spec=SPEC1, params=PARAMS,
                          replications=1, master_seed=1, quantities=("chi",),
@@ -86,37 +82,36 @@ def test_binomial_law_fixed_count():
     assert report.estimates["n_points"].stderr == 0.0
 
 
-def test_zero_cap_excludes_nothing():
+def _set_cap(monkeypatch, cap):
+    """Set the simplex cap where the clique walk and the core listing read it."""
+    for module in (harness, homology):
+        monkeypatch.setattr(module, "DEFAULT_SIMPLEX_CAP", cap)
+
+
+def test_zero_cap_raises_nothing(monkeypatch):
     # 0 is no cap, for the clique enumeration of beta_1 as for the counts
+    _set_cap(monkeypatch, 0)
     for quantities in (("beta_1",), ("N_3", "chi")):
         cfg = ExperimentConfig(law=Poisson(15.0), spec=SPEC1, params=PARAMS,
                                replications=20, master_seed=8,
-                               quantities=quantities, simplex_cap=0)
-        assert run_experiment(cfg).excluded == 0
+                               quantities=quantities)
+        assert run_experiment(cfg).estimates[quantities[0]].n == 20
 
 
-def test_truncated_replications_excluded():
-    cfg = ExperimentConfig(law=Poisson(40.0), spec=SPEC1, params=PARAMS,
-                           replications=20, master_seed=5,
-                           quantities=("N_1",), simplex_cap=10)
-    report = run_experiment(cfg)
-    assert report.excluded > 0
-    assert report.estimates["N_1"].n == 20 - report.excluded
-
-
-def test_cap_bounds_only_the_counts_asked_for():
+def test_cap_bounds_only_the_counts_asked_for(monkeypatch):
     # Every draw has more than 2000 cliques in all, but fewer than 500
     # vertices and edges: only N_1, N_2 are counted, and chi never is.
+    _set_cap(monkeypatch, 2000)
     cfg = ExperimentConfig(law=Poisson(60.0), spec=SPEC1, params=PARAMS,
                            replications=8, master_seed=21,
-                           quantities=("N_1", "N_2", "chi"), simplex_cap=2000)
+                           quantities=("N_1", "N_2", "chi"))
     report = run_experiment(cfg)
-    assert report.excluded == 0
+    assert report.estimates["chi"].n == 8
     base = SeedSpec(master_seed=21, stream_index=0)
     for rep in range(8):
         pc = sample(cfg.law, SPEC1, base.child("experiment", rep))
         full = simplex_counts(pc, PARAMS, cap=10 ** 9)
-        assert not full.truncated and full.counts.sum() > cfg.simplex_cap
+        assert not full.truncated and full.counts.sum() > 2000
         assert report.raw["chi"][rep] == full.euler_characteristic_counts()
         assert report.raw["N_2"][rep] == full.N(2)
 
@@ -156,16 +151,17 @@ def test_betti_numbers_count_no_cliques(monkeypatch):
     assert walks == []
 
 
-def test_cap_on_the_core_excludes_betti_replications():
-    # a core that is a cycle of m > 5 vertices has 2m > 10 cliques
-    capped, free = (run_experiment(ExperimentConfig(
-        law=Poisson(40.0), spec=SPEC1, params=PARAMS, replications=20,
-        master_seed=5, quantities=("beta_1",), simplex_cap=cap)) for cap in (10, 0))
-    assert capped.excluded > 0 and free.excluded == 0
-    assert capped.estimates["beta_1"].n == 20 - capped.excluded
-    # only the replications with a cycle are dropped
-    assert capped.raw["beta_1"].tolist() == [0.0] * capped.estimates["beta_1"].n
-    assert free.raw["beta_1"].sum() == capped.excluded
+def test_cap_on_the_core_raises_naming_the_replication(monkeypatch):
+    # a core that is a cycle of m > 5 vertices has 2m > 10 cliques, and a
+    # contractible core is one vertex
+    cfg = ExperimentConfig(law=Poisson(40.0), spec=SPEC1, params=PARAMS,
+                           replications=20, master_seed=5, quantities=("beta_1",))
+    first_cycle = run_experiment(cfg).raw["beta_1"].tolist().index(1.0)
+    _set_cap(monkeypatch, 10)
+    with pytest.raises(homology.SimplexCapExceeded,
+                       match=f"^replication {first_cycle}: the collapsed core "
+                             "has more than DEFAULT_SIMPLEX_CAP = 10 simplices$"):
+        run_experiment(cfg)
 
 
 def test_report_serialization():
@@ -451,48 +447,38 @@ def _check_clt_golden(name):
 RIPS = Convention.RIPS_HALF_OPEN_2EPS
 NK_CHI = ("N_1", "N_2", "N_3", "N_4", "chi")
 
-# (law, d, quantities, replications, seed, convention, metric, max_dim, cap,
-#  SHA-256 of the float64 raw arrays in quantity order, excluded).  The
-# hashes were recorded from the per-replication engine that preceded the
-# block engine: the seven benchmark cells, one beta_1 run, and three runs
-# whose cap excludes part of the replications (through the clique walk,
-# through the N_1/N_2 edge counts, and through the vertex count alone).
+# (law, d, quantities, replications, seed, convention, metric, max_dim,
+#  SHA-256 of the float64 raw arrays in quantity order).  The hashes were
+#  recorded from the per-replication engine that preceded the block engine:
+#  the seven benchmark cells and one beta_1 run.
 GOLDEN = [
-    (Poisson(20.0), 1, NK_CHI, 200, 101, RIPS, Metric.MAX_NORM, None, 10_000_000,
-     "d50d0c88dd8db64f66edc3b5f0d8a0a08d8550ae32d41a6eb006140bc840f560", 0),
-    (Poisson(50.0), 1, NK_CHI, 200, 102, RIPS, Metric.MAX_NORM, None, 10_000_000,
-     "4d59d277189c149d9a47be32e4dde7e8616d0b426b176f9f263864d5c2fe6bd6", 0),
-    (Poisson(20.0), 2, NK_CHI, 200, 103, RIPS, Metric.MAX_NORM, None, 10_000_000,
-     "f26809f93a1e0a3e80023fc167d0eb000660345c7c7193369af65b263b109a97", 0),
-    (Poisson(50.0), 2, NK_CHI, 200, 104, RIPS, Metric.MAX_NORM, None, 10_000_000,
-     "bb0cc279f433321838886c8035bd93ab20c94d3c73f59522526007511874ef19", 0),
-    (Poisson(20.0), 1, ("beta_0",), 200, 105, RIPS, Metric.MAX_NORM, None, 10_000_000,
-     "54d1191fa3afaf87383d9736d19b40b7da9a31305df7eb4d69964aec21036c99", 0),
-    (Binomial(20), 1, ("N_2", "chi"), 200, 106, RIPS, Metric.MAX_NORM, None, 10_000_000,
-     "9508eba0c972c2ff223cec8b852b5db851e219ce7a635781341c942df1798bc1", 0),
+    (Poisson(20.0), 1, NK_CHI, 200, 101, RIPS, Metric.MAX_NORM, None,
+     "d50d0c88dd8db64f66edc3b5f0d8a0a08d8550ae32d41a6eb006140bc840f560"),
+    (Poisson(50.0), 1, NK_CHI, 200, 102, RIPS, Metric.MAX_NORM, None,
+     "4d59d277189c149d9a47be32e4dde7e8616d0b426b176f9f263864d5c2fe6bd6"),
+    (Poisson(20.0), 2, NK_CHI, 200, 103, RIPS, Metric.MAX_NORM, None,
+     "f26809f93a1e0a3e80023fc167d0eb000660345c7c7193369af65b263b109a97"),
+    (Poisson(50.0), 2, NK_CHI, 200, 104, RIPS, Metric.MAX_NORM, None,
+     "bb0cc279f433321838886c8035bd93ab20c94d3c73f59522526007511874ef19"),
+    (Poisson(20.0), 1, ("beta_0",), 200, 105, RIPS, Metric.MAX_NORM, None,
+     "54d1191fa3afaf87383d9736d19b40b7da9a31305df7eb4d69964aec21036c99"),
+    (Binomial(20), 1, ("N_2", "chi"), 200, 106, RIPS, Metric.MAX_NORM, None,
+     "9508eba0c972c2ff223cec8b852b5db851e219ce7a635781341c942df1798bc1"),
     (Poisson(100.0), 2, ("N_2", "N_3"), 200, 107, Convention.SUBCOMPLEX_EPS,
-     Metric.EUCLIDEAN, 2, 10_000_000,
-     "957503feca7b82c3f0daadb1c1e94e7994a3ca49e6ff1b8c1a2ddae5a3a56f31", 0),
+     Metric.EUCLIDEAN, 2,
+     "957503feca7b82c3f0daadb1c1e94e7994a3ca49e6ff1b8c1a2ddae5a3a56f31"),
     (Poisson(15.0), 1, ("n_points", "beta_0", "beta_1"), 100, 108, RIPS,
-     Metric.MAX_NORM, None, 10_000_000,
-     "72d9a5cd82ba7cc0ae5f82b4617ce9f3bdb14d63f9586c8e0c530df516649b7d", 0),
-    (Poisson(60.0), 1, ("N_1", "N_2", "N_3", "chi"), 60, 109, RIPS,
-     Metric.MAX_NORM, None, 1500,
-     "d64c549745d27a90a158ace67c41a6462d53fd0c0fe8540be88832214eabc25e", 30),
-    (Poisson(40.0), 1, ("N_1", "N_2"), 60, 110, RIPS, Metric.MAX_NORM, None, 200,
-     "de3246351c3859f7f9b05c089ac780d48e56df01af202f575253ec58d0bfd740", 22),
-    (Poisson(60.0), 1, ("chi",), 60, 111, RIPS, Metric.MAX_NORM, None, 60,
-     "008ab14f337f87577bd33c4deab2c8fbf8046c83256eaf78d76801e991cce0c2", 28),
+     Metric.MAX_NORM, None,
+     "72d9a5cd82ba7cc0ae5f82b4617ce9f3bdb14d63f9586c8e0c530df516649b7d"),
 ]
 
 
-def _golden_config(law, d, quantities, reps, seed, convention, metric,
-                   max_dim, cap):
+def _golden_config(law, d, quantities, reps, seed, convention, metric, max_dim):
     return ExperimentConfig(
         law=law, spec=TorusSpec(d=d, a=1.0),
         params=ComplexParams(epsilon=0.05, metric=metric, convention=convention),
         replications=reps, master_seed=seed, quantities=quantities,
-        max_dim=max_dim, simplex_cap=cap)
+        max_dim=max_dim)
 
 
 def _raw_hash(report) -> str:
@@ -504,25 +490,63 @@ def _raw_hash(report) -> str:
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[str(c[4]) for c in GOLDEN])
 def test_raw_values_match_golden_hashes(case):
-    *args, digest, excluded = case
-    report = run_experiment(_golden_config(*args))
-    assert report.excluded == excluded
-    assert report.homology_violations == 0
-    assert _raw_hash(report) == digest
+    *args, digest = case
+    assert _raw_hash(run_experiment(_golden_config(*args))) == digest
+
+
+# A run of N_1..N_3 and chi whose clique walk passes a cap of 1500 cliques
+# in about half of its replications; it once dropped them.
+CAPPED = _golden_config(Poisson(60.0), 1, ("N_1", "N_2", "N_3", "chi"), 60, 109,
+                        RIPS, Metric.MAX_NORM, None)
+
+
+def _check_cap_overrun_raises(monkeypatch):
+    base = SeedSpec(master_seed=CAPPED.master_seed, stream_index=0)
+    draws = (sample(CAPPED.law, SPEC1, base.child("experiment", rep))
+             for rep in range(CAPPED.replications))
+    # the walk to N_3 passes the cap when N_1 + N_2 + N_3 > 1500
+    first = next(rep for rep, pc in enumerate(draws)
+                 if simplex_counts(pc, PARAMS, max_dim=2, cap=0).counts.sum() > 1500)
+    _set_cap(monkeypatch, 1500)
+    with pytest.raises(homology.SimplexCapExceeded,
+                       match=f"^replication {first}: more than DEFAULT_SIMPLEX_CAP "
+                             "= 1500 cliques of at most 3 vertices$"):
+        run_experiment(CAPPED)
+
+
+def test_cap_overrun_raises_naming_the_replication(monkeypatch):
+    _check_cap_overrun_raises(monkeypatch)
+
+
+@pytest.mark.parametrize("cap", (60, 200))
+@pytest.mark.parametrize("law, quantities, seed", [
+    (Poisson(40.0), ("N_1", "N_2"), 110), (Poisson(60.0), ("chi",), 111)],
+    ids=("110", "111"))
+def test_cap_never_bounds_points_edges_or_chi(monkeypatch, cap, law, quantities,
+                                              seed):
+    # N_1, N_2 and chi walk no clique, so no cap drops or fails a replication
+    cfg = _golden_config(law, 1, quantities, 60, seed, RIPS, Metric.MAX_NORM, None)
+    _set_cap(monkeypatch, 0)
+    free = run_experiment(cfg)
+    _set_cap(monkeypatch, cap)
+    capped = run_experiment(cfg)
+    for q in quantities:
+        assert capped.estimates[q].n == 60
+        assert np.array_equal(capped.raw[q], free.raw[q])
 
 
 def test_block_boundaries_do_not_change_values(monkeypatch):
-    cases = [GOLDEN[0], GOLDEN[4], GOLDEN[7], GOLDEN[8], GOLDEN[9]]
-    whole = [run_experiment(_golden_config(*c[:-2])) for c in cases]
+    cases = [GOLDEN[0], GOLDEN[4], GOLDEN[7]]
+    whole = [run_experiment(_golden_config(*c[:-1])) for c in cases]
     # blocks of 7 replications, and a scratch budget below one
     # configuration's n^2, so that most configurations run alone
     monkeypatch.setattr(harness, "_BLOCK_REPS", 7)
     monkeypatch.setattr(harness, "_BLOCK_CELLS", 300)
     for c, expected in zip(cases, whole):
-        split = run_experiment(_golden_config(*c[:-2]))
-        assert split.excluded == expected.excluded
+        split = run_experiment(_golden_config(*c[:-1]))
         assert _raw_hash(split) == _raw_hash(expected)
     for seed in GOLDEN_COVERAGE:
         _check_coverage_golden(seed)
     for name in GOLDEN_CLT:
         _check_clt_golden(name)
+    _check_cap_overrun_raises(monkeypatch)

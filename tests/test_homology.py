@@ -122,10 +122,11 @@ def test_every_entry_point_reports_a_collapse_that_drops_an_edge(
     assert main(["homology", "--in", str(path), "--eps", "0.2",
                  "--convention", "subeps"]) == 0
     assert json.loads(capsys.readouterr().out)["violations"] == expected
-    report = run_experiment(ExperimentConfig(
-        law=Poisson(lam=60.0), spec=SPEC1, params=params, replications=5,
-        master_seed=4, quantities=("beta_1",)))
-    assert report.excluded == 0 and report.homology_violations > 0
+    with pytest.raises(RuntimeError, match=r"^homology check failed at "
+                       "replication 0: " + expected[0]):
+        run_experiment(ExperimentConfig(
+            law=Poisson(lam=60.0), spec=SPEC1, params=params, replications=5,
+            master_seed=4, quantities=("beta_1",)))
 
 
 def test_graph_packed_once_per_configuration(monkeypatch):
@@ -502,17 +503,20 @@ def test_homology_lists_and_reduces_only_the_core(monkeypatch):
     assert sum(rows) < 5000
 
 
-def test_cap_bounds_the_listing_of_the_core():
+def test_cap_bounds_the_listing_of_the_core(monkeypatch):
     # the king-move torus grid collapses to a core of 25 vertices, 75 edges
     # and 50 triangles
     neigh = neighbour_bitsets(adjacency_matrix(grid_config(5),
                                                ComplexParams(epsilon=0.105)))
-    assert homology_from_bitsets(neigh, cap=150).betti[:3] == [1, 2, 1]
-    with pytest.raises(ValueError, match="simplex_cap = 149"):
-        homology_from_bitsets(neigh, cap=149)
+    for cap in (150, 0):
+        monkeypatch.setattr(homology, "DEFAULT_SIMPLEX_CAP", cap)
+        assert homology_from_bitsets(neigh).betti[:3] == [1, 2, 1]
+    monkeypatch.setattr(homology, "DEFAULT_SIMPLEX_CAP", 149)
+    with pytest.raises(ValueError, match="DEFAULT_SIMPLEX_CAP = 149"):
+        homology_from_bitsets(neigh)
+    monkeypatch.setattr(homology, "DEFAULT_SIMPLEX_CAP", 24)
     with pytest.raises(SimplexCapExceeded):
-        homology_from_bitsets(neigh, cap=24)
-    assert homology_from_bitsets(neigh, cap=0).betti[:3] == [1, 2, 1]
+        homology_from_bitsets(neigh)
 
 
 def test_homology_walks_no_clique_count(monkeypatch):

@@ -459,3 +459,31 @@ def test_euclid_remark_moments_check_epsilon(eps):
     # a/2, so the range is that of ModelParams: 0 < eps < a/4
     with pytest.raises(ValueError, match="epsilon"):
         euclid_remark_moments(SPEC2, 10.0, eps)
+
+
+# Values that used to raise OverflowError: their numerators alone do not fit
+# a float.  References computed exactly, to be met to 1e-12 relative.
+P_LARGE = ModelParams(lam=1000.0, spec=SPEC1, epsilon=0.05)
+LARGE_MEANS = [
+    pytest.param(lambda: mean_Nk(P_LARGE, 200), 2.5359539069622313e28, id="mean_Nk"),
+    pytest.param(lambda: mean_Nk_binomial(SPEC1, 0.05, 2000, 300),
+                 1.0841414987809494e69, id="mean_Nk_binomial"),
+    pytest.param(lambda: cov_Nk_Nl(P_LARGE, 200, 200), 8.9168098649918700e130,
+                 id="cov_Nk_Nl"),
+]
+
+
+@pytest.mark.parametrize("moment, reference", LARGE_MEANS)
+def test_large_means_do_not_overflow(moment, reference):
+    assert moment().value == pytest.approx(reference, rel=1e-12)
+
+
+def test_means_are_the_exact_rational_rounded_once():
+    # lam a^d x^(k-1) k^d / k!, from the exact values of the float inputs
+    x = 30 * 2 * Fraction(0.05)
+    assert mean_Nk(P1, 4).value == float(30 * x ** 3 * 4 / 24)
+    p = 2 * Fraction(0.05)
+    assert mean_Nk_binomial(SPEC2, 0.05, 20, 3).value == float(
+        math.comb(20, 3) * 9 * p ** 4)
+    with pytest.raises(OverflowError):
+        mean_Nk_binomial(SPEC1, 0.24, 2000, 600)

@@ -197,3 +197,8 @@ def test_sample_equals_a_fresh_generator_draw_across_threads():
     for name, (law, spec) in enumerate(cases):
         for s, got in zip(seeds, results[name]):
             assert np.array_equal(got, _fresh_draw(law, spec, s))
+
+
+def test_from_json_rejects_a_document_that_is_not_an_object():
+    with pytest.raises(ValueError, match="JSON object"):
+        PointConfiguration.from_json("[1, 2]")

@@ -209,3 +209,8 @@ def test_two_path_kernels_factorise_over_coordinates():
                                     SeedSpec(12, i))
         se = exact * math.sqrt(2 * (1 - p) / (p * samples))
         assert abs(value - exact) <= 4 * se, (i, value, exact, se)
+
+
+def test_from_json_rejects_a_document_that_is_not_an_object():
+    with pytest.raises(ValueError, match="JSON object"):
+        GammaGraph.from_json([1, 2])

@@ -54,3 +54,11 @@ def test_chi2d_bound_monotone():
     variances = [0.5, 1.0, 5.0, 50.0]
     by_var = [chi2d_tail_bound(v, 4.0) for v in variances]
     assert all(b1 < b2 for b1, b2 in zip(by_var, by_var[1:]))
+
+
+def test_nan_fails_the_bound_checks():
+    with pytest.raises(ValueError):
+        beta0_tail_bound(P1, math.nan)
+    for var_chi, x in ((1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0)):
+        with pytest.raises(ValueError):
+            chi2d_tail_bound(var_chi, x)

@@ -15,6 +15,9 @@ def test_spec_validation():
         TorusSpec(d=1, a=0.0)
     with pytest.raises(ValueError):
         TorusSpec(d=1, a=-2.0)
+    for a in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            TorusSpec(d=1, a=a)
     assert TorusSpec(d=3, a=2.0).volume == 8.0
 
 
