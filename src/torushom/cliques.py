@@ -30,10 +30,12 @@ def neighbour_bitsets(rows: np.ndarray) -> list[int]:
             for r in range(packed.shape[0])]
 
 
-def counts_from_bitsets(neigh: list[int], max_size: int, cap: int):
+def counts_from_bitsets(neigh: list[int], max_size: int, cap: int | None = None):
     """Clique counts by size (a list, index = size) and whether the walk
-    finished within ``cap``.  A candidate set adds its size to the next
-    size's count when it is formed, so the top size is counted in bulk."""
+    finished within ``cap`` (None: ``DEFAULT_SIMPLEX_CAP``, read at the call).
+    A candidate set adds its size to the next size's count when it is
+    formed, so the top size is counted in bulk."""
+    cap = DEFAULT_SIMPLEX_CAP if cap is None else cap
     n = len(neigh)
     counts = [0] * (n + 1)
     if n == 0:
@@ -67,7 +69,7 @@ def counts_from_bitsets(neigh: list[int], max_size: int, cap: int):
 
 
 def count_cliques(neigh: list[int], max_size: int | None = None,
-                  cap: int = DEFAULT_SIMPLEX_CAP):
+                  cap: int | None = None):
     """Count cliques of every size up to ``max_size`` (default: all).
 
     Returns (counts, complete): counts[k] is the number of k-cliques
@@ -114,7 +116,7 @@ def _signed_clique_sum(neigh: list[int], cand: int, sign: int) -> int:
     return total
 
 
-def enumerate_cliques(neigh: list[int], cap: int = DEFAULT_SIMPLEX_CAP):
+def enumerate_cliques(neigh: list[int], cap: int | None = None):
     """List every clique as a sorted vertex tuple.
 
     Returns (by_size, complete) where by_size[k] is the lexicographically
@@ -122,6 +124,7 @@ def enumerate_cliques(neigh: list[int], cap: int = DEFAULT_SIMPLEX_CAP):
     exceeds ``cap`` (0: no cap), as in ``counts_from_bitsets``; the lists
     then stop where the walk stopped.
     """
+    cap = DEFAULT_SIMPLEX_CAP if cap is None else cap
     n = len(neigh)
     by_size: dict[int, list[tuple[int, ...]]] = {k: [] for k in range(1, n + 1)}
     total = 0

@@ -37,7 +37,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cliques import DEFAULT_SIMPLEX_CAP, count_cliques, neighbour_bitsets
+from .cliques import count_cliques, neighbour_bitsets
 from .sampling import PointConfiguration
 # pairwise_distances is not called here; perfbench's import-site test
 # expects this module to hold it.
@@ -214,10 +214,10 @@ def _check_radius(spec: TorusSpec, params: ComplexParams,
 
 def simplex_counts(config: PointConfiguration, params: ComplexParams,
                    max_dim: int | None = None,
-                   cap: int = DEFAULT_SIMPLEX_CAP) -> GeometricComplex:
+                   cap: int | None = None) -> GeometricComplex:
     """Count simplices up to ``max_dim`` (default: all) without storing them;
-    truncated when the simplex total exceeds ``cap`` (0: no cap)."""
-    if cap < 0:
+    truncated past ``cap`` simplices (0: no cap; None: ``DEFAULT_SIMPLEX_CAP``)."""
+    if cap is not None and cap < 0:
         raise ValueError(f"cap must be >= 0 (0: no cap), got {cap}")
     if max_dim is not None and max_dim < 0:
         raise ValueError(f"max_dim must be >= 0, got {max_dim}")

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cliques import (DEFAULT_SIMPLEX_CAP, chi_from_bitsets, counts_from_bitsets,
-                      neighbour_bitsets)
+from . import cliques
+from .cliques import chi_from_bitsets, counts_from_bitsets, neighbour_bitsets
 # simplex_counts is not called here; perfbench's import-site test expects
 # this module to hold it.
 from .complexes import (ComplexParams, _check_radius, simplex_counts,  # noqa: F401
@@ -230,12 +230,11 @@ def _row(plan: _Plan, n: int, edges: int, neigh: list[int] | None,
     ``where`` names the configuration in the errors raised."""
     counts = [0, n, edges]
     if plan.clique_walk:
-        counts, complete = counts_from_bitsets(neigh, plan.max_size,
-                                               DEFAULT_SIMPLEX_CAP)
+        counts, complete = counts_from_bitsets(neigh, plan.max_size)
         if not complete:
             raise SimplexCapExceeded(
-                f"{where}: more than DEFAULT_SIMPLEX_CAP = {DEFAULT_SIMPLEX_CAP} "
-                f"cliques of at most {plan.max_size} vertices")
+                f"{where}: more than DEFAULT_SIMPLEX_CAP = {cliques.DEFAULT_SIMPLEX_CAP}"
+                f" cliques of at most {plan.max_size} vertices")
     betti = _betti(neigh, where) if plan.needs_full_homology else None
     row = []
     for kind, i in plan.parsed:

@@ -29,8 +29,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .cliques import (DEFAULT_SIMPLEX_CAP, chi_from_bitsets, enumerate_cliques,
-                      neighbour_bitsets)
+from . import cliques
+from .cliques import chi_from_bitsets, enumerate_cliques, neighbour_bitsets
 from .complexes import GeometricComplex, _check_radius, adjacency_matrix
 
 
@@ -108,11 +108,10 @@ def homology_from_bitsets(neigh: list[int]) -> HomologyResult:
     ``DEFAULT_SIMPLEX_CAP`` cliques.
     """
     strong = _induced(neigh, collapse_from_bitsets(neigh))
-    by_size, complete = enumerate_cliques(collapsed_core(strong),
-                                          DEFAULT_SIMPLEX_CAP)
+    by_size, complete = enumerate_cliques(collapsed_core(strong))
     if not complete:
         raise SimplexCapExceeded("the collapsed core has more than DEFAULT_SIMPLEX_CAP"
-                                 f" = {DEFAULT_SIMPLEX_CAP} simplices")
+                                 f" = {cliques.DEFAULT_SIMPLEX_CAP} simplices")
     simplices = [s for s in by_size.values() if s]  # by size, from 1
     ranks = [0] * (len(simplices) + 1)
     cleared: set[tuple[int, ...]] = set()

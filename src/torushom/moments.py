@@ -283,15 +283,14 @@ def var_chi_series(params: ModelParams) -> MomentValue:
     VAR_CHI_MAX_TERMS terms (x beyond about 17).  ``truncation`` records the
     number of terms summed.
     """
-    d, x = params.spec.d, Fraction(params.x)
+    volume, x = _exact(params)
     acc, power, small = Fraction(0), Fraction(1), 0
     for n in range(1, VAR_CHI_MAX_TERMS + 1):
-        term = c_coefficient(n, d) * power
+        term = c_coefficient(n, params.spec.d) * power
         acc += term
         small = small + 1 if abs(term) * 2 ** 60 < acc else 0
         if small == 3:
-            value = params.lam * params.spec.a ** d * float(acc)
-            return MomentValue(value=value, kind=MomentKind.VARIANCE,
+            return MomentValue(value=float(volume * acc), kind=MomentKind.VARIANCE,
                                truncation={"terms": n})
         power *= x
     raise ValueError(f"the chi-variance series has not converged within "

@@ -225,9 +225,9 @@ def chi_alternating_series(params) -> Fraction:
     Once the terms decrease, the alternating series is off by less than the
     next term, so the sum stops when a decreasing term falls below 2^-60 of
     the partial sum."""
-    d = params.spec.d
-    x = Fraction(params.x)
-    scale = Fraction(params.lam) * Fraction(params.spec.a) ** d
+    d, lam = params.spec.d, Fraction(params.lam)
+    x = lam * (2 * Fraction(params.epsilon)) ** d
+    scale = lam * Fraction(params.spec.a) ** d
     total, last, k = Fraction(0), math.inf, 0
     while True:
         k += 1

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from oracles import dropping_edge_collapse
-from torushom import harness, homology
+from torushom import cliques, homology
 from torushom.cli import main
 from torushom.moments import (ModelParams, cov_Nk_Nl, euclid_remark_moments,
                               fourth_moment_Nk, mean_Nk, mean_Nk_binomial,
@@ -296,7 +296,7 @@ def test_experiment(capsys, tmp_path):
 
 def test_experiment_reports_a_cap_overrun(monkeypatch, capsys):
     # the clique walk to N_3 passes a cap of 1500 in some replication
-    monkeypatch.setattr(harness, "DEFAULT_SIMPLEX_CAP", 1500)
+    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 1500)
     code = main(["experiment", "--lambda", "60", "--eps", "0.05", "--reps", "60",
                  "--seed", "109", "--quantities", "N_1,N_2,N_3,chi"])
     lines = capsys.readouterr().out.splitlines()

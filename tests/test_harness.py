@@ -82,15 +82,9 @@ def test_binomial_law_fixed_count():
     assert report.estimates["n_points"].stderr == 0.0
 
 
-def _set_cap(monkeypatch, cap):
-    """Set the simplex cap where the clique walk and the core listing read it."""
-    for module in (harness, homology):
-        monkeypatch.setattr(module, "DEFAULT_SIMPLEX_CAP", cap)
-
-
 def test_zero_cap_raises_nothing(monkeypatch):
     # 0 is no cap, for the clique enumeration of beta_1 as for the counts
-    _set_cap(monkeypatch, 0)
+    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 0)
     for quantities in (("beta_1",), ("N_3", "chi")):
         cfg = ExperimentConfig(law=Poisson(15.0), spec=SPEC1, params=PARAMS,
                                replications=20, master_seed=8,
@@ -101,7 +95,7 @@ def test_zero_cap_raises_nothing(monkeypatch):
 def test_cap_bounds_only_the_counts_asked_for(monkeypatch):
     # Every draw has more than 2000 cliques in all, but fewer than 500
     # vertices and edges: only N_1, N_2 are counted, and chi never is.
-    _set_cap(monkeypatch, 2000)
+    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 2000)
     cfg = ExperimentConfig(law=Poisson(60.0), spec=SPEC1, params=PARAMS,
                            replications=8, master_seed=21,
                            quantities=("N_1", "N_2", "chi"))
@@ -157,7 +151,7 @@ def test_cap_on_the_core_raises_naming_the_replication(monkeypatch):
     cfg = ExperimentConfig(law=Poisson(40.0), spec=SPEC1, params=PARAMS,
                            replications=20, master_seed=5, quantities=("beta_1",))
     first_cycle = run_experiment(cfg).raw["beta_1"].tolist().index(1.0)
-    _set_cap(monkeypatch, 10)
+    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 10)
     with pytest.raises(homology.SimplexCapExceeded,
                        match=f"^replication {first_cycle}: the collapsed core "
                              "has more than DEFAULT_SIMPLEX_CAP = 10 simplices$"):
@@ -507,7 +501,7 @@ def _check_cap_overrun_raises(monkeypatch):
     # the walk to N_3 passes the cap when N_1 + N_2 + N_3 > 1500
     first = next(rep for rep, pc in enumerate(draws)
                  if simplex_counts(pc, PARAMS, max_dim=2, cap=0).counts.sum() > 1500)
-    _set_cap(monkeypatch, 1500)
+    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 1500)
     with pytest.raises(homology.SimplexCapExceeded,
                        match=f"^replication {first}: more than DEFAULT_SIMPLEX_CAP "
                              "= 1500 cliques of at most 3 vertices$"):
@@ -518,17 +512,19 @@ def test_cap_overrun_raises_naming_the_replication(monkeypatch):
     _check_cap_overrun_raises(monkeypatch)
 
 
+# (law, quantities, seed): runs that walk no clique, which a cap once cut short
+UNCAPPED = [(Poisson(40.0), ("N_1", "N_2"), 110), (Poisson(60.0), ("chi",), 111)]
+
+
 @pytest.mark.parametrize("cap", (60, 200))
-@pytest.mark.parametrize("law, quantities, seed", [
-    (Poisson(40.0), ("N_1", "N_2"), 110), (Poisson(60.0), ("chi",), 111)],
-    ids=("110", "111"))
+@pytest.mark.parametrize("law, quantities, seed", UNCAPPED, ids=("110", "111"))
 def test_cap_never_bounds_points_edges_or_chi(monkeypatch, cap, law, quantities,
                                               seed):
     # N_1, N_2 and chi walk no clique, so no cap drops or fails a replication
     cfg = _golden_config(law, 1, quantities, 60, seed, RIPS, Metric.MAX_NORM, None)
-    _set_cap(monkeypatch, 0)
+    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 0)
     free = run_experiment(cfg)
-    _set_cap(monkeypatch, cap)
+    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", cap)
     capped = run_experiment(cfg)
     for q in quantities:
         assert capped.estimates[q].n == 60
@@ -536,14 +532,18 @@ def test_cap_never_bounds_points_edges_or_chi(monkeypatch, cap, law, quantities,
 
 
 def test_block_boundaries_do_not_change_values(monkeypatch):
-    cases = [GOLDEN[0], GOLDEN[4], GOLDEN[7]]
-    whole = [run_experiment(_golden_config(*c[:-1])) for c in cases]
+    # three golden cases, and the uncapped N_1,N_2 and chi-only runs, the
+    # first of which builds no neighbour bitsets
+    configs = [_golden_config(*c[:-1]) for c in (GOLDEN[0], GOLDEN[4], GOLDEN[7])]
+    configs += [_golden_config(law, 1, quantities, 60, seed, RIPS, Metric.MAX_NORM,
+                               None) for law, quantities, seed in UNCAPPED]
+    whole = [run_experiment(cfg) for cfg in configs]
     # blocks of 7 replications, and a scratch budget below one
     # configuration's n^2, so that most configurations run alone
     monkeypatch.setattr(harness, "_BLOCK_REPS", 7)
     monkeypatch.setattr(harness, "_BLOCK_CELLS", 300)
-    for c, expected in zip(cases, whole):
-        split = run_experiment(_golden_config(*c[:-1]))
+    for cfg, expected in zip(configs, whole):
+        split = run_experiment(cfg)
         assert _raw_hash(split) == _raw_hash(expected)
     for seed in GOLDEN_COVERAGE:
         _check_coverage_golden(seed)

@@ -509,12 +509,12 @@ def test_cap_bounds_the_listing_of_the_core(monkeypatch):
     neigh = neighbour_bitsets(adjacency_matrix(grid_config(5),
                                                ComplexParams(epsilon=0.105)))
     for cap in (150, 0):
-        monkeypatch.setattr(homology, "DEFAULT_SIMPLEX_CAP", cap)
+        monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", cap)
         assert homology_from_bitsets(neigh).betti[:3] == [1, 2, 1]
-    monkeypatch.setattr(homology, "DEFAULT_SIMPLEX_CAP", 149)
+    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 149)
     with pytest.raises(ValueError, match="DEFAULT_SIMPLEX_CAP = 149"):
         homology_from_bitsets(neigh)
-    monkeypatch.setattr(homology, "DEFAULT_SIMPLEX_CAP", 24)
+    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 24)
     with pytest.raises(SimplexCapExceeded):
         homology_from_bitsets(neigh)
 
