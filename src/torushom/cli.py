@@ -71,9 +71,12 @@ def _seedspec(args) -> SeedSpec:
     return SeedSpec(master_seed=args.seed, stream_index=0)
 
 
-def _add_geometry(p):
+def _add_torus(p):
     p.add_argument("--d", type=int, default=1, help="torus dimension")
     p.add_argument("--a", type=float, default=1.0, help="torus side length")
+
+
+def _add_geometry(p):
     p.add_argument("--eps", type=float, required=True,
                    help="proximity parameter epsilon")
     p.add_argument("--metric", choices=sorted(METRICS), default="max")
@@ -92,8 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Poisson intensity")
     p.add_argument("--n-points", type=int,
                    help="fixed point count (Binomial process)")
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--a", type=float, default=1.0)
+    _add_torus(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
 
@@ -101,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     _add_geometry(p)
     p.add_argument("--max-dim", type=int, default=None)
-    p.add_argument("--cap", type=int)
     p.add_argument("--out")
 
     p = sub.add_parser("homology", help="Betti numbers of a configuration")
@@ -115,8 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cov_Nk_Nl", "var_chi_series", "var_chi_1d", "third_moment",
         "fourth_moment", "euclid_remark"])
     p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--a", type=float, default=1.0)
+    _add_torus(p)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--l", type=int)
@@ -149,6 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="replicated Monte Carlo estimates")
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--n-points", type=int)
+    _add_torus(p)
     _add_geometry(p)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -159,6 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("clt", help="normal-approximation rate experiment")
     p.add_argument("--gamma", help="pattern JSON file (default: single edge)")
+    _add_torus(p)
     _add_geometry(p)
     p.set_defaults(convention="subeps")
     p.add_argument("--lambdas", required=True,
@@ -168,6 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("coverage", help="torus Betti-number recovery frequency")
+    _add_torus(p)
     _add_geometry(p)
     p.set_defaults(convention="subeps")
     p.add_argument("--lambdas", required=True)
@@ -179,8 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True,
                    help='JSON file: {"sizes":[2,2],"shared":'
                         '[{"simplices":[0,1],"count":1}]}')
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--a", type=float, default=1.0)
+    _add_torus(p)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, required=True)
@@ -203,7 +205,7 @@ def _cmd_sample(args):
 
 def _cmd_complex(args):
     pc = _load_points(args.infile)
-    cx = simplex_counts(pc, _params(args), max_dim=args.max_dim, cap=args.cap)
+    cx = simplex_counts(pc, _params(args), max_dim=args.max_dim)
     _emit(cx.to_json(), args.out)
 
 
@@ -338,14 +340,21 @@ def _cmd_coverage(args):
     _emit(report.to_json(), args.out)
 
 
+def _integers(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
 def _cmd_joracle(args):
     with open(args.pattern) as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("an overlap pattern is a JSON object with sizes and shared")
-    shared = {tuple(entry["simplices"]): entry["count"]
-              for entry in doc.get("shared", [])}
-    pattern = OverlapPattern.make(doc["sizes"], shared)
+    shared = doc.get("shared", []) if isinstance(doc, dict) else None
+    if not (isinstance(shared, list) and _integers(doc.get("sizes")) and all(
+            isinstance(e, dict) and _integers(e.get("simplices"))
+            and _integers([e.get("count")]) for e in shared)):
+        raise ValueError("an overlap pattern is a JSON object with integer sizes and"
+                         " shared, a list of integer simplices and count")
+    pattern = OverlapPattern.make(
+        doc["sizes"], {tuple(e["simplices"]): e["count"] for e in shared})
     est = j_oracle_mc(pattern, TorusSpec(d=args.d, a=args.a), args.eps,
                       args.samples, _seedspec(args))
     _emit({"value": est.value, "stderr": est.stderr,

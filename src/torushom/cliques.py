@@ -22,6 +22,10 @@ import numpy as np
 DEFAULT_SIMPLEX_CAP = 10_000_000
 
 
+class SimplexCapExceeded(ValueError):
+    """A clique walk passed ``DEFAULT_SIMPLEX_CAP`` cliques."""
+
+
 def neighbour_bitsets(rows: np.ndarray) -> list[int]:
     """Row v of a boolean matrix as an int whose bit u is rows[v, u]."""
     packed = np.packbits(rows, axis=1, bitorder="little")
@@ -30,24 +34,22 @@ def neighbour_bitsets(rows: np.ndarray) -> list[int]:
             for r in range(packed.shape[0])]
 
 
-def counts_from_bitsets(neigh: list[int], max_size: int, cap: int | None = None):
-    """Clique counts by size (a list, index = size) and whether the walk
-    finished within ``cap`` (None: ``DEFAULT_SIMPLEX_CAP``, read at the call).
-    A candidate set adds its size to the next size's count when it is
-    formed, so the top size is counted in bulk."""
-    cap = DEFAULT_SIMPLEX_CAP if cap is None else cap
+def counts_from_bitsets(neigh: list[int], max_size: int) -> list[int]:
+    """Clique counts by size (a list, index = size); raises
+    ``SimplexCapExceeded`` once they pass ``DEFAULT_SIMPLEX_CAP``, read at
+    the call.  A candidate set adds its size to the next size's count when
+    it is formed, so the top size is counted in bulk."""
+    cap = DEFAULT_SIMPLEX_CAP
     n = len(neigh)
     counts = [0] * (n + 1)
     if n == 0:
-        return counts, True
+        return counts
     counts[1] = total = n
-    if 0 < cap < total:
-        return counts, False
     # stack[-1] holds the unvisited cliques of size ``size - 1``, as the
     # candidates extending their common prefix; the vertices come first.
     stack = [(1 << n) - 1] if max_size > 1 else []
     size = 2
-    while stack:
+    while stack and total <= cap:
         cand = stack[-1]
         if not cand:
             stack.pop()
@@ -60,28 +62,29 @@ def counts_from_bitsets(neigh: list[int], max_size: int, cap: int | None = None)
             found = child.bit_count()
             counts[size] += found
             total += found
-            if 0 < cap < total:
-                return counts, False
             if size < max_size:
                 stack.append(child)
                 size += 1
-    return counts, True
+    if total > cap:
+        raise SimplexCapExceeded(f"more than DEFAULT_SIMPLEX_CAP = {cap} cliques"
+                                 f" of at most {max_size} vertices")
+    return counts
 
 
-def count_cliques(neigh: list[int], max_size: int | None = None,
-                  cap: int | None = None):
+# The flag that count_cliques and enumerate_cliques return, always True, and
+# GeometricComplex.truncated, always False, stay only because perfbench
+# reads them; the benchmark change of ROADMAP item 1 removes them.
+def count_cliques(neigh: list[int], max_size: int | None = None):
     """Count cliques of every size up to ``max_size`` (default: all).
 
-    Returns (counts, complete): counts[k] is the number of k-cliques
+    Returns (counts, True): counts[k] is the number of k-cliques
     (counts[1] = vertex count), trimmed after the largest nonzero size.
-    complete is False when the total exceeds ``cap`` (0: no cap); the walk
-    then stops early and the partial counts depend on where it stopped.
+    Raises ``SimplexCapExceeded`` as ``counts_from_bitsets`` does.
     """
-    counts, complete = counts_from_bitsets(
-        neigh, len(neigh) if max_size is None else max_size, cap)
-    counts = np.array(counts, dtype=np.int64)
+    counts = np.array(counts_from_bitsets(
+        neigh, len(neigh) if max_size is None else max_size), dtype=np.int64)
     top = max(1, int(np.nonzero(counts)[0].max(initial=1)))
-    return counts[: top + 1], complete
+    return counts[: top + 1], True
 
 
 def chi_from_bitsets(neigh: list[int]) -> int:
@@ -116,40 +119,34 @@ def _signed_clique_sum(neigh: list[int], cand: int, sign: int) -> int:
     return total
 
 
-def enumerate_cliques(neigh: list[int], cap: int | None = None):
+def enumerate_cliques(neigh: list[int]):
     """List every clique as a sorted vertex tuple.
 
-    Returns (by_size, complete) where by_size[k] is the lexicographically
-    ordered list of k-cliques, k = 1..n.  complete is False when the total
-    exceeds ``cap`` (0: no cap), as in ``counts_from_bitsets``; the lists
-    then stop where the walk stopped.
+    Returns (by_size, True) where by_size[k] is the lexicographically
+    ordered list of k-cliques, k = 1..n.  Raises ``SimplexCapExceeded``
+    once the cliques pass ``DEFAULT_SIMPLEX_CAP``, read at the call.
     """
-    cap = DEFAULT_SIMPLEX_CAP if cap is None else cap
+    cap = DEFAULT_SIMPLEX_CAP
     n = len(neigh)
     by_size: dict[int, list[tuple[int, ...]]] = {k: [] for k in range(1, n + 1)}
     total = 0
-    for v in range(n):
-        by_size[1].append((v,))
+    # the empty clique, whose candidates are all the vertices, is the root
+    stack, cands = [()], [(1 << n) - 1]
+    while cands and total <= cap:
+        cand = cands[-1]
+        if cand == 0:
+            cands.pop()
+            stack.pop()
+            continue
+        u = (cand & -cand).bit_length() - 1
+        cands[-1] = cand & (cand - 1)
+        clique = stack[-1] + (u,)
+        by_size[len(clique)].append(clique)
         total += 1
-        if 0 < cap < total:
-            return by_size, False
-        stack = [(v,), ]
-        cands = [neigh[v] & ~((1 << (v + 1)) - 1)]
-        while cands:
-            cand = cands[-1]
-            if cand == 0:
-                cands.pop()
-                stack.pop()
-                continue
-            u = (cand & -cand).bit_length() - 1
-            cands[-1] = cand & (cand - 1)
-            clique = stack[-1] + (u,)
-            by_size[len(clique)].append(clique)
-            total += 1
-            if 0 < cap < total:
-                return by_size, False
-            child = cands[-1] & neigh[u]
-            if child:
-                stack.append(clique)
-                cands.append(child)
+        child = cands[-1] & neigh[u]
+        if child:
+            stack.append(clique)
+            cands.append(child)
+    if total > cap:
+        raise SimplexCapExceeded(f"more than DEFAULT_SIMPLEX_CAP = {cap} cliques")
     return by_size, True

@@ -82,7 +82,7 @@ class GeometricComplex:
     n_vertices: int
     counts: np.ndarray            # counts[i] = N_{i+1}, the number of i-simplices
     max_dim_built: int
-    truncated: bool
+    truncated: bool = False       # always; see cliques.count_cliques
     neighbours: list[int] | None = field(default=None, repr=False)
 
     def N(self, k: int) -> int:
@@ -213,24 +213,18 @@ def _check_radius(spec: TorusSpec, params: ComplexParams,
 
 
 def simplex_counts(config: PointConfiguration, params: ComplexParams,
-                   max_dim: int | None = None,
-                   cap: int | None = None) -> GeometricComplex:
+                   max_dim: int | None = None) -> GeometricComplex:
     """Count simplices up to ``max_dim`` (default: all) without storing them;
-    truncated past ``cap`` simplices (0: no cap; None: ``DEFAULT_SIMPLEX_CAP``)."""
-    if cap is not None and cap < 0:
-        raise ValueError(f"cap must be >= 0 (0: no cap), got {cap}")
+    raises ``cliques.SimplexCapExceeded`` past ``DEFAULT_SIMPLEX_CAP``."""
     if max_dim is not None and max_dim < 0:
         raise ValueError(f"max_dim must be >= 0, got {max_dim}")
     _check_radius(config.spec, params, homology_mode=False)
     max_size = None if max_dim is None else max_dim + 1
-    counts, complete = count_cliques(
-        neighbour_bitsets(adjacency_matrix(config, params)),
-        max_size=max_size, cap=cap)
+    counts, _ = count_cliques(
+        neighbour_bitsets(adjacency_matrix(config, params)), max_size=max_size)
     counts = counts[1:]  # drop the size-0 slot
     return GeometricComplex(
-        n_vertices=config.n, counts=counts, max_dim_built=len(counts) - 1,
-        truncated=not complete,
-    )
+        n_vertices=config.n, counts=counts, max_dim_built=len(counts) - 1)
 
 
 def build_complex(config: PointConfiguration, params: ComplexParams,
@@ -238,18 +232,14 @@ def build_complex(config: PointConfiguration, params: ComplexParams,
     """The neighbour bitsets of the graph, from which
     ``homology.homology_summary`` works, with N_1 and N_2 (the counts of
     ``simplex_counts(config, params, max_dim=1)``, found without a clique
-    walk).  Never truncated: the simplex cap bounds the listing of the
-    collapsed core's cliques in ``homology``, which raises when it is hit.
-    """
+    walk)."""
     _check_radius(config.spec, params, homology_mode)
     adj = adjacency_matrix(config, params)
     n, edges = config.n, int(np.count_nonzero(adj)) // 2
     # trimmed after the largest nonzero size, as by ``count_cliques``
     counts = np.array([n, edges][:bool(n) + bool(edges)], dtype=np.int64)
-    return GeometricComplex(
-        n_vertices=n, counts=counts, max_dim_built=len(counts) - 1,
-        truncated=False, neighbours=neighbour_bitsets(adj),
-    )
+    return GeometricComplex(n_vertices=n, counts=counts, max_dim_built=len(counts) - 1,
+                            neighbours=neighbour_bitsets(adj))
 
 
 def phi_k(points: np.ndarray, params: ComplexParams, spec: TorusSpec) -> int:

@@ -29,14 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cliques
-from .cliques import chi_from_bitsets, counts_from_bitsets, neighbour_bitsets
+from .cliques import (SimplexCapExceeded, chi_from_bitsets, counts_from_bitsets,
+                      neighbour_bitsets)
 # simplex_counts is not called here; perfbench's import-site test expects
 # this module to hold it.
 from .complexes import (ComplexParams, _check_radius, simplex_counts,  # noqa: F401
                         threshold_edges)
-from .homology import (SimplexCapExceeded, components_from_bitsets,
-                       homology_from_bitsets)
+from .homology import components_from_bitsets, homology_from_bitsets
 from .sampling import Poisson, ProcessLaw, SeedSpec, sample
 from .stats import MIN_NORMALITY_SAMPLE, wasserstein1_to_normal
 from .subcomplex import GammaGraph, count_gamma, star_arms
@@ -230,11 +229,7 @@ def _row(plan: _Plan, n: int, edges: int, neigh: list[int] | None,
     ``where`` names the configuration in the errors raised."""
     counts = [0, n, edges]
     if plan.clique_walk:
-        counts, complete = counts_from_bitsets(neigh, plan.max_size)
-        if not complete:
-            raise SimplexCapExceeded(
-                f"{where}: more than DEFAULT_SIMPLEX_CAP = {cliques.DEFAULT_SIMPLEX_CAP}"
-                f" cliques of at most {plan.max_size} vertices")
+        counts = _named(where, counts_from_bitsets, neigh, plan.max_size)
     betti = _betti(neigh, where) if plan.needs_full_homology else None
     row = []
     for kind, i in plan.parsed:
@@ -253,14 +248,19 @@ def _row(plan: _Plan, n: int, edges: int, neigh: list[int] | None,
 
 def _betti(neigh: list[int], where: str) -> list[int]:
     """``homology_from_bitsets``'s Betti numbers; errors name ``where``."""
-    try:
-        result = homology_from_bitsets(neigh)
-    except SimplexCapExceeded as exc:
-        raise SimplexCapExceeded(f"{where}: {exc}") from None
+    result = _named(where, homology_from_bitsets, neigh)
     if result.violations:
         raise RuntimeError(f"homology check failed at {where}: "
                            f"{'; '.join(result.violations)}")
     return result.betti
+
+
+def _named(where: str, walk, *args):
+    """``walk(*args)``, with a cap overrun's message led by ``where``."""
+    try:
+        return walk(*args)
+    except SimplexCapExceeded as exc:
+        raise SimplexCapExceeded(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from itertools import combinations
 
 import numpy as np
 
-from . import cliques
 from .cliques import chi_from_bitsets, enumerate_cliques, neighbour_bitsets
 from .complexes import GeometricComplex, _check_radius, adjacency_matrix
 
@@ -91,11 +90,6 @@ class HomologyResult:
         }
 
 
-class SimplexCapExceeded(ValueError):
-    """A clique walk, or the listing of a collapsed core's cliques, passed
-    the simplex cap."""
-
-
 def homology_from_bitsets(neigh: list[int]) -> HomologyResult:
     """Checked Betti numbers of the clique complex of the graph ``neigh``.
 
@@ -104,14 +98,11 @@ def homology_from_bitsets(neigh: list[int]) -> HomologyResult:
     those cliques, and are checked (``_checked``) against the pivoted Euler
     characteristic of the strong-collapse core and the flood fill of the
     whole graph; the failed checks are listed in ``violations``.  Raises
-    ``SimplexCapExceeded`` when the collapsed core has more than
+    ``cliques.SimplexCapExceeded`` when the collapsed core has more than
     ``DEFAULT_SIMPLEX_CAP`` cliques.
     """
     strong = _induced(neigh, collapse_from_bitsets(neigh))
-    by_size, complete = enumerate_cliques(collapsed_core(strong))
-    if not complete:
-        raise SimplexCapExceeded("the collapsed core has more than DEFAULT_SIMPLEX_CAP"
-                                 f" = {cliques.DEFAULT_SIMPLEX_CAP} simplices")
+    by_size, _ = enumerate_cliques(collapsed_core(strong))
     simplices = [s for s in by_size.values() if s]  # by size, from 1
     ranks = [0] * (len(simplices) + 1)
     cleared: set[tuple[int, ...]] = set()

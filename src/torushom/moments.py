@@ -217,7 +217,7 @@ def clique_block_integral(pattern: OverlapPattern, spec: TorusSpec,
         mask = sum(1 << v for v in verts)
         for v in verts:
             neigh[v] |= mask ^ 1 << v
-    by_size, _ = enumerate_cliques(neigh, cap=0)
+    by_size, _ = enumerate_cliques(neigh)
     # a clique is maximal when its vertices have no common neighbour
     blocks = [len(c) for cliques in by_size.values() for c in cliques
               if not reduce(and_, (neigh[v] for v in c))]

@@ -97,11 +97,15 @@ class PointConfiguration:
     def from_json(cls, obj) -> "PointConfiguration":
         if isinstance(obj, (str, bytes)):
             obj = json.loads(obj)
-        if not isinstance(obj, dict):
-            raise ValueError("a point configuration is a JSON object with "
-                             "d, a and points")
-        spec = TorusSpec(d=obj["d"], a=obj["a"])
-        pts = np.asarray(obj["points"], dtype=float).reshape(-1, spec.d)
+        fields = obj if isinstance(obj, dict) else {}
+        d, a, points = fields.get("d"), fields.get("a"), fields.get("points")
+        pts = np.asarray(points if isinstance(points, list) else None)
+        if (type(d) is not int or type(a) not in (int, float)
+                or pts.dtype.kind not in "iuf" or pts.size and pts.shape[1:] != (d,)):
+            raise ValueError("a point configuration is a JSON object with an integer"
+                             " d, a number a and points, a list of d-coordinate lists")
+        spec = TorusSpec(d=d, a=a)
+        pts = pts.astype(float).reshape(-1, spec.d)
         # elementwise, so NaN (for which every comparison is False) fails too
         if not ((pts >= 0) & (pts < spec.a)).all():
             raise ValueError("point coordinates must be finite and lie in [0, a)")

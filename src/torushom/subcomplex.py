@@ -50,9 +50,14 @@ class GammaGraph:
 
     @staticmethod
     def from_json(doc: dict) -> "GammaGraph":
-        if not isinstance(doc, dict):
-            raise ValueError("a pattern graph is a JSON object with n and edges")
-        return GammaGraph.make(int(doc["n"]), doc.get("edges", []))
+        fields = doc if isinstance(doc, dict) else {}
+        n, edges = fields.get("n"), fields.get("edges", [])
+        if not (type(n) is int and isinstance(edges, list) and all(
+                isinstance(e, list) and list(map(type, e)) == [int, int]
+                for e in edges)):
+            raise ValueError("a pattern graph is a JSON object with an integer "
+                             "n and edges as pairs of integers")
+        return GammaGraph.make(n, edges)
 
     def to_json(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in sorted(self.edges)]}

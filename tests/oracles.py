@@ -80,6 +80,27 @@ def direct_betti_numbers(neigh: list[int]) -> list[int]:
     return [len(s_k) - ranks[k] - ranks[k + 1] for k, s_k in enumerate(simplices)]
 
 
+def circle_betti_numbers(config, params) -> list[int]:
+    """Betti numbers, without trailing zeros, of the Rips complex of points
+    on the circle of length a (d = 1) at a threshold t < a/3, from the
+    circular gaps between consecutive points alone.
+
+    The complex is a circle, (1, 1), when every gap passes the threshold,
+    and otherwise a disjoint union of contractible pieces, one per failing
+    gap (Adamaszek & Adams, "The Vietoris-Rips complexes of a circle",
+    Pacific J. Math. 290, 2017).  Each gap is the difference that the
+    max-norm distance test computes, so the two agree at exact ties."""
+    a = config.spec.a
+    if config.spec.d != 1 or not 3 * params.threshold() < a:
+        raise ValueError("the circle rule needs d = 1 and t < a/3")
+    x = np.sort(config.points[:, 0])
+    if x.size == 0:
+        return []
+    gaps = [*np.diff(x).tolist(), a - (x[-1] - x[0])]
+    failing = sum(not params.adjacent(g) for g in gaps)
+    return [failing] if failing else [1, 1]
+
+
 def rescan_strong_collapse(adj_bool: np.ndarray) -> np.ndarray:
     """Strong collapse by full rescans: every live vertex is checked in each
     pass until a pass removes nothing.  Returns the core's vertex indices."""

@@ -74,12 +74,37 @@ def test_complex_and_homology(tmp_path, capsys):
     assert hdoc["chi_counts"] == chi
 
 
-def test_complex_rejects_negative_cap(tmp_path, capsys):
+def test_complex_has_no_cap_option(tmp_path, capsys):
     path = write_points(tmp_path, capsys, lam=30.0, seed=4)
-    code, doc = run_cli(capsys, "complex", "--in", str(path), "--eps", "0.05",
-                        "--cap", "-1")
-    assert code == 1
-    assert "cap" in doc["error"]
+    with pytest.raises(SystemExit) as exc:
+        main(["complex", "--in", str(path), "--eps", "0.05", "--cap", "5"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_complex_reports_a_cap_overrun(tmp_path, capsys, monkeypatch):
+    # past the cap: one error line, no partial counts
+    path = write_points(tmp_path, capsys, lam=30.0, seed=4)
+    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 5)
+    code = main(["complex", "--in", str(path), "--eps", "0.05"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "more than DEFAULT_SIMPLEX_CAP = 5 cliques of at most "
+                 f"{len(json.loads(path.read_text())['points'])} vertices"}
+
+
+@pytest.mark.parametrize("command", ["complex", "homology", "subcount"])
+def test_file_commands_take_no_torus_options(tmp_path, capsys, command):
+    # d and a come from the point file
+    path = write_points(tmp_path, capsys)
+    gamma = tmp_path / "gamma.json"
+    gamma.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
+    extra = ["--gamma", str(gamma)] if command == "subcount" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--in", str(path), "--eps", "0.05", *extra, "--d", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_complex_rejects_negative_max_dim(tmp_path, capsys):
@@ -414,12 +439,24 @@ def test_non_finite_inputs_are_domain_errors(capsys, argv):
     assert code == 1 and "error" in doc
 
 
-@pytest.mark.parametrize("role", ["complex", "homology", "subcount-in",
-                                  "subcount-gamma", "j-oracle"])
-def test_malformed_documents_are_domain_errors(tmp_path, capsys, role):
-    # a JSON document that is not an object: one error line, no traceback
+@pytest.mark.parametrize("role, text", [
+    *(pytest.param(role, "[1, 2]", id=role) for role in (
+        "complex", "homology", "subcount-in", "subcount-gamma", "j-oracle")),
+    ("complex", '{"d": 1, "a": "1", "points": []}'),
+    ("complex", '{"d": 1, "a": 1.0, "points": {"x": 1}}'),
+    ("homology", '{"d": 1.5, "a": 1.0, "points": [[0.5]]}'),
+    ("homology", '{"d": 1, "a": 1.0, "points": [[0.1, 0.2]]}'),
+    ("subcount-in", '{"d": 1, "a": 1.0, "points": [["0.5"]]}'),
+    ("subcount-gamma", '{"n": 2, "edges": [[0, "1"]]}'),
+    ("subcount-gamma", '{"n": [2], "edges": []}'),
+    ("j-oracle", '{"sizes": [2, 2], "shared": [1]}'),
+    ("j-oracle", '{"sizes": [2, 2], "shared": [{"simplices": 5, "count": 1}]}'),
+])
+def test_malformed_documents_are_domain_errors(tmp_path, capsys, role, text):
+    # a JSON document that is not an object, or an object whose fields have
+    # the wrong types: one error line, no traceback
     bad = tmp_path / "bad.json"
-    bad.write_text("[1, 2]")
+    bad.write_text(text)
     points = write_points(tmp_path, capsys)
     gamma = tmp_path / "gamma.json"
     gamma.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))

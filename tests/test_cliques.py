@@ -1,4 +1,5 @@
 from collections import Counter
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_clique_counts
-from torushom.cliques import (chi_from_bitsets, count_cliques, enumerate_cliques,
-                              neighbour_bitsets)
+from torushom import cliques
+from torushom.cliques import (SimplexCapExceeded, chi_from_bitsets, count_cliques,
+                              enumerate_cliques, neighbour_bitsets)
 from torushom.complexes import ComplexParams, adjacency_matrix
 from torushom.homology import collapsed_homology
 from torushom.sampling import Poisson, SeedSpec, sample
@@ -66,11 +68,20 @@ def test_max_size_truncation():
     assert counts.tolist() == [0, 6, 15, 20]
 
 
-def test_cap_reports_incomplete():
-    adj = complete_graph(20)
-    counts, complete = count_cliques(neighbour_bitsets(adj), cap=100)
-    assert not complete
-    assert counts.sum() >= 100
+def test_cap_overrun_raises(monkeypatch):
+    # a walk past the cap raises; no partial count comes back
+    neigh = neighbour_bitsets(complete_graph(20))
+    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 100)
+    with pytest.raises(SimplexCapExceeded, match="^more than DEFAULT_SIMPLEX_CAP"
+                       " = 100 cliques of at most 20 vertices$"):
+        count_cliques(neigh)
+    with pytest.raises(SimplexCapExceeded, match="^more than DEFAULT_SIMPLEX_CAP"
+                       " = 100 cliques$"):
+        enumerate_cliques(neigh)
+    # a cap of 0 is no exemption: the vertices alone pass it
+    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 0)
+    with pytest.raises(SimplexCapExceeded):
+        count_cliques(neighbour_bitsets(complete_graph(1)))
 
 
 def test_enumerate_matches_counts():
@@ -122,10 +133,20 @@ def test_property_counts_match_networkx(n, p, seed):
         while len(expect) > 2 and expect[-1] == 0:
             expect.pop()
         assert counts.tolist() == expect
+        # the walk raises exactly when its cliques pass the cap
         total = sum(expect)
-        if total > 1:  # cap=0 means no cap
-            assert count_cliques(neigh, max_size, cap=total)[1]
-            assert not count_cliques(neigh, max_size, cap=total - 1)[1]
+        with mock.patch.object(cliques, "DEFAULT_SIMPLEX_CAP", total):
+            assert count_cliques(neigh, max_size)[0].tolist() == expect
+        with mock.patch.object(cliques, "DEFAULT_SIMPLEX_CAP", total - 1):
+            with pytest.raises(SimplexCapExceeded):
+                count_cliques(neigh, max_size)
+    total = sum(by_size.values())
+    with mock.patch.object(cliques, "DEFAULT_SIMPLEX_CAP", total):
+        enumerate_cliques(neigh)
+    with mock.patch.object(cliques, "DEFAULT_SIMPLEX_CAP", total - 1):
+        if n:
+            with pytest.raises(SimplexCapExceeded):
+                enumerate_cliques(neigh)
 
 
 def alternating_sum(adj):

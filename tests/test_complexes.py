@@ -4,7 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import boundary_matrix, clique_simplices
-from torushom.cliques import enumerate_cliques, neighbour_bitsets
+from torushom import cliques
+from torushom.cliques import SimplexCapExceeded, enumerate_cliques, neighbour_bitsets
 from torushom.complexes import (ComplexParams, Convention, adjacency_matrix,
                                 build_complex, phi_k, simplex_counts,
                                 threshold_edges)
@@ -66,6 +67,17 @@ def test_counts_path_on_path_graph():
     assert gc.N(1) == 3 and gc.N(2) == 2 and gc.N(3) == 0
     assert gc.euler_characteristic_counts() == 1
     assert not gc.truncated
+
+
+def test_simplex_counts_raise_past_the_cap(monkeypatch):
+    # the path 0.0 - 0.15 - 0.30 has 3 vertices and 2 edges: 5 simplices
+    cfg = config_1d(0.0, 0.15, 0.30)
+    params = ComplexParams(epsilon=0.1)
+    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 5)
+    assert simplex_counts(cfg, params).counts.tolist() == [3, 2]
+    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 4)
+    with pytest.raises(SimplexCapExceeded, match="DEFAULT_SIMPLEX_CAP = 4"):
+        simplex_counts(cfg, params)
 
 
 def test_build_matches_counts():

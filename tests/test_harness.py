@@ -82,30 +82,33 @@ def test_binomial_law_fixed_count():
     assert report.estimates["n_points"].stderr == 0.0
 
 
-def test_zero_cap_raises_nothing(monkeypatch):
-    # 0 is no cap, for the clique enumeration of beta_1 as for the counts
+def test_zero_cap_is_no_exemption(monkeypatch):
+    # 0 is a cap like any other, for the clique enumeration of beta_1 as for
+    # the counts: the first replication with a point passes it
     monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 0)
     for quantities in (("beta_1",), ("N_3", "chi")):
         cfg = ExperimentConfig(law=Poisson(15.0), spec=SPEC1, params=PARAMS,
                                replications=20, master_seed=8,
                                quantities=quantities)
-        assert run_experiment(cfg).estimates[quantities[0]].n == 20
+        with pytest.raises(cliques.SimplexCapExceeded,
+                           match="^replication 0: more than DEFAULT_SIMPLEX_CAP = 0 "):
+            run_experiment(cfg)
 
 
 def test_cap_bounds_only_the_counts_asked_for(monkeypatch):
     # Every draw has more than 2000 cliques in all, but fewer than 500
     # vertices and edges: only N_1, N_2 are counted, and chi never is.
-    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 2000)
     cfg = ExperimentConfig(law=Poisson(60.0), spec=SPEC1, params=PARAMS,
                            replications=8, master_seed=21,
                            quantities=("N_1", "N_2", "chi"))
+    base = SeedSpec(master_seed=21, stream_index=0)
+    fulls = [simplex_counts(sample(cfg.law, SPEC1, base.child("experiment", rep)),
+                            PARAMS) for rep in range(8)]
+    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 2000)
     report = run_experiment(cfg)
     assert report.estimates["chi"].n == 8
-    base = SeedSpec(master_seed=21, stream_index=0)
-    for rep in range(8):
-        pc = sample(cfg.law, SPEC1, base.child("experiment", rep))
-        full = simplex_counts(pc, PARAMS, cap=10 ** 9)
-        assert not full.truncated and full.counts.sum() > 2000
+    for rep, full in enumerate(fulls):
+        assert full.counts.sum() > 2000
         assert report.raw["chi"][rep] == full.euler_characteristic_counts()
         assert report.raw["N_2"][rep] == full.N(2)
 
@@ -152,9 +155,9 @@ def test_cap_on_the_core_raises_naming_the_replication(monkeypatch):
                            replications=20, master_seed=5, quantities=("beta_1",))
     first_cycle = run_experiment(cfg).raw["beta_1"].tolist().index(1.0)
     monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 10)
-    with pytest.raises(homology.SimplexCapExceeded,
-                       match=f"^replication {first_cycle}: the collapsed core "
-                             "has more than DEFAULT_SIMPLEX_CAP = 10 simplices$"):
+    with pytest.raises(cliques.SimplexCapExceeded,
+                       match=f"^replication {first_cycle}: more than "
+                             "DEFAULT_SIMPLEX_CAP = 10 cliques$"):
         run_experiment(cfg)
 
 
@@ -500,9 +503,9 @@ def _check_cap_overrun_raises(monkeypatch):
              for rep in range(CAPPED.replications))
     # the walk to N_3 passes the cap when N_1 + N_2 + N_3 > 1500
     first = next(rep for rep, pc in enumerate(draws)
-                 if simplex_counts(pc, PARAMS, max_dim=2, cap=0).counts.sum() > 1500)
+                 if simplex_counts(pc, PARAMS, max_dim=2).counts.sum() > 1500)
     monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 1500)
-    with pytest.raises(homology.SimplexCapExceeded,
+    with pytest.raises(cliques.SimplexCapExceeded,
                        match=f"^replication {first}: more than DEFAULT_SIMPLEX_CAP "
                              "= 1500 cliques of at most 3 vertices$"):
         run_experiment(CAPPED)
@@ -522,7 +525,6 @@ def test_cap_never_bounds_points_edges_or_chi(monkeypatch, cap, law, quantities,
                                               seed):
     # N_1, N_2 and chi walk no clique, so no cap drops or fails a replication
     cfg = _golden_config(law, 1, quantities, 60, seed, RIPS, Metric.MAX_NORM, None)
-    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 0)
     free = run_experiment(cfg)
     monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", cap)
     capped = run_experiment(cfg)

@@ -3,19 +3,20 @@ import json
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (direct_betti_numbers, dropping_edge_collapse,
-                     rescan_edge_collapse, rescan_strong_collapse)
+from oracles import (circle_betti_numbers, direct_betti_numbers,
+                     dropping_edge_collapse, rescan_edge_collapse,
+                     rescan_strong_collapse)
 from torushom import cliques, complexes, homology
 from torushom.cli import main
-from torushom.cliques import (chi_from_bitsets, count_cliques, enumerate_cliques,
-                              neighbour_bitsets)
+from torushom.cliques import (SimplexCapExceeded, chi_from_bitsets, count_cliques,
+                              enumerate_cliques, neighbour_bitsets)
 from torushom.complexes import (ComplexParams, Convention, adjacency_matrix,
                                 build_complex)
 from torushom.harness import ExperimentConfig, run_experiment
-from torushom.homology import (SimplexCapExceeded, betti_numbers, boundary_rank,
+from torushom.homology import (betti_numbers, boundary_rank,
                                collapsed_homology, connected_components, gf2_rank,
                                homology_from_bitsets, homology_summary,
                                strong_collapse)
@@ -200,8 +201,7 @@ def check_against_direct_reduction(neigh):
     res = homology_from_bitsets(neigh)
     assert res.violations == []
     assert trimmed(res.betti) == trimmed(direct_betti_numbers(neigh))
-    counts, complete = count_cliques(neigh, cap=0)
-    assert complete
+    counts, _ = count_cliques(neigh)
     assert res.chi_counts == sum((-1) ** (k - 1) * int(c)
                                  for k, c in enumerate(counts) if k)
 
@@ -226,6 +226,39 @@ def small_graphs(draw):
 @example(np.zeros((0, 0), dtype=bool))
 def test_property_betti_match_direct_reduction_any_graph(adj):
     check_against_direct_reduction(neighbour_bitsets(adj))
+
+
+@st.composite
+def circle_configurations(draw):
+    """Up to 40 points on a circle of length a, either uniform or one per
+    slot of n equal slots (most often a cycle of gaps that pass), with a
+    threshold t < a/3 under either convention."""
+    a = draw(st.sampled_from([1.0, 2.5]))
+    n = draw(st.integers(0, 40))
+    xs = draw(st.lists(st.floats(0.0, a, exclude_max=True), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        xs = [(i + x / a) * (a / n) for i, x in enumerate(xs)]
+    convention = draw(st.sampled_from(list(Convention)))
+    # the rips2eps threshold is 2 eps
+    top = a / 6 if convention is Convention.RIPS_HALF_OPEN_2EPS else a / 3
+    eps = draw(st.floats(0.0, top, exclude_min=True, exclude_max=True))
+    cfg = PointConfiguration(spec=TorusSpec(d=1, a=a),
+                             points=np.array(xs, dtype=float).reshape(-1, 1))
+    return cfg, ComplexParams(epsilon=eps, convention=convention)
+
+
+@settings(max_examples=300, deadline=None)
+@given(circle_configurations())
+@example((PointConfiguration(SPEC1, np.arange(10.0).reshape(-1, 1) / 10),
+          ComplexParams(epsilon=0.06)))
+@example((PointConfiguration(SPEC1, np.array([[0.0], [1 / 3], [2 / 3]])),
+          ComplexParams(epsilon=0.3, convention=Convention.SUBCOMPLEX_EPS)))
+def test_property_betti_match_the_circle_rule(case):
+    cfg, params = case
+    assume(all(cfg.points[:, 0] < cfg.spec.a) and 3 * params.threshold() < cfg.spec.a)
+    result = collapsed_homology(cfg, params)
+    assert result.violations == []
+    assert trimmed(result.betti) == circle_betti_numbers(cfg, params)
 
 
 def test_connected_components_oracle():
@@ -396,7 +429,7 @@ def test_dense_draw_collapses_match_rescans():
     neigh = neighbour_bitsets(adj)
     strong = homology._induced(neigh, check_collapse(adj))
     edged = check_edge_collapse(strong)
-    counts, complete = count_cliques(edged, cap=0)
+    counts, _ = count_cliques(edged)
     chi = int(sum((-1) ** (k - 1) * c for k, c in enumerate(counts) if k))
     assert [chi_from_bitsets(g) for g in (neigh, strong, edged)] == [chi] * 3
 
@@ -408,9 +441,8 @@ def test_collapse_matches_direct_homology():
     params = ComplexParams(epsilon=0.06, convention=Convention.SUBCOMPLEX_EPS)
     for r in range(10):
         cfg = sample(Poisson(lam=40.0), SPEC1, seed.child("c", r))
-        by_size, complete = enumerate_cliques(
-            neighbour_bitsets(adjacency_matrix(cfg, params)), cap=0)
-        assert complete
+        by_size, _ = enumerate_cliques(
+            neighbour_bitsets(adjacency_matrix(cfg, params)))
         simplices = [s for s in by_size.values() if s]
         ranks = ([0] + [boundary_rank(simplices[k - 1], simplices[k])
                         for k in range(1, len(simplices))] + [0])
@@ -508,15 +540,13 @@ def test_cap_bounds_the_listing_of_the_core(monkeypatch):
     # and 50 triangles
     neigh = neighbour_bitsets(adjacency_matrix(grid_config(5),
                                                ComplexParams(epsilon=0.105)))
-    for cap in (150, 0):
+    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 150)
+    assert homology_from_bitsets(neigh).betti[:3] == [1, 2, 1]
+    for cap in (149, 24, 0):
         monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", cap)
-        assert homology_from_bitsets(neigh).betti[:3] == [1, 2, 1]
-    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 149)
-    with pytest.raises(ValueError, match="DEFAULT_SIMPLEX_CAP = 149"):
-        homology_from_bitsets(neigh)
-    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 24)
-    with pytest.raises(SimplexCapExceeded):
-        homology_from_bitsets(neigh)
+        with pytest.raises(SimplexCapExceeded,
+                           match=f"^more than DEFAULT_SIMPLEX_CAP = {cap} cliques$"):
+            homology_from_bitsets(neigh)
 
 
 def test_homology_walks_no_clique_count(monkeypatch):
