@@ -15,8 +15,8 @@ import sys
 
 import numpy as np
 
-from .complexes import (ComplexParams, Convention, adjacency_matrix,
-                        simplex_counts)
+from .cliques import neighbour_bitsets
+from .complexes import ComplexParams, Convention, simplex_counts, threshold_edges
 from .harness import (ExperimentConfig, clt_rate_experiment,
                       coverage_experiment, run_experiment)
 from .homology import collapsed_homology
@@ -26,7 +26,7 @@ from .moments import (ModelParams, cov_Nk_Nl, euclid_remark_moments,
                       mean_chi_binomial, third_moment_Nk, var_chi_1d,
                       var_chi_series)
 from .sampling import Binomial, PointConfiguration, Poisson, SeedSpec, sample
-from .subcomplex import GammaGraph, automorphism_count, count_gamma_adj
+from .subcomplex import GammaGraph, automorphism_count, count_gamma, star_arms
 from .tails import beta0_tail_bound, chi2d_tail_bound
 from .torus import Metric, TorusSpec
 
@@ -299,8 +299,10 @@ def _cmd_subcount(args):
     pc = _load_points(args.infile)
     with open(args.gamma) as fh:
         gamma = GammaGraph.from_json(json.load(fh))
-    result = count_gamma_adj(adjacency_matrix(pc, _params(args)), gamma)
-    _emit({"g_gamma": result.g_gamma,
+    u, v = threshold_edges(pc.points, pc.spec.a, _params(args))
+    degrees = np.bincount(np.concatenate((u, v)), minlength=pc.n)
+    neigh = None if star_arms(gamma) else neighbour_bitsets(u, v, pc.n)
+    _emit({"g_gamma": count_gamma(gamma, degrees, neigh),
            "c_gamma": automorphism_count(gamma)}, args.out)
 
 
@@ -353,6 +355,13 @@ def _cmd_joracle(args):
             and _integers([e.get("count")]) for e in shared)):
         raise ValueError("an overlap pattern is a JSON object with integer sizes and"
                          " shared, a list of integer simplices and count")
+    # a group listed twice would otherwise keep one count, or add both
+    groups = [e["simplices"] for e in shared]
+    if not doc["sizes"] or len({frozenset(g) for g in groups}) < len(groups) or any(
+            len(set(g)) < len(g) for g in groups):
+        raise ValueError("an overlap pattern is a JSON object with at least one"
+                         " size, and its shared groups name distinct simplices,"
+                         " each set once")
     pattern = OverlapPattern.make(
         doc["sizes"], {tuple(e["simplices"]): e["count"] for e in shared})
     est = j_oracle_mc(pattern, TorusSpec(d=args.d, a=args.a), args.eps,

@@ -9,9 +9,10 @@ counting every clique (Jain & Seshadhri, WSDM 2020).
 
 A graph is passed as its neighbour bitsets: a list with one Python int per
 vertex, whose bit u is set when u is a neighbour.  ``neighbour_bitsets``
-packs them from boolean rows: a graph's adjacency matrix, or the rows of a
-whole block of graphs at once.  Every walker takes them: clique counting
-and enumeration here, strong collapse and component counting in
+packs them straight from an edge list (``complexes.threshold_edges``), in
+n * ceil(width / 8) bytes, of one graph or of a whole block of graphs at
+once; no (n, n) boolean matrix is built.  Every walker takes them: clique
+counting and enumeration here, strong collapse and component counting in
 ``homology``, pattern counting in ``subcomplex``.
 """
 
@@ -26,12 +27,48 @@ class SimplexCapExceeded(ValueError):
     """A clique walk passed ``DEFAULT_SIMPLEX_CAP`` cliques."""
 
 
-def neighbour_bitsets(rows: np.ndarray) -> list[int]:
+def neighbour_bitsets(u: np.ndarray, v: np.ndarray, n: int,
+                      column: np.ndarray | None = None) -> list[int]:
+    """The bitsets of the graph on the vertices 0..n-1 whose edges are
+    (u[e], v[e]), each listed once: vertex x's int has bit column[y] set for
+    each neighbour y (by default bit y).  The bits are ORed into an
+    (n, ceil(width / 8)) byte array, width being the largest column plus one
+    (default n)."""
+    rows = np.concatenate((u, v))
+    cols = np.concatenate((v, u))
+    if column is None:
+        width = n
+    else:
+        cols = column[cols]
+        width = int(column.max(initial=-1)) + 1
+    nbytes = (width + 7) // 8
+    packed = np.zeros(n * nbytes, dtype=np.uint8)
+    np.bitwise_or.at(packed, rows * nbytes + (cols >> 3),
+                     (1 << (cols & 7)).astype(np.uint8))
+    return _row_ints(packed.reshape(n, nbytes))
+
+
+# Only the adjacency-matrix wrappers that perfbench calls (strong_collapse,
+# connected_components, count_gamma_adj) pack boolean rows: np.packbits of a
+# 2000 x 2000 matrix takes 1.4 ms, np.nonzero to find its edges 9 ms.  The
+# benchmark change of ROADMAP item 1 removes those wrappers, and this.
+def rows_bitsets(rows: np.ndarray) -> list[int]:
     """Row v of a boolean matrix as an int whose bit u is rows[v, u]."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    buf, width = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(buf[r * width:(r + 1) * width], "little")
-            for r in range(packed.shape[0])]
+    return _row_ints(np.packbits(rows, axis=1, bitorder="little"))
+
+
+def _row_ints(packed: np.ndarray) -> list[int]:
+    """Row r of an (n, bytes) uint8 array as a little-endian int, converted
+    row by row, not through a ``tobytes()`` copy of the whole array."""
+    if packed.shape[1] <= 8:
+        # a row fits one 64-bit word, and numpy converts words ten times
+        # faster than int.from_bytes converts short rows: without this, the
+        # blocks of harness._graphs (n of about 20) packed slower than
+        # before edges were packed
+        words = np.zeros((packed.shape[0], 8), dtype=np.uint8)
+        words[:, :packed.shape[1]] = packed
+        return words.view("<u8").ravel().tolist()
+    return [int.from_bytes(row, "little") for row in packed]
 
 
 def counts_from_bitsets(neigh: list[int], max_size: int) -> list[int]:

@@ -4,13 +4,15 @@ A Rips-Vietoris complex is the clique (flag) complex of a proximity graph,
 so it is fully determined by pairwise distances.  The graph is found by a
 sort-and-sweep neighbour search along the first coordinate, which drops
 candidate pairs one further coordinate at a time before the exact distance
-test, without the dense (n, n, d) distance tensor, and one sweep also
-finds the edges of a whole block of configurations.  The graph is packed
-once into neighbour bitsets (see ``cliques``), which a complex keeps and
-every walker reads; the (n, n) boolean matrix of ``adjacency_matrix`` is
-only a way in.  ``simplex_counts`` counts a complex's simplices by a clique
-walk; ``build_complex`` counts only its vertices and edges and keeps its
-graph, from which homology (see ``homology``) lists only the cliques of a
+test, without the dense (n, n, d) distance tensor, in runs of at most
+``_RUN_PAIRS`` candidates, so that its memory is bounded by that budget
+plus the edges; one sweep also finds the edges of a whole block of
+configurations.  The edges are packed once into neighbour bitsets (see
+``cliques``), which a complex keeps and every walker reads; the (n, n)
+boolean matrix of ``adjacency_matrix`` is only a way in, built nowhere
+else.  ``simplex_counts`` counts a complex's simplices by a clique walk;
+``build_complex`` counts only its vertices and edges and keeps its graph,
+from which homology (see ``homology``) lists only the cliques of a
 collapsed core.  Neither stores a list of simplices.
 Two threshold conventions are supported:
 
@@ -119,9 +121,10 @@ def threshold_edges(points: np.ndarray, a: float, params: ComplexParams,
     difference fails the threshold are dropped, since no distance of theirs
     can pass it.  The survivors are tested with the elementwise formula of
     ``torus.pairwise_distances``, so the edges are those of the thresholded
-    dense distance matrix bit for bit, while memory grows with the number of
-    candidate pairs, not with n^2 * d.  Every edge is listed once, and the
-    edges come grouped by configuration, in order.
+    dense distance matrix bit for bit.  The sorted points are filtered in
+    consecutive runs of at most ``_RUN_PAIRS`` candidate pairs, so memory
+    grows with that budget plus the edges, not with n^2 * d.  Every edge is
+    listed once, and the edges come grouped by configuration, in order.
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
@@ -157,7 +160,40 @@ def threshold_edges(points: np.ndarray, a: float, params: ComplexParams,
     # of ``doubled``, which wrap round its configuration: at most
     # span[i] - 1 of them, so no point pairs with itself.
     counts = np.minimum(ends - base, span) - 1
-    i = order.repeat(counts)
+    # a point with more than _RUN_PAIRS candidates is a run alone
+    done = counts.cumsum()
+    first, runs = 0, []
+    while first < n:
+        last = max(first + 1, int(done.searchsorted(
+            done[first] - counts[first] + _RUN_PAIRS, side="right")))
+        runs.append(_run_edges(pts, a, params, order[first:last],
+                               back, base[first:last], counts[first:last]))
+        first = last
+    i, j = (np.concatenate(e) for e in zip(*runs)) if len(runs) > 1 else runs[0]
+    if 2.0 * reach >= a:
+        # only a sweep reaching half way round can meet a pair from both ends
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        pair = np.unique(i * n + j)
+        i, j = pair // n, pair % n
+    return i, j
+
+
+# The most candidate pairs threshold_edges filters at once; it holds a few
+# arrays of 8 bytes a candidate, about 2.5 MB at 2^16.  A block of
+# harness._blocks has at most _BLOCK_CELLS = 2^16 cells, which bound its
+# candidates, so it is swept in one run, as before.  At d = 2 (max-norm,
+# 2-core machine), budgets of 2^14 to 2^17 swept n = 20099 at eps = 0.01 in
+# 110-145 ms and n = 10^5 at eps = 0.0025 in 0.5-0.7 s, against 309 ms for
+# one run over the 8e6 candidates of the former; 2^16 was among the fastest.
+_RUN_PAIRS = 1 << 16
+
+
+def _run_edges(pts, a, params, rows, back, base, counts):
+    """The edges among the candidates of one run of sorted points: row
+    ``rows[k]`` of ``pts`` against the ``counts[k]`` places of ``back``
+    after ``base[k]``, in that order."""
+    t = params.threshold()
+    i = rows.repeat(counts)
     j = back[np.arange(1, i.size + 1)
              + (base - counts.cumsum() + counts).repeat(counts)]
     within = (np.less if params.convention is Convention.RIPS_HALF_OPEN_2EPS
@@ -173,11 +209,6 @@ def threshold_edges(points: np.ndarray, a: float, params: ComplexParams,
         np.minimum(w, a - w, out=w)
         keep = np.flatnonzero(within(w, bound))
         i, j = i.take(keep), j.take(keep)
-    if 2.0 * reach >= a:
-        # only a sweep reaching half way round can meet a pair from both ends
-        i, j = np.minimum(i, j), np.maximum(i, j)
-        pair = np.unique(i * n + j)
-        i, j = pair // n, pair % n
     wrapped = np.abs(pts[i] - pts[j])
     np.minimum(wrapped, a - wrapped, out=wrapped)
     if params.metric is Metric.MAX_NORM:
@@ -220,8 +251,8 @@ def simplex_counts(config: PointConfiguration, params: ComplexParams,
         raise ValueError(f"max_dim must be >= 0, got {max_dim}")
     _check_radius(config.spec, params, homology_mode=False)
     max_size = None if max_dim is None else max_dim + 1
-    counts, _ = count_cliques(
-        neighbour_bitsets(adjacency_matrix(config, params)), max_size=max_size)
+    u, v = threshold_edges(config.points, config.spec.a, params)
+    counts, _ = count_cliques(neighbour_bitsets(u, v, config.n), max_size=max_size)
     counts = counts[1:]  # drop the size-0 slot
     return GeometricComplex(
         n_vertices=config.n, counts=counts, max_dim_built=len(counts) - 1)
@@ -234,12 +265,12 @@ def build_complex(config: PointConfiguration, params: ComplexParams,
     ``simplex_counts(config, params, max_dim=1)``, found without a clique
     walk)."""
     _check_radius(config.spec, params, homology_mode)
-    adj = adjacency_matrix(config, params)
-    n, edges = config.n, int(np.count_nonzero(adj)) // 2
+    u, v = threshold_edges(config.points, config.spec.a, params)
+    n, edges = config.n, len(u)
     # trimmed after the largest nonzero size, as by ``count_cliques``
     counts = np.array([n, edges][:bool(n) + bool(edges)], dtype=np.int64)
     return GeometricComplex(n_vertices=n, counts=counts, max_dim_built=len(counts) - 1,
-                            neighbours=neighbour_bitsets(adj))
+                            neighbours=neighbour_bitsets(u, v, n))
 
 
 def phi_k(points: np.ndarray, params: ComplexParams, spec: TorusSpec) -> int:

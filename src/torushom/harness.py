@@ -43,10 +43,11 @@ from .torus import TorusSpec
 
 
 # Replications run in blocks of at most _BLOCK_REPS configurations and
-# _BLOCK_CELLS cells of (points x largest configuration), which bound both
-# the boolean bitset scratch (64 KB) and the candidate pairs of the neighbour
-# sweep; a configuration too large for it runs alone.  Larger blocks were no
-# faster and raised the peak memory of a run.
+# _BLOCK_CELLS cells of (points x largest configuration), which bound the
+# packed bitsets of a block (a bit a cell, 8 KB); a configuration too large
+# for it runs alone.  The neighbour sweep bounds its own candidates
+# (complexes._RUN_PAIRS), so a block of _BLOCK_CELLS cells is swept in one
+# run.  Larger blocks were no faster and raised the peak memory of a run.
 _BLOCK_REPS = 1024
 _BLOCK_CELLS = 1 << 16
 
@@ -201,8 +202,8 @@ def _graphs(draws, a: float, params: ComplexParams, bitsets: bool):
     bitsets (else None).
 
     One neighbour sweep finds the edges of a whole block of configurations
-    (``_blocks``), and one ``neighbour_bitsets`` packs a boolean row of
-    local columns per point of the block.
+    (``_blocks``), and one ``neighbour_bitsets`` packs them into a bitset
+    per point of the block, keyed by its configuration's local columns.
     """
     for block in _blocks(draws):
         sizes = np.array([pts.shape[0] for pts in block])
@@ -214,10 +215,7 @@ def _graphs(draws, a: float, params: ComplexParams, bitsets: bool):
         neigh = None
         if bitsets:
             local = np.arange(starts[-1]) - starts[:-1].repeat(sizes)
-            scratch = np.zeros((starts[-1], sizes.max()), dtype=bool)
-            scratch[u, local[v]] = True
-            scratch[v, local[u]] = True
-            neigh = neighbour_bitsets(scratch)
+            neigh = neighbour_bitsets(u, v, starts[-1], local)
         for s, (first, n) in enumerate(zip(starts.tolist(), sizes.tolist())):
             yield (n, edges[s], degrees[first:first + n],
                    None if neigh is None else neigh[first:first + n])

@@ -29,8 +29,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .cliques import chi_from_bitsets, enumerate_cliques, neighbour_bitsets
-from .complexes import GeometricComplex, _check_radius, adjacency_matrix
+from .cliques import (chi_from_bitsets, enumerate_cliques, neighbour_bitsets,
+                      rows_bitsets)
+from .complexes import GeometricComplex, _check_radius, threshold_edges
 
 
 def gf2_rank(rows: list[int], pivot_cols: set[int] | None = None) -> int:
@@ -193,7 +194,7 @@ def _collapse_edges(neigh: list[int]) -> bool:
 
 def connected_components(adj_bool: np.ndarray) -> int:
     """Component count of a graph; see ``components_from_bitsets``."""
-    return components_from_bitsets(neighbour_bitsets(adj_bool))
+    return components_from_bitsets(rows_bitsets(adj_bool))
 
 
 def components_from_bitsets(neigh: list[int]) -> int:
@@ -237,7 +238,7 @@ def _checked(betti: list[int], chi_counts: int, neigh: list[int]) -> HomologyRes
 
 def strong_collapse(adj_bool: np.ndarray) -> np.ndarray:
     """Core vertex indices of a graph; see ``collapse_from_bitsets``."""
-    return collapse_from_bitsets(neighbour_bitsets(adj_bool))
+    return collapse_from_bitsets(rows_bitsets(adj_bool))
 
 
 def collapse_from_bitsets(neigh: list[int]) -> np.ndarray:
@@ -289,7 +290,8 @@ def collapse_from_bitsets(neigh: list[int]) -> np.ndarray:
 
 def collapsed_homology(config, params) -> HomologyResult:
     """``homology_from_bitsets`` of one configuration's Rips-Vietoris
-    complex in homology mode, its graph packed into bitsets once; the
+    complex in homology mode, its edges packed into bitsets once; the
     experiments of ``harness`` pack the graphs of a block at once instead."""
     _check_radius(config.spec, params, homology_mode=True)
-    return homology_from_bitsets(neighbour_bitsets(adjacency_matrix(config, params)))
+    u, v = threshold_edges(config.points, config.spec.a, params)
+    return homology_from_bitsets(neighbour_bitsets(u, v, config.n))

@@ -47,9 +47,14 @@ class OverlapPattern:
 
     @staticmethod
     def make(sizes, shared: dict | None = None) -> "OverlapPattern":
-        items = []
+        items, seen = [], set()
         for subset, count in (shared or {}).items():
-            t = frozenset(int(i) for i in subset)
+            members = [int(i) for i in subset]
+            t = frozenset(members)
+            if len(t) < len(members) or t in seen:
+                raise ValueError(f"shared group {sorted(t)} names a simplex twice"
+                                 " or the simplices of another group")
+            seen.add(t)
             if len(t) < 2:
                 raise ValueError("shared groups must involve >= 2 simplices")
             if not t <= set(range(len(sizes))):

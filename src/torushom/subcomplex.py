@@ -18,7 +18,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .cliques import neighbour_bitsets
+from .cliques import rows_bitsets
 from .joracle import MAX_ORACLE_DIMENSION, circle_hits
 from .moments import ModelParams
 from .sampling import SeedSpec
@@ -120,7 +120,7 @@ def count_gamma_adj(adj_bool: np.ndarray, gamma: GammaGraph) -> SubcountResult:
     """Count unordered embeddings of the pattern into a threshold graph
     given by its boolean adjacency matrix (see ``count_gamma``)."""
     return SubcountResult(g_gamma=count_gamma(
-        gamma, adj_bool.sum(axis=1), neighbour_bitsets(adj_bool)))
+        gamma, adj_bool.sum(axis=1), rows_bitsets(adj_bool)))
 
 
 @functools.lru_cache(maxsize=None)

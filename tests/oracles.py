@@ -11,6 +11,13 @@ import numpy as np
 from torushom.cliques import neighbour_bitsets
 
 
+def bitsets(adj_bool: np.ndarray) -> list[int]:
+    """Neighbour bitsets of a symmetric boolean adjacency matrix, packed by
+    ``neighbour_bitsets`` from the edges above its diagonal."""
+    u, v = np.nonzero(np.triu(adj_bool, 1))
+    return neighbour_bitsets(u, v, adj_bool.shape[0])
+
+
 def brute_force_clique_counts(adj_bool: np.ndarray, max_size: int) -> np.ndarray:
     """Exhaustive k-subset checker; independent oracle for small graphs."""
     n = adj_bool.shape[0]
@@ -105,7 +112,7 @@ def rescan_strong_collapse(adj_bool: np.ndarray) -> np.ndarray:
     """Strong collapse by full rescans: every live vertex is checked in each
     pass until a pass removes nothing.  Returns the core's vertex indices."""
     n = adj_bool.shape[0]
-    closed = [m | 1 << v for v, m in enumerate(neighbour_bitsets(adj_bool))]
+    closed = [m | 1 << v for v, m in enumerate(bitsets(adj_bool))]
     alive_mask = (1 << n) - 1
     changed = True
     while changed:

@@ -11,8 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import brute_force_clique_counts, empirical_tail
-from torushom.cliques import neighbour_bitsets
+from oracles import bitsets, brute_force_clique_counts, empirical_tail
 from torushom.complexes import (ComplexParams, Convention, adjacency_matrix,
                                 simplex_counts)
 from torushom.harness import (ExperimentConfig, clt_rate_experiment,
@@ -301,7 +300,7 @@ def test_criterion_09_homology_structure(report):
     bad = 0
     for r in range(1000):
         pc = sample(Poisson(lam=50.0), spec, seed.child("hom", r))
-        res = homology_from_bitsets(neighbour_bitsets(adjacency_matrix(pc, params)))
+        res = homology_from_bitsets(bitsets(adjacency_matrix(pc, params)))
         betti = res.betti
         beta_d = betti[2] if len(betti) > 2 else 0
         if res.violations:

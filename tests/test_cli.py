@@ -6,11 +6,13 @@ import pytest
 from oracles import dropping_edge_collapse
 from torushom import cliques, homology
 from torushom.cli import main
+from torushom.complexes import ComplexParams, Convention, adjacency_matrix
 from torushom.moments import (ModelParams, cov_Nk_Nl, euclid_remark_moments,
                               fourth_moment_Nk, mean_Nk, mean_Nk_binomial,
                               mean_chi, mean_chi_binomial, third_moment_Nk,
                               var_chi_1d, var_chi_series)
-from torushom.sampling import SeedSpec
+from torushom.sampling import PointConfiguration, SeedSpec
+from torushom.subcomplex import GammaGraph, count_gamma_adj
 from torushom.tails import beta0_tail_bound, chi2d_tail_bound
 from torushom.torus import TorusSpec
 
@@ -290,15 +292,24 @@ def test_euclid_remark_rejects_epsilon_out_of_range(capsys, eps):
     assert code == 1 and "epsilon" in doc["error"]
 
 
-def test_subcount(tmp_path, capsys):
-    path = write_points(tmp_path, capsys, lam=25.0, seed=8)
+@pytest.mark.parametrize("n, edges, c_gamma", [
+    (2, [[0, 1]], 2),                  # stars, counted from the degrees
+    (3, [[0, 1], [1, 2]], 2),
+    (3, [[0, 1], [1, 2], [0, 2]], 6),  # searched for in the bitsets
+])
+def test_subcount(tmp_path, capsys, n, edges, c_gamma):
+    path = write_points(tmp_path, capsys, lam=25.0, seed=8, d=2)
     gpath = tmp_path / "gamma.json"
-    gpath.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
+    gpath.write_text(json.dumps({"n": n, "edges": edges}))
     code, doc = run_cli(capsys, "subcount", "--in", str(path),
-                        "--gamma", str(gpath), "--eps", "0.1")
+                        "--gamma", str(gpath), "--eps", "0.2")
     assert code == 0
-    assert doc["c_gamma"] == 2
-    assert doc["g_gamma"] >= 0
+    assert doc["c_gamma"] == c_gamma
+    # the same count through the dense adjacency matrix
+    pc = PointConfiguration.from_json(json.loads(path.read_text()))
+    params = ComplexParams(epsilon=0.2, convention=Convention.SUBCOMPLEX_EPS)
+    assert doc["g_gamma"] == count_gamma_adj(
+        adjacency_matrix(pc, params), GammaGraph.make(n, edges)).g_gamma > 0
 
 
 def test_experiment(capsys, tmp_path):
@@ -451,6 +462,13 @@ def test_non_finite_inputs_are_domain_errors(capsys, argv):
     ("subcount-gamma", '{"n": [2], "edges": []}'),
     ("j-oracle", '{"sizes": [2, 2], "shared": [1]}'),
     ("j-oracle", '{"sizes": [2, 2], "shared": [{"simplices": 5, "count": 1}]}'),
+    ("j-oracle", '{"sizes": [2, 2], "shared": [{"simplices": [0, 1], "count": 1},'
+                 ' {"simplices": [0, 1], "count": 1}]}'),
+    ("j-oracle", '{"sizes": [2, 2], "shared": [{"simplices": [0, 1], "count": 1},'
+                 ' {"simplices": [1, 0], "count": 1}]}'),
+    ("j-oracle", '{"sizes": [3, 3, 3],'
+                 ' "shared": [{"simplices": [0, 0, 1], "count": 1}]}'),
+    ("j-oracle", '{"sizes": []}'),
 ])
 def test_malformed_documents_are_domain_errors(tmp_path, capsys, role, text):
     # a JSON document that is not an object, or an object whose fields have

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_clique_counts
+from oracles import bitsets, brute_force_clique_counts
 from torushom import cliques
 from torushom.cliques import (SimplexCapExceeded, chi_from_bitsets, count_cliques,
-                              enumerate_cliques, neighbour_bitsets)
+                              enumerate_cliques, neighbour_bitsets, rows_bitsets)
 from torushom.complexes import ComplexParams, adjacency_matrix
 from torushom.homology import collapsed_homology
 from torushom.sampling import Poisson, SeedSpec, sample
@@ -38,7 +38,7 @@ def test_empty_graph():
 def test_complete_graph_counts():
     from math import comb
     n = 7
-    counts, complete = count_cliques(neighbour_bitsets(complete_graph(n)))
+    counts, complete = count_cliques(bitsets(complete_graph(n)))
     assert complete
     assert counts.tolist() == [0] + [comb(n, k) for k in range(1, n + 1)]
 
@@ -48,14 +48,14 @@ def test_triangle_free_graph():
     adj = np.zeros((4, 4), dtype=bool)
     for i, j in [(0, 1), (1, 2), (2, 3), (3, 0)]:
         adj[i, j] = adj[j, i] = True
-    counts, complete = count_cliques(neighbour_bitsets(adj))
+    counts, complete = count_cliques(bitsets(adj))
     assert complete and counts.tolist() == [0, 4, 4]
 
 
 @pytest.mark.parametrize("n,p,seed", [(10, 0.3, 1), (14, 0.5, 2), (9, 0.8, 3)])
 def test_against_brute_force(n, p, seed):
     adj = random_graph(n, p, seed)
-    counts, complete = count_cliques(neighbour_bitsets(adj))
+    counts, complete = count_cliques(bitsets(adj))
     assert complete
     oracle = brute_force_clique_counts(adj, len(counts) - 1)
     assert counts.tolist() == oracle.tolist()
@@ -63,14 +63,14 @@ def test_against_brute_force(n, p, seed):
 
 def test_max_size_truncation():
     adj = complete_graph(6)
-    counts, complete = count_cliques(neighbour_bitsets(adj), max_size=3)
+    counts, complete = count_cliques(bitsets(adj), max_size=3)
     assert complete
     assert counts.tolist() == [0, 6, 15, 20]
 
 
 def test_cap_overrun_raises(monkeypatch):
     # a walk past the cap raises; no partial count comes back
-    neigh = neighbour_bitsets(complete_graph(20))
+    neigh = bitsets(complete_graph(20))
     monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 100)
     with pytest.raises(SimplexCapExceeded, match="^more than DEFAULT_SIMPLEX_CAP"
                        " = 100 cliques of at most 20 vertices$"):
@@ -81,12 +81,12 @@ def test_cap_overrun_raises(monkeypatch):
     # a cap of 0 is no exemption: the vertices alone pass it
     monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 0)
     with pytest.raises(SimplexCapExceeded):
-        count_cliques(neighbour_bitsets(complete_graph(1)))
+        count_cliques(bitsets(complete_graph(1)))
 
 
 def test_enumerate_matches_counts():
     adj = random_graph(15, 0.5, 11)
-    neigh = neighbour_bitsets(adj)
+    neigh = bitsets(adj)
     counts, _ = count_cliques(neigh)
     by_size, complete = enumerate_cliques(neigh)
     assert complete
@@ -98,20 +98,34 @@ def test_enumerate_matches_counts():
             assert all(adj[i, j] for i in cl for j in cl if i < j)
 
 
-def test_neighbour_bitsets_round_trip():
-    adj = random_graph(70, 0.4, 5)
-    bitsets = neighbour_bitsets(adj)
-    assert len(bitsets) == 70
-    for v, m in enumerate(bitsets):
-        assert {j for j in range(70) if m >> j & 1} == set(np.nonzero(adj[v])[0])
-    assert neighbour_bitsets(np.zeros((0, 0), dtype=bool)) == []
+@pytest.mark.parametrize("n", [0, 1, 7, 64, 65, 70])
+def test_neighbour_bitsets_round_trip(n):
+    adj = random_graph(n, 0.4, 5)
+    u, v = np.nonzero(np.triu(adj, 1))
+    order = np.random.default_rng(n).permutation(len(u))
+    packed = neighbour_bitsets(u[order], v[order], n)
+    assert len(packed) == n
+    for x, m in enumerate(packed):
+        assert {j for j in range(n) if m >> j & 1} == set(np.nonzero(adj[x])[0])
+    assert packed == rows_bitsets(adj)
+
+
+def test_neighbour_bitsets_with_local_columns():
+    # two graphs in one block, each row keyed by its graph's own columns
+    first, second = random_graph(5, 0.6, 1), random_graph(70, 0.3, 2)
+    u1, v1 = np.nonzero(np.triu(first, 1))
+    u2, v2 = np.nonzero(np.triu(second, 1))
+    local = np.concatenate((np.arange(5), np.arange(70)))
+    packed = neighbour_bitsets(np.concatenate((u1, u2 + 5)),
+                               np.concatenate((v1, v2 + 5)), 75, local)
+    assert packed == bitsets(first) + bitsets(second)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 8), st.floats(0.0, 1.0), st.integers(0, 10 ** 6))
 def test_property_counts_match_brute_force(n, p, seed):
     adj = random_graph(n, p, seed)
-    counts, complete = count_cliques(neighbour_bitsets(adj))
+    counts, complete = count_cliques(bitsets(adj))
     assert complete
     oracle = brute_force_clique_counts(adj, n)
     top = len(counts)
@@ -125,7 +139,7 @@ def test_property_counts_match_networkx(n, p, seed):
     adj = random_graph(n, p, seed)
     by_size = Counter(len(c) for c in nx.enumerate_all_cliques(
         nx.from_numpy_array(adj.astype(int))))
-    neigh = neighbour_bitsets(adj)
+    neigh = bitsets(adj)
     for max_size in range(1, n + 1):
         counts, complete = count_cliques(neigh, max_size=max_size)
         assert complete
@@ -160,7 +174,7 @@ def alternating_sum(adj):
 @example(12, 0.5, 1)
 def test_property_euler_matches_brute_force(n, p, seed):
     adj = random_graph(n, p, seed)
-    assert chi_from_bitsets(neighbour_bitsets(adj)) == alternating_sum(adj)
+    assert chi_from_bitsets(bitsets(adj)) == alternating_sum(adj)
 
 
 def king_torus_grid(m):
@@ -176,19 +190,19 @@ def king_torus_grid(m):
 
 
 def test_euler_small_complexes():
-    assert chi_from_bitsets(neighbour_bitsets(np.zeros((0, 0), dtype=bool))) == 0
-    assert chi_from_bitsets(neighbour_bitsets(np.zeros((1, 1), dtype=bool))) == 1
-    assert chi_from_bitsets(neighbour_bitsets(np.zeros((5, 5), dtype=bool))) == 5
-    assert chi_from_bitsets(neighbour_bitsets(complete_graph(9))) == 1
+    assert chi_from_bitsets(bitsets(np.zeros((0, 0), dtype=bool))) == 0
+    assert chi_from_bitsets(bitsets(np.zeros((1, 1), dtype=bool))) == 1
+    assert chi_from_bitsets(bitsets(np.zeros((5, 5), dtype=bool))) == 5
+    assert chi_from_bitsets(bitsets(complete_graph(9))) == 1
     cone = random_graph(11, 0.4, 7)
     cone[4, :] = cone[:, 4] = True
     cone[4, 4] = False
-    assert chi_from_bitsets(neighbour_bitsets(cone)) == 1
+    assert chi_from_bitsets(bitsets(cone)) == 1
     cycle = np.zeros((4, 4), dtype=bool)
     for i in range(4):
         cycle[i, (i + 1) % 4] = cycle[(i + 1) % 4, i] = True
-    assert chi_from_bitsets(neighbour_bitsets(cycle)) == 0
-    assert chi_from_bitsets(neighbour_bitsets(king_torus_grid(5))) == 0
+    assert chi_from_bitsets(bitsets(cycle)) == 0
+    assert chi_from_bitsets(bitsets(king_torus_grid(5))) == 0
 
 
 @pytest.mark.parametrize("d,lam,seed", [(1, 200.0, 1), (1, 200.0, 2),
@@ -197,5 +211,5 @@ def test_euler_small_complexes():
 def test_euler_matches_collapsed_homology(d, lam, seed):
     params = ComplexParams(epsilon=0.05)
     pc = sample(Poisson(lam), TorusSpec(d=d, a=1.0), SeedSpec(seed))
-    chi = chi_from_bitsets(neighbour_bitsets(adjacency_matrix(pc, params)))
+    chi = chi_from_bitsets(bitsets(adjacency_matrix(pc, params)))
     assert chi == collapsed_homology(pc, params).chi_betti

@@ -1,14 +1,18 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import boundary_matrix, clique_simplices
-from torushom import cliques
-from torushom.cliques import SimplexCapExceeded, enumerate_cliques, neighbour_bitsets
+from oracles import bitsets, boundary_matrix, clique_simplices
+from torushom import cliques, complexes
+from torushom.cliques import SimplexCapExceeded, enumerate_cliques
 from torushom.complexes import (ComplexParams, Convention, adjacency_matrix,
                                 build_complex, phi_k, simplex_counts,
                                 threshold_edges)
+from torushom.homology import collapsed_homology
 from torushom.sampling import Binomial, PointConfiguration, SeedSpec, sample
 from torushom.torus import Metric, TorusSpec, pairwise_distances
 
@@ -167,7 +171,7 @@ def test_euclidean_metric_changes_adjacency():
 def test_complex_keeps_the_bitsets_of_its_graph(metric, convention):
     cfg = sample(Binomial(n=40), SPEC2, SeedSpec(31))
     params = ComplexParams(epsilon=0.1, metric=metric, convention=convention)
-    neigh = neighbour_bitsets(adjacency_matrix(cfg, params))
+    neigh = bitsets(adjacency_matrix(cfg, params))
     assert any(neigh)
     assert build_complex(cfg, params).neighbours == neigh
     assert simplex_counts(cfg, params).neighbours is None
@@ -299,3 +303,91 @@ def test_segmented_sweep_matches_dense_distances(block, metric, convention):
         got[lu, lv] = True
         got[lv, lu] = True
         assert np.array_equal(got, expected)
+
+
+def _assert_dense_edges(u, v, spec, configs, starts, params):
+    """(u, v) lists, configuration by configuration and each edge once, the
+    pairs of the thresholded ``pairwise_distances`` of each configuration
+    (the checks of ``test_segmented_sweep_matches_dense_distances``)."""
+    sizes = [len(pts) for pts in configs]
+    seg = np.repeat(np.arange(len(configs)), sizes)
+    assert np.array_equal(seg[u], seg[v])
+    assert np.all(np.diff(seg[u]) >= 0)  # grouped by configuration, in order
+    for s, pts in enumerate(configs):
+        dists = pairwise_distances(pts, spec, params.metric)
+        if params.convention is Convention.RIPS_HALF_OPEN_2EPS:
+            expected = dists < params.threshold()
+        else:
+            expected = dists <= params.threshold()
+        np.fill_diagonal(expected, False)
+        mine = seg[u] == s
+        lu, lv = u[mine] - starts[s], v[mine] - starts[s]
+        pairs = set(zip(np.minimum(lu, lv).tolist(), np.maximum(lu, lv).tolist()))
+        assert len(pairs) == lu.size  # every edge once
+        got = np.zeros((len(pts), len(pts)), dtype=bool)
+        got[lu, lv] = True
+        got[lv, lu] = True
+        assert np.array_equal(got, expected)
+
+
+def _block_arrays(spec, configs):
+    sizes = [len(pts) for pts in configs]
+    starts = np.concatenate(([0], np.cumsum(sizes))).astype(np.intp)
+    points = np.concatenate(configs) if configs else np.zeros((0, spec.d))
+    return points, starts
+
+
+# one configuration of 12 lattice points whose sweep reaches half way round
+# (a threshold of at least 0.5 on a = 1), and two of them in one block
+_HALF_WAY = (TorusSpec(d=2, a=1.0), [np.arange(24.0).reshape(12, 2) % 7 / 7], 0.5)
+_HALF_WAY_PAIR = (_HALF_WAY[0], _HALF_WAY[1] * 2, 0.5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_blocks(), st.sampled_from(list(Metric)),
+       st.sampled_from(list(Convention)), st.sampled_from([1, 7, 64]))
+@example(_HALF_WAY, Metric.MAX_NORM, Convention.SUBCOMPLEX_EPS, 1)
+@example(_HALF_WAY_PAIR, Metric.EUCLIDEAN, Convention.RIPS_HALF_OPEN_2EPS, 7)
+def test_sweep_in_runs_matches_one_run(block, metric, convention, budget):
+    # budgets of 1, 7 and 64 candidates split the sweep inside and across
+    # configurations; a configuration alone is passed without ``starts``
+    spec, configs, epsilon = block
+    params = ComplexParams(epsilon=epsilon, metric=metric, convention=convention)
+    points, starts = _block_arrays(spec, configs)
+    given_starts = starts if len(configs) != 1 else None
+    u, v = threshold_edges(points, spec.a, params, given_starts)
+    with mock.patch.object(complexes, "_RUN_PAIRS", budget):
+        ru, rv = threshold_edges(points, spec.a, params, given_starts)
+    assert np.array_equal(ru, u) and np.array_equal(rv, v)
+    assert ru.dtype == u.dtype and rv.dtype == v.dtype
+    _assert_dense_edges(ru, rv, spec, configs, starts, params)
+
+
+def _traced_peak(fn, *args, **kwargs) -> int:
+    """The peak of the memory that tracemalloc sees (numpy's buffers too)
+    while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_follows_the_run_budget():
+    # about 400,000 candidate pairs, swept in runs of at most 2^16
+    pts = np.random.default_rng(3).random((2000, 3))
+    assert _traced_peak(threshold_edges, pts, 1.0, ComplexParams(epsilon=0.05)) \
+        < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("build, epsilon", [
+    (lambda cfg, params: simplex_counts(cfg, params, max_dim=2), 0.0175),
+    (build_complex, 0.0175),
+    (collapsed_homology, 0.008),
+], ids=("simplex_counts", "build_complex", "collapsed_homology"))
+def test_single_configuration_paths_pack_bitsets_from_edges(build, epsilon):
+    # n = 4000 at mean degree 19.6 (eps 0.0175) or 4.1: an (n, n) boolean
+    # matrix alone would take n^2 bytes
+    cfg = sample(Binomial(n=4000), TorusSpec(d=2, a=1.0), SeedSpec(7))
+    assert _traced_peak(build, cfg, ComplexParams(epsilon=epsilon)) < 0.75 * cfg.n ** 2

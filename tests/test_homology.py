@@ -6,13 +6,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (circle_betti_numbers, direct_betti_numbers,
+from oracles import (bitsets, circle_betti_numbers, direct_betti_numbers,
                      dropping_edge_collapse, rescan_edge_collapse,
                      rescan_strong_collapse)
 from torushom import cliques, complexes, homology
 from torushom.cli import main
 from torushom.cliques import (SimplexCapExceeded, chi_from_bitsets, count_cliques,
-                              enumerate_cliques, neighbour_bitsets)
+                              enumerate_cliques)
 from torushom.complexes import (ComplexParams, Convention, adjacency_matrix,
                                 build_complex)
 from torushom.harness import ExperimentConfig, run_experiment
@@ -133,9 +133,9 @@ def test_every_entry_point_reports_a_collapse_that_drops_an_edge(
 def test_graph_packed_once_per_configuration(monkeypatch):
     packs = []
 
-    def counting(adj):
-        packs.append(adj.shape[0])
-        return cliques.neighbour_bitsets(adj)
+    def counting(u, v, n, *rest):
+        packs.append(n)
+        return cliques.neighbour_bitsets(u, v, n, *rest)
 
     for module in (complexes, homology):
         monkeypatch.setattr(module, "neighbour_bitsets", counting)
@@ -225,7 +225,7 @@ def small_graphs(draw):
 @given(small_graphs())
 @example(np.zeros((0, 0), dtype=bool))
 def test_property_betti_match_direct_reduction_any_graph(adj):
-    check_against_direct_reduction(neighbour_bitsets(adj))
+    check_against_direct_reduction(bitsets(adj))
 
 
 @st.composite
@@ -373,7 +373,7 @@ def check_edge_collapse(neigh):
 @settings(max_examples=300, deadline=None)
 @given(collapse_graphs())
 def test_property_edge_collapse_matches_rescans(adj):
-    neigh = neighbour_bitsets(adj)
+    neigh = bitsets(adj)
     check_edge_collapse(neigh)
     check_edge_collapse(homology._induced(neigh, strong_collapse(adj)))
 
@@ -407,9 +407,9 @@ def _cross_polytope(m):
 ], ids=["4_cycle", "5_cycle", "octahedron", "16_cell"])
 def test_collapse_keeps_flag_complexes_without_dominated_faces(adj, betti):
     # no vertex and no edge is dominated, so the core is the whole graph
-    neigh = neighbour_bitsets(adj)
-    assert homology.collapsed_core(neigh) == neighbour_bitsets(adj)
-    assert neigh == neighbour_bitsets(adj)  # the input is left as it is
+    neigh = bitsets(adj)
+    assert homology.collapsed_core(neigh) == bitsets(adj)
+    assert neigh == bitsets(adj)  # the input is left as it is
     assert homology_from_bitsets(neigh).betti == betti == direct_betti_numbers(neigh)
 
 
@@ -426,7 +426,7 @@ def test_dense_draw_collapses_match_rescans():
     cfg = sample(Poisson(lam=1600.0), SPEC2, SeedSpec(2))
     adj = adjacency_matrix(cfg, ComplexParams(epsilon=0.05))
     assert 60 < adj.sum() / cfg.n < 68
-    neigh = neighbour_bitsets(adj)
+    neigh = bitsets(adj)
     strong = homology._induced(neigh, check_collapse(adj))
     edged = check_edge_collapse(strong)
     counts, _ = count_cliques(edged)
@@ -442,7 +442,7 @@ def test_collapse_matches_direct_homology():
     for r in range(10):
         cfg = sample(Poisson(lam=40.0), SPEC1, seed.child("c", r))
         by_size, _ = enumerate_cliques(
-            neighbour_bitsets(adjacency_matrix(cfg, params)))
+            bitsets(adjacency_matrix(cfg, params)))
         simplices = [s for s in by_size.values() if s]
         ranks = ([0] + [boundary_rank(simplices[k - 1], simplices[k])
                         for k in range(1, len(simplices))] + [0])
@@ -538,7 +538,7 @@ def test_homology_lists_and_reduces_only_the_core(monkeypatch):
 def test_cap_bounds_the_listing_of_the_core(monkeypatch):
     # the king-move torus grid collapses to a core of 25 vertices, 75 edges
     # and 50 triangles
-    neigh = neighbour_bitsets(adjacency_matrix(grid_config(5),
+    neigh = bitsets(adjacency_matrix(grid_config(5),
                                                ComplexParams(epsilon=0.105)))
     monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 150)
     assert homology_from_bitsets(neigh).betti[:3] == [1, 2, 1]

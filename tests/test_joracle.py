@@ -21,6 +21,10 @@ def test_pattern_validation():
         OverlapPattern.make((2, 2), {(0, 1): 3})  # more shared than size
     with pytest.raises(ValueError):
         OverlapPattern.make((0, 2))
+    with pytest.raises(ValueError, match="twice"):
+        OverlapPattern.make((2, 2), {(0, 1): 1, (1, 0): 1})  # one group twice
+    with pytest.raises(ValueError, match="twice"):
+        OverlapPattern.make((3, 3, 3), {(0, 0, 1): 1})  # a simplex twice
 
 
 def test_pattern_canonical_and_counts():
