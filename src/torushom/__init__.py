@@ -9,8 +9,8 @@ harnesses.
 
 from .torus import Metric, TorusSpec
 from .sampling import Binomial, PointConfiguration, Poisson, SeedSpec, sample
-from .complexes import ComplexParams, Convention, GeometricComplex, build_complex, simplex_counts
-from .homology import HomologyResult, betti_numbers, homology_summary
+from .complexes import ComplexParams, Convention, GeometricComplex, simplex_counts
+from .homology import HomologyResult
 from .moments import ModelParams, MomentValue, mean_Nk, mean_chi
 
 __version__ = "0.1.0"
@@ -18,6 +18,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Metric", "TorusSpec", "Binomial", "PointConfiguration", "Poisson",
     "SeedSpec", "sample", "ComplexParams", "Convention", "GeometricComplex",
-    "build_complex", "simplex_counts", "HomologyResult", "betti_numbers",
-    "homology_summary", "ModelParams", "MomentValue", "mean_Nk", "mean_chi",
+    "simplex_counts", "HomologyResult", "ModelParams", "MomentValue", "mean_Nk",
+    "mean_chi",
 ]

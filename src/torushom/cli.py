@@ -342,28 +342,9 @@ def _cmd_coverage(args):
     _emit(report.to_json(), args.out)
 
 
-def _integers(value) -> bool:
-    return isinstance(value, list) and all(type(v) is int for v in value)
-
-
 def _cmd_joracle(args):
     with open(args.pattern) as fh:
-        doc = json.load(fh)
-    shared = doc.get("shared", []) if isinstance(doc, dict) else None
-    if not (isinstance(shared, list) and _integers(doc.get("sizes")) and all(
-            isinstance(e, dict) and _integers(e.get("simplices"))
-            and _integers([e.get("count")]) for e in shared)):
-        raise ValueError("an overlap pattern is a JSON object with integer sizes and"
-                         " shared, a list of integer simplices and count")
-    # a group listed twice would otherwise keep one count, or add both
-    groups = [e["simplices"] for e in shared]
-    if not doc["sizes"] or len({frozenset(g) for g in groups}) < len(groups) or any(
-            len(set(g)) < len(g) for g in groups):
-        raise ValueError("an overlap pattern is a JSON object with at least one"
-                         " size, and its shared groups name distinct simplices,"
-                         " each set once")
-    pattern = OverlapPattern.make(
-        doc["sizes"], {tuple(e["simplices"]): e["count"] for e in shared})
+        pattern = OverlapPattern.from_json(json.load(fh))
     est = j_oracle_mc(pattern, TorusSpec(d=args.d, a=args.a), args.eps,
                       args.samples, _seedspec(args))
     _emit({"value": est.value, "stderr": est.stderr,

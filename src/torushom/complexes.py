@@ -81,9 +81,7 @@ class ComplexParams:
 
 @dataclass
 class GeometricComplex:
-    n_vertices: int
     counts: np.ndarray            # counts[i] = N_{i+1}, the number of i-simplices
-    max_dim_built: int
     truncated: bool = False       # always; see cliques.count_cliques
     neighbours: list[int] | None = field(default=None, repr=False)
 
@@ -95,16 +93,8 @@ class GeometricComplex:
             return 0
         return int(self.counts[k - 1])
 
-    def euler_characteristic_counts(self) -> int:
-        signs = (-1) ** np.arange(len(self.counts))
-        return int(np.sum(signs * self.counts))
-
     def to_json(self) -> dict:
-        return {
-            "N": [int(c) for c in self.counts],
-            "max_dim_built": int(self.max_dim_built),
-            "truncated": bool(self.truncated),
-        }
+        return {"N": [int(c) for c in self.counts]}
 
 
 def threshold_edges(points: np.ndarray, a: float, params: ComplexParams,
@@ -253,9 +243,7 @@ def simplex_counts(config: PointConfiguration, params: ComplexParams,
     max_size = None if max_dim is None else max_dim + 1
     u, v = threshold_edges(config.points, config.spec.a, params)
     counts, _ = count_cliques(neighbour_bitsets(u, v, config.n), max_size=max_size)
-    counts = counts[1:]  # drop the size-0 slot
-    return GeometricComplex(
-        n_vertices=config.n, counts=counts, max_dim_built=len(counts) - 1)
+    return GeometricComplex(counts=counts[1:])  # drop the size-0 slot
 
 
 def build_complex(config: PointConfiguration, params: ComplexParams,
@@ -269,8 +257,7 @@ def build_complex(config: PointConfiguration, params: ComplexParams,
     n, edges = config.n, len(u)
     # trimmed after the largest nonzero size, as by ``count_cliques``
     counts = np.array([n, edges][:bool(n) + bool(edges)], dtype=np.int64)
-    return GeometricComplex(n_vertices=n, counts=counts, max_dim_built=len(counts) - 1,
-                            neighbours=neighbour_bitsets(u, v, n))
+    return GeometricComplex(counts=counts, neighbours=neighbour_bitsets(u, v, n))
 
 
 def phi_k(points: np.ndarray, params: ComplexParams, spec: TorusSpec) -> int:

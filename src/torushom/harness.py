@@ -71,6 +71,10 @@ class ExperimentConfig:
             raise ValueError("replications must be >= 1")
         if self.max_dim is not None and self.max_dim < 0:
             raise ValueError(f"max_dim must be >= 0, got {self.max_dim}")
+        # each quantity keys its own list of values, so a repeat would merge two
+        if not self.quantities or len(set(self.quantities)) < len(self.quantities):
+            raise ValueError("quantities must be nonempty and distinct,"
+                             f" got {list(self.quantities)}")
         for q in self.quantities:
             _parse_quantity(q)
 
@@ -81,11 +85,6 @@ class QuantityStats:
     stderr: float
     variance: float
     n: int
-
-    def z_score(self, analytic: float) -> float:
-        if self.stderr == 0.0:
-            return 0.0 if self.mean == analytic else math.inf
-        return (self.mean - analytic) / self.stderr
 
 
 @dataclass
@@ -101,8 +100,6 @@ class ReplicationReport:
     def to_json(self) -> dict:
         return {
             "replications": self.config.replications,
-            "excluded": self.excluded,
-            "homology_violations": self.homology_violations,
             "estimates": {
                 q: {"mean": s.mean, "stderr": s.stderr,
                     "variance": s.variance, "n": s.n}
@@ -311,8 +308,8 @@ def clt_rate_experiment(gamma: GammaGraph, spec: TorusSpec,
         std = float(vals.std(ddof=1))
         if std == 0.0:
             raise ValueError(f"degenerate pattern-count sample at lambda={lam}")
-        est = wasserstein1_to_normal((vals - mean) / std)
-        points.append(CltPoint(lam=lam, d_w=est.value, mean=mean, std=std))
+        d_w = wasserstein1_to_normal((vals - mean) / std)
+        points.append(CltPoint(lam=lam, d_w=d_w, mean=mean, std=std))
     logs = np.log([p.lam for p in points])
     logd = np.log([p.d_w for p in points])
     slope = float(np.polyfit(logs, logd, 1)[0])
@@ -340,7 +337,7 @@ class CoverageReport:
         return {
             "torus_betti": list(self.torus_betti),
             "points": [{"lambda": p.lam, "match_frequency": p.match_frequency,
-                        "stderr": p.stderr, "excluded": p.excluded}
+                        "stderr": p.stderr}
                        for p in self.points],
         }
 

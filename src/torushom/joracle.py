@@ -38,17 +38,19 @@ MC_BATCH = 200_000
 class OverlapPattern:
     """Vertex-sharing structure of n simplices.
 
-    ``sizes[i]`` is the vertex count of simplex i.  ``shared`` maps a
-    frozenset of simplex indices (|T| >= 2) to the number of vertices common
-    to exactly the simplices in T and no others.
+    ``sizes[i]`` is the vertex count of simplex i.  ``shared`` pairs a
+    frozenset of simplex indices (|T| >= 2) with the number of vertices
+    common to exactly the simplices in T and no others.
     """
     sizes: tuple[int, ...]
     shared: tuple[tuple[frozenset, int], ...] = field(default=())
 
     @staticmethod
-    def make(sizes, shared: dict | None = None) -> "OverlapPattern":
+    def make(sizes, shared=()) -> "OverlapPattern":
+        """The pattern from ``shared``, (simplex indices, count) pairs, each
+        group listed once."""
         items, seen = [], set()
-        for subset, count in (shared or {}).items():
+        for subset, count in shared:
             members = [int(i) for i in subset]
             t = frozenset(members)
             if len(t) < len(members) or t in seen:
@@ -69,7 +71,23 @@ class OverlapPattern:
         pattern.validate()
         return pattern
 
+    @classmethod
+    def from_json(cls, doc) -> "OverlapPattern":
+        fields = doc if isinstance(doc, dict) else {}
+        sizes, shared = fields.get("sizes"), fields.get("shared", [])
+        if not (_integers(sizes) and isinstance(shared, list) and all(
+                isinstance(e, dict) and _integers(e.get("simplices"))
+                and type(e.get("count")) is int for e in shared)):
+            raise ValueError("an overlap pattern is a JSON object with integer sizes and"
+                             " shared, a list of integer simplices and count")
+        try:
+            return cls.make(sizes, [(e["simplices"], e["count"]) for e in shared])
+        except ValueError as exc:
+            raise ValueError(f"not a valid overlap pattern JSON object: {exc}") from None
+
     def validate(self) -> None:
+        if not self.sizes:
+            raise ValueError("a pattern needs at least one simplex")
         if any(p < 1 for p in self.sizes):
             raise ValueError("simplex sizes must be >= 1")
         n = len(self.sizes)
@@ -100,6 +118,10 @@ class OverlapPattern:
                 next_id += 1
         assert next_id == self.total_vertices
         return lists
+
+
+def _integers(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)
 
 
 @dataclass(frozen=True)

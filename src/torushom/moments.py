@@ -79,7 +79,6 @@ class MomentKind(Enum):
 class MomentValue:
     value: float
     kind: MomentKind
-    order: int | None = None
     truncation: dict | None = None
 
     def __post_init__(self):
@@ -414,8 +413,7 @@ def _overlap_components(pattern: OverlapPattern) -> list[OverlapPattern]:
         index = {i: r for r, i in enumerate(members)}
         parts.append(OverlapPattern.make(
             [pattern.sizes[i] for i in members],
-            {frozenset(index[i] for i in t): c
-             for t, c in pattern.shared if min(t) in index}))
+            [([index[i] for i in t], c) for t, c in pattern.shared if min(t) in index]))
     return parts
 
 
@@ -497,14 +495,14 @@ def nth_moment_assembler(params: ModelParams, k: int, n: int,
     total = 0.0
     var = 0.0
     for shared, weight, M in _overlap_patterns(n, k):
-        pattern = OverlapPattern.make((k,) * n, dict(shared))
+        pattern = OverlapPattern.make((k,) * n, shared)
         assert pattern.total_vertices == M
         est = j_oracle(pattern)
         coeff = float(weight) * params.lam ** M
         total += coeff * est.value
         var += (coeff * est.stderr) ** 2
     kind = MomentKind.VARIANCE if n == 2 else MomentKind.CENTRAL_MOMENT
-    return MomentValue(value=total, kind=kind, order=n,
+    return MomentValue(value=total, kind=kind,
                        truncation={"oracle_stderr": math.sqrt(var), **tally})
 
 

@@ -8,7 +8,6 @@ special-function dependency is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,17 +67,7 @@ def normal_quantile(p: float) -> float:
     return -val if q < 0.0 else val
 
 
-@dataclass(frozen=True)
-class WassersteinEstimate:
-    value: float
-    sample_size: int
-
-    def __post_init__(self):
-        if self.value < 0.0:
-            raise ValueError("Wasserstein distance must be nonnegative")
-
-
-def wasserstein1_to_normal(sample) -> WassersteinEstimate:
+def wasserstein1_to_normal(sample) -> float:
     """Empirical Wasserstein-1 distance to the standard normal.
 
     Order statistics are compared with the standard-normal quantiles at
@@ -91,5 +80,4 @@ def wasserstein1_to_normal(sample) -> WassersteinEstimate:
     if xs[0] == xs[-1]:
         raise ValueError("degenerate (constant) sample")
     qs = np.array([normal_quantile((i - 0.5) / m) for i in range(1, m + 1)])
-    value = float(np.mean(np.abs(xs - qs)))
-    return WassersteinEstimate(value=value, sample_size=m)
+    return float(np.mean(np.abs(xs - qs)))

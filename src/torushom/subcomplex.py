@@ -44,7 +44,9 @@ class GammaGraph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             canon.add((min(u, v), max(u, v)))
         g = GammaGraph(n=n, edges=frozenset(canon))
-        if not g.is_connected():
+        # a connected graph has at least n - 1 edges; checked first, so that
+        # a large n with few edges builds no neighbour sets
+        if len(canon) < n - 1 or not g.is_connected():
             raise ValueError("pattern graph must be connected")
         return g
 

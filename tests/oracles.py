@@ -29,6 +29,20 @@ def brute_force_clique_counts(adj_bool: np.ndarray, max_size: int) -> np.ndarray
     return counts
 
 
+def chi_from_counts(counts) -> int:
+    """The Euler characteristic sum_i (-1)^i counts[i] of simplex counts
+    (counts[i] = N_{i+1})."""
+    return sum((-1) ** i * int(c) for i, c in enumerate(counts))
+
+
+def z_score(stats, analytic: float) -> float:
+    """(mean - analytic) / stderr of an estimate (``harness.QuantityStats``);
+    0 or infinity when the stderr is 0."""
+    if stats.stderr == 0.0:
+        return 0.0 if stats.mean == analytic else math.inf
+    return (stats.mean - analytic) / stats.stderr
+
+
 def clique_simplices(neigh: list[int], dim: int) -> list[tuple[int, ...]]:
     """The dim-simplices of the clique complex of the graph ``neigh``
     (neighbour bitsets) in lexicographic order, by testing every

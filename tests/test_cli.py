@@ -64,7 +64,7 @@ def test_complex_and_homology(tmp_path, capsys):
     path = write_points(tmp_path, capsys, lam=30.0, seed=4)
     code, doc = run_cli(capsys, "complex", "--in", str(path), "--eps", "0.05")
     assert code == 0
-    assert doc["truncated"] is False
+    assert set(doc) == {"N"}
     assert doc["N"][0] == len(json.loads(path.read_text())["points"])
     code, hdoc = run_cli(capsys, "homology", "--in", str(path),
                          "--eps", "0.05")
@@ -319,7 +319,7 @@ def test_experiment(capsys, tmp_path):
                         "--quantities", "n_points,N_2,beta_0",
                         "--raw-csv", str(raw))
     assert code == 0
-    assert doc["excluded"] == 0
+    assert set(doc) == {"replications", "estimates"}
     est = doc["estimates"]["n_points"]
     assert abs(est["mean"] - 20.0) < 5 * est["stderr"]
     lines = raw.read_text().splitlines()
@@ -352,6 +352,17 @@ def _strict_json(text):
     def reject(name):
         raise ValueError(f"non-finite {name} in JSON output")
     return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("quantities", ["N_1,N_1", ","], ids=("repeated", "none"))
+def test_experiment_rejects_repeated_or_missing_quantities(tmp_path, capsys, quantities):
+    raw = tmp_path / "raw.csv"
+    code = main(["experiment", "--lambda", "20", "--eps", "0.05", "--reps", "5",
+                 "--seed", "1", "--quantities", quantities, "--raw-csv", str(raw)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert "distinct" in json.loads(lines[0])["error"]
+    assert not raw.exists()
 
 
 def test_experiment_output_is_strict_json(capsys):

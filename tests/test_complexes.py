@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import bitsets, boundary_matrix, clique_simplices
+from oracles import bitsets, boundary_matrix, chi_from_counts, clique_simplices
 from torushom import cliques, complexes
 from torushom.cliques import SimplexCapExceeded, enumerate_cliques
 from torushom.complexes import (ComplexParams, Convention, adjacency_matrix,
@@ -69,7 +69,7 @@ def test_counts_path_on_path_graph():
     gc = simplex_counts(cfg, ComplexParams(epsilon=0.1))
     assert gc.counts.tolist() == [3, 2]
     assert gc.N(1) == 3 and gc.N(2) == 2 and gc.N(3) == 0
-    assert gc.euler_characteristic_counts() == 1
+    assert chi_from_counts(gc.counts) == 1
     assert not gc.truncated
 
 
@@ -93,7 +93,7 @@ def test_build_matches_counts():
     # the complex stores no simplices: list them from the bitsets it keeps
     by_size, complete = enumerate_cliques(built.neighbours)
     assert complete
-    for dim in range(counted.max_dim_built + 2):
+    for dim in range(len(counted.counts) + 1):
         simplices = clique_simplices(built.neighbours, dim)
         assert by_size.get(dim + 1, []) == simplices
         assert len(simplices) == counted.N(dim + 1)
@@ -109,8 +109,15 @@ def test_build_counts_only_vertices_and_edges(xs):
     edges_only = simplex_counts(cfg, params, max_dim=1)
     assert built.counts.dtype == edges_only.counts.dtype
     assert built.counts.tolist() == edges_only.counts.tolist()
-    assert built.max_dim_built == edges_only.max_dim_built
     assert built.truncated is False
+
+
+def test_package_namespace_holds_no_benchmark_only_names():
+    import torushom
+    assert all(hasattr(torushom, name) for name in torushom.__all__)
+    for name in ("build_complex", "homology_summary", "betti_numbers"):
+        with pytest.raises(AttributeError):
+            getattr(torushom, name)
 
 
 def test_homology_mode_radius_guard():
@@ -129,7 +136,7 @@ def test_empty_configuration():
     cfg = PointConfiguration(spec=SPEC1, points=np.zeros((0, 1)))
     gc = simplex_counts(cfg, ComplexParams(epsilon=0.1))
     assert gc.counts.size == 0
-    assert gc.euler_characteristic_counts() == 0
+    assert chi_from_counts(gc.counts) == 0
 
 
 def test_max_dim_truncates_dimensions():
@@ -196,7 +203,7 @@ def test_boundary_composition_random():
     cfg = sample(Binomial(n=20), SPEC2, SeedSpec(31))
     params = ComplexParams(epsilon=0.12)
     neigh = build_complex(cfg, params).neighbours
-    for dim in range(2, simplex_counts(cfg, params).max_dim_built + 1):
+    for dim in range(2, len(simplex_counts(cfg, params).counts)):
         lo = boundary_matrix(neigh, dim - 1)
         hi = boundary_matrix(neigh, dim)
         assert not ((lo.astype(int) @ hi.astype(int)) % 2).any()

@@ -72,11 +72,11 @@ KERNELS = {
 
 PATTERNS = {
     "C4": OverlapPattern.make((2, 2, 2, 2),
-                              {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1}),
+                              [((0, 1), 1), ((1, 2), 1), ((2, 3), 1), ((0, 3), 1)]),
     "TRIANGLE": OverlapPattern.make((2, 2, 2),
-                                    {(0, 1): 1, (1, 2): 1, (0, 2): 1}),
-    "K4_MINUS_E": OverlapPattern.make((3, 3), {(0, 1): 2}),
-    "CHERRY": OverlapPattern.make((2, 2), {(0, 1): 1}),
+                                    [((0, 1), 1), ((1, 2), 1), ((0, 2), 1)]),
+    "K4_MINUS_E": OverlapPattern.make((3, 3), [((0, 1), 2)]),
+    "CHERRY": OverlapPattern.make((2, 2), [((0, 1), 1)]),
 }
 GAMMAS = {"PATH": GammaGraph.make(3, [(0, 1), (1, 2)]),
           "TRIANGLE": GammaGraph.complete(3)}

@@ -5,7 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from oracles import dropping_edge_collapse, empirical_tail
+from oracles import chi_from_counts, dropping_edge_collapse, empirical_tail, z_score
 from torushom import cliques, complexes, harness, homology, subcomplex
 from torushom.complexes import ComplexParams, Convention, simplex_counts
 from torushom.harness import (CltReport, CoverageReport, ExperimentConfig,
@@ -34,6 +34,11 @@ def test_config_validation():
         ExperimentConfig(law=Poisson(10.0), spec=SPEC1, params=PARAMS,
                          replications=1, master_seed=1, quantities=("chi",),
                          max_dim=-3)
+    # a repeat would merge the values of two quantities into one estimate
+    for quantities in ((), ("N_1", "N_1"), ("chi", "N_2", "chi")):
+        with pytest.raises(ValueError, match="nonempty and distinct"):
+            ExperimentConfig(law=Poisson(10.0), spec=SPEC1, params=PARAMS,
+                             replications=5, master_seed=1, quantities=quantities)
 
 
 def test_reproducible_reports():
@@ -57,7 +62,7 @@ def test_estimates_match_analytic_means():
                         ("N_1", mean_Nk(model, 1).value),
                         ("N_2", mean_Nk(model, 2).value),
                         ("chi", mean_chi(model).value)]:
-        assert abs(report.estimates[q].z_score(analytic)) < 4.0, q
+        assert abs(z_score(report.estimates[q], analytic)) < 4.0, q
 
 
 def test_beta0_fast_path_matches_full_homology():
@@ -109,7 +114,7 @@ def test_cap_bounds_only_the_counts_asked_for(monkeypatch):
     assert report.estimates["chi"].n == 8
     for rep, full in enumerate(fulls):
         assert full.counts.sum() > 2000
-        assert report.raw["chi"][rep] == full.euler_characteristic_counts()
+        assert report.raw["chi"][rep] == chi_from_counts(full.counts)
         assert report.raw["N_2"][rep] == full.N(2)
 
 
@@ -393,8 +398,8 @@ def _check_coverage_golden(seed):
                                  seed=SeedSpec(seed))
     assert report.to_json() == {
         "torus_betti": [1, 1],
-        "points": [{"lambda": lam, "match_frequency": freq, "stderr": se,
-                    "excluded": 0} for lam, freq, se in GOLDEN_COVERAGE[seed]],
+        "points": [{"lambda": lam, "match_frequency": freq, "stderr": se}
+                   for lam, freq, se in GOLDEN_COVERAGE[seed]],
     }
 
 

@@ -14,21 +14,33 @@ SPEC1 = TorusSpec(d=1, a=1.0)
 
 def test_pattern_validation():
     with pytest.raises(ValueError):
-        OverlapPattern.make((2, 2), {(0,): 1})  # singleton group
+        OverlapPattern.make((2, 2), [((0,), 1)])  # singleton group
     with pytest.raises(ValueError):
-        OverlapPattern.make((2, 2), {(0, 2): 1})  # index out of range
+        OverlapPattern.make((2, 2), [((0, 2), 1)])  # index out of range
     with pytest.raises(ValueError):
-        OverlapPattern.make((2, 2), {(0, 1): 3})  # more shared than size
+        OverlapPattern.make((2, 2), [((0, 1), 3)])  # more shared than size
     with pytest.raises(ValueError):
         OverlapPattern.make((0, 2))
     with pytest.raises(ValueError, match="twice"):
-        OverlapPattern.make((2, 2), {(0, 1): 1, (1, 0): 1})  # one group twice
+        OverlapPattern.make((2, 2), [((0, 1), 1), ((1, 0), 1)])  # one group twice
     with pytest.raises(ValueError, match="twice"):
-        OverlapPattern.make((3, 3, 3), {(0, 0, 1): 1})  # a simplex twice
+        OverlapPattern.make((3, 3, 3), [((0, 0, 1), 1)])  # a simplex twice
+    with pytest.raises(ValueError, match="twice"):
+        OverlapPattern.make((2, 2), [((0, 1), 1), ((0, 1), 1)])  # listed twice
+    with pytest.raises(ValueError, match="at least one simplex"):
+        OverlapPattern.make(())
+
+
+def test_pattern_from_json():
+    doc = {"sizes": [3, 3, 3], "shared": [{"simplices": [1, 0], "count": 1},
+                                          {"simplices": [0, 1, 2], "count": 1}]}
+    assert OverlapPattern.from_json(doc) == OverlapPattern.make(
+        (3, 3, 3), [((0, 1), 1), ((0, 1, 2), 1)])
+    assert OverlapPattern.from_json({"sizes": [2]}) == OverlapPattern.make((2,))
 
 
 def test_pattern_canonical_and_counts():
-    p = OverlapPattern.make((3, 3, 3), {(0, 1): 1, (0, 1, 2): 1})
+    p = OverlapPattern.make((3, 3, 3), [((0, 1), 1), ((0, 1, 2), 1)])
     assert p.total_vertices == 9 - 1 - 2
     lists = p.vertex_lists()
     assert [len(v) for v in lists] == [3, 3, 3]
@@ -36,7 +48,7 @@ def test_pattern_canonical_and_counts():
     assert flat == list(range(p.total_vertices))
     # zero counts are dropped; equal structures compare equal
     q = OverlapPattern.make((3, 3, 3),
-                            {(0, 1): 1, (0, 2): 0, (0, 1, 2): 1})
+                            [((0, 1), 1), ((0, 2), 0), ((0, 1, 2), 1)])
     assert p == q
 
 
@@ -58,14 +70,14 @@ def test_trivial_pattern_is_exact():
 
 def test_matches_two_simplex_closed_form():
     # two triangles sharing one vertex: m1 = m2 = 2, m12 = 1
-    pattern = OverlapPattern.make((3, 3), {(0, 1): 1})
+    pattern = OverlapPattern.make((3, 3), [((0, 1), 1)])
     est = j_oracle_mc(pattern, SPEC1, 0.05, 400_000, SeedSpec(3))
     closed = j2_closed_form(2, 2, 1, SPEC1, 0.05)
     assert est.value == pytest.approx(closed, abs=4 * est.stderr)
 
 
 def test_seed_reproducibility():
-    pattern = OverlapPattern.make((2, 2), {(0, 1): 1})
+    pattern = OverlapPattern.make((2, 2), [((0, 1), 1)])
     a = j_oracle_mc(pattern, SPEC1, 0.05, 50_000, SeedSpec(9))
     b = j_oracle_mc(pattern, SPEC1, 0.05, 50_000, SeedSpec(9))
     c = j_oracle_mc(pattern, SPEC1, 0.05, 50_000, SeedSpec(10))
@@ -74,7 +86,7 @@ def test_seed_reproducibility():
 
 
 def test_batching_invariance(monkeypatch):
-    pattern = OverlapPattern.make((2, 2), {(0, 1): 1})
+    pattern = OverlapPattern.make((2, 2), [((0, 1), 1)])
     monkeypatch.setattr(joracle, "MC_BATCH", 60_000)
     a = j_oracle_mc(pattern, SPEC1, 0.05, 60_000, SeedSpec(4))
     monkeypatch.setattr(joracle, "MC_BATCH", 7_000)
@@ -101,7 +113,7 @@ def test_epsilon_must_be_positive_and_finite(eps):
 
 
 C4 = OverlapPattern.make((2, 2, 2, 2),
-                         {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1})
+                         [((0, 1), 1), ((1, 2), 1), ((2, 3), 1), ((0, 3), 1)])
 
 
 def test_max_norm_integral_is_the_circle_integral_to_the_power_d():

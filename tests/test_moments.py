@@ -315,7 +315,7 @@ def test_third_moment_with_injected_oracle():
 def test_default_oracle_multiplies_overlap_components():
     p = ModelParams(lam=20.0, spec=TorusSpec(d=3, a=1.0), epsilon=0.05)
     oracle = _default_j_oracle(p, 10, SeedSpec(0))
-    est = oracle(OverlapPattern.make((2, 2, 2, 2), {(0, 1): 1, (2, 3): 1}))
+    est = oracle(OverlapPattern.make((2, 2, 2, 2), [((0, 1), 1), ((2, 3), 1)]))
     assert est.stderr == 0.0 and est.samples == 0
     assert est.value == j2_closed_form(1, 1, 1, p.spec, 0.05) ** 2
 
@@ -332,8 +332,8 @@ def test_fourth_moment_at_d3_fits_the_oracle_cap():
 # four edges closing a 4-cycle: one component whose block is no clique, so
 # the default oracle takes it by Monte Carlo
 C4 = OverlapPattern.make((2, 2, 2, 2),
-                         {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1})
-TRIANGLE = OverlapPattern.make((2, 2, 2), {(0, 1): 1, (1, 2): 1, (0, 2): 1})
+                         [((0, 1), 1), ((1, 2), 1), ((2, 3), 1), ((0, 3), 1)])
+TRIANGLE = OverlapPattern.make((2, 2, 2), [((0, 1), 1), ((1, 2), 1), ((0, 2), 1)])
 
 
 def test_zero_hit_component_keeps_a_nonzero_error_at_d3():
@@ -361,7 +361,7 @@ def _components(n, k):
     """The distinct overlap components of n (k-1)-simplices."""
     return sorted({c for shared, _, _ in _overlap_patterns(n, k)
                    for c in _overlap_components(
-                       OverlapPattern.make((k,) * n, dict(shared)))},
+                       OverlapPattern.make((k,) * n, shared))},
                   key=repr)
 
 
@@ -385,7 +385,7 @@ def test_clique_block_integral_equals_the_two_simplex_closed_form():
     # where both apply: one shared point, or one simplex inside the other
     for m1, m2, m12 in ((1, 1, 1), (2, 2, 1), (1, 3, 1), (0, 2, 2), (0, 1, 1),
                         (3, 0, 1), (0, 0, 3)):
-        pattern = OverlapPattern.make((m1 + m12, m2 + m12), {(0, 1): m12})
+        pattern = OverlapPattern.make((m1 + m12, m2 + m12), [((0, 1), m12)])
         for d in (1, 2, 3):
             spec = TorusSpec(d=d, a=1.3)
             assert clique_block_integral(pattern, spec, 0.07) == pytest.approx(
@@ -396,7 +396,7 @@ def test_clique_block_integral_declines_other_blocks():
     # the 4-cycle and K4 - e (two triangles on an edge) are blocks but not
     # cliques; a triangle beyond t = a/3 no longer behaves as on the line
     assert clique_block_integral(C4, SPEC1, 0.05) is None
-    assert clique_block_integral(OverlapPattern.make((3, 3), {(0, 1): 2}),
+    assert clique_block_integral(OverlapPattern.make((3, 3), [((0, 1), 2)]),
                                  SPEC1, 0.05) is None
     assert clique_block_integral(TRIANGLE, SPEC1, 0.05) == pytest.approx(
         3 * 0.1 ** 2, rel=1e-12)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,19 @@ def test_gamma_graph_validation():
         GammaGraph.make(3, [(0, 1)])  # disconnected (vertex 2 isolated)
     g = GammaGraph.make(3, [(1, 0), (2, 1), (0, 2)])
     assert g == GammaGraph.complete(3)
+
+
+def test_disconnected_pattern_is_rejected_before_any_neighbour_set():
+    # 200,000 vertices and no edge cannot be connected: rejected from the
+    # edge count, without 200,000 neighbour sets (tens of MB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="must be connected"):
+            GammaGraph.make(200_000, [])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_gamma_json_round_trip():
