@@ -12,7 +12,8 @@ vertex, whose bit u is set when u is a neighbour.  ``neighbour_bitsets``
 packs them straight from an edge list (``complexes.threshold_edges``), in
 n * ceil(width / 8) bytes, of one graph or of a whole block of graphs at
 once; no (n, n) boolean matrix is built.  Every walker takes them: clique
-counting and enumeration here, strong collapse and component counting in
+counting, clique enumeration and the connected components (``components``,
+of configurations and of patterns alike) here, strong collapse in
 ``homology``, pattern counting in ``subcomplex``.
 """
 
@@ -69,6 +70,25 @@ def _row_ints(packed: np.ndarray) -> list[int]:
         words[:, :packed.shape[1]] = packed
         return words.view("<u8").ravel().tolist()
     return [int.from_bytes(row, "little") for row in packed]
+
+
+def components(neigh: list[int]) -> list[int]:
+    """The connected components of a graph by flood fill, each as a vertex
+    bitset, in the order of their lowest vertex."""
+    unseen = (1 << len(neigh)) - 1
+    found = []
+    while unseen:
+        start = unseen
+        frontier = unseen & -unseen
+        unseen ^= frontier
+        while frontier:
+            v = frontier.bit_length() - 1
+            frontier ^= 1 << v
+            reached = neigh[v] & unseen
+            unseen ^= reached
+            frontier |= reached
+        found.append(start ^ unseen)
+    return found
 
 
 def counts_from_bitsets(neigh: list[int], max_size: int) -> list[int]:

@@ -29,13 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cliques import (SimplexCapExceeded, chi_from_bitsets, counts_from_bitsets,
-                      neighbour_bitsets)
+from .cliques import (SimplexCapExceeded, chi_from_bitsets, components,
+                      counts_from_bitsets, neighbour_bitsets)
 # simplex_counts is not called here; perfbench's import-site test expects
 # this module to hold it.
 from .complexes import (ComplexParams, _check_radius, simplex_counts,  # noqa: F401
                         threshold_edges)
-from .homology import components_from_bitsets, homology_from_bitsets
+from .homology import homology_from_bitsets
 from .sampling import Poisson, ProcessLaw, SeedSpec, sample
 from .stats import MIN_NORMALITY_SAMPLE, wasserstein1_to_normal
 from .subcomplex import GammaGraph, count_gamma, star_arms
@@ -237,7 +237,7 @@ def _row(plan: _Plan, n: int, edges: int, neigh: list[int] | None,
         elif betti is not None:
             row.append(float(betti[i]) if i < len(betti) else 0.0)
         else:
-            row.append(float(components_from_bitsets(neigh)) if n else 0.0)
+            row.append(float(len(components(neigh))))
     return row
 
 
@@ -360,6 +360,9 @@ def coverage_experiment(spec: TorusSpec, params: ComplexParams, lambdas,
     laws = [Poisson(lam=float(l)) for l in lambdas]
     if not laws:
         raise ValueError("need at least one intensity")
+    for i, law in enumerate(laws):
+        if law in laws[:i]:  # it would rerun the same seeded streams
+            raise ValueError(f"intensity {law.lam} is repeated")
     _check_radius(spec, params, homology_mode=True)
     target = torus_betti(spec.d)
     points = []

@@ -18,8 +18,8 @@ points only find or unpack the graph.  Its checks: the alternating sum of
 the Betti numbers must equal the pivoted Euler characteristic of the
 strong-collapse core (``chi_from_bitsets``, which lists no clique and
 shares the complex's homotopy type but not the edge collapse), beta_0 must
-equal a flood fill's component count of the whole graph, and none may be
-negative.  The list ends at the collapsed core's top dimension.
+equal the component count of the whole graph (``cliques.components``), and
+none may be negative.  The list ends at the collapsed core's top dimension.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .cliques import (chi_from_bitsets, enumerate_cliques, neighbour_bitsets,
-                      rows_bitsets)
+from .cliques import (chi_from_bitsets, components, enumerate_cliques,
+                      neighbour_bitsets, rows_bitsets)
 from .complexes import GeometricComplex, _check_radius, threshold_edges
 
 
@@ -97,7 +97,7 @@ def homology_from_bitsets(neigh: list[int]) -> HomologyResult:
     The Betti numbers come from the cliques of the collapsed core
     (``collapsed_core``) of the strong-collapse core, one per dimension of
     those cliques, and are checked (``_checked``) against the pivoted Euler
-    characteristic of the strong-collapse core and the flood fill of the
+    characteristic of the strong-collapse core and the components of the
     whole graph; the failed checks are listed in ``violations``.  Raises
     ``cliques.SimplexCapExceeded`` when the collapsed core has more than
     ``DEFAULT_SIMPLEX_CAP`` cliques.
@@ -193,39 +193,22 @@ def _collapse_edges(neigh: list[int]) -> bool:
 
 
 def connected_components(adj_bool: np.ndarray) -> int:
-    """Component count of a graph; see ``components_from_bitsets``."""
-    return components_from_bitsets(rows_bitsets(adj_bool))
-
-
-def components_from_bitsets(neigh: list[int]) -> int:
-    """Component count by bitset flood fill; independent oracle for beta_0."""
-    unseen = (1 << len(neigh)) - 1
-    comps = 0
-    while unseen:
-        frontier = 1 << unseen.bit_length() - 1
-        unseen ^= frontier
-        comps += 1
-        while frontier:
-            v = frontier.bit_length() - 1
-            frontier ^= 1 << v
-            reached = neigh[v] & unseen
-            unseen ^= reached
-            frontier |= reached
-    return comps
+    """Component count of a graph given by its boolean adjacency matrix."""
+    return len(components(rows_bitsets(adj_bool)))
 
 
 def _checked(betti: list[int], chi_counts: int, neigh: list[int]) -> HomologyResult:
     """The Betti numbers of the clique complex of the graph ``neigh`` with
     their violations: an alternating sum other than the Euler characteristic
-    ``chi_counts``, a beta_0 other than the flood fill's component count,
-    and negative values."""
+    ``chi_counts``, a beta_0 other than the component count, and negative
+    values."""
     chi_betti = int(sum((-1) ** k * b for k, b in enumerate(betti)))
     violations = []
     if chi_counts != chi_betti:
         violations.append(
             f"euler characteristic mismatch: counts give {chi_counts}, "
             f"betti give {chi_betti}")
-    comps = components_from_bitsets(neigh)
+    comps = len(components(neigh))
     if betti and betti[0] != comps:
         violations.append(
             f"beta_0 = {betti[0]} but flood fill counts {comps} components")

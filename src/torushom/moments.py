@@ -39,7 +39,7 @@ from functools import lru_cache, reduce
 from itertools import combinations
 from operator import and_
 
-from .cliques import enumerate_cliques
+from .cliques import components, enumerate_cliques
 from .joracle import JEstimate, OverlapPattern, j_oracle_mc
 from .sampling import SeedSpec
 from .torus import TorusSpec
@@ -402,14 +402,17 @@ def _overlap_patterns(n: int, k: int) -> list:
 
 def _overlap_components(pattern: OverlapPattern) -> list[OverlapPattern]:
     """The pattern's groups of simplices linked by shared points, each as a
-    pattern of its own, in the order of their lowest simplex."""
-    label = list(range(len(pattern.sizes)))
+    pattern of its own, in the order of their lowest simplex: the
+    components of the graph on the simplices in which a shared group links
+    all its members."""
+    link = [0] * len(pattern.sizes)
     for t, _ in pattern.shared:
-        merged = {label[i] for i in t}
-        label = [min(merged) if g in merged else g for g in label]
+        group = sum(1 << i for i in t)
+        for i in t:
+            link[i] |= group
     parts = []
-    for root in sorted(set(label)):
-        members = [i for i, g in enumerate(label) if g == root]
+    for comp in components(link):
+        members = [i for i in range(len(link)) if comp >> i & 1]
         index = {i: r for r, i in enumerate(members)}
         parts.append(OverlapPattern.make(
             [pattern.sizes[i] for i in members],

@@ -7,6 +7,12 @@ are the labeled embeddings divided by the automorphism count of Gamma's
 edge set; the division is always exact.  ``count_gamma`` picks the rule
 from the pattern's shape: a star K_{1,k} is counted from the degree
 sequence, any other pattern by a search over the neighbour bitsets.
+
+A pattern is a graph like a configuration, walked through its neighbour
+bitsets (``GammaGraph.bits``): it is connected when ``cliques.components``
+finds one component, and its automorphisms are its labelled embeddings
+into itself, as an injective edge-preserving self-map of a finite graph
+maps the edge set onto itself.
 """
 
 from __future__ import annotations
@@ -14,11 +20,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
-from .cliques import rows_bitsets
+from .cliques import components, rows_bitsets
 from .joracle import MAX_ORACLE_DIMENSION, circle_hits
 from .moments import ModelParams
 from .sampling import SeedSpec
@@ -72,41 +77,28 @@ class GammaGraph:
     def complete(k: int) -> "GammaGraph":
         return GammaGraph.make(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
 
-    def neighbors(self) -> list[set[int]]:
-        nb: list[set[int]] = [set() for _ in range(self.n)]
+    @functools.cached_property
+    def bits(self) -> list[int]:
+        """Neighbour bitsets: bit u of bits[v] is set when uv is an edge."""
+        bits = [0] * self.n
         for u, v in self.edges:
-            nb[u].add(v)
-            nb[v].add(u)
-        return nb
+            bits[u] |= 1 << v
+            bits[v] |= 1 << u
+        return bits
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        nb = self.neighbors()
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for u in nb[v]:
-                if u not in seen:
-                    seen.add(u)
-                    frontier.append(u)
-        return len(seen) == self.n
+        return len(components(self.bits)) == 1
 
 
 @functools.lru_cache(maxsize=None)
 def automorphism_count(gamma: GammaGraph) -> int:
-    """Number of vertex permutations mapping the edge set onto itself,
-    scanned once per pattern."""
+    """Number of automorphisms, the vertex bijections that map the edge set
+    onto itself: the labelled embeddings of the pattern into itself
+    (``_search``), searched once per pattern."""
     if gamma.n > MAX_AUTOMORPHISM_VERTICES:
         raise ValueError(
             f"exhaustive automorphism scan limited to n <= {MAX_AUTOMORPHISM_VERTICES}")
-    count = 0
-    for perm in permutations(range(gamma.n)):
-        if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in gamma.edges
-               for u, v in gamma.edges):
-            count += 1
-    return count
+    return _search(gamma.bits, gamma)
 
 
 @dataclass(frozen=True)
@@ -132,8 +124,7 @@ def star_arms(gamma: GammaGraph) -> int:
     k = gamma.n - 1
     if k < 1 or len(gamma.edges) != k:
         return 0
-    degree = [sum(v in e for e in gamma.edges) for v in range(gamma.n)]
-    return k if max(degree) == k else 0
+    return k if max(b.bit_count() for b in gamma.bits) == k else 0
 
 
 def count_gamma(gamma: GammaGraph, degrees: np.ndarray,
@@ -162,24 +153,19 @@ def count_gamma(gamma: GammaGraph, degrees: np.ndarray,
 
 
 def _search(neigh: list[int], gamma: GammaGraph) -> int:
-    """Labelled embeddings, placing the pattern vertices in an order where
-    each touches an earlier one; the candidates for a position are the
-    unused vertices in the neighbour bitsets of all its placed pattern
-    neighbours."""
-    nb = gamma.neighbors()
-    # order pattern vertices so each (after the first) touches an earlier one
-    order = [0]
-    placed = {0}
+    """Labelled embeddings of the pattern into the graph ``neigh``, placing
+    the pattern vertices in an order where each touches an earlier one; the
+    candidates for a position are the unused vertices in the neighbour
+    bitsets of all its placed pattern neighbours."""
+    nb = gamma.bits
+    order, placed = [0], 1
     while len(order) < gamma.n:
-        for v in range(gamma.n):
-            if v not in placed and nb[v] & placed:
-                order.append(v)
-                placed.add(v)
-                break
-    back_edges = []  # for order position p: earlier positions that must be adjacent
-    pos_of = {v: p for p, v in enumerate(order)}
-    for p, v in enumerate(order):
-        back_edges.append([pos_of[u] for u in nb[v] if pos_of[u] < p])
+        v = next(v for v in range(gamma.n) if not placed >> v & 1 and nb[v] & placed)
+        order.append(v)
+        placed |= 1 << v
+    # for order position p: the earlier positions that must be adjacent
+    back_edges = [[q for q in range(p) if nb[v] >> order[q] & 1]
+                  for p, v in enumerate(order)]
 
     assignment = [0] * gamma.n
     last = gamma.n - 1

@@ -4,7 +4,7 @@ graph, homology, geometry and moment routines against."""
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -27,6 +27,15 @@ def brute_force_clique_counts(adj_bool: np.ndarray, max_size: int) -> np.ndarray
             if all(adj_bool[i, j] for i, j in combinations(subset, 2)):
                 counts[k] += 1
     return counts
+
+
+def permutation_automorphism_count(gamma) -> int:
+    """Automorphisms of a pattern graph (``subcomplex.GammaGraph``) by
+    scanning all n! vertex permutations for those that map its edge set
+    onto itself."""
+    return sum(all((min(p[u], p[v]), max(p[u], p[v])) in gamma.edges
+                   for u, v in gamma.edges)
+               for p in permutations(range(gamma.n)))
 
 
 def chi_from_counts(counts) -> int:

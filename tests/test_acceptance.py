@@ -11,7 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import bitsets, brute_force_clique_counts, empirical_tail, z_score
+from oracles import (bitsets, brute_force_clique_counts, circle_betti_numbers,
+                     empirical_tail, z_score)
 from torushom.complexes import (ComplexParams, Convention, adjacency_matrix,
                                 simplex_counts)
 from torushom.harness import (ExperimentConfig, clt_rate_experiment,
@@ -319,20 +320,26 @@ def test_criterion_09_homology_structure(report):
 
 
 def test_criterion_10_coverage(report):
+    spec = TorusSpec(d=1, a=1.0)
     params = ComplexParams(epsilon=0.2, convention=SUB)
-    rep = coverage_experiment(TorusSpec(d=1, a=1.0), params,
-                              [10.0, 30.0, 100.0], reps=1000,
-                              seed=SeedSpec(1001))
+    lambdas, reps, seed = [10.0, 30.0, 100.0], 1000, SeedSpec(1001)
+    rep = coverage_experiment(spec, params, lambdas, reps=reps, seed=seed)
     freqs = [p.match_frequency for p in rep.points]
     ses = [p.stderr for p in rep.points]
     nondecreasing = all(
         freqs[i + 1] >= freqs[i] - 3.0 * math.hypot(ses[i], ses[i + 1])
         for i in range(len(freqs) - 1))
     high = freqs[-1] >= 0.99
-    report(10, "torus Betti recovery frequency is nondecreasing in lambda "
-               "and >= 0.99 at lambda = 100",
-           nondecreasing and high,
-           "freqs = " + ", ".join(f"{f:.3f}" for f in freqs))
+    # the same draws, through the exact Betti rule of the circle (t < a/3)
+    exact = [sum(circle_betti_numbers(
+        sample(Poisson(lam=lam), spec, seed.child("coverage", lam, r)), params)
+        == [1, 1] for r in range(reps)) / reps for lam in lambdas]
+    report(10, "torus Betti recovery frequency is nondecreasing in lambda, "
+               ">= 0.99 at lambda = 100, and equals the circle rule's on "
+               "the same draws",
+           nondecreasing and high and exact == freqs,
+           "freqs = " + ", ".join(f"{f:.3f}" for f in freqs)
+           + "; circle rule = " + ", ".join(f"{f:.3f}" for f in exact))
 
 
 def test_criterion_11_clt_rate(report):

@@ -392,7 +392,8 @@ def test_coverage_rejects_zero_replications(capsys):
 
 
 @pytest.mark.parametrize("lambdas, message", [
-    ("", "at least one intensity"), ("30,-5", "intensity must be positive")])
+    ("", "at least one intensity"), ("30,-5", "intensity must be positive"),
+    ("10,10", "intensity 10.0 is repeated")])
 def test_coverage_rejects_bad_intensities(capsys, lambdas, message):
     code = main(["coverage", "--eps", "0.2", "--lambdas", lambdas, "--reps", "3",
                  "--seed", "5"])

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from oracles import bitsets, brute_force_clique_counts
 from torushom import cliques
-from torushom.cliques import (SimplexCapExceeded, chi_from_bitsets, count_cliques,
-                              enumerate_cliques, neighbour_bitsets, rows_bitsets)
+from torushom.cliques import (SimplexCapExceeded, chi_from_bitsets, components,
+                              count_cliques, enumerate_cliques, neighbour_bitsets,
+                              rows_bitsets)
 from torushom.complexes import ComplexParams, adjacency_matrix
 from torushom.homology import collapsed_homology
 from torushom.sampling import Poisson, SeedSpec, sample
@@ -131,6 +132,19 @@ def test_property_counts_match_brute_force(n, p, seed):
     top = len(counts)
     assert counts.tolist() == oracle[:top].tolist()
     assert not oracle[top:].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 30), st.floats(0.0, 0.3), st.integers(0, 10 ** 6))
+@example(0, 0.0, 0)
+def test_property_components_match_networkx(n, p, seed):
+    adj = random_graph(n, p, seed)
+    found = components(bitsets(adj))
+    # vertex sets, in the order of their lowest vertex
+    sets = [{v for v in range(n) if comp >> v & 1} for comp in found]
+    assert sorted(sets, key=min) == sets
+    assert sorted(map(sorted, sets)) == sorted(
+        map(sorted, nx.connected_components(nx.from_numpy_array(adj.astype(int)))))
 
 
 @settings(max_examples=40, deadline=None)

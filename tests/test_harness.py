@@ -1,6 +1,5 @@
 import hashlib
 import math
-from itertools import permutations
 
 import numpy as np
 import pytest
@@ -288,13 +287,16 @@ def test_clt_experiment_small_run():
 
 
 def test_clt_scans_automorphisms_once_per_pattern(monkeypatch):
+    # an automorphism search is the search of a pattern in itself
     scans = []
+    search = subcomplex._search
 
-    def counting(*args):
-        scans.append(args)
-        return permutations(*args)
+    def counting(neigh, gamma):
+        if neigh is gamma.bits:
+            scans.append(gamma)
+        return search(neigh, gamma)
 
-    monkeypatch.setattr(subcomplex, "permutations", counting)
+    monkeypatch.setattr(subcomplex, "_search", counting)
     subcomplex.automorphism_count.cache_clear()
     params = ComplexParams(epsilon=0.1, convention=Convention.SUBCOMPLEX_EPS)
     path = GammaGraph.make(3, [(0, 1), (1, 2)])

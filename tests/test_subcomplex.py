@@ -1,12 +1,14 @@
 import math
 import tracemalloc
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from itertools import combinations, permutations
 
+from oracles import permutation_automorphism_count
 from torushom.complexes import ComplexParams, Convention, adjacency_matrix
 from torushom.moments import ModelParams
 from torushom.sampling import Binomial, PointConfiguration, SeedSpec, sample
@@ -19,13 +21,14 @@ SPEC2 = TorusSpec(d=2, a=1.0)
 
 
 def brute_force_count(adj, gamma):
-    """Independent oracle: scan all injections, divide by automorphisms."""
+    """Independent oracle: scan all injections, divide by the automorphisms
+    of the permutation scan."""
     n = adj.shape[0]
     labeled = 0
     for sub in permutations(range(n), gamma.n):
         if all(adj[sub[u], sub[v]] for u, v in gamma.edges):
             labeled += 1
-    return labeled // automorphism_count(gamma)
+    return labeled // permutation_automorphism_count(gamma)
 
 
 def random_graph(n, p, seed):
@@ -34,14 +37,24 @@ def random_graph(n, p, seed):
     return adj | adj.T
 
 
-# every labelled connected graph on 1-4 vertices (1 + 1 + 4 + 38 patterns)
-CONNECTED_PATTERNS = [
-    GammaGraph(k, frozenset(edges))
-    for k in range(1, 5)
-    for r in range(k - 1, k * (k - 1) // 2 + 1)
-    for edges in combinations(combinations(range(k), 2), r)
-    if GammaGraph(k, frozenset(edges)).is_connected()
-]
+def labelled_graphs(max_n):
+    """Every labelled graph on 1..max_n vertices, as (pattern, networkx
+    graph) pairs; the pattern is built directly, without the connectivity
+    check of ``GammaGraph.make``."""
+    for k in range(1, max_n + 1):
+        pairs = list(combinations(range(k), 2))
+        for r in range(len(pairs) + 1):
+            for edges in combinations(pairs, r):
+                graph = nx.empty_graph(k)
+                graph.add_edges_from(edges)
+                yield GammaGraph(k, frozenset(edges)), graph
+
+
+# every labelled connected graph on 1-5 vertices (1 + 1 + 4 + 38 + 728),
+# picked by networkx, not by the method under test
+CONNECTED_UP_TO_5 = [(gamma, graph) for gamma, graph in labelled_graphs(5)
+                     if nx.is_connected(graph)]
+CONNECTED_PATTERNS = [gamma for gamma, _ in CONNECTED_UP_TO_5 if gamma.n <= 4]
 
 
 def test_gamma_graph_validation():
@@ -114,8 +127,33 @@ def test_against_brute_force(edges, n):
 
 
 def test_connected_patterns_are_all_enumerated():
-    assert [sum(g.n == k for g in CONNECTED_PATTERNS) for k in range(1, 5)] \
-        == [1, 1, 4, 38]
+    assert [sum(g.n == k for g, _ in CONNECTED_UP_TO_5) for k in range(1, 6)] \
+        == [1, 1, 4, 38, 728]
+
+
+def test_is_connected_matches_networkx_on_every_small_graph():
+    # all 1 + 2 + 8 + 64 + 1024 labelled graphs, connected or not
+    for gamma, graph in labelled_graphs(5):
+        assert gamma.is_connected() == nx.is_connected(graph), gamma
+
+
+def test_automorphism_search_matches_the_permutation_scan():
+    matcher = nx.algorithms.isomorphism.GraphMatcher
+    for gamma, graph in CONNECTED_UP_TO_5:
+        expect = permutation_automorphism_count(gamma)
+        assert automorphism_count(gamma) == expect, gamma
+        assert sum(1 for _ in matcher(graph, graph).isomorphisms_iter()) \
+            == expect, gamma
+
+
+def test_automorphism_search_reaches_the_size_limit():
+    # 10 vertices, where a scan would test 10! = 3,628,800 permutations
+    path = GammaGraph.make(10, [(i, i + 1) for i in range(9)])
+    cycle = GammaGraph.make(10, [(i, (i + 1) % 10) for i in range(10)])
+    star = GammaGraph.make(10, [(0, i) for i in range(1, 10)])
+    assert automorphism_count(path) == 2
+    assert automorphism_count(cycle) == 20  # dihedral group of order 20
+    assert automorphism_count(star) == math.factorial(9)
 
 
 @pytest.mark.parametrize("gamma", CONNECTED_PATTERNS, ids=lambda g: str(g.to_json()))
