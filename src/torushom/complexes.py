@@ -170,8 +170,10 @@ def threshold_edges(points: np.ndarray, a: float, params: ComplexParams,
 
 # The most candidate pairs threshold_edges filters at once; it holds a few
 # arrays of 8 bytes a candidate, about 2.5 MB at 2^16.  A block of
-# harness._blocks has at most _BLOCK_CELLS = 2^16 cells, which bound its
-# candidates, so it is swept in one run, as before.  At d = 2 (max-norm,
+# harness._blocks that packs bitsets has at most _BLOCK_CELLS = 2^16 cells
+# of points x largest configuration, which bound its candidates, so it is
+# swept in one run; one that packs none has up to 2^16 points, swept in as
+# many runs as its candidates need.  At d = 2 (max-norm,
 # 2-core machine), budgets of 2^14 to 2^17 swept n = 20099 at eps = 0.01 in
 # 110-145 ms and n = 10^5 at eps = 0.0025 in 0.5-0.7 s, against 309 ms for
 # one run over the 8e6 candidates of the former; 2^16 was among the fastest.

@@ -8,12 +8,13 @@ and the torus-coverage probability.
 
 Every replication draws from its own counter-derived stream, so reports are
 bit-identical for a fixed configuration regardless of scheduling.
-All three experiments take their graphs from ``_graphs``, which processes
+All three experiments take their graphs from ``_sweeps``, which processes
 the replications in blocks: one neighbour sweep finds the edges of every
 configuration of a block, N_1 and N_2 are its point and edge counts, a star
-pattern is counted from each configuration's degrees, and where more is
-asked for, one ``neighbour_bitsets`` over the block gives each
-configuration's neighbour bitsets, built once and walked for N_k (counted
+pattern is counted for the whole block at once from its degrees, and where
+more is asked for, one ``neighbour_bitsets`` over the block gives each
+configuration's neighbour bitsets (``_graphs`` hands them out one
+configuration at a time), built once and walked for N_k (counted
 only up to the largest k asked for), chi (a pivoted sum), beta_0 (a flood
 fill), any pattern other than a star (a bitset search) and Betti numbers
 above beta_0 (``homology.homology_from_bitsets``, which lists only the
@@ -38,16 +39,18 @@ from .complexes import (ComplexParams, _check_radius, simplex_counts,  # noqa: F
 from .homology import homology_from_bitsets
 from .sampling import Poisson, ProcessLaw, SeedSpec, sample
 from .stats import MIN_NORMALITY_SAMPLE, wasserstein1_to_normal
-from .subcomplex import GammaGraph, count_gamma, star_arms
+from .subcomplex import GammaGraph, count_gamma, star_arms, star_counts
 from .torus import TorusSpec
 
 
 # Replications run in blocks of at most _BLOCK_REPS configurations and
-# _BLOCK_CELLS cells of (points x largest configuration), which bound the
-# packed bitsets of a block (a bit a cell, 8 KB); a configuration too large
-# for it runs alone.  The neighbour sweep bounds its own candidates
-# (complexes._RUN_PAIRS), so a block of _BLOCK_CELLS cells is swept in one
-# run.  Larger blocks were no faster and raised the peak memory of a run.
+# _BLOCK_CELLS cells.  A block whose bitsets are packed has a cell per
+# (point, largest configuration), which bounds the bitsets (a bit a cell,
+# 8 KB); larger such blocks were no faster and raised the peak memory of a
+# run.  A block that packs none has a cell per point, which bounds the
+# sweep's arrays of a few words a point (with one run of
+# complexes._RUN_PAIRS candidates, 5 MB traced at 20,000 points, d=2).  A
+# configuration too large for a block runs alone.
 _BLOCK_REPS = 1024
 _BLOCK_CELLS = 1 << 16
 
@@ -174,16 +177,17 @@ class _Plan:
         self.needs_bitsets = "chi" in kinds or "beta" in kinds or self.clique_walk
 
 
-def _blocks(draws):
+def _blocks(draws, bitsets: bool):
     """The configurations drawn, in order, as lists of point arrays of at
-    most ``_BLOCK_REPS`` configurations and ``_BLOCK_CELLS`` cells of
-    (points x largest configuration); a larger configuration comes alone."""
+    most ``_BLOCK_REPS`` configurations and ``_BLOCK_CELLS`` cells: points x
+    largest configuration if ``bitsets`` are packed, else points; a larger
+    configuration comes alone."""
     block: list[np.ndarray] = []
     total = width = 0
     for pts in draws:
         n = pts.shape[0]
-        if block and (len(block) == _BLOCK_REPS
-                      or (total + n) * max(width, n) > _BLOCK_CELLS):
+        cells = (total + n) * (max(width, n) if bitsets else 1)
+        if block and (len(block) == _BLOCK_REPS or cells > _BLOCK_CELLS):
             yield block
             block, total, width = [], 0, 0
         block.append(pts)
@@ -193,29 +197,36 @@ def _blocks(draws):
         yield block
 
 
-def _graphs(draws, a: float, params: ComplexParams, bitsets: bool):
-    """The threshold graph of each configuration drawn, in order, as its
-    point count, edge count, degree sequence and, if ``bitsets``, neighbour
-    bitsets (else None).
-
-    One neighbour sweep finds the edges of a whole block of configurations
-    (``_blocks``), and one ``neighbour_bitsets`` packs them into a bitset
-    per point of the block, keyed by its configuration's local columns.
-    """
-    for block in _blocks(draws):
+def _sweeps(draws, a: float, params: ComplexParams, bitsets: bool):
+    """Each block of the configurations drawn (``_blocks``), after one
+    neighbour sweep over the whole block: the point counts and edge counts
+    of its configurations, the degree of each of its points in order, and,
+    if ``bitsets``, one ``neighbour_bitsets`` pack of a bitset per point,
+    keyed by its configuration's local columns (else None)."""
+    for block in _blocks(draws, bitsets):
         sizes = np.array([pts.shape[0] for pts in block])
         starts = np.concatenate(([0], np.cumsum(sizes)))
         u, v = threshold_edges(np.concatenate(block), a, params, starts)
         degrees = np.bincount(np.concatenate((u, v)), minlength=starts[-1])
         seg = np.repeat(np.arange(len(block)), sizes)
-        edges = np.bincount(seg[u], minlength=len(block)).tolist()
+        edges = np.bincount(seg[u], minlength=len(block))
         neigh = None
         if bitsets:
-            local = np.arange(starts[-1]) - starts[:-1].repeat(sizes)
+            local = np.arange(starts[-1]) - starts[seg]
             neigh = neighbour_bitsets(u, v, starts[-1], local)
-        for s, (first, n) in enumerate(zip(starts.tolist(), sizes.tolist())):
-            yield (n, edges[s], degrees[first:first + n],
+        yield sizes, edges, degrees, neigh
+
+
+def _graphs(draws, a: float, params: ComplexParams, bitsets: bool):
+    """The threshold graph of each configuration drawn, in order, as its
+    point count, edge count, degree sequence and, if ``bitsets``, neighbour
+    bitsets (else None), cut from its block's ``_sweeps``."""
+    for sizes, edges, degrees, neigh in _sweeps(draws, a, params, bitsets):
+        first = 0
+        for n, e in zip(sizes.tolist(), edges.tolist()):
+            yield (n, e, degrees[first:first + n],
                    None if neigh is None else neigh[first:first + n])
+            first += n
 
 
 def _row(plan: _Plan, n: int, edges: int, neigh: list[int] | None,
@@ -287,22 +298,31 @@ def clt_rate_experiment(gamma: GammaGraph, spec: TorusSpec,
     """Normal-approximation rate of the pattern count.
 
     For each intensity: draw ``reps`` Poisson configurations, count the
-    pattern (``subcomplex.count_gamma``, over the edges of one neighbour
-    sweep per block), standardize by the empirical mean and standard
-    deviation, and estimate the Wasserstein-1 distance to the standard
-    normal.  The distances should decay roughly like lambda^{-1/2}.
+    pattern over the edges of one neighbour sweep per block, standardize by
+    the empirical mean and standard deviation, and estimate the
+    Wasserstein-1 distance to the standard normal.  The distances should
+    decay roughly like lambda^{-1/2}.  A star is counted for a whole block
+    at once from its degrees (``subcomplex.star_counts``), and its blocks,
+    packing no bitsets, are bounded by points; any other pattern is searched
+    for in each configuration's bitsets (``subcomplex.count_gamma``).
     """
     lambdas = [float(l) for l in lambdas]
     if len(lambdas) < 3 or any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("need at least 3 strictly increasing intensities")
     if reps < MIN_NORMALITY_SAMPLE:
         raise ValueError(f"need reps >= {MIN_NORMALITY_SAMPLE}, got {reps}")
+    star = star_arms(gamma) > 0
     points = []
     for lam in lambdas:
         draws = (sample(Poisson(lam=lam), spec, seed.child("clt", lam, rep)).points
                  for rep in range(reps))
-        counts = [count_gamma(gamma, deg, neigh) for _, _, deg, neigh
-                  in _graphs(draws, spec.a, params, not star_arms(gamma))]
+        if star:
+            counts = [c for sizes, _, degrees, _
+                      in _sweeps(draws, spec.a, params, False)
+                      for c in star_counts(gamma, degrees, sizes)]
+        else:
+            counts = [count_gamma(gamma, deg, neigh) for _, _, deg, neigh
+                      in _graphs(draws, spec.a, params, True)]
         vals = np.array(counts, dtype=float)
         mean = float(vals.mean())
         std = float(vals.std(ddof=1))

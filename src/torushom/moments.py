@@ -2,11 +2,13 @@
 
 All formulas are for the Rips-Vietoris complex of a Poisson (or Binomial)
 point process on the flat torus with max-norm balls, using the half-open
-pairwise threshold 2*epsilon.  Combinatorial coefficients (Stirling numbers,
-the c_n^d variance coefficients, the alpha_n/beta_n series coefficients) are
-computed in exact rational arithmetic and converted to float only at final
-evaluation, because the alternating factorial sums cancel catastrophically
-in floating point.  So each Euler-characteristic moment is computed once,
+pairwise threshold 2*epsilon; those that involve a triangle count Cech
+simplices and hold only while 2*epsilon <= a/3 (``_check_cech``).
+Combinatorial coefficients (Stirling numbers, the c_n^d variance
+coefficients, the alpha_n/beta_n series coefficients) are computed in exact
+rational arithmetic and converted to float only at final evaluation,
+because the alternating factorial sums cancel catastrophically in floating
+point.  So each Euler-characteristic moment is computed once,
 the mean from its closed form in d terms and the variance from its series
 summed exactly to convergence, never as a float alternating sum over k.
 
@@ -49,6 +51,17 @@ def _check_epsilon(spec: TorusSpec, epsilon: float) -> None:
     if not (0.0 < epsilon < spec.a / 4.0):
         raise ValueError(f"epsilon must lie in (0, a/4) = (0, {spec.a / 4.0}), "
                          f"got {epsilon}")
+
+
+def _check_cech(spec: TorusSpec, epsilon: float, form: str) -> None:
+    """The closed forms that involve a triangle count Cech simplices, which
+    are the Rips complex's only while t = 2 epsilon <= a/3: beyond that,
+    three arcs of length t cover the circle and a Rips triangle need not be
+    a Cech simplex (``clique_block_integral`` declines there too)."""
+    if 3.0 * (2.0 * epsilon) > spec.a:
+        raise ValueError(f"{form} is a Cech closed form, exact for the Rips "
+                         f"complex only for 2*epsilon <= a/3 = {spec.a / 3.0}, "
+                         f"got epsilon = {epsilon}")
 
 
 @dataclass(frozen=True)
@@ -123,9 +136,12 @@ def _exact(params: ModelParams) -> tuple[Fraction, Fraction]:
 
 def mean_Nk(params: ModelParams, k: int) -> MomentValue:
     """Expected number of (k-1)-simplices of the Poisson-process complex,
-    lambda a^d x^(k-1) k^d / k!, in exact rationals rounded once."""
+    lambda a^d x^(k-1) k^d / k!, in exact rationals rounded once; for k >= 3
+    only while 2 epsilon <= a/3 (``_check_cech``)."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if k >= 3:
+        _check_cech(params.spec, params.epsilon, "mean_Nk")
     volume, x = _exact(params)
     value = volume * x ** (k - 1) * k ** params.spec.d / math.factorial(k)
     return MomentValue(value=float(value), kind=MomentKind.MEAN)
@@ -133,10 +149,13 @@ def mean_Nk(params: ModelParams, k: int) -> MomentValue:
 
 def mean_Nk_binomial(spec: TorusSpec, epsilon: float, n: int, k: int) -> MomentValue:
     """Expected (k-1)-simplex count for n independent uniform points,
-    C(n, k) k^d (2 epsilon / a)^(d(k-1)), in exact rationals rounded once."""
+    C(n, k) k^d (2 epsilon / a)^(d(k-1)), in exact rationals rounded once;
+    for k >= 3 only while 2 epsilon <= a/3 (``_check_cech``)."""
     _check_epsilon(spec, epsilon)
     if k < 0 or n < 0:
         raise ValueError("n and k must be >= 0")
+    if k >= 3:
+        _check_cech(spec, epsilon, "mean_Nk_binomial")
     if k > n or k == 0:
         return MomentValue(value=0.0, kind=MomentKind.MEAN)
     d, p = spec.d, 2 * Fraction(epsilon) / Fraction(spec.a)
@@ -146,6 +165,7 @@ def mean_Nk_binomial(spec: TorusSpec, epsilon: float, n: int, k: int) -> MomentV
 
 def mean_chi(params: ModelParams) -> MomentValue:
     """Expected Euler characteristic, closed Bell-polynomial form."""
+    _check_cech(params.spec, params.epsilon, "mean_chi")
     d, a = params.spec.d, params.spec.a
     x = params.x
     value = (a / (2.0 * params.epsilon)) ** d * math.exp(-x) * (
@@ -162,6 +182,7 @@ def mean_chi_binomial(spec: TorusSpec, epsilon: float, n: int) -> MomentValue:
     (1 - p)^(n-j): the Binomial counterpart of ``mean_chi``'s Bell form.
     """
     _check_epsilon(spec, epsilon)
+    _check_cech(spec, epsilon, "mean_chi_binomial")
     if n < 0:
         raise ValueError("n must be >= 0")
     d = spec.d
@@ -227,10 +248,13 @@ def clique_block_integral(pattern: OverlapPattern, spec: TorusSpec,
 
 def cov_Nk_Nl(params: ModelParams, k: int, l: int) -> MomentValue:
     """Covariance of the numbers of (k-1)- and (l-1)-simplices, in exact
-    rationals rounded once."""
+    rationals rounded once; with k or l >= 3 only while 2 epsilon <= a/3
+    (``_check_cech``)."""
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
     k, l = max(k, l), min(k, l)
+    if k >= 3:
+        _check_cech(params.spec, params.epsilon, "cov_Nk_Nl")
     d = params.spec.d
     volume, x = _exact(params)
     # base_i = k + l - i + 2(k-i)(l-i)/(i+1), over i! (k-i)! (l-i)!
@@ -282,6 +306,7 @@ def var_chi_series(params: ModelParams) -> MomentValue:
     VAR_CHI_MAX_TERMS terms (x beyond about 17).  ``truncation`` records the
     number of terms summed.
     """
+    _check_cech(params.spec, params.epsilon, "var_chi_series")
     volume, x = _exact(params)
     acc, power, small = Fraction(0), Fraction(1), 0
     for n in range(1, VAR_CHI_MAX_TERMS + 1):
@@ -300,6 +325,7 @@ def var_chi_1d(params: ModelParams) -> MomentValue:
     """Closed-form Euler-characteristic variance on the circle (d = 1)."""
     if params.spec.d != 1:
         raise ValueError("closed form requires d = 1")
+    _check_cech(params.spec, params.epsilon, "var_chi_1d")
     lam, eps, a = params.lam, params.epsilon, params.spec.a
     value = a * (lam * math.exp(-2.0 * lam * eps)
                  - 4.0 * lam ** 2 * eps * math.exp(-4.0 * lam * eps))

@@ -7,6 +7,7 @@ special-function dependency is needed.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -67,6 +68,15 @@ def normal_quantile(p: float) -> float:
     return -val if q < 0.0 else val
 
 
+@functools.lru_cache(maxsize=16)
+def _plotting_quantiles(m: int) -> np.ndarray:
+    """Phi^{-1}((i - 0.5)/m) for i = 1..m, computed once per sample size and
+    shared read-only."""
+    qs = np.array([normal_quantile((i - 0.5) / m) for i in range(1, m + 1)])
+    qs.flags.writeable = False
+    return qs
+
+
 def wasserstein1_to_normal(sample) -> float:
     """Empirical Wasserstein-1 distance to the standard normal.
 
@@ -79,5 +89,4 @@ def wasserstein1_to_normal(sample) -> float:
         raise ValueError(f"need at least {MIN_NORMALITY_SAMPLE} values, got {m}")
     if xs[0] == xs[-1]:
         raise ValueError("degenerate (constant) sample")
-    qs = np.array([normal_quantile((i - 0.5) / m) for i in range(1, m + 1)])
-    return float(np.mean(np.abs(xs - qs)))
+    return float(np.mean(np.abs(xs - _plotting_quantiles(m))))

@@ -6,7 +6,10 @@ extra edges among the image vertices are allowed).  Unordered occurrences
 are the labeled embeddings divided by the automorphism count of Gamma's
 edge set; the division is always exact.  ``count_gamma`` picks the rule
 from the pattern's shape: a star K_{1,k} is counted from the degree
-sequence, any other pattern by a search over the neighbour bitsets.
+sequence (``star_counts``, which also counts a whole block of
+configurations at once from its degrees), any other pattern by a search over
+the neighbour bitsets, in a placement order planned once per pattern
+(``GammaGraph.back_edges``).
 
 A pattern is a graph like a configuration, walked through its neighbour
 bitsets (``GammaGraph.bits``): it is connected when ``cliques.components``
@@ -86,6 +89,20 @@ class GammaGraph:
             bits[v] |= 1 << u
         return bits
 
+    @functools.cached_property
+    def back_edges(self) -> tuple[tuple[int, ...], ...]:
+        """The plan of ``_search``: the vertices are placed in an order where
+        each touches an earlier one, and entry p lists the earlier positions
+        that the vertex at position p must be adjacent to."""
+        nb = self.bits
+        order, placed = [0], 1
+        while len(order) < self.n:
+            v = next(v for v in range(self.n) if not placed >> v & 1 and nb[v] & placed)
+            order.append(v)
+            placed |= 1 << v
+        return tuple(tuple(q for q in range(p) if nb[v] >> order[q] & 1)
+                     for p, v in enumerate(order))
+
     def is_connected(self) -> bool:
         return len(components(self.bits)) == 1
 
@@ -130,22 +147,39 @@ def star_arms(gamma: GammaGraph) -> int:
 def count_gamma(gamma: GammaGraph, degrees: np.ndarray,
                 neigh: list[int] | None) -> int:
     """Unordered embeddings of the pattern into a graph given by its degree
-    sequence and its neighbour bitsets, which a star does not read (None).
-
-    A star K_{1,k} has sum_v (deg v)_k labelled embeddings (centre on v,
-    leaves on k distinct neighbours), summed in Python ints over the degree
-    histogram, so exact at any size; any other pattern is searched for.
+    sequence and its neighbour bitsets, which a star does not read (None):
+    a star is counted by ``star_counts``, any other pattern searched for.
     The pattern size limit of ``automorphism_count`` is checked first.
     """
     c_gamma = automorphism_count(gamma)
-    if len(degrees) < gamma.n:
+    if star_arms(gamma):
+        return star_counts(gamma, degrees, [len(degrees)])[0]
+    if len(neigh) < gamma.n:
         return 0
-    k = star_arms(gamma)
-    if k:
-        labeled = sum(c * math.perm(d, k)
-                      for d, c in enumerate(np.bincount(degrees).tolist()) if c)
-    else:
-        labeled = _search(neigh, gamma)
+    return _unordered(_search(neigh, gamma), c_gamma)
+
+
+def star_counts(gamma: GammaGraph, degrees: np.ndarray, sizes) -> list[int]:
+    """Unordered embeddings of the star ``gamma`` = K_{1,k} into each of
+    consecutive graphs of ``sizes`` vertices, given the degree of every
+    vertex in order.
+
+    A star has sum_v (deg v)_k labelled embeddings in a graph (centre on v,
+    leaves on k distinct neighbours): the (graph, degree) histogram times a
+    table of (deg)_k, held as Python ints so that every count is exact at
+    any size, over the automorphism count.
+    """
+    k, c_gamma = star_arms(gamma), automorphism_count(gamma)
+    degrees = np.asarray(degrees, dtype=np.int64)
+    width = max(k, int(degrees.max(initial=0)) + 1)
+    graph = np.repeat(np.arange(len(sizes)), sizes)
+    hist = np.bincount(graph * width + degrees, minlength=len(sizes) * width)
+    table = np.array([math.perm(d, k) for d in range(k, width)], dtype=object)
+    labeled = hist.reshape(len(sizes), width)[:, k:].astype(object) @ table
+    return [_unordered(n, c_gamma) for n in labeled.tolist()]
+
+
+def _unordered(labeled: int, c_gamma: int) -> int:
     if labeled % c_gamma != 0:
         raise AssertionError(
             f"labeled count {labeled} not divisible by automorphism count {c_gamma}")
@@ -154,19 +188,10 @@ def count_gamma(gamma: GammaGraph, degrees: np.ndarray,
 
 def _search(neigh: list[int], gamma: GammaGraph) -> int:
     """Labelled embeddings of the pattern into the graph ``neigh``, placing
-    the pattern vertices in an order where each touches an earlier one; the
+    the pattern vertices in the order of ``gamma.back_edges``; the
     candidates for a position are the unused vertices in the neighbour
     bitsets of all its placed pattern neighbours."""
-    nb = gamma.bits
-    order, placed = [0], 1
-    while len(order) < gamma.n:
-        v = next(v for v in range(gamma.n) if not placed >> v & 1 and nb[v] & placed)
-        order.append(v)
-        placed |= 1 << v
-    # for order position p: the earlier positions that must be adjacent
-    back_edges = [[q for q in range(p) if nb[v] >> order[q] & 1]
-                  for p, v in enumerate(order)]
-
+    back_edges = gamma.back_edges
     assignment = [0] * gamma.n
     last = gamma.n - 1
     all_pts = (1 << len(neigh)) - 1

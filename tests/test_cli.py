@@ -285,6 +285,27 @@ def test_moment_overflow_is_a_domain_error(capsys):
     assert "error" in json.loads(lines[0])
 
 
+def test_moment_overflow_inside_the_cech_domain_is_a_domain_error(capsys):
+    # E[N_900] of 4000 points at eps = 0.15 (t <= a/3) is about 1e450
+    code = main(["moment", "--quantity", "mean_Nk_binomial", "--eps", "0.15",
+                 "--n", "4000", "--k", "900"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert "error" in json.loads(lines[0])
+
+
+@pytest.mark.parametrize("quantity", ("mean_Nk", "mean_chi", "cov_Nk_Nl",
+                                      "var_chi_series", "var_chi_1d"))
+def test_moment_rejects_cech_forms_beyond_a_third(capsys, quantity):
+    # at eps = 0.2, t = 0.4 > a/3: E[N_3] would print 80.0, a Cech value,
+    # where the Rips complex's mean is about 88.6
+    code = main(["moment", "--quantity", quantity, "--d", "1", "--lambda", "10",
+                 "--eps", "0.2", "--k", "3", "--l", "3"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert "a/3" in json.loads(lines[0])["error"]
+
+
 @pytest.mark.parametrize("eps", ("-0.1", "0.25", "nan"))
 def test_euclid_remark_rejects_epsilon_out_of_range(capsys, eps):
     code, doc = run_cli(capsys, "moment", "--quantity", "euclid_remark",

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import chi_from_counts, dropping_edge_collapse, empirical_tail, z_score
+from oracles import (chi_from_counts, dropping_edge_collapse, empirical_tail,
+                     permutation_automorphism_count, z_score)
 from torushom import cliques, complexes, harness, homology, subcomplex
 from torushom.complexes import ComplexParams, Convention, simplex_counts
 from torushom.harness import (CltReport, CoverageReport, ExperimentConfig,
@@ -12,7 +15,7 @@ from torushom.harness import (CltReport, CoverageReport, ExperimentConfig,
                               run_experiment, torus_betti)
 from torushom.moments import ModelParams, mean_Nk, mean_chi
 from torushom.sampling import Binomial, Poisson, SeedSpec, sample
-from torushom.subcomplex import GammaGraph
+from torushom.subcomplex import GammaGraph, star_counts
 from torushom.torus import Metric, TorusSpec
 
 SPEC1 = TorusSpec(d=1, a=1.0)
@@ -223,8 +226,8 @@ def test_clt_experiment_rejects_small_reps_before_sampling(monkeypatch):
 
 def _count_calls(monkeypatch):
     """Counts of the calls to sample, threshold_edges, adjacency_matrix,
-    neighbour_bitsets and collapsed_homology from now on, and the size of
-    each block of configurations."""
+    neighbour_bitsets and collapsed_homology from now on, and the point
+    counts of the configurations of each block."""
     calls = dict.fromkeys(("sample", "threshold_edges", "adjacency_matrix",
                            "neighbour_bitsets", "collapsed_homology"), 0)
     blocks = []
@@ -235,9 +238,9 @@ def _count_calls(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    def counting_blocks(draws):
-        for block in real_blocks(draws):
-            blocks.append(len(block))
+    def counting_blocks(draws, bitsets):
+        for block in real_blocks(draws, bitsets):
+            blocks.append([pts.shape[0] for pts in block])
             yield block
 
     real_blocks = harness._blocks
@@ -254,8 +257,10 @@ def test_clt_experiment_sweeps_once_per_block(monkeypatch):
     calls, blocks = _count_calls(monkeypatch)
     params = ComplexParams(epsilon=0.05, convention=Convention.SUBCOMPLEX_EPS)
     lambdas = [50.0, 100.0, 200.0]
-    # the 2-path is a star, counted from degrees; the triangle is searched
-    # for in bitsets, packed once per block
+    # the 2-path is a star, counted from the degrees of a block of at most
+    # 2^16 points, so one block per intensity; the triangle is searched for
+    # in bitsets, packed once per block of at most 2^16 cells of points x
+    # largest configuration
     for gamma, packs in ((GammaGraph.make(3, [(0, 1), (1, 2)]), False),
                          (GammaGraph.complete(3), True)):
         blocks.clear()
@@ -263,12 +268,47 @@ def test_clt_experiment_sweeps_once_per_block(monkeypatch):
             calls[name] = 0
         clt_rate_experiment(gamma, TorusSpec(d=2, a=1.0), params, lambdas,
                             reps=100, seed=SeedSpec(5))
-        assert sum(blocks) == 100 * len(lambdas)
+        assert sum(map(len, blocks)) == 100 * len(lambdas)
+        if packs:
+            assert len(blocks) > len(lambdas)
+            assert all(len(b) == 1 or sum(b) * max(b) <= harness._BLOCK_CELLS
+                       for b in blocks)
+        else:
+            assert len(blocks) == len(lambdas)
         assert calls == {"sample": 100 * len(lambdas),
                          "threshold_edges": len(blocks),
                          "adjacency_matrix": 0,
                          "neighbour_bitsets": len(blocks) if packs else 0,
                          "collapsed_homology": 0}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 2), st.integers(1, 40),
+       st.integers(1, 3000), st.integers(0, 10 ** 6))
+def test_property_block_star_counts_match_each_configuration(k, d, block_reps,
+                                                              block_cells, seed):
+    # blocks cut anywhere, by the configuration or the point bound, count
+    # each configuration as the Python-int sum over its own degrees does
+    gamma = GammaGraph.make(k + 1, [(0, i) for i in range(1, k + 1)])
+    aut = permutation_automorphism_count(gamma)
+    spec = TorusSpec(d=d, a=1.0)
+    params = ComplexParams(epsilon=0.05, convention=Convention.SUBCOMPLEX_EPS)
+    draws = [sample(Poisson(lam=60.0 * d), spec,
+                    SeedSpec(seed).child("clt", r)).points for r in range(30)]
+    expected = []
+    for pts in draws:
+        u, v = complexes.threshold_edges(pts, 1.0, params)
+        degrees = np.bincount(np.concatenate((u, v)), minlength=len(pts))
+        expected.append(sum(math.perm(int(g), k) for g in degrees) // aut)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_BLOCK_REPS", block_reps)
+        mp.setattr(harness, "_BLOCK_CELLS", block_cells)
+        blocks = list(harness._sweeps(iter(draws), 1.0, params, False))
+    assert all(len(sizes) <= block_reps
+               and (len(sizes) == 1 or sizes.sum() <= block_cells)
+               for sizes, *_ in blocks)
+    assert [c for sizes, _, degrees, _ in blocks
+            for c in star_counts(gamma, degrees, sizes)] == expected
 
 
 def test_clt_experiment_small_run():
@@ -346,7 +386,8 @@ def test_coverage_experiment_sweeps_once_per_block(monkeypatch):
     lambdas = [10.0, 30.0, 100.0]
     coverage_experiment(SPEC1, params, lambdas, reps=20, seed=SeedSpec(1))
     # at least three blocks of at most 7 configurations per intensity
-    assert sum(blocks) == 20 * len(lambdas) and len(blocks) >= 3 * len(lambdas)
+    assert sum(map(len, blocks)) == 20 * len(lambdas)
+    assert len(blocks) >= 3 * len(lambdas)
     assert calls == {"sample": 20 * len(lambdas),
                      "threshold_edges": len(blocks),
                      "adjacency_matrix": 0,

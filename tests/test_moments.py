@@ -131,6 +131,10 @@ def test_mean_chi_binomial_matches_exact_alternating_sum(d, eps):
     # exact rationals; the tolerance is relative to the largest closed-form
     # term, since at d >= 2 the terms can cancel to a tiny mean
     spec = TorusSpec(d=d, a=1.0)
+    if 2.0 * eps > 1.0 / 3.0:  # a Cech form, which declines t > a/3
+        with pytest.raises(ValueError, match="a/3"):
+            mean_chi_binomial(spec, eps, 20)
+        return
     p = (2.0 * eps) ** d
     for n in (0, 1, 2, 3, 5, 20, 100, 300, 1000):
         largest = max((stirling2(d, j) * math.perm(n, j) * p ** (j - 1)
@@ -478,6 +482,43 @@ def test_large_means_do_not_overflow(moment, reference):
     assert moment().value == pytest.approx(reference, rel=1e-12)
 
 
+# t = 2 eps = 0.4 > a/3: three arcs of length t cover the circle, so a
+# triangle of the Rips complex need not be a Cech simplex
+P_WIDE = ModelParams(lam=10.0, spec=SPEC1, epsilon=0.2)
+CECH_FORMS = [
+    pytest.param(lambda: mean_Nk(P_WIDE, 3), id="mean_Nk"),
+    pytest.param(lambda: mean_Nk_binomial(SPEC1, 0.2, 20, 3), id="mean_Nk_binomial"),
+    pytest.param(lambda: mean_chi(P_WIDE), id="mean_chi"),
+    pytest.param(lambda: mean_chi_binomial(SPEC1, 0.2, 20), id="mean_chi_binomial"),
+    pytest.param(lambda: var_chi_series(P_WIDE), id="var_chi_series"),
+    pytest.param(lambda: var_chi_1d(P_WIDE), id="var_chi_1d"),
+    pytest.param(lambda: cov_Nk_Nl(P_WIDE, 3, 1), id="cov_Nk_Nl(3,1)"),
+    pytest.param(lambda: cov_Nk_Nl(P_WIDE, 2, 3), id="cov_Nk_Nl(2,3)"),
+]
+
+
+@pytest.mark.parametrize("moment", CECH_FORMS)
+def test_triangle_forms_reject_thresholds_beyond_a_third(moment):
+    with pytest.raises(ValueError, match="a/3"):
+        moment()
+
+
+def test_triangle_free_forms_and_the_boundary_stay_valid():
+    # N_1, N_2 and Var N_2 hold up to eps < a/4; at 2 eps = a/3 exactly
+    # every form holds
+    # lam a x 2^d / 2! and C(n, 2) 2^d (2 eps / a)^d, at d = 1 and x = 4
+    assert mean_Nk(P_WIDE, 2).value == pytest.approx(40.0)
+    assert mean_Nk_binomial(SPEC1, 0.2, 20, 2).value == pytest.approx(190 * 2 * 0.4)
+    assert cov_Nk_Nl(P_WIDE, 2, 2).value > 0
+    edge = ModelParams(lam=1.0, spec=TorusSpec(d=1, a=6.0), epsilon=1.0)
+    for form in (lambda: mean_Nk(edge, 3), lambda: mean_chi(edge),
+                 lambda: var_chi_series(edge), lambda: var_chi_1d(edge),
+                 lambda: cov_Nk_Nl(edge, 3, 3),
+                 lambda: mean_Nk_binomial(edge.spec, 1.0, 20, 3),
+                 lambda: mean_chi_binomial(edge.spec, 1.0, 20)):
+        assert math.isfinite(form().value)
+
+
 def test_means_are_the_exact_rational_rounded_once():
     # lam a^d x^(k-1) k^d / k!, from the exact values of the float inputs
     x = 30 * 2 * Fraction(0.05)
@@ -485,5 +526,6 @@ def test_means_are_the_exact_rational_rounded_once():
     p = 2 * Fraction(0.05)
     assert mean_Nk_binomial(SPEC2, 0.05, 20, 3).value == float(
         math.comb(20, 3) * 9 * p ** 4)
+    # C(4000, 900) 900 (0.3)^899 is about 1e450, inside the domain t <= a/3
     with pytest.raises(OverflowError):
-        mean_Nk_binomial(SPEC1, 0.24, 2000, 600)
+        mean_Nk_binomial(SPEC1, 0.15, 4000, 900)

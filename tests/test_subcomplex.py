@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from itertools import combinations, permutations
 
 from oracles import permutation_automorphism_count
-from torushom.complexes import ComplexParams, Convention, adjacency_matrix
+from torushom.complexes import (ComplexParams, Convention, adjacency_matrix,
+                                threshold_edges)
 from torushom.moments import ModelParams
 from torushom.sampling import Binomial, PointConfiguration, SeedSpec, sample
 from torushom.subcomplex import (GammaGraph, automorphism_count, count_gamma_adj,
-                                 kernel_integral_f_i)
+                                 kernel_integral_f_i, star_counts)
 from torushom.torus import TorusSpec
 
 SPEC1 = TorusSpec(d=1, a=1.0)
@@ -205,6 +206,41 @@ def test_star_count_is_exact_beyond_int64():
     assert 300 * math.perm(299, 7) > 2 ** 63
     assert count_gamma_adj(adj, star).g_gamma == 300 * math.comb(299, 7) \
         == 11848497951490200
+
+
+def star_pattern(k):
+    return GammaGraph.make(k + 1, [(0, i) for i in range(1, k + 1)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4),
+       st.lists(st.tuples(st.integers(0, 7), st.floats(0.0, 1.0),
+                          st.integers(0, 10 ** 6)), min_size=1, max_size=6))
+def test_property_block_star_counts_match_brute_force(k, graphs):
+    # one call counts a block of graphs; each count must equal the
+    # per-graph Python-int sum of (deg v)_k over k! (2 for the edge) and the
+    # brute-force scan of all injections
+    adjs = [random_graph(n, p, seed) for n, p, seed in graphs]
+    degrees = np.concatenate([adj.sum(axis=1) for adj in adjs]).astype(np.int64)
+    got = star_counts(star_pattern(k), degrees, [adj.shape[0] for adj in adjs])
+    aut = permutation_automorphism_count(star_pattern(k))
+    assert got == [sum(math.perm(int(d), k) for d in adj.sum(axis=1)) // aut
+                   for adj in adjs]
+    assert got == [brute_force_count(adj, star_pattern(k)) for adj in adjs]
+
+
+def test_block_star_count_is_exact_beyond_int64():
+    # K_{1,9} on 200 points within eps of each other, next to a sparse
+    # configuration: (199)_9 alone is more than 2^63
+    params = ComplexParams(epsilon=0.05, convention=Convention.SUBCOMPLEX_EPS)
+    rng = np.random.default_rng(3)
+    dense = 0.5 + rng.random((200, 1)) * 0.04
+    sparse = np.array([[0.1], [0.12], [0.5], [0.9]])
+    points = np.concatenate((dense, sparse))
+    u, v = threshold_edges(points, 1.0, params, np.array([0, 200, 204]))
+    degrees = np.bincount(np.concatenate((u, v)), minlength=204)
+    assert math.perm(199, 9) > 2 ** 63
+    assert star_counts(star_pattern(9), degrees, [200, 4]) == [200 * math.comb(199, 9), 0]
 
 
 def test_kernel_integral_arity_n_is_indicator():
