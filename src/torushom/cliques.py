@@ -94,38 +94,88 @@ def components(neigh: list[int]) -> list[int]:
 def counts_from_bitsets(neigh: list[int], max_size: int) -> list[int]:
     """Clique counts by size (a list, index = size); raises
     ``SimplexCapExceeded`` once they pass ``DEFAULT_SIMPLEX_CAP``, read at
-    the call.  A candidate set adds its size to the next size's count when
-    it is formed, so the top size is counted in bulk."""
+    the call.  Each vertex v roots the cliques whose other vertices lie
+    below it, its lower neighbours being their first candidate set.  A
+    candidate set adds its size to the next size's count when it is formed,
+    so the top size is counted in bulk; a set of one vertex cannot grow and
+    is never walked, and a set whose walk reaches no further than the last
+    size is walked in one tight loop (``_last_sizes``)."""
     cap = DEFAULT_SIMPLEX_CAP
     n = len(neigh)
     counts = [0] * (n + 1)
     if n == 0:
         return counts
     counts[1] = total = n
-    # stack[-1] holds the unvisited cliques of size ``size - 1``, as the
-    # candidates extending their common prefix; the vertices come first.
-    stack = [(1 << n) - 1] if max_size > 1 else []
-    size = 2
-    while stack and total <= cap:
-        cand = stack[-1]
+    for v, nb in enumerate(neigh if max_size > 1 else ()):
+        if total > cap:
+            break
+        cand = nb & (1 << v) - 1
         if not cand:
-            stack.pop()
-            size -= 1
             continue
-        u = cand.bit_length() - 1
-        stack[-1] = cand = cand ^ 1 << u
-        child = cand & neigh[u]
-        if child:
+        found = cand.bit_count()
+        counts[2] += found
+        total += found
+        if found < 2 or max_size < 3:
+            continue
+        if max_size <= 4:
+            one, two = _last_sizes(neigh, cand, max_size == 4)
+            counts[3] += one
+            if two:
+                counts[4] += two
+            total += one + two
+            continue
+        # stack[-1] holds the unvisited candidates of a clique of size
+        # ``size - 2``, each of which forms one of size ``size - 1``; a set
+        # formed at ``max_size - 2`` is walked by ``_last_sizes``
+        stack = [cand]
+        size = 3
+        while stack and total <= cap:
+            cand = stack[-1]
+            if not cand:
+                stack.pop()
+                size -= 1
+                continue
+            u = cand.bit_length() - 1
+            stack[-1] = cand = cand ^ 1 << u
+            child = cand & neigh[u]
+            if not child:
+                continue
             found = child.bit_count()
             counts[size] += found
             total += found
-            if size < max_size:
+            if found < 2:
+                continue
+            if size + 2 < max_size:
                 stack.append(child)
                 size += 1
+                continue
+            one, two = _last_sizes(neigh, child, True)
+            counts[size + 1] += one
+            if two:
+                counts[size + 2] += two
+            total += one + two
     if total > cap:
         raise SimplexCapExceeded(f"more than DEFAULT_SIMPLEX_CAP = {cap} cliques"
                                  f" of at most {max_size} vertices")
     return counts
+
+
+def _last_sizes(neigh: list[int], cand: int, deep: bool) -> tuple[int, int]:
+    """The cliques that the vertices of a candidate set form with the
+    vertices below them in it, which are one size up, and, if ``deep``,
+    those two sizes up: the edges inside the sets formed."""
+    one = two = 0
+    while cand:
+        u = cand.bit_length() - 1
+        cand ^= 1 << u
+        child = cand & neigh[u]
+        if child:
+            one += child.bit_count()
+            while deep and child:
+                w = child.bit_length() - 1
+                child ^= 1 << w
+                two += (child & neigh[w]).bit_count()
+    return one, two
 
 
 # The flag that count_cliques and enumerate_cliques return, always True, and
@@ -148,15 +198,23 @@ def chi_from_bitsets(neigh: list[int]) -> int:
     """Sum of (-1)^(|C| - 1) over the nonempty cliques C, each rooted at its
     highest vertex.  In a candidate set P, the cliques inside N[p] of the
     pivot p (most neighbours in P) cancel in pairs (T, T + p), so only the
-    u in P - N[p] are followed, each with P & N(u) less the earlier u's."""
-    return sum(_signed_clique_sum(neigh, nb & (1 << v) - 1, 1)
-               for v, nb in enumerate(neigh))
+    u in P - N[p] are followed, each with P & N(u) less the earlier u's.
+    A root with no lower neighbour adds 1, and one with exactly one adds 0
+    (the root, less the edge)."""
+    total = 0
+    for v, nb in enumerate(neigh):
+        lower = nb & (1 << v) - 1
+        if not lower:
+            total += 1
+        elif lower & (lower - 1):
+            total += _signed_clique_sum(neigh, lower, 1)
+    return total
 
 
 def _signed_clique_sum(neigh: list[int], cand: int, sign: int) -> int:
-    """Sum of sign * (-1)^|T| over the cliques T (empty included) in ``cand``."""
-    if not cand:
-        return sign
+    """Sum of sign * (-1)^|T| over the cliques T (empty included) in
+    ``cand``, of at least two vertices; a candidate set of at most one
+    vertex sums to sign or 0 inline, with no call."""
     best = -1
     rest = cand
     while rest:
@@ -171,7 +229,11 @@ def _signed_clique_sum(neigh: list[int], cand: int, sign: int) -> int:
     while out:
         u = out.bit_length() - 1
         out ^= 1 << u
-        total += _signed_clique_sum(neigh, cand & neigh[u], -sign)
+        sub = cand & neigh[u]
+        if not sub:
+            total -= sign
+        elif sub & (sub - 1):
+            total += _signed_clique_sum(neigh, sub, -sign)
         cand ^= 1 << u
     return total
 

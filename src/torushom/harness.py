@@ -7,7 +7,9 @@ asymptotic experiments: the normal-approximation rate of pattern counts
 and the torus-coverage probability.
 
 Every replication draws from its own counter-derived stream, so reports are
-bit-identical for a fixed configuration regardless of scheduling.
+bit-identical for a fixed configuration regardless of scheduling; the
+experiments draw them through ``sampling.sample_run``, one run per
+experiment or intensity.
 All three experiments take their graphs from ``_sweeps``, which processes
 the replications in blocks: one neighbour sweep finds the edges of every
 configuration of a block, N_1 and N_2 are its point and edge counts, a star
@@ -15,7 +17,9 @@ pattern is counted for the whole block at once from its degrees, and where
 more is asked for, one ``neighbour_bitsets`` over the block gives each
 configuration's neighbour bitsets (``_graphs`` hands them out one
 configuration at a time), built once and walked for N_k (counted
-only up to the largest k asked for), chi (a pivoted sum), beta_0 (a flood
+only up to the largest k asked for, walking no candidate set of one
+vertex), chi (a pivoted sum, with no walk for a vertex of at most one lower
+neighbour), beta_0 (a flood
 fill), any pattern other than a star (a bitset search) and Betti numbers
 above beta_0 (``homology.homology_from_bitsets``, which lists only the
 cliques of a collapsed core and counts none of the full complex).
@@ -32,12 +36,13 @@ import numpy as np
 
 from .cliques import (SimplexCapExceeded, chi_from_bitsets, components,
                       counts_from_bitsets, neighbour_bitsets)
-# simplex_counts is not called here; perfbench's import-site test expects
-# this module to hold it.
+# simplex_counts and sample are not called here; perfbench's import-site
+# test expects this module to hold them.
 from .complexes import (ComplexParams, _check_radius, simplex_counts,  # noqa: F401
                         threshold_edges)
 from .homology import homology_from_bitsets
-from .sampling import Poisson, ProcessLaw, SeedSpec, sample
+from .sampling import (Poisson, ProcessLaw, SeedSpec, sample,  # noqa: F401
+                       sample_run)
 from .stats import MIN_NORMALITY_SAMPLE, wasserstein1_to_normal
 from .subcomplex import GammaGraph, count_gamma, star_arms, star_counts
 from .torus import TorusSpec
@@ -142,9 +147,8 @@ def run_experiment(config: ExperimentConfig) -> ReplicationReport:
     if plan.needs_full_homology:
         _check_radius(config.spec, config.params, homology_mode=True)
     values: dict[str, list[float]] = {q: [] for q in config.quantities}
-    base = SeedSpec(master_seed=config.master_seed, stream_index=0)
-    draws = (sample(config.law, config.spec, base.child("experiment", rep)).points
-             for rep in range(config.replications))
+    draws = sample_run(config.law, config.spec, SeedSpec(config.master_seed),
+                       ("experiment",), config.replications)
     for rep, (n, edges, _, neigh) in enumerate(
             _graphs(draws, config.spec.a, config.params, plan.needs_bitsets)):
         row = _row(plan, n, edges, neigh, f"replication {rep}")
@@ -314,8 +318,7 @@ def clt_rate_experiment(gamma: GammaGraph, spec: TorusSpec,
     star = star_arms(gamma) > 0
     points = []
     for lam in lambdas:
-        draws = (sample(Poisson(lam=lam), spec, seed.child("clt", lam, rep)).points
-                 for rep in range(reps))
+        draws = sample_run(Poisson(lam=lam), spec, seed, ("clt", lam), reps)
         if star:
             counts = [c for sizes, _, degrees, _
                       in _sweeps(draws, spec.a, params, False)
@@ -387,8 +390,7 @@ def coverage_experiment(spec: TorusSpec, params: ComplexParams, lambdas,
     target = torus_betti(spec.d)
     points = []
     for law in laws:
-        draws = (sample(law, spec, seed.child("coverage", law.lam, rep)).points
-                 for rep in range(reps))
+        draws = sample_run(law, spec, seed, ("coverage", law.lam), reps)
         matches = 0
         for rep, (_, _, _, neigh) in enumerate(_graphs(draws, spec.a, params, True)):
             # a match may differ from the target only by trailing zeros

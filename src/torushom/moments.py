@@ -507,7 +507,9 @@ def nth_moment_assembler(params: ModelParams, k: int, n: int,
     graph is a clique and t <= a/3; otherwise the Monte Carlo oracle
     ``j_oracle_mc`` with ``oracle_samples`` samples.  With the
     default oracle, ``truncation`` also counts the component integrals taken
-    exactly (``exact_components``) and by Monte Carlo (``mc_components``).
+    exactly (``exact_components``) and by Monte Carlo (``mc_components``),
+    and k >= 3 holds only while 2 epsilon <= a/3 (``_check_cech``), as
+    ``j2_closed_form`` of two simplices with a triangle is a Cech value.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -517,6 +519,8 @@ def nth_moment_assembler(params: ModelParams, k: int, n: int,
         raise ValueError(f"oracle_samples must be >= 1, got {oracle_samples}")
     tally = {}
     if j_oracle is None:
+        if k >= 3:
+            _check_cech(params.spec, params.epsilon, "j2_closed_form")
         if seed is None:
             seed = SeedSpec(master_seed=0, stream_index=0)
         tally = Counter(exact_components=0, mc_components=0)

@@ -4,7 +4,10 @@ Randomness is driven by the counter-based Philox generator keyed on
 (master_seed, stream_index), so replication r of experiment e can use an
 independent stream computed as a stable hash of (e, r).  Sampling the same
 (law, spec, seed) triple always returns the bit-identical configuration,
-regardless of execution order.
+regardless of execution order.  ``sample_run`` draws a run of replications,
+each from ``sample`` on its child stream, hashing each stream index straight
+from the replication's tokens; every draw resets one reused generator per
+thread in place, through one state dict and key array.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Union
 
@@ -48,9 +52,14 @@ class SeedSpec:
         Uses SHA-256 of the token repr, so the mapping is stable across
         processes and platforms.
         """
-        h = hashlib.sha256(repr(tokens).encode()).digest()
-        idx = int.from_bytes(h[:8], "big") & _MASK64
-        return SeedSpec(self.master_seed, idx)
+        return SeedSpec(self.master_seed, _stream_index(tokens))
+
+
+def _stream_index(tokens: tuple) -> int:
+    """The stream index of ``SeedSpec.child(*tokens)``: the first 8 bytes of
+    the SHA-256 of the tokens' repr."""
+    h = hashlib.sha256(repr(tokens).encode()).digest()
+    return int.from_bytes(h[:8], "big") & _MASK64
 
 
 @dataclass(frozen=True)
@@ -137,15 +146,22 @@ _reused = threading.local()
 def _seeded_generator(seed: SeedSpec) -> np.random.Generator:
     """This thread's reused Philox generator, reset to the state of a fresh
     ``seed.generator()``: the seed's key, a zero counter and an empty
-    buffer.  Resetting costs a fraction of building a new generator."""
+    buffer.  The state dict and its key array are reused too, the key
+    written in place.  Resetting costs a fraction of building a new
+    generator."""
     rng = getattr(_reused, "rng", None)
     if rng is None:
         rng = _reused.rng = np.random.Generator(np.random.Philox(0))
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZERO4, "key": seed._key()},
-        "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
+        _reused.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZERO4, "key": np.zeros(2, dtype=np.uint64)},
+            "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+    state = _reused.state
+    key = state["state"]["key"]
+    key[0] = seed.master_seed & _MASK64
+    key[1] = seed.stream_index & _MASK64
+    rng.bit_generator.state = state
     return rng
 
 
@@ -164,3 +180,15 @@ def sample(law: ProcessLaw, spec: TorusSpec, seed: SeedSpec) -> PointConfigurati
         raise TypeError(f"unknown process law: {law!r}")
     return PointConfiguration(spec=spec, points=_draw_uniform(rng, n, spec))
 
+
+def sample_run(law: ProcessLaw, spec: TorusSpec, seed: SeedSpec, prefix: tuple,
+               reps: int) -> Iterator[np.ndarray]:
+    """The points of ``sample(law, spec, seed.child(*prefix, rep))`` for
+    rep = 0, 1, ..., reps - 1, in order, drawn as they are consumed.  Each
+    replication's stream index is hashed straight from its tokens
+    (``_stream_index``), with no ``child`` call.  Each is drawn by one call
+    to the module's ``sample``, so that a wrapper installed over it (the
+    benchmark's tracer counts a span per configuration) sees every draw."""
+    master = seed.master_seed
+    for rep in range(reps):
+        yield sample(law, spec, SeedSpec(master, _stream_index((*prefix, rep)))).points

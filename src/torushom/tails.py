@@ -32,7 +32,10 @@ def beta0_tail_bound(params: ModelParams, y: float) -> float:
 def chi2d_tail_bound(var_chi: float, x: float) -> float:
     """Upper bound on P(chi - E[chi] >= x) on the 2-torus.
 
-    Uses that adding one point changes chi by at most 2.
+    Uses that adding one point raises chi by at most 2: adding v changes chi
+    by 1 - chi(link of v), and the upper tail needs only that upward change.
+    Adding a point can lower chi by more (by 3 when four pairwise
+    non-adjacent neighbours lie near the corners of its box).
     """
     if not x > 0.0:  # NaN fails too
         raise ValueError(f"deviation x must be positive, got {x}")

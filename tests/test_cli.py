@@ -306,6 +306,15 @@ def test_moment_rejects_cech_forms_beyond_a_third(capsys, quantity):
     assert "a/3" in json.loads(lines[0])["error"]
 
 
+def test_third_moment_of_n3_rejects_cech_components_beyond_a_third(capsys):
+    # with its seed, so that the guard, not the missing seed, ends the run
+    code = main(["moment", "--quantity", "third_moment", "--d", "1",
+                 "--lambda", "20", "--eps", "0.2", "--k", "3", "--seed", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert "Cech closed form" in json.loads(lines[0])["error"]
+
+
 @pytest.mark.parametrize("eps", ("-0.1", "0.25", "nan"))
 def test_euclid_remark_rejects_epsilon_out_of_range(capsys, eps):
     code, doc = run_cli(capsys, "moment", "--quantity", "euclid_remark",

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import bitsets, brute_force_clique_counts
+from oracles import bitsets, brute_force_clique_counts, chi_from_counts
 from torushom import cliques
 from torushom.cliques import (SimplexCapExceeded, chi_from_bitsets, components,
-                              count_cliques, enumerate_cliques, neighbour_bitsets,
-                              rows_bitsets)
+                              count_cliques, counts_from_bitsets, enumerate_cliques,
+                              neighbour_bitsets, rows_bitsets)
 from torushom.complexes import ComplexParams, adjacency_matrix
 from torushom.homology import collapsed_homology
 from torushom.sampling import Poisson, SeedSpec, sample
@@ -189,6 +189,26 @@ def alternating_sum(adj):
 def test_property_euler_matches_brute_force(n, p, seed):
     adj = random_graph(n, p, seed)
     assert chi_from_bitsets(bitsets(adj)) == alternating_sum(adj)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 11), st.floats(0.0, 1.0), st.integers(0, 10 ** 6))
+@example(0, 0.0, 0)
+@example(1, 0.0, 0)
+@example(2, 1.0, 0)
+@example(11, 1.0, 0)
+def test_property_walks_match_brute_force_at_every_size(n, p, seed):
+    # the walks skip candidate sets of one vertex and count the last size in
+    # a tight loop; every max_size, from below the first edge to past the
+    # largest clique, takes a different last size
+    adj = random_graph(n, p, seed)
+    neigh = bitsets(adj)
+    full = brute_force_clique_counts(adj, n)
+    for max_size in range(1, n + 2):
+        expect = full[:max_size + 1].tolist()
+        expect += [0] * (n + 1 - len(expect))
+        assert counts_from_bitsets(neigh, max_size) == expect
+    assert chi_from_bitsets(neigh) == chi_from_counts(full[1:])
 
 
 def king_torus_grid(m):

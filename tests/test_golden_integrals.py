@@ -2,9 +2,11 @@
 
 The moments at d in {1, 2, 3} use epsilon = 0.05 and 0.2, so they include
 components that the oracle samples (at 0.2, t = 0.4 > a/3 sends every
-component of three or more simplices to Monte Carlo).  A change to the
-sampling routine that is meant to keep these outputs must keep them bit for
-bit; one that moves them must say so and re-derive the table.
+component of three or more simplices to Monte Carlo).  At 0.2 the moments
+of N_3 raise instead: their two-simplex components would be the Cech values
+of ``j2_closed_form``.  A change to the sampling routine that is meant to
+keep these outputs must keep them bit for bit; one that moves them must say
+so and re-derive the table.
 """
 
 import pytest
@@ -15,8 +17,11 @@ from torushom.sampling import SeedSpec
 from torushom.subcomplex import GammaGraph, kernel_integral_f_i
 from torushom.torus import TorusSpec
 
+# the moment raises the ValueError of moments._check_cech
+CECH = "Cech guard"
+
 # (order, d, epsilon, k): (value, oracle_stderr), at lambda = 20, a = 1,
-# 200 oracle samples and seed SeedSpec(31, d)
+# 200 oracle samples and seed SeedSpec(31, d), or CECH
 MOMENTS = {
     (3, 1, 0.05, 2): ('0x1.8d80000000001p+12', '0x0.0p+0'),
     (4, 1, 0.05, 2): ('0x1.1585000000001p+19', '0x1.06adb2e118ce8p+11'),
@@ -24,24 +29,24 @@ MOMENTS = {
     (4, 1, 0.05, 3): ('0x1.38103aaaaaaadp+23', '0x1.ecea18dcec3dap+28'),
     (3, 1, 0.2, 2): ('0x1.4dae000000000p+18', '0x1.5f5ded219cc0bp+13'),
     (4, 1, 0.2, 2): ('0x1.c4509bc000003p+26', '0x1.0e9bafd57aa47p+19'),
-    (3, 1, 0.2, 3): ('0x1.77959b2aaaaabp+27', '0x1.a7ef3563b4668p+23'),
-    (4, 1, 0.2, 3): ('0x1.768ccb859ffffp+38', '0x1.0d388a50421c9p+33'),
+    (3, 1, 0.2, 3): CECH,
+    (4, 1, 0.2, 3): CECH,
     (3, 2, 0.05, 2): ('0x1.7a3d70a3d70a7p+6', '0x0.0p+0'),
     (4, 2, 0.05, 2): ('0x1.fe9999999999ep+10', '0x1.5628a4bc9963dp+6'),
     (3, 2, 0.05, 3): ('0x1.6853e2d6238dbp+4', '0x1.243eca1b4b358p+11'),
     (4, 2, 0.05, 3): ('0x1.3b0f96ea43272p+14', '0x1.3b83a9d3c2146p+21'),
     (3, 2, 0.2, 2): ('0x1.58bd8f5c28f5cp+17', '0x1.70f82a6b50cbep+13'),
     (4, 2, 0.2, 2): ('0x1.76181d1000001p+25', '0x1.c4c50ed2ae477p+18'),
-    (3, 2, 0.2, 3): ('0x1.bde7780888889p+24', '0x1.f31b0e04ecb49p+21'),
-    (4, 2, 0.2, 3): ('0x1.b00d5a7ea82abp+34', '0x1.4f819f2b15b2bp+30'),
+    (3, 2, 0.2, 3): CECH,
+    (4, 2, 0.2, 3): CECH,
     (3, 3, 0.05, 2): ('0x1.d6ffc115df65ap+1', '0x0.0p+0'),
     (4, 3, 0.05, 2): ('0x1.807b56b87379fp+4', '0x1.8867081e204e0p+1'),
     (3, 3, 0.05, 3): ('0x1.aa02026252aa4p-3', '0x1.76549d4094e2bp+3'),
     (4, 3, 0.05, 3): ('0x1.9232c4c1ca989p+6', '0x1.942c15623ef60p+13'),
     (3, 3, 0.2, 2): ('0x1.69ba6d42c3c9fp+16', '0x1.2a1d02359376fp+13'),
     (4, 3, 0.2, 2): ('0x1.37080d9a56cdap+24', '0x1.1ef2f78ab2626p+18'),
-    (3, 3, 0.2, 3): ('0x1.17e7bb478263ap+22', '0x1.d66fa195066aap+19'),
-    (4, 3, 0.2, 3): ('0x1.12f74ac75189cp+31', '0x1.59a1a74bd6239p+27'),
+    (3, 3, 0.2, 3): CECH,
+    (4, 3, 0.2, 3): CECH,
 }
 
 # (pattern, epsilon): (value, stderr) of j_oracle_mc at d = 1, 3000 samples,
@@ -90,7 +95,12 @@ def test_seeded_moments(d):
         p = ModelParams(lam=20.0, spec=TorusSpec(d=d, a=1.0), epsilon=eps)
         for k in (2, 3):
             for n, fn in ((3, third_moment_Nk), (4, fourth_moment_Nk)):
-                mv = fn(p, k, oracle_samples=200, seed=SeedSpec(31, d))
+                try:
+                    mv = fn(p, k, oracle_samples=200, seed=SeedSpec(31, d))
+                except ValueError as exc:
+                    assert "Cech closed form" in str(exc)
+                    got[(n, d, eps, k)] = CECH
+                    continue
                 got[(n, d, eps, k)] = (mv.value.hex(),
                                        mv.truncation["oracle_stderr"].hex())
     assert got == {key: v for key, v in MOMENTS.items() if key[1] == d}

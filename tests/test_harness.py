@@ -210,25 +210,35 @@ def test_clt_experiment_validation():
                             SeedSpec(1))
 
 
+def _count_draws(monkeypatch, calls: dict) -> dict:
+    """``calls``, counting under "sample" the configurations that the
+    experiments draw through ``sample_run`` from now on."""
+    calls["sample"] = 0
+
+    def counting_run(*args):
+        for pts in real_run(*args):
+            calls["sample"] += 1
+            yield pts
+
+    real_run = harness.sample_run
+    monkeypatch.setattr(harness, "sample_run", counting_run)
+    return calls
+
+
 def test_clt_experiment_rejects_small_reps_before_sampling(monkeypatch):
-    calls = []
-
-    def counting_sample(*args, **kwargs):
-        calls.append(args)
-        return sample(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "sample", counting_sample)
+    calls = _count_draws(monkeypatch, {})
     with pytest.raises(ValueError):
         clt_rate_experiment(GammaGraph.edge(), SPEC1, PARAMS,
                             [10.0, 20.0, 40.0], 99, SeedSpec(1))
-    assert calls == []
+    assert calls == {"sample": 0}
 
 
 def _count_calls(monkeypatch):
-    """Counts of the calls to sample, threshold_edges, adjacency_matrix,
-    neighbour_bitsets and collapsed_homology from now on, and the point
-    counts of the configurations of each block."""
-    calls = dict.fromkeys(("sample", "threshold_edges", "adjacency_matrix",
+    """Counts of the configurations drawn (``_count_draws``) and of the
+    calls to threshold_edges, adjacency_matrix, neighbour_bitsets and
+    collapsed_homology from now on, and the point counts of the
+    configurations of each block."""
+    calls = dict.fromkeys(("threshold_edges", "adjacency_matrix",
                            "neighbour_bitsets", "collapsed_homology"), 0)
     blocks = []
 
@@ -250,7 +260,7 @@ def _count_calls(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
                                     counting(name, getattr(module, name)))
-    return calls, blocks
+    return _count_draws(monkeypatch, calls), blocks
 
 
 def test_clt_experiment_sweeps_once_per_block(monkeypatch):
@@ -404,19 +414,13 @@ def test_coverage_experiment_rejects_large_radius_before_sampling(monkeypatch):
 
 
 def test_coverage_experiment_rejects_bad_intensities_before_sampling(monkeypatch):
-    calls = []
-
-    def counting_sample(*args, **kwargs):
-        calls.append(args)
-        return sample(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "sample", counting_sample)
+    calls = _count_draws(monkeypatch, {})
     params = ComplexParams(epsilon=0.2, convention=Convention.SUBCOMPLEX_EPS)
     with pytest.raises(ValueError, match="at least one intensity"):
         coverage_experiment(SPEC1, params, [], reps=5, seed=SeedSpec(4))
     with pytest.raises(ValueError, match="intensity must be positive"):
         coverage_experiment(SPEC1, params, [30.0, -5.0], reps=5, seed=SeedSpec(4))
-    assert calls == []
+    assert calls == {"sample": 0}
 
 
 # coverage_experiment reports at d=1, eps=0.2 (subcomplex convention),

@@ -494,6 +494,13 @@ CECH_FORMS = [
     pytest.param(lambda: var_chi_1d(P_WIDE), id="var_chi_1d"),
     pytest.param(lambda: cov_Nk_Nl(P_WIDE, 3, 1), id="cov_Nk_Nl(3,1)"),
     pytest.param(lambda: cov_Nk_Nl(P_WIDE, 2, 3), id="cov_Nk_Nl(2,3)"),
+    # the default overlap oracle's j2_closed_form, for two simplices with a
+    # triangle
+    pytest.param(lambda: third_moment_Nk(P_WIDE, 3, oracle_samples=10,
+                                         seed=SeedSpec(1)), id="third_moment_Nk"),
+    pytest.param(lambda: fourth_moment_Nk(P_WIDE, 4, oracle_samples=10,
+                                          seed=SeedSpec(1)), id="fourth_moment_Nk"),
+    pytest.param(lambda: nth_moment_assembler(P_WIDE, 3, 2), id="nth_moment(3,2)"),
 ]
 
 
@@ -515,8 +522,17 @@ def test_triangle_free_forms_and_the_boundary_stay_valid():
                  lambda: var_chi_series(edge), lambda: var_chi_1d(edge),
                  lambda: cov_Nk_Nl(edge, 3, 3),
                  lambda: mean_Nk_binomial(edge.spec, 1.0, 20, 3),
-                 lambda: mean_chi_binomial(edge.spec, 1.0, 20)):
+                 lambda: mean_chi_binomial(edge.spec, 1.0, 20),
+                 lambda: third_moment_Nk(edge, 3, oracle_samples=10,
+                                         seed=SeedSpec(1))):
         assert math.isfinite(form().value)
+    # the moments of N_2 use no triangle, and an oracle passed in is the
+    # caller's to vouch for
+    assert math.isfinite(third_moment_Nk(P_WIDE, 2, oracle_samples=10,
+                                         seed=SeedSpec(1)).value)
+    unit = nth_moment_assembler(
+        P_WIDE, 3, 3, j_oracle=lambda pattern: JEstimate(1.0, 0.0, 0))
+    assert math.isfinite(unit.value)
 
 
 def test_means_are_the_exact_rational_rounded_once():

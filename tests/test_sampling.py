@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import count_in_box
+from torushom import sampling
 from torushom.sampling import (Binomial, PointConfiguration, Poisson,
-                               SeedSpec, _draw_uniform, sample)
+                               SeedSpec, _draw_uniform, sample, sample_run)
 from torushom.torus import TorusSpec
 
 
@@ -197,6 +198,59 @@ def test_sample_equals_a_fresh_generator_draw_across_threads():
     for name, (law, spec) in enumerate(cases):
         for s, got in zip(seeds, results[name]):
             assert np.array_equal(got, _fresh_draw(law, spec, s))
+
+
+RUN_CASES = [(law, TorusSpec(d=d, a=a)) for d in (1, 2, 3)
+             for law, a in ((Poisson(lam=12.0), 1.0), (Poisson(lam=3.0), 2.5),
+                            (Binomial(n=0), 1.0), (Binomial(n=9), 1.0))]
+
+
+def _run_equals_each_sample(law, spec):
+    seed = SeedSpec(2 ** 64 - 1, 3)
+    for prefix in (("experiment",), ("clt", 12.0), ()):
+        run = list(sample_run(law, spec, seed, prefix, 12))
+        assert len(run) == 12
+        for rep, got in enumerate(run):
+            expect = sample(law, spec, seed.child(*prefix, rep)).points
+            assert got.shape == expect.shape and got.shape[1] == spec.d
+            assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("law, spec", RUN_CASES)
+def test_sample_run_equals_sample_of_each_child(law, spec):
+    _run_equals_each_sample(law, spec)
+    assert list(sample_run(law, spec, SeedSpec(1), ("e",), 0)) == []
+
+
+class DuplicatingGenerator:
+    """A generator whose draws of two or more rows repeat their first row
+    as their last, so that the last row has to be redrawn."""
+
+    def __init__(self, rng, forced):
+        self.rng, self.forced = rng, forced
+
+    def uniform(self, low, high, size):
+        pts = self.rng.uniform(low, high, size)
+        if size[0] > 1:
+            pts[-1] = pts[0]
+            self.forced.append(size)
+        return pts
+
+
+def test_sample_run_equals_sample_through_a_forced_resample(monkeypatch):
+    forced = []
+
+    def duplicating_draw(rng, n, spec):
+        return real_draw(DuplicatingGenerator(rng, forced), n, spec)
+
+    real_draw = sampling._draw_uniform
+    monkeypatch.setattr(sampling, "_draw_uniform", duplicating_draw)
+    for law, spec in RUN_CASES:
+        _run_equals_each_sample(law, spec)
+        if law == Binomial(n=9):
+            pts = next(sample_run(law, spec, SeedSpec(5), ("e",), 1))
+            assert len(np.unique(pts, axis=0)) == 9
+    assert forced
 
 
 def test_from_json_rejects_a_document_that_is_not_an_object():

@@ -1,7 +1,12 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from torushom.cliques import chi_from_bitsets, neighbour_bitsets
+from torushom.complexes import ComplexParams, threshold_edges
 from torushom.moments import ModelParams
 from torushom.tails import beta0_tail_bound, chi2d_tail_bound
 from torushom.torus import TorusSpec
@@ -62,3 +67,36 @@ def test_nan_fails_the_bound_checks():
     for var_chi, x in ((1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0)):
         with pytest.raises(ValueError):
             chi2d_tail_bound(var_chi, x)
+
+
+def _chi(points, params) -> int:
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    u, v = threshold_edges(pts, 1.0, params)
+    return chi_from_bitsets(neighbour_bitsets(u, v, len(pts)))
+
+
+def _add_one_change(offsets, epsilon) -> int:
+    """chi(with v) - chi(without v) for v = (0.5, 0.5) and its neighbours at
+    the given offsets, as fractions of the threshold t = 2 epsilon."""
+    params = ComplexParams(epsilon=epsilon)  # max-norm, adjacent below t
+    t = params.threshold()
+    others = [(0.5 + x * t, 0.5 + y * t) for x, y in offsets]
+    return _chi(others + [(0.5, 0.5)], params) - _chi(others, params)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+                .filter(lambda xy: xy != (0.0, 0.0)),
+                max_size=13, unique=True),
+       st.sampled_from([0.01, 0.05, 0.1, 1 / 6]))
+def test_property_adding_a_point_raises_chi2d_by_at_most_2(offsets, epsilon):
+    # chi2d_tail_bound's upper tail needs only the upward change, 1 - chi of
+    # the new point's link, at d = 2 under the max-norm with t <= a/3
+    assert _add_one_change(offsets, epsilon) <= 2
+
+
+def test_four_corner_neighbours_lower_chi2d_by_3():
+    # four pairwise non-adjacent neighbours near the corners of the box: the
+    # link is four points, so adding the centre lowers chi by 1 - 4
+    corners = [(0.9, 0.9), (0.9, -0.9), (-0.9, 0.9), (-0.9, -0.9)]
+    assert _add_one_change(corners, 0.05) == -3
