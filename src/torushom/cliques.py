@@ -59,17 +59,26 @@ def rows_bitsets(rows: np.ndarray) -> list[int]:
 
 
 def _row_ints(packed: np.ndarray) -> list[int]:
-    """Row r of an (n, bytes) uint8 array as a little-endian int, converted
-    row by row, not through a ``tobytes()`` copy of the whole array."""
-    if packed.shape[1] <= 8:
-        # a row fits one 64-bit word, and numpy converts words ten times
-        # faster than int.from_bytes converts short rows: without this, the
-        # blocks of harness._graphs (n of about 20) packed slower than
-        # before edges were packed
-        words = np.zeros((packed.shape[0], 8), dtype=np.uint8)
-        words[:, :packed.shape[1]] = packed
-        return words.view("<u8").ravel().tolist()
-    return [int.from_bytes(row, "little") for row in packed]
+    """Row r of an (n, bytes) uint8 array as a little-endian int.
+
+    A row of up to three 64-bit words is zero-padded to whole words, which
+    numpy converts to Python ints a column at a time, and the words are
+    joined high to low (``hi << 64 | lo``).  Against ``int.from_bytes``
+    (paired medians of 9 shuffled passes over 40 and 5,000 rows), this
+    takes 0.07-0.23 of its time at one word, 0.35-0.58 at two and
+    0.63-0.95 at three, but 1.05-1.17 at four and about 1.5 at five, so
+    wider rows keep ``int.from_bytes``, converted row by row rather than
+    through a ``tobytes()`` copy of the whole array."""
+    n, nbytes = packed.shape
+    words = max(1, -(-nbytes // 8))
+    if words > 3:
+        return [int.from_bytes(row, "little") for row in packed]
+    padded = np.zeros((n, 8 * words), dtype=np.uint8)
+    padded[:, :nbytes] = packed
+    *low, ints = padded.view("<u8").T.tolist()
+    for word in reversed(low):
+        ints = [hi << 64 | lo for hi, lo in zip(ints, word)]
+    return ints
 
 
 def components(neigh: list[int]) -> list[int]:

@@ -131,6 +131,26 @@ def circle_betti_numbers(config, params) -> list[int]:
     return [failing] if failing else [1, 1]
 
 
+def circle_recovery_probability(lam: float, t: float) -> float:
+    """P(beta = (1, 1)) for a Poisson process of intensity ``lam`` on the
+    unit circle at a threshold t < 1/3: by the circle rule, the chance that
+    no circular spacing is t or more.  Given n >= 1 uniform points that is
+    Stevens' covering probability, sum_k (-1)^k C(n, k) (1 - k t)^(n - 1)
+    over k with k t < 1, computed exactly in rationals (the alternating sum
+    cancels too much for floats); the Poisson law of n mixes it, with n
+    taken to 10 lam + 50."""
+    tf = Fraction(t).limit_denominator(10 ** 9)
+    covered = 0.0
+    pn = math.exp(-lam)
+    for n in range(1, int(lam * 10) + 50):
+        pn *= lam / n
+        p_cov = sum((-1) ** k * math.comb(n, k) * (1 - k * tf) ** (n - 1)
+                    for k in range(0, min(n, int(1 / tf)) + 1)
+                    if 1 - k * tf > 0)
+        covered += pn * float(p_cov)
+    return covered
+
+
 def rescan_strong_collapse(adj_bool: np.ndarray) -> np.ndarray:
     """Strong collapse by full rescans: every live vertex is checked in each
     pass until a pass removes nothing.  Returns the core's vertex indices."""

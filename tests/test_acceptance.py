@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import (bitsets, brute_force_clique_counts, circle_betti_numbers,
-                     empirical_tail, z_score)
+                     circle_recovery_probability, empirical_tail, z_score)
 from torushom.complexes import (ComplexParams, Convention, adjacency_matrix,
                                 simplex_counts)
 from torushom.harness import (ExperimentConfig, clt_rate_experiment,
@@ -334,12 +334,19 @@ def test_criterion_10_coverage(report):
     exact = [sum(circle_betti_numbers(
         sample(Poisson(lam=lam), spec, seed.child("coverage", lam, r)), params)
         == [1, 1] for r in range(reps)) / reps for lam in lambdas]
+    # and each frequency lies within 3 SE of the exact law of the circle,
+    # the SE being that of the exact probability
+    law = [circle_recovery_probability(lam, params.threshold()) for lam in lambdas]
+    zs = [(f - p) / math.sqrt(p * (1.0 - p) / reps) for f, p in zip(freqs, law)]
     report(10, "torus Betti recovery frequency is nondecreasing in lambda, "
-               ">= 0.99 at lambda = 100, and equals the circle rule's on "
-               "the same draws",
-           nondecreasing and high and exact == freqs,
+               ">= 0.99 at lambda = 100, equals the circle rule's on the "
+               "same draws, and is within 3 SE of the exact d=1 law",
+           nondecreasing and high and exact == freqs
+           and all(abs(z) <= 3.0 for z in zs),
            "freqs = " + ", ".join(f"{f:.3f}" for f in freqs)
-           + "; circle rule = " + ", ".join(f"{f:.3f}" for f in exact))
+           + "; circle rule = " + ", ".join(f"{f:.3f}" for f in exact)
+           + "; exact law = " + ", ".join(f"{p:.4f}" for p in law)
+           + "; z = " + ", ".join(f"{z:.2f}" for z in zs))
 
 
 def test_criterion_11_clt_rate(report):

@@ -122,6 +122,75 @@ def test_neighbour_bitsets_with_local_columns():
     assert packed == bitsets(first) + bitsets(second)
 
 
+# the bits on either side of each 64-bit word boundary, to five words
+WORD_EDGES = [0, 63, 64, 127, 128, 191, 192, 255, 256, 319, 320]
+
+
+def _bit_by_bit(u, v, n, column):
+    """The neighbour bitsets of the edges (u, v), set one bit at a time."""
+    col = range(n) if column is None else column.tolist()
+    rows = [0] * n
+    for x, y in zip(u.tolist(), v.tolist()):
+        rows[x] |= 1 << col[y]
+        rows[y] |= 1 << col[x]
+    return rows
+
+
+@st.composite
+def packings(draw):
+    """Edges (u, v) on n vertices and None or a column per vertex, with rows
+    from none to seven 64-bit words wide and word-edge bits often set."""
+    width = draw(st.sampled_from([1, 8, 9, 64, 65, 129, 193, 257, 321, 448])
+                 | st.integers(0, 448))
+    bits = (st.sampled_from([b for b in WORD_EDGES if b < width])
+            | st.integers(0, width - 1)) if width else st.nothing()
+    if draw(st.booleans()):
+        n, column = width, None
+        vertex = bits
+    else:
+        n = draw(st.integers(0, 12)) if width else 0
+        column = np.array(draw(st.lists(bits, min_size=n, max_size=n)),
+                          dtype=np.intp)
+        vertex = st.integers(0, n - 1) if n else st.nothing()
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                          max_size=40) if n > 1 else st.just([]))
+    u, v = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return u, v, n, column
+
+
+@settings(max_examples=300, deadline=None)
+@given(packings())
+@example((np.array([], dtype=np.intp),) * 2 + (0, None))
+@example((np.array([], dtype=np.intp),) * 2 + (1, None))
+@example((np.array([], dtype=np.intp),) * 2 + (0, np.array([], dtype=np.intp)))
+@example((np.array([], dtype=np.intp),) * 2 + (1, np.array([320])))
+@example((np.zeros(5, dtype=np.intp), np.array([63, 64, 127, 128, 191]), 192,
+          None))
+@example((np.zeros(6, dtype=np.intp), np.array([63, 64, 127, 128, 191, 192]), 193,
+          None))
+@example((np.zeros(5, dtype=np.intp), np.arange(1, 6), 7,
+          np.array([5, 63, 64, 127, 128, 191, 0])))
+@example((np.zeros(6, dtype=np.intp), np.arange(1, 7), 8,
+          np.array([5, 63, 64, 127, 128, 191, 192, 0])))
+def test_property_neighbour_bitsets_equal_bit_by_bit(packing):
+    # rows of one to three words are joined from numpy words, wider ones go
+    # through int.from_bytes: both equal the bits set one at a time
+    u, v, n, column = packing
+    assert neighbour_bitsets(u, v, n, column) == _bit_by_bit(u, v, n, column)
+
+
+@pytest.mark.parametrize("width", [1, 64, 65, 128, 129, 192, 193, 256, 257,
+                                   320, 321, 448])
+def test_neighbour_bitsets_of_every_row_width(width):
+    # vertex 0 is joined to each word-edge vertex and the last vertex (none
+    # at a width of 1), so the rows between stay empty
+    ends = sorted({b for b in WORD_EDGES + [width - 1] if 0 < b < width})
+    u, v = np.zeros(len(ends), dtype=np.intp), np.array(ends, dtype=np.intp)
+    packed = neighbour_bitsets(u, v, width)
+    assert packed == _bit_by_bit(u, v, width, None)
+    assert packed[0] == sum(1 << b for b in ends)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 8), st.floats(0.0, 1.0), st.integers(0, 10 ** 6))
 def test_property_counts_match_brute_force(n, p, seed):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import count_in_box
 from torushom import sampling
@@ -53,13 +55,14 @@ def test_points_in_domain_and_distinct():
 
 
 class ScriptedGenerator:
-    """A generator stub whose uniform draws are given in advance."""
+    """A generator stub whose draws of doubles in [0, 1) are given in
+    advance (on a side of 1, they are the points)."""
 
     def __init__(self, *draws):
         self.draws = [np.array(d, dtype=float) for d in draws]
         self.sizes = []
 
-    def uniform(self, low, high, size):
+    def random(self, size):
         self.sizes.append(size)
         return self.draws.pop(0)
 
@@ -155,7 +158,10 @@ def _fresh_draw(law, spec, seed):
 
 SAMPLING_CASES = [(Poisson(lam=30.0), SPEC2), (Poisson(lam=5.0), SPEC1),
                   (Binomial(n=0), SPEC2), (Binomial(n=1), SPEC1),
-                  (Binomial(n=17), SPEC2)]
+                  (Binomial(n=17), SPEC2),
+                  # sides other than 1: the draw scales doubles by a
+                  (Poisson(lam=3.0), TorusSpec(d=2, a=2.5)),
+                  (Binomial(n=17), TorusSpec(d=3, a=0.7))]
 
 
 def test_sample_equals_a_fresh_generator_draw():
@@ -223,14 +229,14 @@ def test_sample_run_equals_sample_of_each_child(law, spec):
 
 
 class DuplicatingGenerator:
-    """A generator whose draws of two or more rows repeat their first row
-    as their last, so that the last row has to be redrawn."""
+    """A generator whose draws of two or more rows of doubles repeat their
+    first row as their last, so that the last row has to be redrawn."""
 
     def __init__(self, rng, forced):
         self.rng, self.forced = rng, forced
 
-    def uniform(self, low, high, size):
-        pts = self.rng.uniform(low, high, size)
+    def random(self, size):
+        pts = self.rng.random(size)
         if size[0] > 1:
             pts[-1] = pts[0]
             self.forced.append(size)
@@ -256,3 +262,34 @@ def test_sample_run_equals_sample_through_a_forced_resample(monkeypatch):
 def test_from_json_rejects_a_document_that_is_not_an_object():
     with pytest.raises(ValueError, match="JSON object"):
         PointConfiguration.from_json("[1, 2]")
+
+
+TOKENS = st.recursive(
+    st.text(max_size=6) | st.integers(-10 ** 20, 10 ** 20)
+    | st.sampled_from([200.0, 1e-300, -0.0, 12.5]) | st.floats(allow_nan=False),
+    lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(TOKENS, max_size=4).map(tuple), st.integers(0, 12))
+@example((), 12)
+@example(("experiment",), 12)
+@example(("clt", 200.0), 3)
+@example(("coverage", 1e-300, -7, ("nested", (1, "x"))), 3)
+@example(((), ("solo",)), 2)
+def test_property_run_stream_indices_equal_child(prefix, reps):
+    # the run hashes its prefix once; each index must still be the one
+    # SeedSpec.child(*prefix, rep) hashes from the whole repr, even after
+    # an empty prefix, whose one-tuple repr is "(rep,)"
+    seeds = []
+
+    def recording_sample(law, spec, seed):
+        seeds.append(seed)
+        return real_sample(law, spec, seed)
+
+    real_sample = sampling.sample
+    base = SeedSpec(2 ** 64 - 1, 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "sample", recording_sample)
+        assert len(list(sample_run(Binomial(n=0), SPEC1, base, prefix, reps))) == reps
+    assert seeds == [base.child(*prefix, rep) for rep in range(reps)]

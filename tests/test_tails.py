@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torushom.cliques import chi_from_bitsets, neighbour_bitsets
+from torushom.cliques import chi_from_bitsets, components, neighbour_bitsets
 from torushom.complexes import ComplexParams, threshold_edges
 from torushom.moments import ModelParams
 from torushom.tails import beta0_tail_bound, chi2d_tail_bound
@@ -100,3 +101,54 @@ def test_four_corner_neighbours_lower_chi2d_by_3():
     # link is four points, so adding the centre lowers chi by 1 - 4
     corners = [(0.9, 0.9), (0.9, -0.9), (-0.9, 0.9), (-0.9, -0.9)]
     assert _add_one_change(corners, 0.05) == -3
+
+
+def _beta0(points, params) -> int:
+    u, v = threshold_edges(points, 1.0, params)
+    return len(components(neighbour_bitsets(u, v, len(points))))
+
+
+def _beta0_add_one_change(offsets, d, epsilon) -> int:
+    """beta_0(with v) - beta_0(without v) for v at the centre of the unit
+    d-torus and the other points at the given offsets from it, as fractions
+    of the threshold t = 2 epsilon."""
+    params = ComplexParams(epsilon=epsilon)  # max-norm, adjacent below t
+    t = params.threshold()
+    others = 0.5 + np.asarray(offsets, dtype=float).reshape(-1, d) * t
+    with_v = np.vstack((others, np.full((1, d), 0.5)))
+    return _beta0(with_v, params) - _beta0(others, params)
+
+
+@st.composite
+def beta0_neighbourhoods(draw):
+    """A dimension d and up to 16 distinct offsets other than 0 in
+    [-1.4, 1.4]^d: neighbours of the centre (inside (-1, 1)^d) and points
+    beyond that can join them (at t <= 1/3 none wraps round the torus)."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    offsets = draw(st.lists(st.tuples(*[st.floats(-1.4, 1.4)] * d)
+                            .filter(lambda off: any(off)), max_size=16, unique=True))
+    return d, offsets
+
+
+@settings(max_examples=300, deadline=None)
+@given(beta0_neighbourhoods(), st.sampled_from([0.01, 0.05, 0.1, 1 / 6]))
+def test_property_adding_a_point_raises_beta0_by_at_most_the_constant(case, epsilon):
+    # beta0_tail_bound's constant (2^d - 1)^2 is the largest change of beta_0
+    # when one point is added, at d in {1, 2, 3} under the max-norm with
+    # t <= a/3.  The new point adds one component and merges those of its
+    # neighbours, of which at most 2^d are pairwise apart (one per half-open
+    # orthant of its box), so the change lies in [1 - 2^d, 1].
+    d, offsets = case
+    change = _beta0_add_one_change(offsets, d, epsilon)
+    assert change <= (2 ** d - 1) ** 2
+    assert 1 - 2 ** d <= change <= 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_corner_neighbours_lower_beta0_by_2d_minus_1(d):
+    # the largest drop: 2^d pairwise non-adjacent neighbours near the corners
+    # of the box merge into one component with the centre; a point with no
+    # neighbour raises beta_0 by 1
+    corners = list(itertools.product([-0.9, 0.9], repeat=d))
+    assert _beta0_add_one_change(corners, d, 0.05) == 1 - 2 ** d
+    assert _beta0_add_one_change([], d, 0.05) == 1
