@@ -13,7 +13,13 @@ boolean matrix of ``adjacency_matrix`` is only a way in, built nowhere
 else.  ``simplex_counts`` counts a complex's simplices by a clique walk;
 ``build_complex`` counts only its vertices and edges and keeps its graph,
 from which homology (see ``homology``) lists only the cliques of a
-collapsed core.  Neither stores a list of simplices.
+collapsed core.  Neither stores a list of simplices.  Under the max-norm at
+d <= 2 with 3t < a (``windowed``), a clique is a set that fits in a window
+of length t in each coordinate, and ``window_chi`` gets the Euler
+characteristic of a whole block from its edges alone, by counting each
+clique at its anchors (its first point in each coordinate), with no clique
+walk: each edge is oriented by the sign of the wrapped difference that the
+sweep tests, ties going to the larger row.
 Two threshold conventions are supported:
 
 * ``RIPS_HALF_OPEN_2EPS``: vertices are adjacent when their distance is
@@ -30,7 +36,6 @@ torus); builders enforce this in homology mode and warn otherwise.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -110,7 +115,8 @@ def threshold_edges(points: np.ndarray, a: float, params: ComplexParams,
     Coordinate by coordinate from the second, the candidates whose wrapped
     difference fails the threshold are dropped, since no distance of theirs
     can pass it.  The survivors are tested with the elementwise formula of
-    ``torus.pairwise_distances``, so the edges are those of the thresholded
+    ``torus.pairwise_distances`` (under the max-norm, that filter run on the
+    first coordinate too), so the edges are those of the thresholded
     dense distance matrix bit for bit.  The sorted points are filtered in
     consecutive runs of at most ``_RUN_PAIRS`` candidate pairs, so memory
     grows with that budget plus the edges, not with n^2 * d.  Every edge is
@@ -126,8 +132,8 @@ def threshold_edges(points: np.ndarray, a: float, params: ComplexParams,
     lo = starts[:-1].repeat(sizes)
     span = sizes.repeat(sizes)
     x = pts[:, 0] + lo * (4.0 * a)
-    # sorting keeps each configuration's rows in place
-    order = x.argsort(kind="stable")
+    # the shifts keep each configuration's rows together in any sort order
+    order = x.argsort()
     x = x[order]
     # Sorted point i sits at base[i] in ``doubled`` and its copy at hi[i]:
     # each configuration followed by its copy shifted by a, in turn.
@@ -150,15 +156,9 @@ def threshold_edges(points: np.ndarray, a: float, params: ComplexParams,
     # of ``doubled``, which wrap round its configuration: at most
     # span[i] - 1 of them, so no point pairs with itself.
     counts = np.minimum(ends - base, span) - 1
-    # a point with more than _RUN_PAIRS candidates is a run alone
-    done = counts.cumsum()
-    first, runs = 0, []
-    while first < n:
-        last = max(first + 1, int(done.searchsorted(
-            done[first] - counts[first] + _RUN_PAIRS, side="right")))
-        runs.append(_run_edges(pts, a, params, order[first:last],
-                               back, base[first:last], counts[first:last]))
-        first = last
+    runs = [_run_edges(pts, a, params, order[first:last], back,
+                       base[first:last], counts[first:last])
+            for first, last in _runs(counts)]
     i, j = (np.concatenate(e) for e in zip(*runs)) if len(runs) > 1 else runs[0]
     if 2.0 * reach >= a:
         # only a sweep reaching half way round can meet a pair from both ends
@@ -180,6 +180,19 @@ def threshold_edges(points: np.ndarray, a: float, params: ComplexParams,
 _RUN_PAIRS = 1 << 16
 
 
+def _runs(counts: np.ndarray):
+    """The runs of consecutive items, as slices (first, last), whose
+    ``counts`` sum to at most ``_RUN_PAIRS``; an item with more is a run
+    alone."""
+    done = counts.cumsum()
+    first = 0
+    while first < counts.size:
+        last = max(first + 1, int(done.searchsorted(
+            done[first] - counts[first] + _RUN_PAIRS, side="right")))
+        yield first, last
+        first = last
+
+
 def _run_edges(pts, a, params, rows, back, base, counts):
     """The edges among the candidates of one run of sorted points: row
     ``rows[k]`` of ``pts`` against the ``counts[k]`` places of ``back``
@@ -190,27 +203,127 @@ def _run_edges(pts, a, params, rows, back, base, counts):
              + (base - counts.cumsum() + counts).repeat(counts)]
     within = (np.less if params.convention is Convention.RIPS_HALF_OPEN_2EPS
               else np.less_equal)
+    max_norm = params.metric is Metric.MAX_NORM
     # A pair whose wrapped difference in one coordinate fails the threshold
     # fails the exact test: the max-norm is at least that difference, and so
     # is a rounded Euclidean norm, sqrt(fl(w * w) + non-negatives) >= w, once
-    # w * w is a normal float (hence the floor, which only keeps more).
-    bound = max(t, 2.0 ** -500)
-    for q in range(1, pts.shape[1]):
+    # w * w is a normal float (hence the floor, which only keeps more).  The
+    # max-norm passes exactly when every coordinate does, so there the
+    # filter is the exact test of its coordinates.
+    bound = t if max_norm else max(t, 2.0 ** -500)
+    coords = list(range(1, pts.shape[1]))
+    if max_norm:
+        coords.append(0)  # the sweep's window has a few ulps of slack
+    for q in coords:
         col = pts[:, q]
         w = np.abs(col[i] - col[j])
         np.minimum(w, a - w, out=w)
         keep = np.flatnonzero(within(w, bound))
         i, j = i.take(keep), j.take(keep)
+    if max_norm:
+        return i, j
     wrapped = np.abs(pts[i] - pts[j])
     np.minimum(wrapped, a - wrapped, out=wrapped)
-    if params.metric is Metric.MAX_NORM:
-        # column by column: a maximum is exact in any order, and this is
-        # much faster than a reduction along the short rows
-        dist = functools.reduce(np.maximum, wrapped.T)
-    else:
-        dist = np.sqrt((wrapped ** 2).sum(axis=1))
-    keep = within(dist, t)
+    keep = within(np.sqrt((wrapped ** 2).sum(axis=1)), t)
     return i[keep], j[keep]
+
+
+def windowed(d: int, a: float, params: ComplexParams) -> bool:
+    """Whether ``window_chi`` applies: the max-norm at d <= 2 with 3t < a."""
+    return (params.metric is Metric.MAX_NORM and d <= 2
+            and 3.0 * params.threshold() < a)
+
+
+def window_chi(points: np.ndarray, a: float, params: ComplexParams,
+               starts: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The Euler characteristic of each configuration of a block, from the
+    edges (u, v) that ``threshold_edges(points, a, params, starts)`` found,
+    with no clique walk; raises ``ValueError`` outside ``windowed``.
+
+    There, a set of points is a clique exactly when it fits, in each
+    coordinate, in a window of length t (Helly's theorem on the circle,
+    which needs 3t < a), so it has one anchor per coordinate, its first
+    point.  Point k lies after its neighbour i in a coordinate when the
+    wrapped difference that ``threshold_edges`` tests, taken from i to k,
+    is positive, or zero and k > i.  Summing (-1)^(|C| - 1) over the
+    cliques C by their anchors:
+
+    * the cliques anchored at i in every coordinate are i and any subset of
+      the neighbours after i in every coordinate, which lie in one box and
+      so form a clique: they sum to 1 if there is none, else 0;
+    * at d = 2, those anchored at i in the first coordinate and at j != i
+      in the second contain the edge ij, oppositely oriented (j after i in
+      the first, i after j in the second), and any subset of the common
+      neighbours k after i in the first and after j in the second: they sum
+      to -1 if there is none, else 0.
+
+    The second sum pairs each opposite edge ij with the arcs i -> k of the
+    first coordinate and looks each (j, k) up among the arcs of the second,
+    in runs of at most ``_RUN_PAIRS`` pairs, so that memory grows with the
+    edges, not with edges x degree.  Adjacency is read from the edges only.
+    """
+    pts = np.asarray(points, dtype=float)
+    n, d = pts.shape
+    if not windowed(d, a, params):
+        raise ValueError("window_chi needs the max-norm, d <= 2 and 3t < a")
+    sizes = np.diff(starts)
+    seg = np.repeat(np.arange(sizes.size), sizes)
+    # The arc of each edge in each coordinate, tail -> head.  Few boolean
+    # temporaries are alive at once: numpy keeps up to 7 freed buffers of
+    # each size under 1 KB, and a block's sizes vary.
+    tail, head = _arcs(pts[:, 0], a, u, v)
+    alone = np.ones(n, dtype=bool)  # no neighbour after it in every coordinate
+    if d == 1:
+        alone[tail] = False
+        return np.bincount(seg[alone], minlength=sizes.size)
+    tail2, head2 = _arcs(pts[:, 1], a, u, v)
+    same = tail == tail2
+    alone[tail[same]] = False
+    chi = np.bincount(seg[alone], minlength=sizes.size)
+    # the arcs of the second coordinate, as sorted keys tail * n + head
+    keys = tail2 * n
+    keys += head2
+    keys.sort()
+    del tail2, head2
+    # the heads of the first coordinate's arcs, grouped by tail
+    heads = head[tail.argsort()]
+    out = np.bincount(tail, minlength=n)
+    # the opposite edges ij, as the arcs i -> j of the first coordinate
+    np.logical_not(same, out=same)
+    i, j = tail[same], head[same]
+    del tail, head, same
+    counts = out[i]
+    begin = out.cumsum()[i] - counts
+    lonely = []
+    for first, last in _runs(counts):
+        c = counts[first:last]
+        edge = np.repeat(np.arange(last - first), c)
+        k = heads[np.arange(edge.size) + (begin[first:last] - c.cumsum() + c)[edge]]
+        key = j[first:last][edge] * n + k
+        shared = edge[keys.take(keys.searchsorted(key), mode="clip") == key]
+        lone = np.ones(last - first, dtype=bool)
+        lone[shared] = False
+        lonely.append(i[first:last][lone])
+    if lonely:
+        chi -= np.bincount(seg[np.concatenate(lonely)], minlength=sizes.size)
+    return chi
+
+
+def _arcs(col: np.ndarray, a: float, u: np.ndarray, v: np.ndarray):
+    """Each edge (u[e], v[e]) as an arc (tail, head) whose head lies after
+    its tail in the coordinate ``col``: the wrapped difference from tail to
+    head is positive, or zero and head > tail.  With w the absolute
+    difference, that is the plain difference up to w = a/2 and a - w the
+    other way round past it, which is where ``threshold_edges``'s minimum
+    takes a - w (fl(a - w) < w exactly when w > a/2)."""
+    diff = col[v] - col[u]
+    later = diff > 0
+    np.abs(diff, out=diff)
+    later ^= diff > 0.5 * a
+    tie = np.flatnonzero(diff == 0)
+    later[tie] = v[tie] > u[tie]
+    tail = np.where(later, u, v)
+    return tail, u + v - tail
 
 
 def adjacency_matrix(config: PointConfiguration, params: ComplexParams) -> np.ndarray:

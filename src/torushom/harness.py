@@ -22,7 +22,12 @@ vertex), chi (a pivoted sum, with no walk for a vertex of at most one lower
 neighbour), beta_0 (a flood
 fill), any pattern other than a star (a bitset search) and Betti numbers
 above beta_0 (``homology.homology_from_bitsets``, which lists only the
-cliques of a collapsed core and counts none of the full complex).
+cliques of a collapsed core and counts none of the full complex).  Under
+the max-norm at d <= 2 with 3t < a (``complexes.windowed``), chi comes
+instead from ``complexes.window_chi`` of the block's edges, once per block:
+an experiment that asks for no more than n_points, N_1, N_2 and chi packs
+no bitsets, and the Betti numbers are checked against that chi of the
+whole graph.  The Euclidean metric, d = 3 and 3t >= a keep the pivoted sum.
 Every replication counts: a cap overrun raises ``SimplexCapExceeded`` and a
 failed homology check ``RuntimeError``, naming the replication.
 """
@@ -39,7 +44,7 @@ from .cliques import (SimplexCapExceeded, chi_from_bitsets, components,
 # simplex_counts and sample are not called here; perfbench's import-site
 # test expects this module to hold them.
 from .complexes import (ComplexParams, _check_radius, simplex_counts,  # noqa: F401
-                        threshold_edges)
+                        threshold_edges, window_chi, windowed)
 from .homology import homology_from_bitsets
 from .sampling import (Poisson, ProcessLaw, SeedSpec, sample,  # noqa: F401
                        sample_run)
@@ -149,9 +154,10 @@ def run_experiment(config: ExperimentConfig) -> ReplicationReport:
     values: dict[str, list[float]] = {q: [] for q in config.quantities}
     draws = sample_run(config.law, config.spec, SeedSpec(config.master_seed),
                        ("experiment",), config.replications)
-    for rep, (n, edges, _, neigh) in enumerate(
-            _graphs(draws, config.spec.a, config.params, plan.needs_bitsets)):
-        row = _row(plan, n, edges, neigh, f"replication {rep}")
+    for rep, (n, edges, _, neigh, chi) in enumerate(_graphs(
+            draws, config.spec.a, config.params, plan.needs_bitsets,
+            plan.window_chi)):
+        row = _row(plan, n, edges, neigh, chi, f"replication {rep}")
         for q, value in zip(config.quantities, row):
             values[q].append(value)
 
@@ -178,7 +184,12 @@ class _Plan:
         # are the point and edge counts
         self.max_size = max([p[1] for p in self.parsed if p[0] == "N"], default=0)
         self.clique_walk = self.max_size > 2
-        self.needs_bitsets = "chi" in kinds or "beta" in kinds or self.clique_walk
+        # chi, for itself and for the homology check, from the windows
+        # where they apply, else from the bitsets
+        windows = windowed(config.spec.d, config.spec.a, config.params)
+        self.window_chi = windows and ("chi" in kinds or self.needs_full_homology)
+        self.needs_bitsets = ("beta" in kinds or self.clique_walk
+                              or ("chi" in kinds and not windows))
 
 
 def _blocks(draws, bitsets: bool):
@@ -201,16 +212,19 @@ def _blocks(draws, bitsets: bool):
         yield block
 
 
-def _sweeps(draws, a: float, params: ComplexParams, bitsets: bool):
+def _sweeps(draws, a: float, params: ComplexParams, bitsets: bool,
+            chi: bool = False):
     """Each block of the configurations drawn (``_blocks``), after one
     neighbour sweep over the whole block: the point counts and edge counts
-    of its configurations, the degree of each of its points in order, and,
-    if ``bitsets``, one ``neighbour_bitsets`` pack of a bitset per point,
-    keyed by its configuration's local columns (else None)."""
+    of its configurations, the degree of each of its points in order, if
+    ``bitsets``, one ``neighbour_bitsets`` pack of a bitset per point,
+    keyed by its configuration's local columns, and, if ``chi``, the
+    ``window_chi`` of its configurations (each else None)."""
     for block in _blocks(draws, bitsets):
         sizes = np.array([pts.shape[0] for pts in block])
         starts = np.concatenate(([0], np.cumsum(sizes)))
-        u, v = threshold_edges(np.concatenate(block), a, params, starts)
+        points = np.concatenate(block)
+        u, v = threshold_edges(points, a, params, starts)
         degrees = np.bincount(np.concatenate((u, v)), minlength=starts[-1])
         seg = np.repeat(np.arange(len(block)), sizes)
         edges = np.bincount(seg[u], minlength=len(block))
@@ -218,29 +232,35 @@ def _sweeps(draws, a: float, params: ComplexParams, bitsets: bool):
         if bitsets:
             local = np.arange(starts[-1]) - starts[seg]
             neigh = neighbour_bitsets(u, v, starts[-1], local)
-        yield sizes, edges, degrees, neigh
+        chis = window_chi(points, a, params, starts, u, v) if chi else None
+        yield sizes, edges, degrees, neigh, chis
 
 
-def _graphs(draws, a: float, params: ComplexParams, bitsets: bool):
+def _graphs(draws, a: float, params: ComplexParams, bitsets: bool,
+            chi: bool = False):
     """The threshold graph of each configuration drawn, in order, as its
-    point count, edge count, degree sequence and, if ``bitsets``, neighbour
-    bitsets (else None), cut from its block's ``_sweeps``."""
-    for sizes, edges, degrees, neigh in _sweeps(draws, a, params, bitsets):
+    point count, edge count, degree sequence, neighbour bitsets if
+    ``bitsets`` and window chi if ``chi`` (each else None), cut from its
+    block's ``_sweeps``."""
+    for sizes, edges, degrees, neigh, chis in _sweeps(draws, a, params,
+                                                      bitsets, chi):
         first = 0
-        for n, e in zip(sizes.tolist(), edges.tolist()):
+        chis = [None] * len(sizes) if chis is None else chis.tolist()
+        for n, e, c in zip(sizes.tolist(), edges.tolist(), chis):
             yield (n, e, degrees[first:first + n],
-                   None if neigh is None else neigh[first:first + n])
+                   None if neigh is None else neigh[first:first + n], c)
             first += n
 
 
 def _row(plan: _Plan, n: int, edges: int, neigh: list[int] | None,
-         where: str) -> list[float]:
-    """The values of one configuration, in the order of ``plan.parsed``;
-    ``where`` names the configuration in the errors raised."""
+         chi: int | None, where: str) -> list[float]:
+    """The values of one configuration, in the order of ``plan.parsed``,
+    with its window chi if the plan asks for one; ``where`` names the
+    configuration in the errors raised."""
     counts = [0, n, edges]
     if plan.clique_walk:
         counts = _named(where, counts_from_bitsets, neigh, plan.max_size)
-    betti = _betti(neigh, where) if plan.needs_full_homology else None
+    betti = _betti(neigh, where, chi) if plan.needs_full_homology else None
     row = []
     for kind, i in plan.parsed:
         if kind == "n_points":
@@ -248,7 +268,7 @@ def _row(plan: _Plan, n: int, edges: int, neigh: list[int] | None,
         elif kind == "N":
             row.append(float(counts[i]) if i < len(counts) else 0.0)
         elif kind == "chi":
-            row.append(float(chi_from_bitsets(neigh)))
+            row.append(float(chi_from_bitsets(neigh) if chi is None else chi))
         elif betti is not None:
             row.append(float(betti[i]) if i < len(betti) else 0.0)
         else:
@@ -256,9 +276,10 @@ def _row(plan: _Plan, n: int, edges: int, neigh: list[int] | None,
     return row
 
 
-def _betti(neigh: list[int], where: str) -> list[int]:
-    """``homology_from_bitsets``'s Betti numbers; errors name ``where``."""
-    result = _named(where, homology_from_bitsets, neigh)
+def _betti(neigh: list[int], where: str, chi: int | None) -> list[int]:
+    """``homology_from_bitsets``'s Betti numbers, checked against the
+    whole graph's ``chi`` if given; errors name ``where``."""
+    result = _named(where, homology_from_bitsets, neigh, chi)
     if result.violations:
         raise RuntimeError(f"homology check failed at {where}: "
                            f"{'; '.join(result.violations)}")
@@ -320,11 +341,11 @@ def clt_rate_experiment(gamma: GammaGraph, spec: TorusSpec,
     for lam in lambdas:
         draws = sample_run(Poisson(lam=lam), spec, seed, ("clt", lam), reps)
         if star:
-            counts = [c for sizes, _, degrees, _
+            counts = [c for sizes, _, degrees, _, _
                       in _sweeps(draws, spec.a, params, False)
                       for c in star_counts(gamma, degrees, sizes)]
         else:
-            counts = [count_gamma(gamma, deg, neigh) for _, _, deg, neigh
+            counts = [count_gamma(gamma, deg, neigh) for _, _, deg, neigh, _
                       in _graphs(draws, spec.a, params, True)]
         vals = np.array(counts, dtype=float)
         mean = float(vals.mean())
@@ -388,13 +409,16 @@ def coverage_experiment(spec: TorusSpec, params: ComplexParams, lambdas,
             raise ValueError(f"intensity {law.lam} is repeated")
     _check_radius(spec, params, homology_mode=True)
     target = torus_betti(spec.d)
+    windows = windowed(spec.d, spec.a, params)
     points = []
     for law in laws:
         draws = sample_run(law, spec, seed, ("coverage", law.lam), reps)
         matches = 0
-        for rep, (_, _, _, neigh) in enumerate(_graphs(draws, spec.a, params, True)):
+        for rep, (_, _, _, neigh, chi) in enumerate(
+                _graphs(draws, spec.a, params, True, windows)):
             # a match may differ from the target only by trailing zeros
-            betti = tuple(_betti(neigh, f"lambda={law.lam}, replication {rep}"))
+            betti = tuple(_betti(neigh, f"lambda={law.lam}, replication {rep}",
+                                 chi))
             matches += betti == target + (0,) * (len(betti) - len(target))
         freq = matches / reps
         se = math.sqrt(freq * (1.0 - freq) / reps)

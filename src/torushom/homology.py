@@ -15,11 +15,16 @@ whose closed neighbourhood shrank.
 
 ``homology_from_bitsets`` computes every Betti number; the other entry
 points only find or unpack the graph.  Its checks: the alternating sum of
-the Betti numbers must equal the pivoted Euler characteristic of the
-strong-collapse core (``chi_from_bitsets``, which lists no clique and
-shares the complex's homotopy type but not the edge collapse), beta_0 must
-equal the component count of the whole graph (``cliques.components``), and
-none may be negative.  The list ends at the collapsed core's top dimension.
+the Betti numbers must equal an Euler characteristic, beta_0 must equal the
+component count of the whole graph (``cliques.components``), and none may
+be negative.  That Euler characteristic is the whole graph's when the
+caller gives it: ``collapsed_homology`` and the experiments of ``harness``
+pass ``complexes.window_chi`` under the max-norm at d <= 2 with 3t < a, so
+a wrong strong collapse fails there.  Otherwise (``homology_summary``, the
+Euclidean metric, d = 3, 3t >= a) it is the pivoted Euler characteristic of
+the strong-collapse core (``chi_from_bitsets``, which lists no clique and
+shares the complex's homotopy type but not the edge collapse).  The list
+ends at the collapsed core's top dimension.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ import numpy as np
 
 from .cliques import (chi_from_bitsets, components, enumerate_cliques,
                       neighbour_bitsets, rows_bitsets)
-from .complexes import GeometricComplex, _check_radius, threshold_edges
+from .complexes import (GeometricComplex, _check_radius, threshold_edges,
+                        window_chi, windowed)
 
 
 def gf2_rank(rows: list[int], pivot_cols: set[int] | None = None) -> int:
@@ -91,16 +97,19 @@ class HomologyResult:
         }
 
 
-def homology_from_bitsets(neigh: list[int]) -> HomologyResult:
+def homology_from_bitsets(neigh: list[int],
+                          chi: int | None = None) -> HomologyResult:
     """Checked Betti numbers of the clique complex of the graph ``neigh``.
 
     The Betti numbers come from the cliques of the collapsed core
     (``collapsed_core``) of the strong-collapse core, one per dimension of
-    those cliques, and are checked (``_checked``) against the pivoted Euler
-    characteristic of the strong-collapse core and the components of the
-    whole graph; the failed checks are listed in ``violations``.  Raises
-    ``cliques.SimplexCapExceeded`` when the collapsed core has more than
-    ``DEFAULT_SIMPLEX_CAP`` cliques.
+    those cliques, and are checked (``_checked``) against an Euler
+    characteristic and the components of the whole graph; the failed checks
+    are listed in ``violations``.  That Euler characteristic is ``chi``, the
+    whole graph's, when given (``complexes.window_chi``), so that a wrong
+    collapse cannot pass; else the pivoted one of the strong-collapse core.
+    Raises ``cliques.SimplexCapExceeded`` when the collapsed core has more
+    than ``DEFAULT_SIMPLEX_CAP`` cliques.
     """
     strong = _induced(neigh, collapse_from_bitsets(neigh))
     by_size, _ = enumerate_cliques(collapsed_core(strong))
@@ -112,7 +121,8 @@ def homology_from_bitsets(neigh: list[int]) -> HomologyResult:
         cleared = set()
         ranks[dim] = boundary_rank(simplices[dim - 1], kept, cleared)
     betti = [len(s_k) - ranks[k] - ranks[k + 1] for k, s_k in enumerate(simplices)]
-    return _checked(betti, chi_from_bitsets(strong), neigh)
+    return _checked(betti, chi_from_bitsets(strong) if chi is None else chi,
+                    neigh)
 
 
 def homology_summary(complex_: GeometricComplex) -> HomologyResult:
@@ -273,8 +283,14 @@ def collapse_from_bitsets(neigh: list[int]) -> np.ndarray:
 
 def collapsed_homology(config, params) -> HomologyResult:
     """``homology_from_bitsets`` of one configuration's Rips-Vietoris
-    complex in homology mode, its edges packed into bitsets once; the
+    complex in homology mode, its edges packed into bitsets once, checked
+    against the ``window_chi`` of the whole graph where that applies; the
     experiments of ``harness`` pack the graphs of a block at once instead."""
-    _check_radius(config.spec, params, homology_mode=True)
-    u, v = threshold_edges(config.points, config.spec.a, params)
-    return homology_from_bitsets(neighbour_bitsets(u, v, config.n))
+    spec = config.spec
+    _check_radius(spec, params, homology_mode=True)
+    u, v = threshold_edges(config.points, spec.a, params)
+    chi = None
+    if windowed(spec.d, spec.a, params):
+        chi = int(window_chi(config.points, spec.a, params,
+                             np.array((0, config.n)), u, v)[0])
+    return homology_from_bitsets(neighbour_bitsets(u, v, config.n), chi)

@@ -16,8 +16,10 @@ def beta0_tail_bound(params: ModelParams, y: float) -> float:
     """Upper bound on P(beta_0 >= y), valid for y > lambda * a^d.
 
     beta_0 is at most the number of points, whose mean is lambda * a^d; the
-    bound compares against that proxy.  The constant (2^d - 1)^2 comes from
-    the maximal change in beta_0 when one point is added.
+    bound compares against that proxy.  The constant (2^d - 1)^2 is the
+    square of the largest drop of beta_0 when one point is added, 2^d - 1,
+    when the point joins 2^d components into one; beta_0 rises by at most
+    1, since a new point adds one component and only merges others.
     """
     d, a = params.spec.d, params.spec.a
     mean_proxy = params.lam * a ** d

@@ -3,15 +3,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import bitsets, boundary_matrix, chi_from_counts, clique_simplices
 from torushom import cliques, complexes
-from torushom.cliques import SimplexCapExceeded, enumerate_cliques
+from torushom.cliques import (SimplexCapExceeded, chi_from_bitsets,
+                              enumerate_cliques, neighbour_bitsets)
 from torushom.complexes import (ComplexParams, Convention, adjacency_matrix,
                                 build_complex, phi_k, simplex_counts,
-                                threshold_edges)
+                                threshold_edges, window_chi, windowed)
 from torushom.homology import collapsed_homology
 from torushom.sampling import Binomial, PointConfiguration, SeedSpec, sample
 from torushom.torus import Metric, TorusSpec, pairwise_distances
@@ -209,12 +210,12 @@ def test_boundary_composition_random():
         assert not ((lo.astype(int) @ hi.astype(int)) % 2).any()
 
 
-def _lattice_coordinates(draw):
-    """A torus (d, a), a lattice of spacing h = a/m on it, and coordinates
-    on the lattice, so that pairwise distances tie exactly with epsilon or
-    2*epsilon; or mixed with arbitrary coordinates and the domain ends 0 and
-    nextafter(a, 0)."""
-    d = draw(st.integers(1, 3))
+def _lattice_coordinates(draw, max_d=3):
+    """A torus (d, a), d <= ``max_d``, a lattice of spacing h = a/m on it,
+    and coordinates on the lattice, so that pairwise distances tie exactly
+    with epsilon or 2*epsilon; or mixed with arbitrary coordinates and the
+    domain ends 0 and nextafter(a, 0)."""
+    d = draw(st.integers(1, max_d))
     a = draw(st.sampled_from([1.0, 0.7, 2.5]))
     m = draw(st.integers(2, 12))
     h = a / m
@@ -368,6 +369,89 @@ def test_sweep_in_runs_matches_one_run(block, metric, convention, budget):
     assert np.array_equal(ru, u) and np.array_equal(rv, v)
     assert ru.dtype == u.dtype and rv.dtype == v.dtype
     _assert_dense_edges(ru, rv, spec, configs, starts, params)
+
+
+@st.composite
+def window_blocks(draw):
+    """A block of configurations at d <= 2, on a lattice (``lattice_blocks``)
+    or uniform, with a convention and an epsilon whose threshold t has
+    3t < a: a lattice multiple or half multiple below a/3, or anything up to
+    just below it."""
+    d, a, m, coord = _lattice_coordinates(draw, max_d=2)
+    if draw(st.booleans()):
+        block = [_lattice_points(draw, d, coord)
+                 for _ in range(draw(st.integers(0, 6)))]
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        block = [rng.random((n, d)) * a
+                 for n in draw(st.lists(st.integers(0, 80), max_size=6))]
+    convention = draw(st.sampled_from(list(Convention)))
+    h = a / m
+    t = draw(st.one_of(st.integers(1, m).map(lambda j: j * h),
+                       st.integers(1, 2 * m).map(lambda j: j * h / 2),
+                       st.floats(a / 1000, a / 3)))
+    assume(3.0 * t < a)
+    epsilon = t / 2 if convention is Convention.RIPS_HALF_OPEN_2EPS else t
+    return (TorusSpec(d=d, a=a), block,
+            ComplexParams(epsilon=epsilon, convention=convention))
+
+
+# empty and one-point configurations, a tie in both coordinates, and a
+# threshold just below a/3
+_SMALL_BLOCK = (SPEC2, [np.zeros((0, 2)), np.array([[0.5, 0.5]]),
+                        np.array([[0.1, 0.9], [0.1, 0.9], [0.95, 0.05]])],
+                ComplexParams(epsilon=float(np.nextafter(1 / 3, 0)),
+                              convention=Convention.SUBCOMPLEX_EPS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_blocks(), st.sampled_from([1, 7, 64]))
+@example(_SMALL_BLOCK, 1)
+def test_window_chi_equals_the_pivoted_chi_of_each_configuration(block, budget):
+    spec, configs, params = block
+    assert windowed(spec.d, spec.a, params)
+    points, starts = _block_arrays(spec, configs)
+    u, v = threshold_edges(points, spec.a, params, starts)
+    chi = window_chi(points, spec.a, params, starts, u, v)
+    # nor on how the edges are listed, nor on how the join is cut into runs
+    rng = np.random.default_rng(u.size)
+    swap, order = rng.random(u.size) < 0.5, rng.permutation(u.size)
+    su, sv = np.where(swap, v, u)[order], np.where(swap, u, v)[order]
+    with mock.patch.object(complexes, "_RUN_PAIRS", budget):
+        relisted = window_chi(points, spec.a, params, starts, su, sv)
+    assert np.array_equal(relisted, chi)
+    expected = []
+    for pts in configs:
+        cu, cv = threshold_edges(pts, spec.a, params)
+        expected.append(chi_from_bitsets(neighbour_bitsets(cu, cv, len(pts))))
+    assert chi.tolist() == expected
+
+
+@pytest.mark.parametrize("d, params", [
+    (3, ComplexParams(epsilon=0.05)),
+    (2, ComplexParams(epsilon=0.05, metric=Metric.EUCLIDEAN)),
+    (1, ComplexParams(epsilon=1 / 6)),
+    (1, ComplexParams(epsilon=1 / 3, convention=Convention.SUBCOMPLEX_EPS)),
+])
+def test_window_chi_refuses_what_no_window_holds(d, params):
+    # at t = a/3 three points a third apart are pairwise adjacent, but fit
+    # in no window
+    assert not windowed(d, 1.0, params)
+    with pytest.raises(ValueError, match="3t < a"):
+        window_chi(np.zeros((2, d)), 1.0, params, np.array([0, 2]),
+                   np.array([0]), np.array([1]))
+
+
+def test_window_chi_memory_follows_the_edges():
+    # four configurations of 300 points at degree about 108: the join pairs
+    # the opposite edges with about 1.7e6 first-coordinate arcs, which take
+    # about 70 MB if held at once, against about 0.5 MB an edge array
+    pts = np.random.default_rng(5).random((1200, 2))
+    starts = np.arange(0, 1201, 300)
+    params = ComplexParams(epsilon=0.15)
+    u, v = threshold_edges(pts, 1.0, params, starts)
+    assert u.size > 60_000
+    assert _traced_peak(window_chi, pts, 1.0, params, starts, u, v) < 8 * 2 ** 20
 
 
 def _traced_peak(fn, *args, **kwargs) -> int:

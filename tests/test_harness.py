@@ -317,7 +317,7 @@ def test_property_block_star_counts_match_each_configuration(k, d, block_reps,
     assert all(len(sizes) <= block_reps
                and (len(sizes) == 1 or sizes.sum() <= block_cells)
                for sizes, *_ in blocks)
-    assert [c for sizes, _, degrees, _ in blocks
+    assert [c for sizes, _, degrees, *_ in blocks
             for c in star_counts(gamma, degrees, sizes)] == expected
 
 
@@ -387,6 +387,106 @@ def test_coverage_experiment_raises_on_homology_violation(monkeypatch):
     with pytest.raises(RuntimeError, match="lambda=60.0, replication 0: "
                        + violations[0]):
         coverage_experiment(SPEC1, params, [60.0], reps=5, seed=SeedSpec(4))
+
+
+def test_a_wrong_first_collapse_fails_the_whole_graph_check(monkeypatch):
+    # half of the first strong-collapse core keeps this draw connected and
+    # gives beta = [1, 0] for [1, 1], with a core chi to match; only the chi
+    # of the whole graph can tell
+    collapse = homology.collapse_from_bitsets
+    calls = []
+
+    def half_core_first(neigh):
+        core = collapse(neigh)
+        calls.append(core.size)
+        return core[:core.size // 2] if len(calls) == 1 else core
+
+    params = ComplexParams(epsilon=0.2, convention=Convention.SUBCOMPLEX_EPS)
+    pc = sample(Poisson(lam=60.0), SPEC1, SeedSpec(4).child("coverage", 60.0, 0))
+    assert homology.collapsed_homology(pc, params).betti == [1, 1]
+    monkeypatch.setattr(homology, "collapse_from_bitsets", half_core_first)
+    calls.clear()
+    result = homology.collapsed_homology(pc, params)
+    assert result.betti == [1, 0]
+    assert result.violations == [
+        "euler characteristic mismatch: counts give 0, betti give 1"]
+    calls.clear()
+    with pytest.raises(RuntimeError, match="lambda=60.0, replication 0: euler"):
+        coverage_experiment(SPEC1, params, [60.0], reps=1, seed=SeedSpec(4))
+
+
+def _count_chi_walks(monkeypatch) -> list[int]:
+    """The vertex count of each pivoted chi of ``harness`` from now on; a
+    ``window_chi`` raises."""
+    walks = []
+    chi = cliques.chi_from_bitsets
+
+    def counting(neigh):
+        walks.append(len(neigh))
+        return chi(neigh)
+
+    def refused(*args):
+        raise AssertionError("window_chi outside its domain")
+
+    monkeypatch.setattr(harness, "chi_from_bitsets", counting)
+    monkeypatch.setattr(harness, "window_chi", refused)
+    return walks
+
+
+@pytest.mark.parametrize("d, a, params", [
+    (2, 1.0, ComplexParams(epsilon=0.05, metric=Metric.EUCLIDEAN,
+                           convention=Convention.SUBCOMPLEX_EPS)),
+    (3, 1.0, ComplexParams(epsilon=0.05)),
+    (1, 1.0, ComplexParams(epsilon=1 / 6)),
+    (1, 3.0, ComplexParams(epsilon=1.0, convention=Convention.SUBCOMPLEX_EPS)),
+], ids=("euclidean", "d=3", "3t=a", "subeps-t=a/3"))
+def test_chi_outside_the_windows_is_the_pivoted_sum(monkeypatch, d, a, params):
+    walks = _count_chi_walks(monkeypatch)
+    cfg = ExperimentConfig(law=Poisson(30.0 / a ** d), spec=TorusSpec(d=d, a=a),
+                           params=params, replications=6, master_seed=3,
+                           quantities=("N_2", "chi"))
+    report = run_experiment(cfg)
+    assert len(walks) == 6
+    for rep in range(6):
+        pts = sample(cfg.law, cfg.spec,
+                     SeedSpec(3).child("experiment", rep)).points
+        u, v = complexes.threshold_edges(pts, a, params)
+        assert report.raw["chi"][rep] == cliques.chi_from_bitsets(
+            cliques.neighbour_bitsets(u, v, len(pts)))
+
+
+def test_three_points_a_third_apart_are_a_triangle(monkeypatch):
+    # at t = a/3 the three points are pairwise adjacent but fit in no window,
+    # where the window rule would give chi = 0
+    walks = _count_chi_walks(monkeypatch)
+    monkeypatch.setattr(harness, "sample_run",
+                        lambda *args: iter([np.array([[0.0], [1.0], [2.0]])]))
+    params = ComplexParams(epsilon=1.0, convention=Convention.SUBCOMPLEX_EPS)
+    cfg = ExperimentConfig(law=Poisson(1.0), spec=TorusSpec(d=1, a=3.0),
+                           params=params, replications=1, master_seed=0,
+                           quantities=("N_2", "N_3", "chi"))
+    report = run_experiment(cfg)
+    assert [report.raw[q][0] for q in cfg.quantities] == [3.0, 1.0, 1.0]
+    assert walks == [3]
+
+
+def test_window_chi_packs_no_bitsets(monkeypatch):
+    # N_2 and chi under the max-norm at 3t < a: one window chi per block,
+    # no bitsets and no walk, equal to the pivoted sum of each configuration
+    cfg = ExperimentConfig(law=Poisson(60.0), spec=TorusSpec(d=2, a=1.0),
+                           params=PARAMS, replications=40, master_seed=9,
+                           quantities=("N_2", "chi"))
+    expected = []
+    for rep in range(40):
+        pts = sample(cfg.law, cfg.spec, SeedSpec(9).child("experiment", rep)).points
+        u, v = complexes.threshold_edges(pts, 1.0, PARAMS)
+        expected.append(cliques.chi_from_bitsets(
+            cliques.neighbour_bitsets(u, v, len(pts))))
+    calls, blocks = _count_calls(monkeypatch)
+    monkeypatch.setattr(harness, "chi_from_bitsets", None)
+    report = run_experiment(cfg)
+    assert report.raw["chi"].tolist() == expected
+    assert calls["neighbour_bitsets"] == 0 and len(blocks) == 1
 
 
 def test_coverage_experiment_sweeps_once_per_block(monkeypatch):
