@@ -13,10 +13,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from .cliques import neighbour_bitsets
-from .complexes import ComplexParams, Convention, simplex_counts, threshold_edges
+from .complexes import ComplexParams, Convention, graphs, simplex_counts
 from .harness import (ExperimentConfig, clt_rate_experiment,
                       coverage_experiment, run_experiment)
 from .homology import collapsed_homology
@@ -299,9 +296,8 @@ def _cmd_subcount(args):
     pc = _load_points(args.infile)
     with open(args.gamma) as fh:
         gamma = GammaGraph.from_json(json.load(fh))
-    u, v = threshold_edges(pc.points, pc.spec.a, _params(args))
-    degrees = np.bincount(np.concatenate((u, v)), minlength=pc.n)
-    neigh = None if star_arms(gamma) else neighbour_bitsets(u, v, pc.n)
+    ((_, _, degrees, neigh, _),) = graphs([pc.points], pc.spec, _params(args),
+                                          not star_arms(gamma))
     _emit({"g_gamma": count_gamma(gamma, degrees, neigh),
            "c_gamma": automorphism_count(gamma)}, args.out)
 

@@ -20,6 +20,15 @@ characteristic of a whole block from its edges alone, by counting each
 clique at its anchors (its first point in each coordinate), with no clique
 walk: each edge is oriented by the sign of the wrapped difference that the
 sweep tests, ties going to the larger row.
+
+``sweeps`` and ``graphs`` are the one way from point arrays to graphs for
+``harness``, ``homology.collapsed_homology``, ``simplex_counts`` and the
+``subcount`` command: one neighbour sweep finds the edges of a block of
+configurations, and one ``neighbour_bitsets`` packs their bitsets where
+asked.  chi, when asked for, is each configuration's whole graph's, never
+None: the block's ``window_chi`` under ``windowed``, packing no bitsets for
+it, else ``cliques.chi_from_bitsets`` of bitsets the builder packs itself.
+
 Two threshold conventions are supported:
 
 * ``RIPS_HALF_OPEN_2EPS``: vertices are adjacent when their distance is
@@ -44,7 +53,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cliques import count_cliques, neighbour_bitsets
+from .cliques import chi_from_bitsets, count_cliques, neighbour_bitsets
 from .sampling import PointConfiguration
 # pairwise_distances is not called here; perfbench's import-site test
 # expects this module to hold it.
@@ -169,14 +178,14 @@ def threshold_edges(points: np.ndarray, a: float, params: ComplexParams,
 
 
 # The most candidate pairs threshold_edges filters at once; it holds a few
-# arrays of 8 bytes a candidate, about 2.5 MB at 2^16.  A block of
-# harness._blocks that packs bitsets has at most _BLOCK_CELLS = 2^16 cells
-# of points x largest configuration, which bound its candidates, so it is
-# swept in one run; one that packs none has up to 2^16 points, swept in as
-# many runs as its candidates need.  At d = 2 (max-norm,
-# 2-core machine), budgets of 2^14 to 2^17 swept n = 20099 at eps = 0.01 in
-# 110-145 ms and n = 10^5 at eps = 0.0025 in 0.5-0.7 s, against 309 ms for
-# one run over the 8e6 candidates of the former; 2^16 was among the fastest.
+# arrays of 8 bytes a candidate, about 2.5 MB at 2^16.  A block of _blocks
+# that packs bitsets has at most _BLOCK_CELLS = 2^16 cells of points x
+# largest configuration, which bound its candidates, so it is swept in one
+# run; one that packs none has up to 2^16 points, swept in as many runs as
+# its candidates need.  At d = 2 (max-norm, 2-core machine), budgets of
+# 2^14 to 2^17 swept n = 20099 at eps = 0.01 in 110-145 ms and n = 10^5 at
+# eps = 0.0025 in 0.5-0.7 s, against 309 ms for one run over the 8e6
+# candidates of the former; 2^16 was among the fastest.
 _RUN_PAIRS = 1 << 16
 
 
@@ -326,6 +335,89 @@ def _arcs(col: np.ndarray, a: float, u: np.ndarray, v: np.ndarray):
     return tail, u + v - tail
 
 
+# Configurations are swept in blocks of at most _BLOCK_REPS configurations
+# and _BLOCK_CELLS cells.  A block whose bitsets are packed has a cell per
+# (point, largest configuration), which bounds the bitsets (a bit a cell,
+# 8 KB); larger such blocks were no faster and raised the peak memory of a
+# run.  A block that packs none has a cell per point, which bounds the
+# sweep's arrays of a few words a point (with one run of _RUN_PAIRS
+# candidates, 5 MB traced at 20,000 points, d=2).  A configuration too
+# large for a block runs alone.
+_BLOCK_REPS = 1024
+_BLOCK_CELLS = 1 << 16
+
+
+def _blocks(draws, bitsets: bool):
+    """The configurations drawn, in order, as lists of point arrays of at
+    most ``_BLOCK_REPS`` configurations and ``_BLOCK_CELLS`` cells: points x
+    largest configuration if ``bitsets`` are packed, else points; a larger
+    configuration comes alone."""
+    block: list[np.ndarray] = []
+    total = width = 0
+    for pts in draws:
+        n = pts.shape[0]
+        cells = (total + n) * (max(width, n) if bitsets else 1)
+        if block and (len(block) == _BLOCK_REPS or cells > _BLOCK_CELLS):
+            yield block
+            block, total, width = [], 0, 0
+        block.append(pts)
+        total += n
+        width = max(width, n)
+    if block:
+        yield block
+
+
+def sweeps(draws, spec: TorusSpec, params: ComplexParams, bitsets: bool,
+           chi: bool = False):
+    """Each block of the configurations drawn on the torus ``spec``
+    (``_blocks``), after one neighbour sweep over the whole block: the point
+    counts and edge counts of its configurations, the degree of each of its
+    points in order, the ``neighbour_bitsets`` pack of a bitset per point,
+    keyed by its configuration's local columns, if packed (else None), and,
+    if ``chi``, the Euler characteristic of the whole graph of each of its
+    configurations (else None).  That chi is the block's ``window_chi``
+    where ``windowed`` holds, else ``chi_from_bitsets`` of each
+    configuration's bitsets; so the bitsets are packed if ``bitsets``, or
+    if ``chi`` is asked for outside the windows."""
+    windows = chi and windowed(spec.d, spec.a, params)
+    pack = bitsets or (chi and not windows)
+    for block in _blocks(draws, pack):
+        sizes = np.array([pts.shape[0] for pts in block])
+        starts = np.concatenate(([0], np.cumsum(sizes)))
+        points = np.concatenate(block)
+        u, v = threshold_edges(points, spec.a, params, starts)
+        degrees = np.bincount(np.concatenate((u, v)), minlength=starts[-1])
+        seg = np.repeat(np.arange(len(block)), sizes)
+        edges = np.bincount(seg[u], minlength=len(block))
+        neigh = chis = None
+        if pack:
+            local = np.arange(starts[-1]) - starts[seg]
+            neigh = neighbour_bitsets(u, v, starts[-1], local)
+        if windows:
+            chis = window_chi(points, spec.a, params, starts, u, v).tolist()
+        elif chi:
+            bounds = starts.tolist()
+            chis = [chi_from_bitsets(neigh[first:last])
+                    for first, last in zip(bounds, bounds[1:])]
+        yield sizes, edges, degrees, neigh, chis
+
+
+def graphs(draws, spec: TorusSpec, params: ComplexParams, bitsets: bool,
+           chi: bool = False):
+    """The threshold graph of each configuration drawn, in order, as its
+    point count, edge count, degree sequence, neighbour bitsets and Euler
+    characteristic, cut from its block's ``sweeps`` (the bitsets if packed
+    and the chi if ``chi``, each else None)."""
+    for sizes, edges, degrees, neigh, chis in sweeps(draws, spec, params,
+                                                     bitsets, chi):
+        first = 0
+        chis = [None] * len(sizes) if chis is None else chis
+        for n, e, c in zip(sizes.tolist(), edges.tolist(), chis):
+            yield (n, e, degrees[first:first + n],
+                   None if neigh is None else neigh[first:first + n], c)
+            first += n
+
+
 def adjacency_matrix(config: PointConfiguration, params: ComplexParams) -> np.ndarray:
     """Boolean threshold-graph adjacency (no self loops), from
     ``threshold_edges`` of the one configuration."""
@@ -356,8 +448,8 @@ def simplex_counts(config: PointConfiguration, params: ComplexParams,
         raise ValueError(f"max_dim must be >= 0, got {max_dim}")
     _check_radius(config.spec, params, homology_mode=False)
     max_size = None if max_dim is None else max_dim + 1
-    u, v = threshold_edges(config.points, config.spec.a, params)
-    counts, _ = count_cliques(neighbour_bitsets(u, v, config.n), max_size=max_size)
+    ((_, _, _, neigh, _),) = graphs([config.points], config.spec, params, True)
+    counts, _ = count_cliques(neigh, max_size=max_size)
     return GeometricComplex(counts=counts[1:])  # drop the size-0 slot
 
 

@@ -10,24 +10,17 @@ Every replication draws from its own counter-derived stream, so reports are
 bit-identical for a fixed configuration regardless of scheduling; the
 experiments draw them through ``sampling.sample_run``, one run per
 experiment or intensity.
-All three experiments take their graphs from ``_sweeps``, which processes
-the replications in blocks: one neighbour sweep finds the edges of every
-configuration of a block, N_1 and N_2 are its point and edge counts, a star
-pattern is counted for the whole block at once from its degrees, and where
-more is asked for, one ``neighbour_bitsets`` over the block gives each
-configuration's neighbour bitsets (``_graphs`` hands them out one
-configuration at a time), built once and walked for N_k (counted
-only up to the largest k asked for, walking no candidate set of one
-vertex), chi (a pivoted sum, with no walk for a vertex of at most one lower
-neighbour), beta_0 (a flood
-fill), any pattern other than a star (a bitset search) and Betti numbers
-above beta_0 (``homology.homology_from_bitsets``, which lists only the
-cliques of a collapsed core and counts none of the full complex).  Under
-the max-norm at d <= 2 with 3t < a (``complexes.windowed``), chi comes
-instead from ``complexes.window_chi`` of the block's edges, once per block:
-an experiment that asks for no more than n_points, N_1, N_2 and chi packs
-no bitsets, and the Betti numbers are checked against that chi of the
-whole graph.  The Euclidean metric, d = 3 and 3t >= a keep the pivoted sum.
+All three experiments take their graphs from ``complexes.sweeps`` and
+``complexes.graphs``, a block of replications at a time (see
+``complexes``).  N_1 and N_2 are a configuration's point and edge counts, a
+star pattern is counted for a whole block at once from its degrees, and
+where more is asked for, each configuration's neighbour bitsets are walked
+for N_k (counted only up to the largest k asked for, walking no candidate
+set of one vertex), beta_0 (a flood fill), any pattern other than a star (a
+bitset search) and Betti numbers above beta_0
+(``homology.homology_from_bitsets``, which lists only the cliques of a
+collapsed core and counts none of the full complex).  chi is the whole
+graph's, from the builder, and the Betti numbers are checked against it.
 Every replication counts: a cap overrun raises ``SimplexCapExceeded`` and a
 failed homology check ``RuntimeError``, naming the replication.
 """
@@ -39,30 +32,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cliques import (SimplexCapExceeded, chi_from_bitsets, components,
-                      counts_from_bitsets, neighbour_bitsets)
+from .cliques import SimplexCapExceeded, components, counts_from_bitsets
 # simplex_counts and sample are not called here; perfbench's import-site
 # test expects this module to hold them.
-from .complexes import (ComplexParams, _check_radius, simplex_counts,  # noqa: F401
-                        threshold_edges, window_chi, windowed)
+from .complexes import (ComplexParams, _check_radius, graphs,  # noqa: F401
+                        simplex_counts, sweeps)
 from .homology import homology_from_bitsets
 from .sampling import (Poisson, ProcessLaw, SeedSpec, sample,  # noqa: F401
                        sample_run)
 from .stats import MIN_NORMALITY_SAMPLE, wasserstein1_to_normal
 from .subcomplex import GammaGraph, count_gamma, star_arms, star_counts
 from .torus import TorusSpec
-
-
-# Replications run in blocks of at most _BLOCK_REPS configurations and
-# _BLOCK_CELLS cells.  A block whose bitsets are packed has a cell per
-# (point, largest configuration), which bounds the bitsets (a bit a cell,
-# 8 KB); larger such blocks were no faster and raised the peak memory of a
-# run.  A block that packs none has a cell per point, which bounds the
-# sweep's arrays of a few words a point (with one run of
-# complexes._RUN_PAIRS candidates, 5 MB traced at 20,000 points, d=2).  A
-# configuration too large for a block runs alone.
-_BLOCK_REPS = 1024
-_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -154,9 +134,9 @@ def run_experiment(config: ExperimentConfig) -> ReplicationReport:
     values: dict[str, list[float]] = {q: [] for q in config.quantities}
     draws = sample_run(config.law, config.spec, SeedSpec(config.master_seed),
                        ("experiment",), config.replications)
-    for rep, (n, edges, _, neigh, chi) in enumerate(_graphs(
-            draws, config.spec.a, config.params, plan.needs_bitsets,
-            plan.window_chi)):
+    for rep, (n, edges, _, neigh, chi) in enumerate(graphs(
+            draws, config.spec, config.params, plan.needs_bitsets,
+            plan.needs_chi)):
         row = _row(plan, n, edges, neigh, chi, f"replication {rep}")
         for q, value in zip(config.quantities, row):
             values[q].append(value)
@@ -184,79 +164,16 @@ class _Plan:
         # are the point and edge counts
         self.max_size = max([p[1] for p in self.parsed if p[0] == "N"], default=0)
         self.clique_walk = self.max_size > 2
-        # chi, for itself and for the homology check, from the windows
-        # where they apply, else from the bitsets
-        windows = windowed(config.spec.d, config.spec.a, config.params)
-        self.window_chi = windows and ("chi" in kinds or self.needs_full_homology)
-        self.needs_bitsets = ("beta" in kinds or self.clique_walk
-                              or ("chi" in kinds and not windows))
-
-
-def _blocks(draws, bitsets: bool):
-    """The configurations drawn, in order, as lists of point arrays of at
-    most ``_BLOCK_REPS`` configurations and ``_BLOCK_CELLS`` cells: points x
-    largest configuration if ``bitsets`` are packed, else points; a larger
-    configuration comes alone."""
-    block: list[np.ndarray] = []
-    total = width = 0
-    for pts in draws:
-        n = pts.shape[0]
-        cells = (total + n) * (max(width, n) if bitsets else 1)
-        if block and (len(block) == _BLOCK_REPS or cells > _BLOCK_CELLS):
-            yield block
-            block, total, width = [], 0, 0
-        block.append(pts)
-        total += n
-        width = max(width, n)
-    if block:
-        yield block
-
-
-def _sweeps(draws, a: float, params: ComplexParams, bitsets: bool,
-            chi: bool = False):
-    """Each block of the configurations drawn (``_blocks``), after one
-    neighbour sweep over the whole block: the point counts and edge counts
-    of its configurations, the degree of each of its points in order, if
-    ``bitsets``, one ``neighbour_bitsets`` pack of a bitset per point,
-    keyed by its configuration's local columns, and, if ``chi``, the
-    ``window_chi`` of its configurations (each else None)."""
-    for block in _blocks(draws, bitsets):
-        sizes = np.array([pts.shape[0] for pts in block])
-        starts = np.concatenate(([0], np.cumsum(sizes)))
-        points = np.concatenate(block)
-        u, v = threshold_edges(points, a, params, starts)
-        degrees = np.bincount(np.concatenate((u, v)), minlength=starts[-1])
-        seg = np.repeat(np.arange(len(block)), sizes)
-        edges = np.bincount(seg[u], minlength=len(block))
-        neigh = None
-        if bitsets:
-            local = np.arange(starts[-1]) - starts[seg]
-            neigh = neighbour_bitsets(u, v, starts[-1], local)
-        chis = window_chi(points, a, params, starts, u, v) if chi else None
-        yield sizes, edges, degrees, neigh, chis
-
-
-def _graphs(draws, a: float, params: ComplexParams, bitsets: bool,
-            chi: bool = False):
-    """The threshold graph of each configuration drawn, in order, as its
-    point count, edge count, degree sequence, neighbour bitsets if
-    ``bitsets`` and window chi if ``chi`` (each else None), cut from its
-    block's ``_sweeps``."""
-    for sizes, edges, degrees, neigh, chis in _sweeps(draws, a, params,
-                                                      bitsets, chi):
-        first = 0
-        chis = [None] * len(sizes) if chis is None else chis.tolist()
-        for n, e, c in zip(sizes.tolist(), edges.tolist(), chis):
-            yield (n, e, degrees[first:first + n],
-                   None if neigh is None else neigh[first:first + n], c)
-            first += n
+        # the whole graph's chi, for itself and for the homology check
+        self.needs_chi = "chi" in kinds or self.needs_full_homology
+        self.needs_bitsets = "beta" in kinds or self.clique_walk
 
 
 def _row(plan: _Plan, n: int, edges: int, neigh: list[int] | None,
          chi: int | None, where: str) -> list[float]:
     """The values of one configuration, in the order of ``plan.parsed``,
-    with its window chi if the plan asks for one; ``where`` names the
-    configuration in the errors raised."""
+    with its whole graph's chi if the plan asks for one; ``where`` names
+    the configuration in the errors raised."""
     counts = [0, n, edges]
     if plan.clique_walk:
         counts = _named(where, counts_from_bitsets, neigh, plan.max_size)
@@ -268,7 +185,7 @@ def _row(plan: _Plan, n: int, edges: int, neigh: list[int] | None,
         elif kind == "N":
             row.append(float(counts[i]) if i < len(counts) else 0.0)
         elif kind == "chi":
-            row.append(float(chi_from_bitsets(neigh) if chi is None else chi))
+            row.append(float(chi))
         elif betti is not None:
             row.append(float(betti[i]) if i < len(betti) else 0.0)
         else:
@@ -276,9 +193,9 @@ def _row(plan: _Plan, n: int, edges: int, neigh: list[int] | None,
     return row
 
 
-def _betti(neigh: list[int], where: str, chi: int | None) -> list[int]:
+def _betti(neigh: list[int], where: str, chi: int) -> list[int]:
     """``homology_from_bitsets``'s Betti numbers, checked against the
-    whole graph's ``chi`` if given; errors name ``where``."""
+    whole graph's ``chi``; errors name ``where``."""
     result = _named(where, homology_from_bitsets, neigh, chi)
     if result.violations:
         raise RuntimeError(f"homology check failed at {where}: "
@@ -342,11 +259,11 @@ def clt_rate_experiment(gamma: GammaGraph, spec: TorusSpec,
         draws = sample_run(Poisson(lam=lam), spec, seed, ("clt", lam), reps)
         if star:
             counts = [c for sizes, _, degrees, _, _
-                      in _sweeps(draws, spec.a, params, False)
+                      in sweeps(draws, spec, params, False)
                       for c in star_counts(gamma, degrees, sizes)]
         else:
             counts = [count_gamma(gamma, deg, neigh) for _, _, deg, neigh, _
-                      in _graphs(draws, spec.a, params, True)]
+                      in graphs(draws, spec, params, True)]
         vals = np.array(counts, dtype=float)
         mean = float(vals.mean())
         std = float(vals.std(ddof=1))
@@ -409,13 +326,12 @@ def coverage_experiment(spec: TorusSpec, params: ComplexParams, lambdas,
             raise ValueError(f"intensity {law.lam} is repeated")
     _check_radius(spec, params, homology_mode=True)
     target = torus_betti(spec.d)
-    windows = windowed(spec.d, spec.a, params)
     points = []
     for law in laws:
         draws = sample_run(law, spec, seed, ("coverage", law.lam), reps)
         matches = 0
         for rep, (_, _, _, neigh, chi) in enumerate(
-                _graphs(draws, spec.a, params, True, windows)):
+                graphs(draws, spec, params, True, True)):
             # a match may differ from the target only by trailing zeros
             betti = tuple(_betti(neigh, f"lambda={law.lam}, replication {rep}",
                                  chi))

@@ -19,12 +19,12 @@ the Betti numbers must equal an Euler characteristic, beta_0 must equal the
 component count of the whole graph (``cliques.components``), and none may
 be negative.  That Euler characteristic is the whole graph's when the
 caller gives it: ``collapsed_homology`` and the experiments of ``harness``
-pass ``complexes.window_chi`` under the max-norm at d <= 2 with 3t < a, so
-a wrong strong collapse fails there.  Otherwise (``homology_summary``, the
-Euclidean metric, d = 3, 3t >= a) it is the pivoted Euler characteristic of
-the strong-collapse core (``chi_from_bitsets``, which lists no clique and
-shares the complex's homotopy type but not the edge collapse).  The list
-ends at the collapsed core's top dimension.
+pass the chi that the graph builder of ``complexes`` gives with the graph,
+so a wrong strong collapse fails there.  Elsewhere (``homology_summary``
+alone) it is the pivoted Euler characteristic of the strong-collapse core
+(``chi_from_bitsets``, which lists no clique and shares the complex's
+homotopy type but not the edge collapse).  The list ends at the collapsed
+core's top dimension.
 """
 
 from __future__ import annotations
@@ -34,10 +34,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .cliques import (chi_from_bitsets, components, enumerate_cliques,
-                      neighbour_bitsets, rows_bitsets)
-from .complexes import (GeometricComplex, _check_radius, threshold_edges,
-                        window_chi, windowed)
+from .cliques import chi_from_bitsets, components, enumerate_cliques, rows_bitsets
+from .complexes import GeometricComplex, _check_radius, graphs
 
 
 def gf2_rank(rows: list[int], pivot_cols: set[int] | None = None) -> int:
@@ -106,8 +104,9 @@ def homology_from_bitsets(neigh: list[int],
     those cliques, and are checked (``_checked``) against an Euler
     characteristic and the components of the whole graph; the failed checks
     are listed in ``violations``.  That Euler characteristic is ``chi``, the
-    whole graph's, when given (``complexes.window_chi``), so that a wrong
-    collapse cannot pass; else the pivoted one of the strong-collapse core.
+    whole graph's, when given (by ``complexes.graphs``), so that a wrong
+    collapse cannot pass; else (for ``homology_summary``) the pivoted one of
+    the strong-collapse core.
     Raises ``cliques.SimplexCapExceeded`` when the collapsed core has more
     than ``DEFAULT_SIMPLEX_CAP`` cliques.
     """
@@ -283,14 +282,10 @@ def collapse_from_bitsets(neigh: list[int]) -> np.ndarray:
 
 def collapsed_homology(config, params) -> HomologyResult:
     """``homology_from_bitsets`` of one configuration's Rips-Vietoris
-    complex in homology mode, its edges packed into bitsets once, checked
-    against the ``window_chi`` of the whole graph where that applies; the
-    experiments of ``harness`` pack the graphs of a block at once instead."""
-    spec = config.spec
-    _check_radius(spec, params, homology_mode=True)
-    u, v = threshold_edges(config.points, spec.a, params)
-    chi = None
-    if windowed(spec.d, spec.a, params):
-        chi = int(window_chi(config.points, spec.a, params,
-                             np.array((0, config.n)), u, v)[0])
-    return homology_from_bitsets(neighbour_bitsets(u, v, config.n), chi)
+    complex in homology mode, from ``complexes.graphs`` of a block of that
+    one configuration: its edges packed into bitsets once, checked against
+    the chi of the whole graph."""
+    _check_radius(config.spec, params, homology_mode=True)
+    ((_, _, _, neigh, chi),) = graphs([config.points], config.spec, params,
+                                      True, True)
+    return homology_from_bitsets(neigh, chi)

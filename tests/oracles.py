@@ -151,6 +151,20 @@ def circle_recovery_probability(lam: float, t: float) -> float:
     return covered
 
 
+def window_clique_counts(points, a: float, t: float, max_size: int) -> list[int]:
+    """N_1..N_max_size of the window (Cech) complex of points on the circle
+    of length a (d = 1): the sets that fit in a half-open arc of length t.
+    Each such set is counted at its first point i clockwise, with any k - 1
+    of the m_i points at clockwise offsets in (0, t) from i, so
+    N_k = sum_i C(m_i, k - 1).  Past t = a/3 these are fewer than the
+    cliques of the Rips graph, some of whose triangles wrap round."""
+    x = np.asarray(points, dtype=float).reshape(-1)
+    offsets = np.mod(x[None, :] - x[:, None], a)
+    m = ((offsets > 0) & (offsets < t)).sum(axis=1).tolist()
+    return [sum(math.comb(mi, k - 1) for mi in m)
+            for k in range(1, max_size + 1)]
+
+
 def rescan_strong_collapse(adj_bool: np.ndarray) -> np.ndarray:
     """Strong collapse by full rescans: every live vertex is checked in each
     pass until a pass removes nothing.  Returns the core's vertex indices."""

@@ -454,6 +454,55 @@ def test_window_chi_memory_follows_the_edges():
     assert _traced_peak(window_chi, pts, 1.0, params, starts, u, v) < 8 * 2 ** 20
 
 
+# an empty and a one-point configuration, and three points a third apart,
+# pairwise adjacent at t = a/3 but in no window
+_THIRDS = (TorusSpec(d=1, a=3.0), [np.zeros((0, 1)), np.array([[1.5]]),
+                                   np.array([[0.0], [1.0], [2.0]])], 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_blocks(), st.sampled_from(list(Metric)),
+       st.sampled_from(list(Convention)), st.booleans(), st.booleans(),
+       st.sampled_from([1, 3, 1024]))
+@example(_THIRDS, Metric.MAX_NORM, Convention.SUBCOMPLEX_EPS, False, True, 1024)
+@example(_THIRDS, Metric.MAX_NORM, Convention.SUBCOMPLEX_EPS, True, True, 1)
+def test_graph_builder_gives_each_configuration_its_own_graph_and_chi(
+        block, metric, convention, bitsets, chi, block_reps):
+    # blocks of one configuration or of many, in or out of the windows:
+    # each graph is that of a fresh sweep of its own configuration, the chi
+    # (when asked for) is its whole graph's, and bitsets are packed, once a
+    # block, exactly when asked for or needed for that chi
+    spec, configs, epsilon = block
+    params = ComplexParams(epsilon=epsilon, metric=metric, convention=convention)
+    packs = bitsets or (chi and not windowed(spec.d, spec.a, params))
+    calls = {"threshold_edges": 0, "neighbour_bitsets": 0}
+
+    def counting(name):
+        fn = getattr(complexes, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    with mock.patch.object(complexes, "_BLOCK_REPS", block_reps), \
+            mock.patch.object(complexes, "threshold_edges",
+                              counting("threshold_edges")), \
+            mock.patch.object(complexes, "neighbour_bitsets",
+                              counting("neighbour_bitsets")):
+        out = list(complexes.graphs(iter(configs), spec, params, bitsets, chi))
+    assert len(out) == len(configs)
+    assert calls["neighbour_bitsets"] == (calls["threshold_edges"] if packs else 0)
+    for (n, edges, degrees, neigh, c), pts in zip(out, configs):
+        u, v = threshold_edges(pts, spec.a, params)
+        fresh = neighbour_bitsets(u, v, len(pts))
+        assert (n, edges) == (len(pts), len(u))
+        assert degrees.tolist() == np.bincount(np.concatenate((u, v)),
+                                               minlength=len(pts)).tolist()
+        assert neigh == (fresh if packs else None)
+        assert c == (chi_from_bitsets(fresh) if chi else None)
+
+
 def _traced_peak(fn, *args, **kwargs) -> int:
     """The peak of the memory that tracemalloc sees (numpy's buffers too)
     while ``fn`` runs."""

@@ -253,8 +253,8 @@ def _count_calls(monkeypatch):
             blocks.append([pts.shape[0] for pts in block])
             yield block
 
-    real_blocks = harness._blocks
-    monkeypatch.setattr(harness, "_blocks", counting_blocks)
+    real_blocks = complexes._blocks
+    monkeypatch.setattr(complexes, "_blocks", counting_blocks)
     for module in (cliques, complexes, harness, homology, subcomplex):
         for name in calls:
             if hasattr(module, name):
@@ -281,7 +281,7 @@ def test_clt_experiment_sweeps_once_per_block(monkeypatch):
         assert sum(map(len, blocks)) == 100 * len(lambdas)
         if packs:
             assert len(blocks) > len(lambdas)
-            assert all(len(b) == 1 or sum(b) * max(b) <= harness._BLOCK_CELLS
+            assert all(len(b) == 1 or sum(b) * max(b) <= complexes._BLOCK_CELLS
                        for b in blocks)
         else:
             assert len(blocks) == len(lambdas)
@@ -311,9 +311,9 @@ def test_property_block_star_counts_match_each_configuration(k, d, block_reps,
         degrees = np.bincount(np.concatenate((u, v)), minlength=len(pts))
         expected.append(sum(math.perm(int(g), k) for g in degrees) // aut)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_BLOCK_REPS", block_reps)
-        mp.setattr(harness, "_BLOCK_CELLS", block_cells)
-        blocks = list(harness._sweeps(iter(draws), 1.0, params, False))
+        mp.setattr(complexes, "_BLOCK_REPS", block_reps)
+        mp.setattr(complexes, "_BLOCK_CELLS", block_cells)
+        blocks = list(complexes.sweeps(iter(draws), spec, params, False))
     assert all(len(sizes) <= block_reps
                and (len(sizes) == 1 or sizes.sum() <= block_cells)
                for sizes, *_ in blocks)
@@ -415,9 +415,41 @@ def test_a_wrong_first_collapse_fails_the_whole_graph_check(monkeypatch):
         coverage_experiment(SPEC1, params, [60.0], reps=1, seed=SeedSpec(4))
 
 
+@pytest.mark.parametrize("d, lam, eps, clean, chi, mutant_chi", [
+    (3, 300.0, 0.1, [1, 43, 14], -28, -47),
+    (1, 30.0, 0.2, [1, 0, 0, 1], 0, 1),
+], ids=("d=3", "t>=a/3"))
+def test_a_wrong_first_collapse_fails_outside_the_windows(
+        monkeypatch, d, lam, eps, clean, chi, mutant_chi):
+    # at d = 3, and at d = 1 with t = 0.4 >= a/3, no window chi applies:
+    # the half core's Betti numbers are checked against the pivoted chi of
+    # the whole graph, which its own chi matches
+    collapse = homology.collapse_from_bitsets
+    calls = []
+
+    def half_core_first(neigh):
+        core = collapse(neigh)
+        calls.append(core.size)
+        return core[:core.size // 2] if len(calls) == 1 else core
+
+    spec, params = TorusSpec(d=d, a=1.0), ComplexParams(epsilon=eps)
+    assert not complexes.windowed(d, spec.a, params)
+    pc = sample(Poisson(lam=lam), spec, SeedSpec(4).child("coverage", lam, 0))
+    result = homology.collapsed_homology(pc, params)
+    assert result.betti == clean and result.violations == []
+    monkeypatch.setattr(homology, "collapse_from_bitsets", half_core_first)
+    mismatch = (f"euler characteristic mismatch: counts give {chi}, "
+                f"betti give {mutant_chi}")
+    assert homology.collapsed_homology(pc, params).violations == [mismatch]
+    calls.clear()
+    with pytest.raises(RuntimeError, match=f"lambda={lam}, replication 0: "
+                       + mismatch):
+        coverage_experiment(spec, params, [lam], 1, SeedSpec(4))
+
+
 def _count_chi_walks(monkeypatch) -> list[int]:
-    """The vertex count of each pivoted chi of ``harness`` from now on; a
-    ``window_chi`` raises."""
+    """The vertex count of each pivoted chi of the graph builder from now
+    on; a ``window_chi`` raises."""
     walks = []
     chi = cliques.chi_from_bitsets
 
@@ -428,8 +460,8 @@ def _count_chi_walks(monkeypatch) -> list[int]:
     def refused(*args):
         raise AssertionError("window_chi outside its domain")
 
-    monkeypatch.setattr(harness, "chi_from_bitsets", counting)
-    monkeypatch.setattr(harness, "window_chi", refused)
+    monkeypatch.setattr(complexes, "chi_from_bitsets", counting)
+    monkeypatch.setattr(complexes, "window_chi", refused)
     return walks
 
 
@@ -483,14 +515,14 @@ def test_window_chi_packs_no_bitsets(monkeypatch):
         expected.append(cliques.chi_from_bitsets(
             cliques.neighbour_bitsets(u, v, len(pts))))
     calls, blocks = _count_calls(monkeypatch)
-    monkeypatch.setattr(harness, "chi_from_bitsets", None)
+    monkeypatch.setattr(complexes, "chi_from_bitsets", None)
     report = run_experiment(cfg)
     assert report.raw["chi"].tolist() == expected
     assert calls["neighbour_bitsets"] == 0 and len(blocks) == 1
 
 
 def test_coverage_experiment_sweeps_once_per_block(monkeypatch):
-    monkeypatch.setattr(harness, "_BLOCK_REPS", 7)
+    monkeypatch.setattr(complexes, "_BLOCK_REPS", 7)
     calls, blocks = _count_calls(monkeypatch)
     params = ComplexParams(epsilon=0.2, convention=Convention.SUBCOMPLEX_EPS)
     lambdas = [10.0, 30.0, 100.0]
@@ -694,8 +726,8 @@ def test_block_boundaries_do_not_change_values(monkeypatch):
     whole = [run_experiment(cfg) for cfg in configs]
     # blocks of 7 replications, and a scratch budget below one
     # configuration's n^2, so that most configurations run alone
-    monkeypatch.setattr(harness, "_BLOCK_REPS", 7)
-    monkeypatch.setattr(harness, "_BLOCK_CELLS", 300)
+    monkeypatch.setattr(complexes, "_BLOCK_REPS", 7)
+    monkeypatch.setattr(complexes, "_BLOCK_CELLS", 300)
     for cfg, expected in zip(configs, whole):
         split = run_experiment(cfg)
         assert _raw_hash(split) == _raw_hash(expected)

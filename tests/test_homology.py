@@ -137,8 +137,7 @@ def test_graph_packed_once_per_configuration(monkeypatch):
         packs.append(n)
         return cliques.neighbour_bitsets(u, v, n, *rest)
 
-    for module in (complexes, homology):
-        monkeypatch.setattr(module, "neighbour_bitsets", counting)
+    monkeypatch.setattr(complexes, "neighbour_bitsets", counting)
     cfg = sample(Poisson(lam=60.0), SPEC2, SeedSpec(17))
     params = ComplexParams(epsilon=0.09)
     homology_summary(build_complex(cfg, params, homology_mode=True))

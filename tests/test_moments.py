@@ -1,12 +1,16 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
 from oracles import (bell_exponential, chi_alternating_series,
                      chi_binomial_alternating_sum,
-                     full_dimension_overlap_integral, slot_partition_weights)
+                     full_dimension_overlap_integral, slot_partition_weights,
+                     window_clique_counts)
+from torushom.complexes import ComplexParams
+from torushom.harness import ExperimentConfig, run_experiment
 from torushom.joracle import JEstimate, OverlapPattern, j_oracle_mc
 from torushom.moments import (VAR_CHI_MAX_TERMS, ModelParams, MomentKind,
                               MomentValue, _default_j_oracle, _overlap_components,
@@ -18,7 +22,7 @@ from torushom.moments import (VAR_CHI_MAX_TERMS, ModelParams, MomentKind,
                               mean_chi, mean_chi_binomial, nth_moment_assembler,
                               stirling2, third_moment_Nk, var_chi_1d,
                               var_chi_series)
-from torushom.sampling import SeedSpec
+from torushom.sampling import Poisson, SeedSpec, sample_run
 from torushom.torus import TorusSpec
 
 SPEC1 = TorusSpec(d=1, a=1.0)
@@ -533,6 +537,31 @@ def test_triangle_free_forms_and_the_boundary_stay_valid():
     unit = nth_moment_assembler(
         P_WIDE, 3, 3, j_oracle=lambda pattern: JEstimate(1.0, 0.0, 0))
     assert math.isfinite(unit.value)
+
+
+def test_the_cech_form_is_the_mean_of_the_window_count_not_the_rips_walk():
+    # at t = 0.4 > a/3 the paper's form lam a x^(k-1) k / k! (which mean_Nk
+    # declines there) is the mean of the window (Cech) count, while the Rips
+    # walk also counts the triangles that wrap round the circle: the chance
+    # that three points are pairwise within s is p_3(s) = 3 s^2 + (3 s - 1)^2
+    # for 1/3 <= s <= 1/2, against 3 s^2 for a window
+    lam, t, reps = P_WIDE.lam, 2 * P_WIDE.epsilon, 4000
+    cfg = ExperimentConfig(law=Poisson(lam), spec=SPEC1,
+                           params=ComplexParams(epsilon=P_WIDE.epsilon),
+                           replications=reps, master_seed=1, quantities=("N_3",))
+    rips = run_experiment(cfg).raw["N_3"]
+    draws = sample_run(cfg.law, SPEC1, SeedSpec(1), ("experiment",), reps)
+    window = np.array([window_clique_counts(pts, SPEC1.a, t, 3)[2]
+                       for pts in draws], dtype=float)
+    x = lam * t
+    cech = lam * SPEC1.a * x ** 2 * 3 / math.factorial(3)  # 80
+    # lam^3/3! (p_3(t) - 3 t^2) = (1000/6)(0.52 - 0.48)
+    wrapping = lam ** 3 / math.factorial(3) * (3 * t - 1) ** 2
+    extra = rips - window
+    assert extra.min() >= 0  # a set in a window is a Rips clique
+    for values, expected in ((window, cech), (extra, wrapping)):
+        se = values.std(ddof=1) / math.sqrt(reps)
+        assert abs(values.mean() - expected) < 3 * se
 
 
 def test_means_are_the_exact_rational_rounded_once():
