@@ -2,11 +2,16 @@
 
 A Rips-Vietoris complex is the clique (flag) complex of a proximity graph,
 so it is fully determined by pairwise distances.  The graph is found by a
-sort-and-sweep neighbour search along the first coordinate, which drops
-candidate pairs one further coordinate at a time before the exact distance
-test, without the dense (n, n, d) distance tensor, in runs of at most
-``_RUN_PAIRS`` candidates, so that its memory is bounded by that budget
-plus the edges; one sweep also finds the edges of a whole block of
+fixed-radius neighbour search in cells: where the window of the first
+coordinate is wide, the points are put in cells at least the threshold
+wide in the other coordinates, and each point is searched against its own
+cell and its neighbouring cells by windows of its first coordinate
+(otherwise one cell holds a whole configuration, and the search is a sweep
+of the first coordinate).  Candidate pairs are dropped one further
+coordinate at a time before the exact distance test, without the dense
+(n, n, d) distance tensor, in runs of at most ``_RUN_PAIRS`` candidates, so
+that the cost grows with n times the degree and memory with that budget
+plus the edges; one search also finds the edges of a whole block of
 configurations.  The edges are packed once into neighbour bitsets (see
 ``cliques``), which a complex keeps and every walker reads; the (n, n)
 boolean matrix of ``adjacency_matrix`` is only a way in, built nowhere
@@ -19,11 +24,11 @@ of length t in each coordinate, and ``window_chi`` gets the Euler
 characteristic of a whole block from its edges alone, by counting each
 clique at its anchors (its first point in each coordinate), with no clique
 walk: each edge is oriented by the sign of the wrapped difference that the
-sweep tests, ties going to the larger row.
+search tests, ties going to the larger row.
 
 ``sweeps`` and ``graphs`` are the one way from point arrays to graphs for
 ``harness``, ``homology.collapsed_homology``, ``simplex_counts`` and the
-``subcount`` command: one neighbour sweep finds the edges of a block of
+``subcount`` command: one neighbour search finds the edges of a block of
 configurations, and one ``neighbour_bitsets`` packs their bitsets where
 asked.  chi, when asked for, is each configuration's whole graph's, never
 None: the block's ``window_chi`` under ``windowed``, packing no bitsets for
@@ -49,7 +54,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -117,36 +122,61 @@ def threshold_edges(points: np.ndarray, a: float, params: ComplexParams,
 
     ``points`` holds the configurations one after another: configuration s
     is rows ``starts[s]:starts[s + 1]`` (default: one configuration), and an
-    edge never joins two configurations.  Points are sorted by their first
-    coordinate, each configuration shifted by 4a times its first row so that
-    the configurations stay apart, and a periodic forward sweep yields every
-    pair whose first coordinates lie within the threshold on the circle.
-    Coordinate by coordinate from the second, the candidates whose wrapped
-    difference fails the threshold are dropped, since no distance of theirs
-    can pass it.  The survivors are tested with the elementwise formula of
+    edge never joins two configurations.  Each configuration's points are
+    put in m^(d - 1) cells of side a/m in the coordinates after the first,
+    wider than the threshold t (a cell index is floor(y m / a), clamped into
+    [0, m - 1]), so that a pair within t lies in one cell or in two
+    neighbouring ones; ``_cells_per_axis`` picks m, which is 1 (a cell per
+    configuration) at d = 1 or where the first coordinate's windows are
+    narrow.  The points are sorted by configuration, cell and first
+    coordinate (each cell shifted by 4a times its first row, so that the
+    cells stay apart), and each cell is followed by its copy shifted by a
+    in one doubled array.  A point's candidates are its periodic forward
+    window of the first coordinate in its own cell, and its two-sided window
+    in each neighbouring cell that comes after its own in lexicographic
+    order of the offsets, each found by ``searchsorted`` on the doubled
+    array; so each pair within t on the circle of the first coordinate, in
+    the same or neighbouring cells, is a candidate once.  Coordinate by
+    coordinate from the second, the candidates whose wrapped difference
+    fails the threshold are dropped, since no distance of theirs can pass
+    it.  The survivors are tested with the elementwise formula of
     ``torus.pairwise_distances`` (under the max-norm, that filter run on the
-    first coordinate too), so the edges are those of the thresholded
-    dense distance matrix bit for bit.  The sorted points are filtered in
-    consecutive runs of at most ``_RUN_PAIRS`` candidate pairs, so memory
-    grows with that budget plus the edges, not with n^2 * d.  Every edge is
-    listed once, and the edges come grouped by configuration, in order.
+    first coordinate too), so the edges are those of the thresholded dense
+    distance matrix bit for bit.  The candidates are filtered point by point
+    in consecutive runs of at most ``_RUN_PAIRS`` pairs, so memory grows
+    with that budget plus the edges, not with n^2 * d.  Every edge is listed
+    once, and the edges come grouped by configuration, in order.
     """
     pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
+    n, d = pts.shape
     if n < 2:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
     starts = np.array((0, n)) if starts is None else np.asarray(starts)
     sizes = starts[1:] - starts[:-1]
-    # the first row and the size of each row's configuration
-    lo = starts[:-1].repeat(sizes)
-    span = sizes.repeat(sizes)
+    t = params.threshold()
+    # A few ulps of slack keep the rounding of x + reach, x + a, the shifts
+    # and the cell indices from dropping a true neighbour; the exact test
+    # removes the extras.
+    reach = t + 8 * math.ulp(4.0 * a * n + t)
+    m = _cells_per_axis(d, a, t, reach, n, sizes)
+    if m == 1:
+        # one cell per configuration: its first row and size, for each row
+        lo = starts[:-1].repeat(sizes)
+        span = sizes.repeat(sizes)
+    else:
+        key = _cell_keys(pts, a, m, sizes)
+        cell_size = np.bincount(key, minlength=sizes.size * m ** (d - 1))
+        cell_lo = cell_size.cumsum() - cell_size
+        lo, span = cell_lo[key], cell_size[key]
     x = pts[:, 0] + lo * (4.0 * a)
-    # the shifts keep each configuration's rows together in any sort order
+    # the shifts keep each cell's rows together in any sort order
     order = x.argsort()
     x = x[order]
+    if m > 1:
+        lo, span = lo[order], span[order]
     # Sorted point i sits at base[i] in ``doubled`` and its copy at hi[i]:
-    # each configuration followed by its copy shifted by a, in turn.
-    # ``back`` maps a place in ``doubled`` to the row of ``points``.
+    # each cell followed by its copy shifted by a, in turn.  ``back`` maps a
+    # place in ``doubled`` to the row of ``points``.
     base = np.arange(n) + lo
     hi = base + span
     doubled = np.empty(2 * n)
@@ -155,17 +185,17 @@ def threshold_edges(points: np.ndarray, a: float, params: ComplexParams,
     back = np.empty(2 * n, dtype=np.intp)
     back[base] = order
     back[hi] = order
-    t = params.threshold()
-    # A few ulps of slack keep the rounding of x + reach, x + a and the
-    # shifts from dropping a true neighbour; the exact test removes the
-    # extras.
-    reach = t + 8 * math.ulp(4.0 * a * n + t)
     ends = doubled.searchsorted(x + reach, side="right")
-    # The candidates of sorted point i are the places base[i] + 1 .. end - 1
-    # of ``doubled``, which wrap round its configuration: at most
-    # span[i] - 1 of them, so no point pairs with itself.
+    # The candidates of sorted point i in its own cell are the places
+    # base[i] + 1 .. end - 1 of ``doubled``, which wrap round the cell: at
+    # most span[i] - 1 of them, so no point pairs with itself.
     counts = np.minimum(ends - base, span) - 1
-    runs = [_run_edges(pts, a, params, order[first:last], back,
+    rows = order
+    if m > 1:
+        base, counts = _cell_windows(pts[order, 0], key[order], a, reach, m, d,
+                                     cell_lo, cell_size, doubled, base, counts)
+        rows = order.repeat(base.size // n)
+    runs = [_run_edges(pts, a, params, rows[first:last], back,
                        base[first:last], counts[first:last])
             for first, last in _runs(counts)]
     i, j = (np.concatenate(e) for e in zip(*runs)) if len(runs) > 1 else runs[0]
@@ -187,6 +217,87 @@ def threshold_edges(points: np.ndarray, a: float, params: ComplexParams,
 # eps = 0.0025 in 0.5-0.7 s, against 309 ms for one run over the 8e6
 # candidates of the former; 2^16 was among the fastest.
 _RUN_PAIRS = 1 << 16
+
+
+# threshold_edges puts the points in cells of the coordinates after the
+# first when the mean window of the first coordinate, sum n_s^2 t / (a n)
+# over the configurations s of a block of n points, reaches _CELL_WINDOW
+# points; below it, one cell per configuration is faster, since the cells'
+# bookkeeping (a sort key, and up to (3^(d-1) + 1) / 2 window searches a
+# point) costs more than the candidates it saves.  Measured on one
+# configuration (max-norm, 2-core machine): at d = 3 with n = 1600 and 6400,
+# cells were slower at windows of 30 points and faster from 40; at d = 2
+# they were faster from 20, but at n = 400 only from 60.  The benchmark's
+# homology, patterns and replicate workloads have windows of 17.5, 10 and 5
+# points, its coverage graphs 80 and 200.
+_CELL_WINDOW = 40
+
+
+def _cells_per_axis(d: int, a: float, t: float, reach: float, n: int,
+                    sizes: np.ndarray) -> int:
+    """The number m of cells per coordinate after the first for
+    ``threshold_edges`` on a block of n points in configurations of
+    ``sizes``: 1 (one cell per configuration) at d = 1 or below
+    ``_CELL_WINDOW``, else the most cells wider than ``reach`` with at most
+    one cell per point, if that is at least 3, else 1."""
+    # the mean window is at most n t / a, which rules out most small blocks
+    # without the sum of squares
+    if (d == 1 or n * t < _CELL_WINDOW * a
+            or (sizes * sizes).sum() * t < _CELL_WINDOW * a * n):
+        return 1
+    m = min(int(a / (reach * (1.0 + 2.0 ** -40))),
+            int((n / sizes.size) ** (1.0 / (d - 1))))
+    # at m = 2 the cells on either side of a cell are one and the same
+    return m if m >= 3 else 1
+
+
+def _cell_keys(pts: np.ndarray, a: float, m: int, sizes: np.ndarray) -> np.ndarray:
+    """The cell of each row: its configuration, then its cells in the
+    coordinates after the first, the index floor(x m / a) clamped into
+    [0, m - 1], in lexicographic order."""
+    d = pts.shape[1]
+    cells = (pts[:, 1:] * (m / a)).astype(np.intp)
+    np.clip(cells, 0, m - 1, out=cells)
+    key = np.arange(sizes.size).repeat(sizes) * m ** (d - 1)
+    for q in range(d - 1):
+        key += cells[:, q] * m ** (d - 2 - q)
+    return key
+
+
+def _cell_windows(x0, key, a, reach, m, d, cell_lo, cell_size, doubled,
+                  base, counts):
+    """The candidate windows of the sorted points, point by point: its own
+    cell's forward window (``base``, ``counts``), then the two-sided window
+    of the first coordinate in each neighbour cell that comes after its own
+    in lexicographic order of the offsets, so each pair of neighbouring cells
+    is searched once.  ``x0`` is the first coordinate of each sorted point
+    and ``key`` its cell; a point with x0 < reach searches a window shifted by
+    +a, which is contiguous in ``doubled``.  Each window is returned as the
+    place before it in ``doubled`` and its length."""
+    wrap = np.where(x0 < reach, a, 0.0)
+    offsets = [step for step in product((-1, 0, 1), repeat=d - 1)
+               if step > (0,) * (d - 1)]
+    bases = np.empty((key.size, len(offsets) + 1), dtype=np.intp)
+    lengths = np.empty_like(bases)
+    bases[:, 0], lengths[:, 0] = base, counts
+    # each point's configuration, and its cell index on each axis after a
+    # step of -1, 0 or +1, each times its axis's weight in the key
+    weights = [m ** (d - 2 - q) for q in range(d - 1)]
+    config = key - key % m ** (d - 1)
+    moved = [{step: (key // w + step) % m * w for step in (-1, 0, 1)}
+             for w in weights]
+    for k, offset in enumerate(offsets, 1):
+        cell = config + sum(moved[q][step] for q, step in enumerate(offset))
+        # the same rounding as the sorted points and their copies
+        x = x0 + cell_lo[cell] * (4.0 * a) + wrap
+        left = doubled.searchsorted(x - reach, side="left")
+        right = doubled.searchsorted(x + reach, side="right")
+        bases[:, k] = left - 1
+        # an empty cell's place is that of the next cell, which is not its
+        right -= left
+        right[cell_size[cell] == 0] = 0
+        lengths[:, k] = right
+    return bases.ravel(), lengths.ravel()
 
 
 def _runs(counts: np.ndarray):
@@ -222,7 +333,7 @@ def _run_edges(pts, a, params, rows, back, base, counts):
     bound = t if max_norm else max(t, 2.0 ** -500)
     coords = list(range(1, pts.shape[1]))
     if max_norm:
-        coords.append(0)  # the sweep's window has a few ulps of slack
+        coords.append(0)  # the windows have a few ulps of slack
     for q in coords:
         col = pts[:, q]
         w = np.abs(col[i] - col[j])
@@ -340,7 +451,7 @@ def _arcs(col: np.ndarray, a: float, u: np.ndarray, v: np.ndarray):
 # (point, largest configuration), which bounds the bitsets (a bit a cell,
 # 8 KB); larger such blocks were no faster and raised the peak memory of a
 # run.  A block that packs none has a cell per point, which bounds the
-# sweep's arrays of a few words a point (with one run of _RUN_PAIRS
+# search's arrays of a few words a point (with one run of _RUN_PAIRS
 # candidates, 5 MB traced at 20,000 points, d=2).  A configuration too
 # large for a block runs alone.
 _BLOCK_REPS = 1024
@@ -370,7 +481,7 @@ def _blocks(draws, bitsets: bool):
 def sweeps(draws, spec: TorusSpec, params: ComplexParams, bitsets: bool,
            chi: bool = False):
     """Each block of the configurations drawn on the torus ``spec``
-    (``_blocks``), after one neighbour sweep over the whole block: the point
+    (``_blocks``), after one neighbour search over the whole block: the point
     counts and edge counts of its configurations, the degree of each of its
     points in order, the ``neighbour_bitsets`` pack of a bitset per point,
     keyed by its configuration's local columns, if packed (else None), and,

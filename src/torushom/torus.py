@@ -30,7 +30,9 @@ class TorusSpec:
     a: float
 
     def __post_init__(self):
-        if int(self.d) != self.d or self.d < 1:
+        # a float or a bool would pass int(d) == d, and fail later as a shape
+        if (not isinstance(self.d, (int, np.integer)) or isinstance(self.d, bool)
+                or self.d < 1):
             raise ValueError(f"dimension must be a positive integer, got {self.d}")
         if not (0 < self.a < math.inf):
             raise ValueError(f"side length must be positive and finite, got {self.a}")

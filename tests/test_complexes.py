@@ -265,11 +265,43 @@ _ULP = float(np.spacing(0.1))
 _ROUNDING_EDGE = (config_1d(_ULP / 2, 0.1 + _ULP), 0.1)
 
 
+# Cells (threshold_edges puts the points in cells of the coordinates after
+# the first where the first coordinate's window is wide): m = 3 cells of
+# side a/3 at t just below a/3, and m = 4 on a = 0.9 at t = 0.2, where
+# nextafter(a, 0) * m / a rounds to m and its cell index is clamped to m - 1.
+# Each has points on cell boundaries y = k a / m, one just below a, pairs
+# across y = 0/a, and a pair across x = 0/a in neighbouring cells whose
+# point in the lower cell has x < t (found only by the window shifted by +a).
+_BELOW_THIRD = float(1 / 3 - 1e-12)
+_THIRDS_2D = (PointConfiguration(spec=SPEC2, points=np.array([
+    [0.5, 0.0], [0.5, 1 / 3], [0.5, 2 / 3], [0.5, float(np.nextafter(1.0, 0.0))],
+    [0.6, 0.1], [0.6, 0.95], [0.05, 0.2], [0.95, 0.4], [0.2, 0.6], [0.3, 0.7]])),
+    _BELOW_THIRD)
+_CLAMPED = (PointConfiguration(spec=TorusSpec(d=2, a=0.9), points=np.array([
+    [0.1, float(np.nextafter(0.9, 0.0))], [0.15, 0.05], [0.3, 0.7],
+    [0.5, 0.225], [0.6, 0.45], [0.8, 0.675], [0.05, 0.1], [0.85, 0.3]])), 0.2)
+# d = 3, m = 3 at t = 0.3: (0.5, 0.3, 0.35) and (0.5, 0.35, 0.3) lie in the
+# cells (0, 1) and (1, 0) of the last two coordinates, a diagonal step apart
+_DIAGONAL = (PointConfiguration(spec=TorusSpec(d=3, a=1.0), points=np.array([
+    [0.5, 0.3, 0.35], [0.5, 0.35, 0.3], [0.1, 0.9, 0.05], [0.15, 0.05, 0.9],
+    [0.05, 0.2, 0.5], [0.95, 0.4, 0.7], [0.3, 0.6, 0.3], [0.7, 0.1, 0.8],
+    [0.9, 0.8, 0.6], [0.4, 0.65, 0.62]])), 0.3)
+
+
 @settings(max_examples=300, deadline=None)
 @given(lattice_configurations(), st.sampled_from(list(Metric)),
-       st.sampled_from(list(Convention)))
-@example(_ROUNDING_EDGE, Metric.MAX_NORM, Convention.SUBCOMPLEX_EPS)
-def test_adjacency_matches_dense_distances(cfg_eps, metric, convention):
+       st.sampled_from(list(Convention)),
+       st.sampled_from([complexes._CELL_WINDOW, 0]))
+@example(_ROUNDING_EDGE, Metric.MAX_NORM, Convention.SUBCOMPLEX_EPS,
+         complexes._CELL_WINDOW)
+@example(_THIRDS_2D, Metric.MAX_NORM, Convention.SUBCOMPLEX_EPS, 0)
+@example((_THIRDS_2D[0], _BELOW_THIRD / 2), Metric.EUCLIDEAN,
+         Convention.RIPS_HALF_OPEN_2EPS, 0)
+@example(_CLAMPED, Metric.MAX_NORM, Convention.SUBCOMPLEX_EPS, 0)
+@example(_DIAGONAL, Metric.MAX_NORM, Convention.SUBCOMPLEX_EPS, 0)
+def test_adjacency_matches_dense_distances(cfg_eps, metric, convention,
+                                           cell_window):
+    # at a cell window of 0 every sweep that can use cells does
     cfg, epsilon = cfg_eps
     params = ComplexParams(epsilon=epsilon, metric=metric, convention=convention)
     dists = pairwise_distances(cfg.points, cfg.spec, metric)
@@ -278,21 +310,40 @@ def test_adjacency_matches_dense_distances(cfg_eps, metric, convention):
     else:
         expected = dists <= params.threshold()
     np.fill_diagonal(expected, False)
-    adj = adjacency_matrix(cfg, params)
+    with mock.patch.object(complexes, "_CELL_WINDOW", cell_window):
+        adj = adjacency_matrix(cfg, params)
     assert adj.dtype == bool and adj.shape == (cfg.n, cfg.n)
     assert np.array_equal(adj, expected)
 
 
+# one configuration of 600 uniform points, whose window (60 points at
+# t = 0.1) uses cells unpatched, among three of 3 points and an empty one
+_DENSE_AND_SPARSE = (SPEC2, [np.random.default_rng(8).random((600, 2)),
+                             np.array([[0.05, 0.2], [0.95, 0.4], [0.5, 0.99]]),
+                             np.zeros((0, 2)),
+                             np.array([[0.1, 0.0], [0.1, 0.95], [0.5, 0.5]]),
+                             np.array([[0.3, 0.3], [0.3, 0.3], [0.35, 0.38]])],
+                     0.1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(lattice_blocks(), st.sampled_from(list(Metric)),
-       st.sampled_from(list(Convention)))
-def test_segmented_sweep_matches_dense_distances(block, metric, convention):
+       st.sampled_from(list(Convention)),
+       st.sampled_from([complexes._CELL_WINDOW, 0]))
+@example(_DENSE_AND_SPARSE, Metric.MAX_NORM, Convention.SUBCOMPLEX_EPS,
+         complexes._CELL_WINDOW)
+@example(_DENSE_AND_SPARSE, Metric.EUCLIDEAN, Convention.RIPS_HALF_OPEN_2EPS, 0)
+@example((_DIAGONAL[0].spec, [_DIAGONAL[0].points] * 2, _DIAGONAL[1]),
+         Metric.MAX_NORM, Convention.SUBCOMPLEX_EPS, 0)
+def test_segmented_sweep_matches_dense_distances(block, metric, convention,
+                                                 cell_window):
     spec, configs, epsilon = block
     params = ComplexParams(epsilon=epsilon, metric=metric, convention=convention)
     sizes = [len(pts) for pts in configs]
     starts = np.concatenate(([0], np.cumsum(sizes))).astype(np.intp)
     points = np.concatenate(configs) if configs else np.zeros((0, spec.d))
-    u, v = threshold_edges(points, spec.a, params, starts)
+    with mock.patch.object(complexes, "_CELL_WINDOW", cell_window):
+        u, v = threshold_edges(points, spec.a, params, starts)
     seg = np.repeat(np.arange(len(configs)), sizes)
     assert np.array_equal(seg[u], seg[v])
     assert np.all(np.diff(seg[u]) >= 0)  # grouped by configuration, in order
@@ -353,19 +404,26 @@ _HALF_WAY_PAIR = (_HALF_WAY[0], _HALF_WAY[1] * 2, 0.5)
 
 @settings(max_examples=150, deadline=None)
 @given(lattice_blocks(), st.sampled_from(list(Metric)),
-       st.sampled_from(list(Convention)), st.sampled_from([1, 7, 64]))
-@example(_HALF_WAY, Metric.MAX_NORM, Convention.SUBCOMPLEX_EPS, 1)
-@example(_HALF_WAY_PAIR, Metric.EUCLIDEAN, Convention.RIPS_HALF_OPEN_2EPS, 7)
-def test_sweep_in_runs_matches_one_run(block, metric, convention, budget):
+       st.sampled_from(list(Convention)), st.sampled_from([1, 7, 64]),
+       st.sampled_from([complexes._CELL_WINDOW, 0]))
+@example(_HALF_WAY, Metric.MAX_NORM, Convention.SUBCOMPLEX_EPS, 1,
+         complexes._CELL_WINDOW)
+@example(_HALF_WAY_PAIR, Metric.EUCLIDEAN, Convention.RIPS_HALF_OPEN_2EPS, 7,
+         complexes._CELL_WINDOW)
+@example(_DENSE_AND_SPARSE, Metric.MAX_NORM, Convention.SUBCOMPLEX_EPS, 7, 0)
+def test_sweep_in_runs_matches_one_run(block, metric, convention, budget,
+                                       cell_window):
     # budgets of 1, 7 and 64 candidates split the sweep inside and across
-    # configurations; a configuration alone is passed without ``starts``
+    # configurations (and cells); a configuration alone is passed without
+    # ``starts``
     spec, configs, epsilon = block
     params = ComplexParams(epsilon=epsilon, metric=metric, convention=convention)
     points, starts = _block_arrays(spec, configs)
     given_starts = starts if len(configs) != 1 else None
-    u, v = threshold_edges(points, spec.a, params, given_starts)
-    with mock.patch.object(complexes, "_RUN_PAIRS", budget):
-        ru, rv = threshold_edges(points, spec.a, params, given_starts)
+    with mock.patch.object(complexes, "_CELL_WINDOW", cell_window):
+        u, v = threshold_edges(points, spec.a, params, given_starts)
+        with mock.patch.object(complexes, "_RUN_PAIRS", budget):
+            ru, rv = threshold_edges(points, spec.a, params, given_starts)
     assert np.array_equal(ru, u) and np.array_equal(rv, v)
     assert ru.dtype == u.dtype and rv.dtype == v.dtype
     _assert_dense_edges(ru, rv, spec, configs, starts, params)
@@ -514,8 +572,75 @@ def _traced_peak(fn, *args, **kwargs) -> int:
         tracemalloc.stop()
 
 
+def _cells(spec, configs, epsilon, convention=Convention.SUBCOMPLEX_EPS):
+    """The cells per axis that ``threshold_edges`` uses for a block."""
+    points, starts = _block_arrays(spec, configs)
+    t = ComplexParams(epsilon=epsilon, convention=convention).threshold()
+    reach = t + 8 * np.spacing(4.0 * spec.a * len(points) + t)
+    return complexes._cells_per_axis(spec.d, spec.a, t, reach, len(points),
+                                     np.diff(starts))
+
+
+def test_the_cell_examples_use_the_cells_they_name():
+    with mock.patch.object(complexes, "_CELL_WINDOW", 0):
+        for (cfg, epsilon), m in ((_THIRDS_2D, 3), (_CLAMPED, 4), (_DIAGONAL, 3)):
+            assert _cells(cfg.spec, [cfg.points], epsilon) == m
+        # at t = a/3 the reach is wider than a third: no cells
+        assert _cells(SPEC2, [_THIRDS_2D[0].points], 1 / 3) == 1
+    # nextafter(a, 0) * m / a rounds to m, past the last cell
+    assert float(np.nextafter(0.9, 0.0)) * (4 / 0.9) == 4.0
+    # the dense configuration's window of 60 points uses cells unpatched
+    assert _cells(*_DENSE_AND_SPARSE) == 9
+
+
+@pytest.mark.parametrize("d, sizes, t, m", [
+    (1, [20000], 0.01, 1),            # one coordinate: nothing to cut
+    (2, [20000], 0.0019, 1),          # a window of 38 points
+    (2, [20000], 0.002, 499),         # of 40 points
+    (3, [2000], 0.1, 9),              # the coverage workload's d = 3 graph
+    (2, [1600], 0.05, 19),            # and its d = 2 graph
+    (2, [175] * 8, 0.1, 1),           # the homology workload, 17.5 points
+    (2, [50] * 100, 0.1, 1),          # a replication block, 5 points
+    (3, [4000] * 2, 0.01, 63),        # 99 x 99 cells would be more than
+                                      # one a point
+    (2, [200], 0.34, 1),              # at most 2 cells wider than t
+])
+def test_cells_only_where_the_first_coordinates_window_is_wide(d, sizes, t, m):
+    sizes = np.array(sizes)
+    reach = t + 8 * np.spacing(4.0 * sizes.sum() + t)
+    assert complexes._cells_per_axis(d, 1.0, t, reach, sizes.sum(), sizes) == m
+    if m > 1:  # each cell is wider than the reach, and more cells would not be
+        assert m * reach * (1 + 2.0 ** -40) <= 1.0
+        assert (1.0 / (m + 1) < reach * (1 + 2.0 ** -40)
+                or sizes.size * (m + 1) ** (d - 1) > sizes.sum())
+
+
+@pytest.mark.parametrize("d, epsilon", [(2, 0.01), (3, 0.02)])
+@pytest.mark.parametrize("convention", list(Convention))
+def test_cell_search_matches_a_periodic_kd_tree(d, epsilon, convention):
+    # 20,000 uniform points, in cells unpatched, against scipy's periodic
+    # k-d tree under the max-norm: pairs closer than t (rips2eps) or at
+    # most t (subeps), each once
+    from scipy.spatial import cKDTree
+    pts = np.random.default_rng(d).random((20_000, d))
+    params = ComplexParams(epsilon=epsilon, convention=convention)
+    t = params.threshold()
+    assert _cells(TorusSpec(d=d, a=1.0), [pts], epsilon, convention) > 1
+    u, v = threshold_edges(pts, 1.0, params)
+    r = float(np.nextafter(t, 0.0)) if convention is Convention.RIPS_HALF_OPEN_2EPS else t
+    pairs = cKDTree(pts, boxsize=1.0).query_pairs(r, p=np.inf, output_type="ndarray")
+    mine = np.minimum(u, v) * len(pts) + np.maximum(u, v)
+    assert np.array_equal(np.sort(mine), np.sort(pairs[:, 0] * len(pts) + pairs[:, 1]))
+    # the edges twice (the runs and their join), a fixed run budget, and a
+    # few words for each of a point's windows; an (n, n) matrix would take
+    # 400 MB
+    bound = 2 * (u.nbytes + v.nbytes) + 512 * len(pts) + 4 * 2 ** 20
+    assert _traced_peak(threshold_edges, pts, 1.0, params) < bound
+
+
 def test_sweep_memory_follows_the_run_budget():
-    # about 400,000 candidate pairs, swept in runs of at most 2^16
+    # 2000 points at d = 3 in 9 x 9 cells: about 40,000 candidate pairs, in
+    # runs of at most 2^16
     pts = np.random.default_rng(3).random((2000, 3))
     assert _traced_peak(threshold_edges, pts, 1.0, ComplexParams(epsilon=0.05)) \
         < 4 * 2 ** 20

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import toroidal_coordinate_distance, wrap_coords
+from torushom.sampling import Poisson, SeedSpec, sample
 from torushom.torus import (Metric, TorusSpec, pairwise_distances,
                             torus_distance)
 
@@ -19,6 +20,21 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="finite"):
             TorusSpec(d=1, a=a)
     assert TorusSpec(d=3, a=2.0).volume == 8.0
+
+
+@pytest.mark.parametrize("d", [2.0, True])
+def test_spec_rejects_a_dimension_that_is_not_an_integer(d):
+    # both equal an integer, but the sampler cannot shape an array by them
+    with pytest.raises(ValueError, match="positive integer"):
+        TorusSpec(d=d, a=1.0)
+
+
+def test_spec_accepts_a_numpy_integer_dimension():
+    spec = TorusSpec(d=np.int64(2), a=1.0)
+    pc = sample(Poisson(5.0), spec, SeedSpec(1))
+    assert pc.points.shape[1] == 2
+    assert np.array_equal(pc.points,
+                          sample(Poisson(5.0), TorusSpec(d=2, a=1.0), SeedSpec(1)).points)
 
 
 def test_coordinate_distance_wraps():
