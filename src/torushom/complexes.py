@@ -24,7 +24,11 @@ of length t in each coordinate, and ``window_chi`` gets the Euler
 characteristic of a whole block from its edges alone, by counting each
 clique at its anchors (its first point in each coordinate), with no clique
 walk: each edge is oriented by the sign of the wrapped difference that the
-search tests, ties going to the larger row.
+search tests, ties going to the larger row.  On the circle (d = 1) there,
+``circle_covered`` tells from a sort of each configuration's coordinates
+whether every circular gap passes the threshold, which with chi gives every
+Betti number (see ``harness``); ``homology.collapsed_homology`` and the
+``homology`` command always run the collapse.
 
 ``sweeps`` and ``graphs`` are the one way from point arrays to graphs for
 ``harness``, ``homology.collapsed_homology``, ``simplex_counts`` and the
@@ -32,7 +36,8 @@ search tests, ties going to the larger row.
 configurations, and one ``neighbour_bitsets`` packs their bitsets where
 asked.  chi, when asked for, is each configuration's whole graph's, never
 None: the block's ``window_chi`` under ``windowed``, packing no bitsets for
-it, else ``cliques.chi_from_bitsets`` of bitsets the builder packs itself.
+it, else ``cliques.chi_from_bitsets`` of bitsets the builder packs itself;
+so are the gaps' verdicts of ``circle_covered``, when asked for.
 
 Two threshold conventions are supported:
 
@@ -321,8 +326,7 @@ def _run_edges(pts, a, params, rows, back, base, counts):
     i = rows.repeat(counts)
     j = back[np.arange(1, i.size + 1)
              + (base - counts.cumsum() + counts).repeat(counts)]
-    within = (np.less if params.convention is Convention.RIPS_HALF_OPEN_2EPS
-              else np.less_equal)
+    within = _within(params)
     max_norm = params.metric is Metric.MAX_NORM
     # A pair whose wrapped difference in one coordinate fails the threshold
     # fails the exact test: the max-norm is at least that difference, and so
@@ -346,6 +350,13 @@ def _run_edges(pts, a, params, rows, back, base, counts):
     np.minimum(wrapped, a - wrapped, out=wrapped)
     keep = within(np.sqrt((wrapped ** 2).sum(axis=1)), t)
     return i[keep], j[keep]
+
+
+def _within(params: ComplexParams):
+    """The convention's test of a distance against the threshold, as a
+    ufunc: ``np.less`` or ``np.less_equal``."""
+    return (np.less if params.convention is Convention.RIPS_HALF_OPEN_2EPS
+            else np.less_equal)
 
 
 def windowed(d: int, a: float, params: ComplexParams) -> bool:
@@ -429,6 +440,42 @@ def window_chi(points: np.ndarray, a: float, params: ComplexParams,
     return chi
 
 
+def circle_covered(points: np.ndarray, a: float, params: ComplexParams,
+                   starts: np.ndarray) -> np.ndarray:
+    """Whether each configuration of a block on the circle (d = 1) has a
+    point and passes the threshold at every circular gap; raises
+    ``ValueError`` outside ``windowed``.
+
+    A configuration's points, sorted by coordinate, leave the gaps
+    x_{k+1} - x_k between consecutive points and the wrap gap
+    a - (x_last - x_first), each tested with the convention's < or <= as
+    the distance test of ``threshold_edges`` tests it.  With 3t < a, the
+    Rips complex is a circle when every gap passes, and otherwise a
+    disjoint union of contractible pieces, one per failing gap (Adamaszek &
+    Adams, "The Vietoris-Rips complexes of a circle", Pacific J. Math. 290,
+    2017): its Betti numbers are (1, 1) or (chi,), with chi that of
+    ``window_chi``.  The gaps come from a sort, not from the edges, so they
+    and chi are found apart: every gap passes exactly when chi = 0 and
+    there is a point.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[1] != 1 or not windowed(1, a, params):
+        raise ValueError("circle_covered needs d = 1, the max-norm and 3t < a")
+    sizes = np.diff(starts)
+    seg = np.repeat(np.arange(sizes.size), sizes)
+    x = pts[np.lexsort((pts[:, 0], seg)), 0]
+    within, t = _within(params), params.threshold()
+    full = sizes > 0
+    covered = full.copy()
+    first, last = starts[:-1][full], starts[1:][full] - 1
+    covered[full] = within(a - (x[last] - x[first]), t)
+    # the consecutive gaps that fail, each inside one configuration
+    fails = ~within(np.diff(x), t)
+    fails &= seg[1:] == seg[:-1]
+    covered[seg[1:][fails]] = False
+    return covered
+
+
 def _arcs(col: np.ndarray, a: float, u: np.ndarray, v: np.ndarray):
     """Each edge (u[e], v[e]) as an arc (tail, head) whose head lies after
     its tail in the coordinate ``col``: the wrapped difference from tail to
@@ -479,17 +526,19 @@ def _blocks(draws, bitsets: bool):
 
 
 def sweeps(draws, spec: TorusSpec, params: ComplexParams, bitsets: bool,
-           chi: bool = False):
+           chi: bool = False, gaps: bool = False):
     """Each block of the configurations drawn on the torus ``spec``
     (``_blocks``), after one neighbour search over the whole block: the point
     counts and edge counts of its configurations, the degree of each of its
     points in order, the ``neighbour_bitsets`` pack of a bitset per point,
-    keyed by its configuration's local columns, if packed (else None), and,
-    if ``chi``, the Euler characteristic of the whole graph of each of its
-    configurations (else None).  That chi is the block's ``window_chi``
-    where ``windowed`` holds, else ``chi_from_bitsets`` of each
-    configuration's bitsets; so the bitsets are packed if ``bitsets``, or
-    if ``chi`` is asked for outside the windows."""
+    keyed by its configuration's local columns, if packed (else None), if
+    ``chi``, the Euler characteristic of the whole graph of each of its
+    configurations, and if ``gaps``, whether each passes at every circular
+    gap (``circle_covered``, on the circle under ``windowed`` only), each
+    else None.  That chi is the block's ``window_chi`` where ``windowed``
+    holds, else ``chi_from_bitsets`` of each configuration's bitsets; so the
+    bitsets are packed if ``bitsets``, or if ``chi`` is asked for outside
+    the windows."""
     windows = chi and windowed(spec.d, spec.a, params)
     pack = bitsets or (chi and not windows)
     for block in _blocks(draws, pack):
@@ -500,7 +549,7 @@ def sweeps(draws, spec: TorusSpec, params: ComplexParams, bitsets: bool,
         degrees = np.bincount(np.concatenate((u, v)), minlength=starts[-1])
         seg = np.repeat(np.arange(len(block)), sizes)
         edges = np.bincount(seg[u], minlength=len(block))
-        neigh = chis = None
+        neigh = chis = covered = None
         if pack:
             local = np.arange(starts[-1]) - starts[seg]
             neigh = neighbour_bitsets(u, v, starts[-1], local)
@@ -510,22 +559,27 @@ def sweeps(draws, spec: TorusSpec, params: ComplexParams, bitsets: bool,
             bounds = starts.tolist()
             chis = [chi_from_bitsets(neigh[first:last])
                     for first, last in zip(bounds, bounds[1:])]
-        yield sizes, edges, degrees, neigh, chis
+        if gaps:
+            covered = circle_covered(points, spec.a, params, starts).tolist()
+        yield sizes, edges, degrees, neigh, chis, covered
 
 
 def graphs(draws, spec: TorusSpec, params: ComplexParams, bitsets: bool,
-           chi: bool = False):
+           chi: bool = False, gaps: bool = False):
     """The threshold graph of each configuration drawn, in order, as its
-    point count, edge count, degree sequence, neighbour bitsets and Euler
-    characteristic, cut from its block's ``sweeps`` (the bitsets if packed
-    and the chi if ``chi``, each else None)."""
-    for sizes, edges, degrees, neigh, chis in sweeps(draws, spec, params,
-                                                     bitsets, chi):
+    point count, edge count, degree sequence, neighbour bitsets, Euler
+    characteristic and whether it passes at every circular gap, cut from
+    its block's ``sweeps`` (the bitsets if packed, the chi if ``chi`` and
+    the gaps' verdict if ``gaps``, each else None)."""
+    for sizes, edges, degrees, neigh, chis, covered in sweeps(
+            draws, spec, params, bitsets, chi, gaps):
         first = 0
-        chis = [None] * len(sizes) if chis is None else chis
-        for n, e, c in zip(sizes.tolist(), edges.tolist(), chis):
+        nones = [None] * len(sizes)
+        for n, e, c, cov in zip(sizes.tolist(), edges.tolist(),
+                                nones if chis is None else chis,
+                                nones if covered is None else covered):
             yield (n, e, degrees[first:first + n],
-                   None if neigh is None else neigh[first:first + n], c)
+                   None if neigh is None else neigh[first:first + n], c, cov)
             first += n
 
 
@@ -559,7 +613,8 @@ def simplex_counts(config: PointConfiguration, params: ComplexParams,
         raise ValueError(f"max_dim must be >= 0, got {max_dim}")
     _check_radius(config.spec, params, homology_mode=False)
     max_size = None if max_dim is None else max_dim + 1
-    ((_, _, _, neigh, _),) = graphs([config.points], config.spec, params, True)
+    ((_, _, _, neigh, _, _),) = graphs([config.points], config.spec, params,
+                                       True)
     counts, _ = count_cliques(neigh, max_size=max_size)
     return GeometricComplex(counts=counts[1:])  # drop the size-0 slot
 

@@ -21,6 +21,15 @@ bitset search) and Betti numbers above beta_0
 (``homology.homology_from_bitsets``, which lists only the cliques of a
 collapsed core and counts none of the full complex).  chi is the whole
 graph's, from the builder, and the Betti numbers are checked against it.
+On the circle (d = 1) under ``complexes.windowed`` (the max-norm, 3t < a),
+every Betti number comes instead from chi and the circular gaps, a block at
+a time, with no bitsets, no collapse and no clique listing: the complex is
+a circle, (1, 1), when every gap passes the threshold, else a disjoint union
+of chi contractible pieces (Adamaszek & Adams, Pacific J. Math. 290, 2017).
+chi comes from the edges' orientation and the gaps from a sort
+(``complexes.circle_covered``), and a replication raises unless every gap
+passes exactly when chi = 0 and it has a point; tier-1 tests check the rule
+against the collapse on the same graphs.
 Every replication counts: a cap overrun raises ``SimplexCapExceeded`` and a
 failed homology check ``RuntimeError``, naming the replication.
 """
@@ -36,7 +45,7 @@ from .cliques import SimplexCapExceeded, components, counts_from_bitsets
 # simplex_counts and sample are not called here; perfbench's import-site
 # test expects this module to hold them.
 from .complexes import (ComplexParams, _check_radius, graphs,  # noqa: F401
-                        simplex_counts, sweeps)
+                        simplex_counts, sweeps, windowed)
 from .homology import homology_from_bitsets
 from .sampling import (Poisson, ProcessLaw, SeedSpec, sample,  # noqa: F401
                        sample_run)
@@ -134,10 +143,10 @@ def run_experiment(config: ExperimentConfig) -> ReplicationReport:
     values: dict[str, list[float]] = {q: [] for q in config.quantities}
     draws = sample_run(config.law, config.spec, SeedSpec(config.master_seed),
                        ("experiment",), config.replications)
-    for rep, (n, edges, _, neigh, chi) in enumerate(graphs(
+    for rep, (n, edges, _, neigh, chi, covered) in enumerate(graphs(
             draws, config.spec, config.params, plan.needs_bitsets,
-            plan.needs_chi)):
-        row = _row(plan, n, edges, neigh, chi, f"replication {rep}")
+            plan.needs_chi, plan.circle)):
+        row = _row(plan, n, edges, neigh, chi, covered, f"replication {rep}")
         for q, value in zip(config.quantities, row):
             values[q].append(value)
 
@@ -160,24 +169,35 @@ class _Plan:
         beta_indices = sorted({p[1] for p in self.parsed if p[0] == "beta"})
         self.needs_counts = bool(kinds & {"N", "chi"})
         self.needs_full_homology = bool(beta_indices) and beta_indices != [0]
+        # every Betti number from chi and the gaps (``_betti``)
+        self.circle = bool(beta_indices) and _on_circle(config.spec,
+                                                        config.params)
+        self.betti = self.needs_full_homology or self.circle
         # N_k is counted to the largest k asked for; up to N_2 the counts
         # are the point and edge counts
         self.max_size = max([p[1] for p in self.parsed if p[0] == "N"], default=0)
         self.clique_walk = self.max_size > 2
         # the whole graph's chi, for itself and for the homology check
-        self.needs_chi = "chi" in kinds or self.needs_full_homology
-        self.needs_bitsets = "beta" in kinds or self.clique_walk
+        self.needs_chi = "chi" in kinds or self.betti
+        self.needs_bitsets = (("beta" in kinds and not self.circle)
+                              or self.clique_walk)
+
+
+def _on_circle(spec: TorusSpec, params: ComplexParams) -> bool:
+    """Whether the Betti numbers come from chi and the circular gaps: on
+    the circle (d = 1) under ``complexes.windowed``."""
+    return spec.d == 1 and windowed(spec.d, spec.a, params)
 
 
 def _row(plan: _Plan, n: int, edges: int, neigh: list[int] | None,
-         chi: int | None, where: str) -> list[float]:
+         chi: int | None, covered: bool | None, where: str) -> list[float]:
     """The values of one configuration, in the order of ``plan.parsed``,
-    with its whole graph's chi if the plan asks for one; ``where`` names
-    the configuration in the errors raised."""
+    with its whole graph's chi and its gaps' verdict if the plan asks for
+    them; ``where`` names the configuration in the errors raised."""
     counts = [0, n, edges]
     if plan.clique_walk:
         counts = _named(where, counts_from_bitsets, neigh, plan.max_size)
-    betti = _betti(neigh, where, chi) if plan.needs_full_homology else None
+    betti = _betti(n, neigh, chi, covered, where) if plan.betti else None
     row = []
     for kind, i in plan.parsed:
         if kind == "n_points":
@@ -193,9 +213,24 @@ def _row(plan: _Plan, n: int, edges: int, neigh: list[int] | None,
     return row
 
 
-def _betti(neigh: list[int], where: str, chi: int) -> list[int]:
-    """``homology_from_bitsets``'s Betti numbers, checked against the
-    whole graph's ``chi``; errors name ``where``."""
+def _betti(n: int, neigh: list[int] | None, chi: int, covered: bool | None,
+           where: str) -> list[int]:
+    """The checked Betti numbers of a configuration of n points, with its
+    whole graph's ``chi``; errors name ``where``.
+
+    Given the verdict ``covered`` of ``complexes.circle_covered`` (on the
+    circle, under ``windowed``), they are (1, 1) when every circular gap
+    passes, else (chi,), or () with no point, and every gap must pass
+    exactly when chi = 0 and n >= 1.  Else (``covered`` None) they are
+    ``homology_from_bitsets``'s of the bitsets ``neigh``, checked against
+    ``chi``."""
+    if covered is not None:
+        if covered != (chi == 0 and n > 0):
+            raise RuntimeError(
+                f"homology check failed at {where}: {n} points with chi = "
+                f"{chi}, but {'every' if covered else 'not every'} circular "
+                "gap passes")
+        return [1, 1] if covered else [chi] if n else []
     result = _named(where, homology_from_bitsets, neigh, chi)
     if result.violations:
         raise RuntimeError(f"homology check failed at {where}: "
@@ -258,11 +293,11 @@ def clt_rate_experiment(gamma: GammaGraph, spec: TorusSpec,
     for lam in lambdas:
         draws = sample_run(Poisson(lam=lam), spec, seed, ("clt", lam), reps)
         if star:
-            counts = [c for sizes, _, degrees, _, _
+            counts = [c for sizes, _, degrees, _, _, _
                       in sweeps(draws, spec, params, False)
                       for c in star_counts(gamma, degrees, sizes)]
         else:
-            counts = [count_gamma(gamma, deg, neigh) for _, _, deg, neigh, _
+            counts = [count_gamma(gamma, deg, neigh) for _, _, deg, neigh, _, _
                       in graphs(draws, spec, params, True)]
         vals = np.array(counts, dtype=float)
         mean = float(vals.mean())
@@ -326,15 +361,16 @@ def coverage_experiment(spec: TorusSpec, params: ComplexParams, lambdas,
             raise ValueError(f"intensity {law.lam} is repeated")
     _check_radius(spec, params, homology_mode=True)
     target = torus_betti(spec.d)
+    circle = _on_circle(spec, params)
     points = []
     for law in laws:
         draws = sample_run(law, spec, seed, ("coverage", law.lam), reps)
         matches = 0
-        for rep, (_, _, _, neigh, chi) in enumerate(
-                graphs(draws, spec, params, True, True)):
+        for rep, (n, _, _, neigh, chi, covered) in enumerate(
+                graphs(draws, spec, params, not circle, True, circle)):
             # a match may differ from the target only by trailing zeros
-            betti = tuple(_betti(neigh, f"lambda={law.lam}, replication {rep}",
-                                 chi))
+            betti = tuple(_betti(n, neigh, chi, covered,
+                                 f"lambda={law.lam}, replication {rep}"))
             matches += betti == target + (0,) * (len(betti) - len(target))
         freq = matches / reps
         se = math.sqrt(freq * (1.0 - freq) / reps)

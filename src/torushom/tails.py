@@ -16,10 +16,16 @@ def beta0_tail_bound(params: ModelParams, y: float) -> float:
     """Upper bound on P(beta_0 >= y), valid for y > lambda * a^d.
 
     beta_0 is at most the number of points, whose mean is lambda * a^d; the
-    bound compares against that proxy.  The constant (2^d - 1)^2 is the
-    square of the largest drop of beta_0 when one point is added, 2^d - 1,
-    when the point joins 2^d components into one; beta_0 rises by at most
-    1, since a new point adds one component and only merges others.
+    bound compares against that proxy.  It is Wu's concentration inequality
+    for Poisson functionals (Wu, PTRF 118, 2000; Houdre & Privault,
+    Bernoulli 8, 2002), exp(-(u / 2 beta) log(1 + beta u / alpha^2)), in
+    which beta bounds the rise of F when a point is added and alpha^2
+    bounds the integral of (D_x F)^2 over the intensity lambda dx, almost
+    surely.  For beta_0, beta = 1: a new point adds one component and only
+    merges others.  A new point that joins 2^d components into one drops
+    beta_0 by 2^d - 1, the largest change either way, so (D_x F)^2 is at
+    most (2^d - 1)^2 and, over the torus of volume a^d,
+    alpha^2 = (2^d - 1)^2 lambda a^d.
     """
     d, a = params.spec.d, params.spec.a
     mean_proxy = params.lam * a ** d
@@ -27,7 +33,7 @@ def beta0_tail_bound(params: ModelParams, y: float) -> float:
         raise ValueError(
             f"bound valid only above the mean proxy lambda*a^d = {mean_proxy}")
     u = y - mean_proxy
-    v = (2 ** d - 1) ** 2 * params.lam
+    v = (2 ** d - 1) ** 2 * mean_proxy
     return math.exp(-(u / 2.0) * math.log1p(u / v))
 
 

@@ -183,6 +183,16 @@ def test_tail_beta0_example(capsys):
     assert doc["bound"] == pytest.approx(0.03125)
 
 
+def test_tail_beta0_on_a_longer_circle(capsys):
+    # a = 4: u = 50 - 40 = 10 and v = (2^1 - 1)^2 * 10 * 4 = 40, so the bound
+    # is exp(-5 log(5/4)) = 0.8^5, that of a = 1 at the same mean point count
+    code, doc = run_cli(capsys, "tail", "--quantity", "beta0", "--d", "1",
+                        "--a", "4", "--lambda", "10", "--eps", "0.001",
+                        "--y", "50")
+    assert code == 0
+    assert doc["bound"] == pytest.approx(0.8 ** 5, abs=1e-12)
+
+
 MOMENT = ("moment", "--lambda", "30", "--eps", "0.05", "--quantity")
 MOMENT_LARGE = ("moment", "--lambda", "1000", "--eps", "0.05", "--quantity")
 
@@ -406,10 +416,12 @@ def test_experiment_output_is_strict_json(capsys):
 
 
 def test_coverage_reports_a_homology_violation_as_an_error(capsys, monkeypatch):
+    # under the Euclidean metric the circle's graphs are the max-norm's, but
+    # no window holds, so their Betti numbers come from the collapse
     monkeypatch.setattr(homology, "_collapse_edges",
                         dropping_edge_collapse(homology._collapse_edges))
     code, doc = run_cli(capsys, "coverage", "--eps", "0.2", "--lambdas", "60",
-                        "--reps", "3", "--seed", "4")
+                        "--reps", "3", "--seed", "4", "--metric", "euclidean")
     assert code == 1
     assert doc["error"].startswith("homology check failed at lambda=60.0")
 

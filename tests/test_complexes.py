@@ -11,9 +11,11 @@ from torushom import cliques, complexes
 from torushom.cliques import (SimplexCapExceeded, chi_from_bitsets,
                               enumerate_cliques, neighbour_bitsets)
 from torushom.complexes import (ComplexParams, Convention, adjacency_matrix,
-                                build_complex, phi_k, simplex_counts,
-                                threshold_edges, window_chi, windowed)
-from torushom.homology import collapsed_homology
+                                build_complex, circle_covered, phi_k,
+                                simplex_counts, threshold_edges, window_chi,
+                                windowed)
+from torushom.harness import _betti
+from torushom.homology import collapsed_homology, homology_from_bitsets
 from torushom.sampling import Binomial, PointConfiguration, SeedSpec, sample
 from torushom.torus import Metric, TorusSpec, pairwise_distances
 
@@ -430,12 +432,12 @@ def test_sweep_in_runs_matches_one_run(block, metric, convention, budget,
 
 
 @st.composite
-def window_blocks(draw):
-    """A block of configurations at d <= 2, on a lattice (``lattice_blocks``)
-    or uniform, with a convention and an epsilon whose threshold t has
-    3t < a: a lattice multiple or half multiple below a/3, or anything up to
-    just below it."""
-    d, a, m, coord = _lattice_coordinates(draw, max_d=2)
+def window_blocks(draw, max_d=2):
+    """A block of configurations at d <= ``max_d`` (at most 2), on a lattice
+    (``lattice_blocks``) or uniform, with a convention and an epsilon whose
+    threshold t has 3t < a: a lattice multiple or half multiple below a/3,
+    or anything up to just below it."""
+    d, a, m, coord = _lattice_coordinates(draw, max_d=max_d)
     if draw(st.booleans()):
         block = [_lattice_points(draw, d, coord)
                  for _ in range(draw(st.integers(0, 6)))]
@@ -483,6 +485,77 @@ def test_window_chi_equals_the_pivoted_chi_of_each_configuration(block, budget):
         cu, cv = threshold_edges(pts, spec.a, params)
         expected.append(chi_from_bitsets(neighbour_bitsets(cu, cv, len(pts))))
     assert chi.tolist() == expected
+
+
+def _circle(*configs):
+    return [np.array(c, dtype=float).reshape(-1, 1) for c in configs]
+
+
+SUB = Convention.SUBCOMPLEX_EPS
+# (block, params, the Betti numbers of each configuration): n = 0 to 3; two
+# points adjacent only the short way round (gaps 0.848 and 0.152 at
+# t = 0.2); gaps exactly t = 1/4 on dyadic coordinates, which fail under
+# rips2eps and pass under subeps; and a block whose first configurations
+# are empty, whose last consecutive gap alone fails
+_CIRCLE_CASES = {
+    "n<=3": (_circle([], [0.5], [0.1, 0.3], [0.0, 0.3, 0.6]),
+             ComplexParams(epsilon=0.3, convention=SUB), [[], [1], [1], [1]]),
+    "short-way-round": (_circle([0.0, 0.848]), ComplexParams(epsilon=0.1),
+                        [[1]]),
+    "tie-rips2eps": (_circle([0.0, 0.25, 0.5, 0.75]),
+                     ComplexParams(epsilon=0.125), [[4]]),
+    "tie-subeps": (_circle([0.0, 0.25, 0.5, 0.75]),
+                   ComplexParams(epsilon=0.25, convention=SUB), [[1, 1]]),
+    "empty-first": (_circle([], [], [0.0, 0.15, 0.3, 0.45, 0.6, 0.9]),
+                    ComplexParams(epsilon=0.2, convention=SUB), [[], [], [1]]),
+}
+
+
+def _rule_and_collapse(spec, configs, params, block_reps=1024):
+    """The Betti numbers of each configuration of a block on the circle,
+    from chi and the gaps (``harness._betti``), and from the collapse
+    (``homology_from_bitsets``) of the same graph, checked against the
+    same chi."""
+    with mock.patch.object(complexes, "_BLOCK_REPS", block_reps):
+        out = list(complexes.graphs(iter(configs), spec, params, True, True,
+                                    True))
+    rule, collapse = [], []
+    for n, _, _, neigh, chi, covered in out:
+        rule.append(_betti(n, None, chi, covered, "here"))
+        result = homology_from_bitsets(neigh, chi)
+        assert result.violations == []
+        collapse.append(result.betti)
+    return rule, collapse
+
+
+@pytest.mark.parametrize("case", sorted(_CIRCLE_CASES))
+def test_circle_betti_numbers_of_small_cases(case):
+    configs, params, betti = _CIRCLE_CASES[case]
+    assert _rule_and_collapse(SPEC1, configs, params) == (betti, betti)
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_blocks(max_d=1), st.sampled_from([1, 2, 1024]))
+@example((SPEC1, *_CIRCLE_CASES["empty-first"][:2]), 1024)
+@example((SPEC1, *_CIRCLE_CASES["tie-rips2eps"][:2]), 1024)
+def test_circle_betti_numbers_equal_the_collapse(block, block_reps):
+    # both conventions, thresholds up to just below a/3, exact ties on a
+    # lattice, and blocks of one configuration or many
+    spec, configs, params = block
+    rule, collapse = _rule_and_collapse(spec, configs, params, block_reps)
+    assert rule == collapse
+
+
+@pytest.mark.parametrize("d, params", [
+    (2, ComplexParams(epsilon=0.05)),
+    (1, ComplexParams(epsilon=0.05, metric=Metric.EUCLIDEAN)),
+    (1, ComplexParams(epsilon=1 / 6)),
+    (1, ComplexParams(epsilon=1 / 3, convention=Convention.SUBCOMPLEX_EPS)),
+])
+def test_circle_covered_refuses_all_but_the_windowed_circle(d, params):
+    assert not (d == 1 and windowed(d, 1.0, params))
+    with pytest.raises(ValueError, match="d = 1, the max-norm and 3t < a"):
+        circle_covered(np.zeros((2, d)), 1.0, params, np.array([0, 2]))
 
 
 @pytest.mark.parametrize("d, params", [
@@ -551,7 +624,7 @@ def test_graph_builder_gives_each_configuration_its_own_graph_and_chi(
         out = list(complexes.graphs(iter(configs), spec, params, bitsets, chi))
     assert len(out) == len(configs)
     assert calls["neighbour_bitsets"] == (calls["threshold_edges"] if packs else 0)
-    for (n, edges, degrees, neigh, c), pts in zip(out, configs):
+    for (n, edges, degrees, neigh, c, covered), pts in zip(out, configs):
         u, v = threshold_edges(pts, spec.a, params)
         fresh = neighbour_bitsets(u, v, len(pts))
         assert (n, edges) == (len(pts), len(u))
@@ -559,6 +632,7 @@ def test_graph_builder_gives_each_configuration_its_own_graph_and_chi(
                                                minlength=len(pts)).tolist()
         assert neigh == (fresh if packs else None)
         assert c == (chi_from_bitsets(fresh) if chi else None)
+        assert covered is None
 
 
 def _traced_peak(fn, *args, **kwargs) -> int:

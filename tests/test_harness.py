@@ -20,6 +20,12 @@ from torushom.torus import Metric, TorusSpec
 
 SPEC1 = TorusSpec(d=1, a=1.0)
 PARAMS = ComplexParams(epsilon=0.05)
+# On the circle the Euclidean graphs are the max-norm's, but no window holds
+# (``complexes.windowed``), so their Betti numbers come from the collapse,
+# not from chi and the circular gaps.
+EUCLID1 = ComplexParams(epsilon=0.05, metric=Metric.EUCLIDEAN)
+COVER_EUCLID1 = ComplexParams(epsilon=0.2, metric=Metric.EUCLIDEAN,
+                              convention=Convention.SUBCOMPLEX_EPS)
 
 
 def test_config_validation():
@@ -93,8 +99,8 @@ def test_zero_cap_is_no_exemption(monkeypatch):
     # 0 is a cap like any other, for the clique enumeration of beta_1 as for
     # the counts: the first replication with a point passes it
     monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 0)
-    for quantities in (("beta_1",), ("N_3", "chi")):
-        cfg = ExperimentConfig(law=Poisson(15.0), spec=SPEC1, params=PARAMS,
+    for quantities, params in ((("beta_1",), EUCLID1), (("N_3", "chi"), PARAMS)):
+        cfg = ExperimentConfig(law=Poisson(15.0), spec=SPEC1, params=params,
                                replications=20, master_seed=8,
                                quantities=quantities)
         with pytest.raises(cliques.SimplexCapExceeded,
@@ -158,7 +164,7 @@ def test_betti_numbers_count_no_cliques(monkeypatch):
 def test_cap_on_the_core_raises_naming_the_replication(monkeypatch):
     # a core that is a cycle of m > 5 vertices has 2m > 10 cliques, and a
     # contractible core is one vertex
-    cfg = ExperimentConfig(law=Poisson(40.0), spec=SPEC1, params=PARAMS,
+    cfg = ExperimentConfig(law=Poisson(40.0), spec=SPEC1, params=EUCLID1,
                            replications=20, master_seed=5, quantities=("beta_1",))
     first_cycle = run_experiment(cfg).raw["beta_1"].tolist().index(1.0)
     monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 10)
@@ -233,6 +239,14 @@ def test_clt_experiment_rejects_small_reps_before_sampling(monkeypatch):
     assert calls == {"sample": 0}
 
 
+def _counted(calls: dict, name: str, fn):
+    """``fn``, counting its calls under ``calls[name]``."""
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+
 def _count_calls(monkeypatch):
     """Counts of the configurations drawn (``_count_draws``) and of the
     calls to threshold_edges, adjacency_matrix, neighbour_bitsets and
@@ -241,12 +255,6 @@ def _count_calls(monkeypatch):
     calls = dict.fromkeys(("threshold_edges", "adjacency_matrix",
                            "neighbour_bitsets", "collapsed_homology"), 0)
     blocks = []
-
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
 
     def counting_blocks(draws, bitsets):
         for block in real_blocks(draws, bitsets):
@@ -259,7 +267,7 @@ def _count_calls(monkeypatch):
         for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
-                                    counting(name, getattr(module, name)))
+                                    _counted(calls, name, getattr(module, name)))
     return _count_draws(monkeypatch, calls), blocks
 
 
@@ -380,7 +388,7 @@ def test_coverage_experiment_d2_has_no_exclusions():
 def test_coverage_experiment_raises_on_homology_violation(monkeypatch):
     monkeypatch.setattr(homology, "_collapse_edges",
                         dropping_edge_collapse(homology._collapse_edges))
-    params = ComplexParams(epsilon=0.2, convention=Convention.SUBCOMPLEX_EPS)
+    params = COVER_EUCLID1
     pc = sample(Poisson(lam=60.0), SPEC1, SeedSpec(4).child("coverage", 60.0, 0))
     violations = homology.collapsed_homology(pc, params).violations
     assert violations == ["euler characteristic mismatch: counts give 0, betti give 1"]
@@ -401,7 +409,7 @@ def test_a_wrong_first_collapse_fails_the_whole_graph_check(monkeypatch):
         calls.append(core.size)
         return core[:core.size // 2] if len(calls) == 1 else core
 
-    params = ComplexParams(epsilon=0.2, convention=Convention.SUBCOMPLEX_EPS)
+    params = COVER_EUCLID1
     pc = sample(Poisson(lam=60.0), SPEC1, SeedSpec(4).child("coverage", 60.0, 0))
     assert homology.collapsed_homology(pc, params).betti == [1, 1]
     monkeypatch.setattr(homology, "collapse_from_bitsets", half_core_first)
@@ -522,19 +530,117 @@ def test_window_chi_packs_no_bitsets(monkeypatch):
 
 
 def test_coverage_experiment_sweeps_once_per_block(monkeypatch):
+    # on the circle the Betti numbers come from chi and the gaps, packing
+    # no bitsets and running no collapse
+    params = ComplexParams(epsilon=0.2, convention=Convention.SUBCOMPLEX_EPS)
+    _check_coverage_sweeps(monkeypatch, 1, params, [10.0, 30.0, 100.0])
+
+
+def test_coverage_experiment_at_d2_packs_once_per_block(monkeypatch):
+    # each block is packed once, and each replication collapsed and its
+    # core's cliques listed
+    _check_coverage_sweeps(monkeypatch, 2, ComplexParams(epsilon=0.05),
+                           [50.0, 100.0, 200.0])
+
+
+def _check_coverage_sweeps(monkeypatch, d, params, lambdas):
+    """Check the blocks and the calls of ``coverage_experiment`` at d with
+    20 replications an intensity, in blocks of at most 7."""
     monkeypatch.setattr(complexes, "_BLOCK_REPS", 7)
     calls, blocks = _count_calls(monkeypatch)
-    params = ComplexParams(epsilon=0.2, convention=Convention.SUBCOMPLEX_EPS)
-    lambdas = [10.0, 30.0, 100.0]
-    coverage_experiment(SPEC1, params, lambdas, reps=20, seed=SeedSpec(1))
+    walks = dict.fromkeys(("homology_from_bitsets", "collapse_from_bitsets",
+                           "enumerate_cliques"), 0)
+    for module, name in ((harness, "homology_from_bitsets"),
+                         (homology, "collapse_from_bitsets"),
+                         (homology, "enumerate_cliques")):
+        monkeypatch.setattr(module, name, _counted(walks, name,
+                                                   getattr(module, name)))
+    coverage_experiment(TorusSpec(d=d, a=1.0), params, lambdas, reps=20,
+                        seed=SeedSpec(1))
     # at least three blocks of at most 7 configurations per intensity
-    assert sum(map(len, blocks)) == 20 * len(lambdas)
+    reps = 20 * len(lambdas)
+    assert sum(map(len, blocks)) == reps
     assert len(blocks) >= 3 * len(lambdas)
-    assert calls == {"sample": 20 * len(lambdas),
+    assert calls == {"sample": reps,
                      "threshold_edges": len(blocks),
                      "adjacency_matrix": 0,
-                     "neighbour_bitsets": len(blocks),
+                     "neighbour_bitsets": 0 if d == 1 else len(blocks),
                      "collapsed_homology": 0}
+    if d == 1:
+        assert walks == dict.fromkeys(walks, 0)
+    else:
+        assert walks["homology_from_bitsets"] == reps
+        assert walks["enumerate_cliques"] == reps
+        assert walks["collapse_from_bitsets"] >= reps
+
+
+def _first(stream, reps: int, params, test):
+    """The first replication r < ``reps`` of ``stream(r)``, a seed, at which
+    ``test`` holds of the sorted coordinates of its draw on the circle,
+    under ``params``, else None."""
+    for r in range(reps):
+        x = np.sort(sample(Poisson(lam=10.0), SPEC1, stream(r)).points[:, 0])
+        if test(x, params):
+            return r
+    return None
+
+
+def _only_the_wrap_gap_fails(x, params) -> bool:
+    return x.size > 0 and all(params.adjacent(g) for g in np.diff(x)) \
+        and not params.adjacent(1.0 - (x[-1] - x[0]))
+
+
+def _every_gap_passes(x, params) -> bool:
+    return x.size > 0 and all(params.adjacent(g) for g in np.diff(x)) \
+        and params.adjacent(1.0 - (x[-1] - x[0]))
+
+
+def _covered_without_the_wrap_gap(points, a, params, starts):
+    """A broken ``circle_covered`` that forgets the wrap gap."""
+    out = []
+    for first, last in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        x = np.sort(points[first:last, 0])
+        out.append(x.size > 0 and all(params.adjacent(g) for g in np.diff(x)))
+    return np.array(out)
+
+
+def _arcs_without_the_wrap(arcs):
+    """A broken ``_arcs`` that orients each edge as on a circle twice as
+    long, so that no edge wraps round: on the circle, the last point of a
+    covered configuration then has no neighbour after it, and chi >= 1."""
+    return lambda col, a, u, v: arcs(col, 2.0 * a, u, v)
+
+
+@pytest.mark.parametrize("name, mutant, test", [
+    ("circle_covered", lambda real: _covered_without_the_wrap_gap,
+     _only_the_wrap_gap_fails),
+    ("_arcs", _arcs_without_the_wrap, _every_gap_passes),
+], ids=("gap-test", "window-chi"))
+def test_a_broken_circle_rule_fails_its_check(monkeypatch, name, mutant, test):
+    # the gaps and chi are found apart, so a fault in either makes every gap
+    # pass where chi != 0: first at the replication whose draw the mutant
+    # misreads, named by both experiments (seed 4 puts it past replication
+    # 0 for both faults in both)
+    params = ComplexParams(epsilon=0.2, convention=Convention.SUBCOMPLEX_EPS)
+    seed = SeedSpec(4)
+    at_coverage = _first(lambda r: seed.child("coverage", 10.0, r), 60,
+                         params, test)
+    at_experiment = _first(lambda r: seed.child("experiment", r), 60, params,
+                           test)
+    assert at_coverage > 0 and at_experiment > 0
+    coverage_experiment(SPEC1, params, [10.0], reps=60, seed=seed)
+    cfg = ExperimentConfig(law=Poisson(10.0), spec=SPEC1, params=params,
+                           replications=60, master_seed=4,
+                           quantities=("beta_0", "beta_1"))
+    run_experiment(cfg)
+    monkeypatch.setattr(complexes, name, mutant(getattr(complexes, name)))
+    with pytest.raises(RuntimeError, match=(
+            f"^homology check failed at lambda=10.0, replication {at_coverage}: "
+            r"\d+ points with chi = [1-9]\d*, but every circular gap passes$")):
+        coverage_experiment(SPEC1, params, [10.0], reps=60, seed=seed)
+    with pytest.raises(RuntimeError, match=(
+            f"^homology check failed at replication {at_experiment}: ")):
+        run_experiment(cfg)
 
 
 def test_coverage_experiment_rejects_large_radius_before_sampling(monkeypatch):

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from torushom.cliques import chi_from_bitsets, components, neighbour_bitsets
 from torushom.complexes import ComplexParams, threshold_edges
+from torushom.harness import ExperimentConfig, run_experiment
 from torushom.moments import ModelParams
+from torushom.sampling import Poisson
 from torushom.tails import beta0_tail_bound, chi2d_tail_bound
 from torushom.torus import TorusSpec
 
@@ -19,6 +21,31 @@ def test_beta0_bound_frozen_value():
     # d = 1, lam = 10, y = 20: u = 10, v = (2^1-1)^2 * 10 = 10, so the
     # bound is exp(-5 log 2) = 2^-5
     assert beta0_tail_bound(P1, 20.0) == pytest.approx(0.03125, abs=1e-12)
+
+
+def test_beta0_bound_on_a_longer_circle_covers_monte_carlo():
+    # a = 4, lam = 10: 40 points on average, as at a = 1, lam = 40, so
+    # alpha^2 = (2^d - 1)^2 lam a^d = 40 and the bound is that of a = 1
+    # (0.8^5 at y = 50).  Without the volume a^d, alpha^2 = 10 gave
+    # 2^-5 = 0.03125 at y = 50, below the tail of 20,000 replications
+    # (about 0.05), whose beta_0 comes from chi and the circular gaps.
+    spec = TorusSpec(d=1, a=4.0)
+    model = ModelParams(lam=10.0, spec=spec, epsilon=0.001)
+    unit = ModelParams(lam=40.0, spec=TorusSpec(d=1, a=1.0), epsilon=0.001)
+    cfg = ExperimentConfig(law=Poisson(10.0), spec=spec,
+                           params=ComplexParams(epsilon=0.001),
+                           replications=20_000, master_seed=77,
+                           quantities=("beta_0",))
+    beta0 = run_experiment(cfg).raw["beta_0"]
+    for y in (50.0, 55.0):
+        bound = beta0_tail_bound(model, y)
+        assert bound == pytest.approx(beta0_tail_bound(unit, y), rel=1e-12)
+        p = float((beta0 >= y).mean())
+        se = math.sqrt(p * (1.0 - p) / beta0.size)
+        assert p - 3.0 * se <= bound
+        u = y - 40.0
+        assert p - 3.0 * se > math.exp(-(u / 2.0) * math.log1p(u / 10.0))
+    assert beta0_tail_bound(model, 50.0) == pytest.approx(0.8 ** 5, abs=1e-12)
 
 
 def test_beta0_bound_domain():
