@@ -296,9 +296,8 @@ def _cmd_subcount(args):
     pc = _load_points(args.infile)
     with open(args.gamma) as fh:
         gamma = GammaGraph.from_json(json.load(fh))
-    ((_, _, degrees, neigh, _, _),) = graphs([pc.points], pc.spec,
-                                             _params(args), not star_arms(gamma))
-    _emit({"g_gamma": count_gamma(gamma, degrees, neigh),
+    (graph,) = graphs([pc.points], pc.spec, _params(args), not star_arms(gamma))
+    _emit({"g_gamma": count_gamma(gamma, graph.degrees, graph.neigh),
            "c_gamma": automorphism_count(gamma)}, args.out)
 
 

@@ -14,7 +14,10 @@ n * ceil(width / 8) bytes, of one graph or of a whole block of graphs at
 once; no (n, n) boolean matrix is built.  Every walker takes them: clique
 counting, clique enumeration and the connected components (``components``,
 of configurations and of patterns alike) here, strong collapse in
-``homology``, pattern counting in ``subcomplex``.
+``homology``, pattern counting in ``subcomplex``.  The triangles of a whole
+block of graphs are counted from its edges instead (``triangle_counts``),
+in numpy, with no walk and no Python ints, so the clique walk is needed for
+N_4 and up only; a count by either way is capped alike (``check_cap``).
 """
 
 from __future__ import annotations
@@ -47,6 +50,43 @@ def neighbour_bitsets(u: np.ndarray, v: np.ndarray, n: int,
     np.bitwise_or.at(packed, rows * nbytes + (cols >> 3),
                      (1 << (cols & 7)).astype(np.uint8))
     return _row_ints(packed.reshape(n, nbytes))
+
+
+def triangle_counts(u: np.ndarray, v: np.ndarray, column: np.ndarray,
+                    seg: np.ndarray, groups: int, run: int) -> np.ndarray:
+    """The triangle count of each of ``groups`` graphs whose vertices lie
+    in one array, each graph's consecutively: vertex x is in graph seg[x]
+    at its local column column[x].  The edges (u[e], v[e]) are each listed
+    once, in any order and orientation.
+
+    Each vertex x's later neighbours (y > x) are packed by column into row
+    x of an (n, ceil(width / 64)) array of uint64 words, width being the
+    largest column plus one.  A triangle x < y < z is then counted once, at
+    its lowest edge xy, as the bit z of row x AND row y: the popcounts of
+    those ANDs, summed over the edges, are the triangle counts.  The edges
+    are ANDed in runs of at most ``run`` words, so that the join holds the
+    rows and one run."""
+    found = np.zeros(groups, dtype=np.int64)
+    if u.size == 0:
+        return found
+    x, y = np.minimum(u, v), np.maximum(u, v)
+    words = (int(column.max()) >> 6) + 1
+    later = np.zeros(column.size * words, dtype=np.uint64)
+    cols = column[y]
+    # bits of one word come from distinct edges, so adding them ORs them
+    np.add.at(later, x * words + (cols >> 6),
+              np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64)))
+    later = later.reshape(column.size, words)
+    step = max(1, run // words)
+    for first in range(0, x.size, step):
+        xs = x[first:first + step]
+        common = later.take(xs, axis=0)
+        common &= later.take(y[first:first + step], axis=0)
+        per_edge = np.bitwise_count(common).sum(axis=1, dtype=np.int64)
+        # each run's sum is below 2^53, exact as a float weight
+        found += np.bincount(seg[xs], weights=per_edge,
+                             minlength=groups).astype(np.int64)
+    return found
 
 
 # Only the adjacency-matrix wrappers that perfbench calls (strong_collapse,
@@ -163,10 +203,17 @@ def counts_from_bitsets(neigh: list[int], max_size: int) -> list[int]:
             if two:
                 counts[size + 2] += two
             total += one + two
+    check_cap(total, max_size)
+    return counts
+
+
+def check_cap(total: int, max_size: int) -> None:
+    """Raise ``SimplexCapExceeded`` when ``total`` cliques of at most
+    ``max_size`` vertices pass ``DEFAULT_SIMPLEX_CAP``, read at the call."""
+    cap = DEFAULT_SIMPLEX_CAP
     if total > cap:
         raise SimplexCapExceeded(f"more than DEFAULT_SIMPLEX_CAP = {cap} cliques"
                                  f" of at most {max_size} vertices")
-    return counts
 
 
 def _last_sizes(neigh: list[int], cand: int, deep: bool) -> tuple[int, int]:

@@ -15,20 +15,22 @@ plus the edges; one search also finds the edges of a whole block of
 configurations.  The edges are packed once into neighbour bitsets (see
 ``cliques``), which a complex keeps and every walker reads; the (n, n)
 boolean matrix of ``adjacency_matrix`` is only a way in, built nowhere
-else.  ``simplex_counts`` counts a complex's simplices by a clique walk;
-``build_complex`` counts only its vertices and edges and keeps its graph,
-from which homology (see ``homology``) lists only the cliques of a
-collapsed core.  Neither stores a list of simplices.  Under the max-norm at
-d <= 2 with 3t < a (``windowed``), a clique is a set that fits in a window
-of length t in each coordinate, and ``window_chi`` gets the Euler
-characteristic of a whole block from its edges alone, by counting each
-clique at its anchors (its first point in each coordinate), with no clique
-walk: each edge is oriented by the sign of the wrapped difference that the
-search tests, ties going to the larger row.  On the circle (d = 1) there,
-``circle_covered`` tells from a sort of each configuration's coordinates
-whether every circular gap passes the threshold, which with chi gives every
-Betti number (see ``harness``); ``homology.collapsed_homology`` and the
-``homology`` command always run the collapse.
+else.  ``simplex_counts`` counts a complex's simplices up to triangles from
+its edges (``cliques.triangle_counts``), packing no bitsets, and above them
+by a clique walk; ``build_complex`` counts only its vertices and edges and
+keeps its graph, from which homology (see ``homology``) lists only the
+cliques of a collapsed core.  Neither stores a list of simplices.  Under
+the max-norm at d <= 2 with 3t < a (``windowed``), a clique is a set that
+fits in a window of length t in each coordinate, and ``window_chi`` gets
+the Euler characteristic of a whole block from its edges alone, by
+counting each clique at its anchors (its first point in each coordinate),
+with no clique walk: each edge is oriented by the sign of the wrapped
+difference that the search tests, ties going to the larger row.  On the
+circle (d = 1) there, ``circle_covered`` tells from a sort of each
+configuration's coordinates whether every circular gap passes the
+threshold, which with chi gives every Betti number (see ``harness``);
+``homology.collapsed_homology`` and the ``homology`` command always run the
+collapse.
 
 ``sweeps`` and ``graphs`` are the one way from point arrays to graphs for
 ``harness``, ``homology.collapsed_homology``, ``simplex_counts`` and the
@@ -37,7 +39,9 @@ configurations, and one ``neighbour_bitsets`` packs their bitsets where
 asked.  chi, when asked for, is each configuration's whole graph's, never
 None: the block's ``window_chi`` under ``windowed``, packing no bitsets for
 it, else ``cliques.chi_from_bitsets`` of bitsets the builder packs itself;
-so are the gaps' verdicts of ``circle_covered``, when asked for.
+so are the gaps' verdicts of ``circle_covered`` and the triangle counts of
+``cliques.triangle_counts``, each of a whole block from its edges, when
+asked for.
 
 Two threshold conventions are supported:
 
@@ -60,10 +64,12 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations, product
+from typing import NamedTuple
 
 import numpy as np
 
-from .cliques import chi_from_bitsets, count_cliques, neighbour_bitsets
+from .cliques import (check_cap, chi_from_bitsets, count_cliques,
+                      neighbour_bitsets, triangle_counts)
 from .sampling import PointConfiguration
 # pairwise_distances is not called here; perfbench's import-site test
 # expects this module to hold it.
@@ -494,27 +500,28 @@ def _arcs(col: np.ndarray, a: float, u: np.ndarray, v: np.ndarray):
 
 
 # Configurations are swept in blocks of at most _BLOCK_REPS configurations
-# and _BLOCK_CELLS cells.  A block whose bitsets are packed has a cell per
-# (point, largest configuration), which bounds the bitsets (a bit a cell,
-# 8 KB); larger such blocks were no faster and raised the peak memory of a
-# run.  A block that packs none has a cell per point, which bounds the
-# search's arrays of a few words a point (with one run of _RUN_PAIRS
-# candidates, 5 MB traced at 20,000 points, d=2).  A configuration too
-# large for a block runs alone.
+# and _BLOCK_CELLS cells.  A block that keeps a row of bits a point (its
+# bitsets, or the words of its triangle join) has a cell per (point, largest
+# configuration), which bounds those rows (a bit a cell, 8 KB, padded to
+# whole bytes or words); larger such blocks were no faster and raised the
+# peak memory of a run.  A block that keeps none has a cell per point, which
+# bounds the search's arrays of a few words a point (with one run of
+# _RUN_PAIRS candidates, 5 MB traced at 20,000 points, d=2).  A
+# configuration too large for a block runs alone.
 _BLOCK_REPS = 1024
 _BLOCK_CELLS = 1 << 16
 
 
-def _blocks(draws, bitsets: bool):
+def _blocks(draws, rows: bool):
     """The configurations drawn, in order, as lists of point arrays of at
     most ``_BLOCK_REPS`` configurations and ``_BLOCK_CELLS`` cells: points x
-    largest configuration if ``bitsets`` are packed, else points; a larger
-    configuration comes alone."""
+    largest configuration if a row of bits is kept a point (``rows``), else
+    points; a larger configuration comes alone."""
     block: list[np.ndarray] = []
     total = width = 0
     for pts in draws:
         n = pts.shape[0]
-        cells = (total + n) * (max(width, n) if bitsets else 1)
+        cells = (total + n) * (max(width, n) if rows else 1)
         if block and (len(block) == _BLOCK_REPS or cells > _BLOCK_CELLS):
             yield block
             block, total, width = [], 0, 0
@@ -525,23 +532,48 @@ def _blocks(draws, bitsets: bool):
         yield block
 
 
+class Sweep(NamedTuple):
+    """One block of ``sweeps``: per configuration, its point count, edge
+    count, chi, gaps' verdict and triangle count, and per point, its degree
+    and bitset; an item not asked for is None."""
+    sizes: np.ndarray
+    edges: np.ndarray
+    degrees: np.ndarray
+    neigh: list[int] | None
+    chi: list[int] | None
+    covered: list[bool] | None
+    triangles: list[int] | None
+
+
+class Graph(NamedTuple):
+    """One configuration's threshold graph, cut from its ``Sweep``."""
+    n: int
+    edges: int
+    degrees: np.ndarray
+    neigh: list[int] | None
+    chi: int | None
+    covered: bool | None
+    triangles: int | None
+
+
 def sweeps(draws, spec: TorusSpec, params: ComplexParams, bitsets: bool,
-           chi: bool = False, gaps: bool = False):
+           chi: bool = False, gaps: bool = False, triangles: bool = False):
     """Each block of the configurations drawn on the torus ``spec``
-    (``_blocks``), after one neighbour search over the whole block: the point
-    counts and edge counts of its configurations, the degree of each of its
-    points in order, the ``neighbour_bitsets`` pack of a bitset per point,
-    keyed by its configuration's local columns, if packed (else None), if
-    ``chi``, the Euler characteristic of the whole graph of each of its
-    configurations, and if ``gaps``, whether each passes at every circular
-    gap (``circle_covered``, on the circle under ``windowed`` only), each
-    else None.  That chi is the block's ``window_chi`` where ``windowed``
-    holds, else ``chi_from_bitsets`` of each configuration's bitsets; so the
-    bitsets are packed if ``bitsets``, or if ``chi`` is asked for outside
-    the windows."""
+    (``_blocks``), after one neighbour search over the whole block, as a
+    ``Sweep``: the point counts and edge counts of its configurations, the
+    degree of each of its points in order, the ``neighbour_bitsets`` pack of
+    a bitset per point, keyed by its configuration's local columns, if
+    packed (else None), if ``chi``, the Euler characteristic of the whole
+    graph of each of its configurations, if ``gaps``, whether each passes at
+    every circular gap (``circle_covered``, on the circle under ``windowed``
+    only), and if ``triangles``, the triangle count of each
+    (``cliques.triangle_counts`` of the block's edges), each else None.
+    That chi is the block's ``window_chi`` where ``windowed`` holds, else
+    ``chi_from_bitsets`` of each configuration's bitsets; so the bitsets are
+    packed if ``bitsets``, or if ``chi`` is asked for outside the windows."""
     windows = chi and windowed(spec.d, spec.a, params)
     pack = bitsets or (chi and not windows)
-    for block in _blocks(draws, pack):
+    for block in _blocks(draws, pack or triangles):
         sizes = np.array([pts.shape[0] for pts in block])
         starts = np.concatenate(([0], np.cumsum(sizes)))
         points = np.concatenate(block)
@@ -549,10 +581,14 @@ def sweeps(draws, spec: TorusSpec, params: ComplexParams, bitsets: bool,
         degrees = np.bincount(np.concatenate((u, v)), minlength=starts[-1])
         seg = np.repeat(np.arange(len(block)), sizes)
         edges = np.bincount(seg[u], minlength=len(block))
-        neigh = chis = covered = None
-        if pack:
+        neigh = chis = covered = found = None
+        if pack or triangles:
             local = np.arange(starts[-1]) - starts[seg]
+        if pack:
             neigh = neighbour_bitsets(u, v, starts[-1], local)
+        if triangles:
+            found = triangle_counts(u, v, local, seg, len(block),
+                                    _RUN_PAIRS).tolist()
         if windows:
             chis = window_chi(points, spec.a, params, starts, u, v).tolist()
         elif chi:
@@ -561,25 +597,28 @@ def sweeps(draws, spec: TorusSpec, params: ComplexParams, bitsets: bool,
                     for first, last in zip(bounds, bounds[1:])]
         if gaps:
             covered = circle_covered(points, spec.a, params, starts).tolist()
-        yield sizes, edges, degrees, neigh, chis, covered
+        yield Sweep(sizes, edges, degrees, neigh, chis, covered, found)
 
 
 def graphs(draws, spec: TorusSpec, params: ComplexParams, bitsets: bool,
-           chi: bool = False, gaps: bool = False):
-    """The threshold graph of each configuration drawn, in order, as its
-    point count, edge count, degree sequence, neighbour bitsets, Euler
-    characteristic and whether it passes at every circular gap, cut from
-    its block's ``sweeps`` (the bitsets if packed, the chi if ``chi`` and
-    the gaps' verdict if ``gaps``, each else None)."""
-    for sizes, edges, degrees, neigh, chis, covered in sweeps(
-            draws, spec, params, bitsets, chi, gaps):
-        first = 0
-        nones = [None] * len(sizes)
-        for n, e, c, cov in zip(sizes.tolist(), edges.tolist(),
-                                nones if chis is None else chis,
-                                nones if covered is None else covered):
-            yield (n, e, degrees[first:first + n],
-                   None if neigh is None else neigh[first:first + n], c, cov)
+           chi: bool = False, gaps: bool = False, triangles: bool = False):
+    """The threshold graph of each configuration drawn, in order, as a
+    ``Graph``: its point count, edge count, degree sequence, neighbour
+    bitsets, Euler characteristic, whether it passes at every circular gap
+    and triangle count, cut from its block's ``sweeps`` (the bitsets if
+    packed, the chi if ``chi``, the gaps' verdict if ``gaps`` and the
+    triangles if ``triangles``, each else None)."""
+    for block in sweeps(draws, spec, params, bitsets, chi, gaps, triangles):
+        first, neigh = 0, block.neigh
+        nones = [None] * len(block.sizes)
+        for n, e, c, cov, tri in zip(
+                block.sizes.tolist(), block.edges.tolist(),
+                nones if block.chi is None else block.chi,
+                nones if block.covered is None else block.covered,
+                nones if block.triangles is None else block.triangles):
+            yield Graph(n, e, block.degrees[first:first + n],
+                        None if neigh is None else neigh[first:first + n], c,
+                        cov, tri)
             first += n
 
 
@@ -608,15 +647,33 @@ def _check_radius(spec: TorusSpec, params: ComplexParams,
 def simplex_counts(config: PointConfiguration, params: ComplexParams,
                    max_dim: int | None = None) -> GeometricComplex:
     """Count simplices up to ``max_dim`` (default: all) without storing them;
-    raises ``cliques.SimplexCapExceeded`` past ``DEFAULT_SIMPLEX_CAP``."""
+    raises ``cliques.SimplexCapExceeded`` when they pass
+    ``DEFAULT_SIMPLEX_CAP``.  Up to max_dim = 2 they are the point count,
+    the edge count and ``cliques.triangle_counts``, with no bitsets and no
+    clique walk; above it, or with no max_dim, the bitsets are packed and
+    walked (``cliques.count_cliques``)."""
     if max_dim is not None and max_dim < 0:
         raise ValueError(f"max_dim must be >= 0, got {max_dim}")
     _check_radius(config.spec, params, homology_mode=False)
-    max_size = None if max_dim is None else max_dim + 1
-    ((_, _, _, neigh, _, _),) = graphs([config.points], config.spec, params,
-                                       True)
-    counts, _ = count_cliques(neigh, max_size=max_size)
-    return GeometricComplex(counts=counts[1:])  # drop the size-0 slot
+    if max_dim is None or max_dim > 2:
+        (graph,) = graphs([config.points], config.spec, params, True)
+        counts, _ = count_cliques(
+            graph.neigh, max_size=None if max_dim is None else max_dim + 1)
+        return GeometricComplex(counts=counts[1:])  # drop the size-0 slot
+    (graph,) = graphs([config.points], config.spec, params, False,
+                      triangles=max_dim == 2)
+    counts = [graph.n, graph.edges, graph.triangles][:max_dim + 1]
+    check_cap(sum(counts), max_dim + 1)
+    return GeometricComplex(counts=_trimmed(counts))
+
+
+def _trimmed(counts: list[int]) -> np.ndarray:
+    """Clique counts N_1, N_2, ... trimmed after the largest nonzero one, as
+    by ``cliques.count_cliques``."""
+    top = len(counts)
+    while top and not counts[top - 1]:
+        top -= 1
+    return np.array(counts[:top], dtype=np.int64)
 
 
 def build_complex(config: PointConfiguration, params: ComplexParams,
@@ -627,10 +684,8 @@ def build_complex(config: PointConfiguration, params: ComplexParams,
     walk)."""
     _check_radius(config.spec, params, homology_mode)
     u, v = threshold_edges(config.points, config.spec.a, params)
-    n, edges = config.n, len(u)
-    # trimmed after the largest nonzero size, as by ``count_cliques``
-    counts = np.array([n, edges][:bool(n) + bool(edges)], dtype=np.int64)
-    return GeometricComplex(counts=counts, neighbours=neighbour_bitsets(u, v, n))
+    return GeometricComplex(counts=_trimmed([config.n, len(u)]),
+                            neighbours=neighbour_bitsets(u, v, config.n))
 
 
 def phi_k(points: np.ndarray, params: ComplexParams, spec: TorusSpec) -> int:

@@ -12,12 +12,13 @@ experiments draw them through ``sampling.sample_run``, one run per
 experiment or intensity.
 All three experiments take their graphs from ``complexes.sweeps`` and
 ``complexes.graphs``, a block of replications at a time (see
-``complexes``).  N_1 and N_2 are a configuration's point and edge counts, a
-star pattern is counted for a whole block at once from its degrees, and
-where more is asked for, each configuration's neighbour bitsets are walked
-for N_k (counted only up to the largest k asked for, walking no candidate
-set of one vertex), beta_0 (a flood fill), any pattern other than a star (a
-bitset search) and Betti numbers above beta_0
+``complexes``).  N_1 and N_2 are a configuration's point and edge counts,
+N_3 is counted for a whole block at once from its edges
+(``cliques.triangle_counts``), as a star pattern is from its degrees.
+Where more is asked for, each configuration's neighbour bitsets are walked
+for N_k with k >= 4 (counted only up to the largest k asked for, walking
+no candidate set of one vertex), beta_0 (a flood fill), any pattern other
+than a star (a bitset search) and Betti numbers above beta_0
 (``homology.homology_from_bitsets``, which lists only the cliques of a
 collapsed core and counts none of the full complex).  chi is the whole
 graph's, from the builder, and the Betti numbers are checked against it.
@@ -31,7 +32,8 @@ chi comes from the edges' orientation and the gaps from a sort
 passes exactly when chi = 0 and it has a point; tier-1 tests check the rule
 against the collapse on the same graphs.
 Every replication counts: a cap overrun raises ``SimplexCapExceeded`` and a
-failed homology check ``RuntimeError``, naming the replication.
+failed homology check ``RuntimeError``, naming the replication.  N_3 from
+the join is capped as the walk to it would be (``cliques.check_cap``).
 """
 
 from __future__ import annotations
@@ -41,11 +43,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cliques import SimplexCapExceeded, components, counts_from_bitsets
+from .cliques import (SimplexCapExceeded, check_cap, components,
+                      counts_from_bitsets)
 # simplex_counts and sample are not called here; perfbench's import-site
 # test expects this module to hold them.
-from .complexes import (ComplexParams, _check_radius, graphs,  # noqa: F401
-                        simplex_counts, sweeps, windowed)
+from .complexes import (ComplexParams, Graph, _check_radius,  # noqa: F401
+                        graphs, simplex_counts, sweeps, windowed)
 from .homology import homology_from_bitsets
 from .sampling import (Poisson, ProcessLaw, SeedSpec, sample,  # noqa: F401
                        sample_run)
@@ -143,10 +146,10 @@ def run_experiment(config: ExperimentConfig) -> ReplicationReport:
     values: dict[str, list[float]] = {q: [] for q in config.quantities}
     draws = sample_run(config.law, config.spec, SeedSpec(config.master_seed),
                        ("experiment",), config.replications)
-    for rep, (n, edges, _, neigh, chi, covered) in enumerate(graphs(
+    for rep, graph in enumerate(graphs(
             draws, config.spec, config.params, plan.needs_bitsets,
-            plan.needs_chi, plan.circle)):
-        row = _row(plan, n, edges, neigh, chi, covered, f"replication {rep}")
+            plan.needs_chi, plan.circle, plan.triangles)):
+        row = _row(plan, graph, f"replication {rep}")
         for q, value in zip(config.quantities, row):
             values[q].append(value)
 
@@ -174,9 +177,11 @@ class _Plan:
                                                         config.params)
         self.betti = self.needs_full_homology or self.circle
         # N_k is counted to the largest k asked for; up to N_2 the counts
-        # are the point and edge counts
+        # are the point and edge counts, to N_3 the block's triangle join
+        # adds the triangles, and beyond it the clique walk counts them all
         self.max_size = max([p[1] for p in self.parsed if p[0] == "N"], default=0)
-        self.clique_walk = self.max_size > 2
+        self.triangles = self.max_size == 3
+        self.clique_walk = self.max_size > 3
         # the whole graph's chi, for itself and for the homology check
         self.needs_chi = "chi" in kinds or self.betti
         self.needs_bitsets = (("beta" in kinds and not self.circle)
@@ -189,15 +194,19 @@ def _on_circle(spec: TorusSpec, params: ComplexParams) -> bool:
     return spec.d == 1 and windowed(spec.d, spec.a, params)
 
 
-def _row(plan: _Plan, n: int, edges: int, neigh: list[int] | None,
-         chi: int | None, covered: bool | None, where: str) -> list[float]:
+def _row(plan: _Plan, graph: Graph, where: str) -> list[float]:
     """The values of one configuration, in the order of ``plan.parsed``,
-    with its whole graph's chi and its gaps' verdict if the plan asks for
-    them; ``where`` names the configuration in the errors raised."""
-    counts = [0, n, edges]
+    from its ``complexes.Graph``; ``where`` names the configuration in the
+    errors raised.  N_3 from the join is capped as the walk to it would
+    be."""
+    n, neigh, chi = graph.n, graph.neigh, graph.chi
+    counts = [0, n, graph.edges]
     if plan.clique_walk:
         counts = _named(where, counts_from_bitsets, neigh, plan.max_size)
-    betti = _betti(n, neigh, chi, covered, where) if plan.betti else None
+    elif plan.triangles:
+        counts.append(graph.triangles)
+        _named(where, check_cap, sum(counts), 3)
+    betti = _betti(n, neigh, chi, graph.covered, where) if plan.betti else None
     row = []
     for kind, i in plan.parsed:
         if kind == "n_points":
@@ -293,12 +302,11 @@ def clt_rate_experiment(gamma: GammaGraph, spec: TorusSpec,
     for lam in lambdas:
         draws = sample_run(Poisson(lam=lam), spec, seed, ("clt", lam), reps)
         if star:
-            counts = [c for sizes, _, degrees, _, _, _
-                      in sweeps(draws, spec, params, False)
-                      for c in star_counts(gamma, degrees, sizes)]
+            counts = [c for block in sweeps(draws, spec, params, False)
+                      for c in star_counts(gamma, block.degrees, block.sizes)]
         else:
-            counts = [count_gamma(gamma, deg, neigh) for _, _, deg, neigh, _, _
-                      in graphs(draws, spec, params, True)]
+            counts = [count_gamma(gamma, graph.degrees, graph.neigh)
+                      for graph in graphs(draws, spec, params, True)]
         vals = np.array(counts, dtype=float)
         mean = float(vals.mean())
         std = float(vals.std(ddof=1))
@@ -366,10 +374,11 @@ def coverage_experiment(spec: TorusSpec, params: ComplexParams, lambdas,
     for law in laws:
         draws = sample_run(law, spec, seed, ("coverage", law.lam), reps)
         matches = 0
-        for rep, (n, _, _, neigh, chi, covered) in enumerate(
+        for rep, graph in enumerate(
                 graphs(draws, spec, params, not circle, True, circle)):
             # a match may differ from the target only by trailing zeros
-            betti = tuple(_betti(n, neigh, chi, covered,
+            betti = tuple(_betti(graph.n, graph.neigh, graph.chi,
+                                 graph.covered,
                                  f"lambda={law.lam}, replication {rep}"))
             matches += betti == target + (0,) * (len(betti) - len(target))
         freq = matches / reps

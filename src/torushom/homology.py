@@ -286,6 +286,5 @@ def collapsed_homology(config, params) -> HomologyResult:
     one configuration: its edges packed into bitsets once, checked against
     the chi of the whole graph."""
     _check_radius(config.spec, params, homology_mode=True)
-    ((_, _, _, neigh, chi, _),) = graphs([config.points], config.spec, params,
-                                         True, True)
-    return homology_from_bitsets(neigh, chi)
+    (graph,) = graphs([config.points], config.spec, params, True, True)
+    return homology_from_bitsets(graph.neigh, graph.chi)

@@ -1,6 +1,7 @@
 import tracemalloc
 from unittest import mock
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import bitsets, boundary_matrix, chi_from_counts, clique_simplices
 from torushom import cliques, complexes
 from torushom.cliques import (SimplexCapExceeded, chi_from_bitsets,
+                              count_cliques, counts_from_bitsets,
                               enumerate_cliques, neighbour_bitsets)
 from torushom.complexes import (ComplexParams, Convention, adjacency_matrix,
                                 build_complex, circle_covered, phi_k,
@@ -140,6 +142,30 @@ def test_empty_configuration():
     gc = simplex_counts(cfg, ComplexParams(epsilon=0.1))
     assert gc.counts.size == 0
     assert chi_from_counts(gc.counts) == 0
+
+
+@pytest.mark.parametrize("max_dim", [0, 1, 2])
+@pytest.mark.parametrize("xs", [(), (0.5,), (0.0, 0.05, 0.10, 0.5)],
+                         ids=["empty", "point", "triangle-and-point"])
+def test_counts_to_triangles_are_trimmed_and_capped_as_the_walk(
+        monkeypatch, xs, max_dim):
+    # up to max_dim = 2 no clique is walked; the counts, their trimming and
+    # the cap's raise and message are still those of the walk
+    cfg = config_1d(*xs)
+    params = ComplexParams(epsilon=0.1)
+    neigh = build_complex(cfg, params).neighbours
+    for cap in range(9):
+        monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", cap)
+        try:
+            walked = count_cliques(neigh, max_dim + 1)[0][1:]
+        except SimplexCapExceeded as exc:
+            with pytest.raises(SimplexCapExceeded) as raised:
+                simplex_counts(cfg, params, max_dim)
+            assert str(raised.value) == str(exc)
+            continue
+        counts = simplex_counts(cfg, params, max_dim).counts
+        assert counts.dtype == walked.dtype
+        assert counts.tolist() == walked.tolist()
 
 
 def test_max_dim_truncates_dimensions():
@@ -520,9 +546,9 @@ def _rule_and_collapse(spec, configs, params, block_reps=1024):
         out = list(complexes.graphs(iter(configs), spec, params, True, True,
                                     True))
     rule, collapse = [], []
-    for n, _, _, neigh, chi, covered in out:
-        rule.append(_betti(n, None, chi, covered, "here"))
-        result = homology_from_bitsets(neigh, chi)
+    for graph in out:
+        rule.append(_betti(graph.n, None, graph.chi, graph.covered, "here"))
+        result = homology_from_bitsets(graph.neigh, graph.chi)
         assert result.violations == []
         collapse.append(result.betti)
     return rule, collapse
@@ -624,15 +650,69 @@ def test_graph_builder_gives_each_configuration_its_own_graph_and_chi(
         out = list(complexes.graphs(iter(configs), spec, params, bitsets, chi))
     assert len(out) == len(configs)
     assert calls["neighbour_bitsets"] == (calls["threshold_edges"] if packs else 0)
-    for (n, edges, degrees, neigh, c, covered), pts in zip(out, configs):
+    for graph, pts in zip(out, configs):
         u, v = threshold_edges(pts, spec.a, params)
         fresh = neighbour_bitsets(u, v, len(pts))
-        assert (n, edges) == (len(pts), len(u))
-        assert degrees.tolist() == np.bincount(np.concatenate((u, v)),
-                                               minlength=len(pts)).tolist()
-        assert neigh == (fresh if packs else None)
-        assert c == (chi_from_bitsets(fresh) if chi else None)
-        assert covered is None
+        assert (graph.n, graph.edges) == (len(pts), len(u))
+        assert graph.degrees.tolist() == np.bincount(
+            np.concatenate((u, v)), minlength=len(pts)).tolist()
+        assert graph.neigh == (fresh if packs else None)
+        assert graph.chi == (chi_from_bitsets(fresh) if chi else None)
+        assert graph.covered is None and graph.triangles is None
+
+
+@st.composite
+def triangle_blocks(draw):
+    """A block of uniform configurations at d <= 3, whose sizes include 0,
+    1 and 2 points and the local widths either side of one and two 64-bit
+    words, with a metric, a convention and a threshold of 1% to 25% of a."""
+    d = draw(st.integers(1, 3))
+    a = draw(st.sampled_from([1.0, 2.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sizes = draw(st.lists(st.sampled_from([0, 1, 2, 5, 63, 64, 65, 127, 128,
+                                           129]), min_size=1, max_size=5))
+    params = ComplexParams(
+        epsilon=draw(st.floats(0.01, 0.25)) * a,
+        metric=draw(st.sampled_from(list(Metric))),
+        convention=draw(st.sampled_from(list(Convention))))
+    return TorusSpec(d=d, a=a), [rng.random((n, d)) * a for n in sizes], params
+
+
+def _width_block(width):
+    """An empty, a one-point and a two-point configuration, then one of
+    ``width`` points, at d = 2."""
+    return (SPEC2, [np.zeros((0, 2)), np.array([[0.5, 0.5]]),
+                    np.array([[0.1, 0.1], [0.12, 0.1]]),
+                    np.random.default_rng(width).random((width, 2))],
+            ComplexParams(epsilon=0.1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(triangle_blocks(), st.sampled_from([1, 1024]),
+       st.sampled_from([64, 1 << 16]))
+@example(_width_block(63), 1024, 64)
+@example(_width_block(64), 1024, 64)
+@example(_width_block(65), 1024, 64)
+@example(_width_block(127), 1, 1 << 16)
+@example(_width_block(128), 1024, 64)
+@example(_width_block(129), 1024, 1 << 16)
+def test_block_triangle_counts_equal_the_walk_and_networkx(block, block_reps,
+                                                          run):
+    # blocks of one configuration or of many, each ANDed in runs of at
+    # least one edge: each configuration's triangle count is its own graph's
+    spec, configs, params = block
+    with mock.patch.object(complexes, "_BLOCK_REPS", block_reps), \
+            mock.patch.object(complexes, "_RUN_PAIRS", run):
+        out = list(complexes.graphs(iter(configs), spec, params, False,
+                                    triangles=True))
+    assert len(out) == len(configs)
+    for graph, pts in zip(out, configs):
+        assert (graph.neigh, graph.chi, graph.covered) == (None, None, None)
+        u, v = threshold_edges(pts, spec.a, params)
+        walked = counts_from_bitsets(neighbour_bitsets(u, v, graph.n), 3)
+        nx_graph = nx.Graph(zip(u.tolist(), v.tolist()))
+        assert graph.triangles == (walked + [0] * 3)[3] == sum(
+            nx.triangles(nx_graph).values()) // 3
 
 
 def _traced_peak(fn, *args, **kwargs) -> int:

@@ -126,6 +126,31 @@ def test_cap_bounds_only_the_counts_asked_for(monkeypatch):
         assert report.raw["N_2"][rep] == full.N(2)
 
 
+def test_n3_from_the_join_is_capped_as_the_walk_to_it(monkeypatch):
+    # N_3 comes from the triangle join, but a replication raises exactly
+    # where the walk to N_3 would: once N_1 + N_2 + N_3 passes the cap
+    cfg = ExperimentConfig(law=Poisson(40.0), spec=TorusSpec(d=2, a=1.0),
+                           params=ComplexParams(epsilon=0.08), replications=12,
+                           master_seed=5, quantities=("N_3",))
+    totals = []
+    for rep in range(12):
+        pts = sample(cfg.law, cfg.spec,
+                     SeedSpec(5).child("experiment", rep)).points
+        u, v = complexes.threshold_edges(pts, 1.0, cfg.params)
+        totals.append(sum(cliques.counts_from_bitsets(
+            cliques.neighbour_bitsets(u, v, len(pts)), 3)))
+    cap = sorted(totals)[len(totals) // 2]
+    first = next(rep for rep, total in enumerate(totals) if total > cap)
+    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", cap)
+    with pytest.raises(cliques.SimplexCapExceeded,
+                       match=f"^replication {first}: more than "
+                             f"DEFAULT_SIMPLEX_CAP = {cap} cliques of at most "
+                             "3 vertices$"):
+        run_experiment(cfg)
+    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", max(totals))
+    assert run_experiment(cfg).estimates["N_3"].n == 12
+
+
 def _count_walks(monkeypatch) -> list[int]:
     """The vertex count of each clique walk from now on."""
     walks = []
@@ -140,15 +165,24 @@ def _count_walks(monkeypatch) -> list[int]:
     return walks
 
 
-def test_full_homology_counts_cliques_once(monkeypatch):
-    # N_3 and beta_1: one walk, to N_3, per replication; homology counts none
+def test_triangles_and_full_homology_walk_no_cliques(monkeypatch):
+    # N_3 and beta_1: N_3 comes from the block's triangle join, equal to the
+    # walk's on the same graphs, and homology counts no cliques
+    walk = cliques.counts_from_bitsets
     walks = _count_walks(monkeypatch)
     cfg = ExperimentConfig(law=Poisson(30.0), spec=TorusSpec(d=2, a=1.0),
                            params=ComplexParams(epsilon=0.07), replications=10,
                            master_seed=7, quantities=("N_3", "beta_1"))
     report = run_experiment(cfg)
     assert report.excluded == 0
-    assert len(walks) == 10
+    assert walks == []
+    for rep in range(10):
+        pts = sample(cfg.law, cfg.spec,
+                     SeedSpec(7).child("experiment", rep)).points
+        u, v = complexes.threshold_edges(pts, 1.0, cfg.params)
+        assert report.raw["N_3"][rep] == walk(
+            cliques.neighbour_bitsets(u, v, len(pts)), 3)[3]
+    assert report.raw["N_3"].sum() > 0
 
 
 def test_betti_numbers_count_no_cliques(monkeypatch):
@@ -325,8 +359,8 @@ def test_property_block_star_counts_match_each_configuration(k, d, block_reps,
     assert all(len(sizes) <= block_reps
                and (len(sizes) == 1 or sizes.sum() <= block_cells)
                for sizes, *_ in blocks)
-    assert [c for sizes, _, degrees, *_ in blocks
-            for c in star_counts(gamma, degrees, sizes)] == expected
+    assert [c for block in blocks
+            for c in star_counts(gamma, block.degrees, block.sizes)] == expected
 
 
 def test_clt_experiment_small_run():
