@@ -207,13 +207,15 @@ def counts_from_bitsets(neigh: list[int], max_size: int) -> list[int]:
     return counts
 
 
-def check_cap(total: int, max_size: int) -> None:
-    """Raise ``SimplexCapExceeded`` when ``total`` cliques of at most
-    ``max_size`` vertices pass ``DEFAULT_SIMPLEX_CAP``, read at the call."""
+def check_cap(total: int, max_size: int | None = None) -> None:
+    """Raise ``SimplexCapExceeded`` when ``total`` cliques, of at most
+    ``max_size`` vertices if given, pass ``DEFAULT_SIMPLEX_CAP``, read at
+    the call."""
     cap = DEFAULT_SIMPLEX_CAP
     if total > cap:
+        sizes = "" if max_size is None else f" of at most {max_size} vertices"
         raise SimplexCapExceeded(f"more than DEFAULT_SIMPLEX_CAP = {cap} cliques"
-                                 f" of at most {max_size} vertices")
+                                 + sizes)
 
 
 def _last_sizes(neigh: list[int], cand: int, deep: bool) -> tuple[int, int]:
@@ -322,6 +324,5 @@ def enumerate_cliques(neigh: list[int]):
         if child:
             stack.append(clique)
             cands.append(child)
-    if total > cap:
-        raise SimplexCapExceeded(f"more than DEFAULT_SIMPLEX_CAP = {cap} cliques")
+    check_cap(total)
     return by_size, True

@@ -18,7 +18,7 @@ boolean matrix of ``adjacency_matrix`` is only a way in, built nowhere
 else.  ``simplex_counts`` counts a complex's simplices up to triangles from
 its edges (``cliques.triangle_counts``), packing no bitsets, and above them
 by a clique walk; ``build_complex`` counts only its vertices and edges and
-keeps its graph, from which homology (see ``homology``) lists only the
+keeps its graph, from which homology (see ``homology``) lists at most the
 cliques of a collapsed core.  Neither stores a list of simplices.  Under
 the max-norm at d <= 2 with 3t < a (``windowed``), a clique is a set that
 fits in a window of length t in each coordinate, and ``window_chi`` gets

@@ -19,8 +19,9 @@ Where more is asked for, each configuration's neighbour bitsets are walked
 for N_k with k >= 4 (counted only up to the largest k asked for, walking
 no candidate set of one vertex), beta_0 (a flood fill), any pattern other
 than a star (a bitset search) and Betti numbers above beta_0
-(``homology.homology_from_bitsets``, which lists only the cliques of a
-collapsed core and counts none of the full complex).  chi is the whole
+(``homology.homology_from_bitsets``, which lists at most the cliques of a
+collapsed core, none for a core with no triangle, and counts none of the
+full complex).  chi is the whole
 graph's, from the builder, and the Betti numbers are checked against it.
 On the circle (d = 1) under ``complexes.windowed`` (the max-norm, 3t < a),
 every Betti number comes instead from chi and the circular gaps, a block at

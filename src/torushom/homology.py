@@ -3,15 +3,17 @@
 Betti numbers of a clique complex are read off a small homotopy-equivalent
 core of its graph: strong collapse deletes dominated vertices and edge
 collapse dominated edges (Boissonnat & Pritam, SoCG 2020), in turn until
-neither deletes anything, and only the core's cliques are listed; no
-simplex of the full complex is counted or listed.  Their boundary maps are
-ranked by Gaussian elimination on Python-int bitset rows (fast XOR of whole
-rows, no numerics), from the top dimension down with clearing (Chen &
-Kerber's twist): a k-simplex that is the lowest set bit of a reduced row of
-the (k+1)-boundary has a boundary in the span of those of later k-simplices,
-so its row is left out of the k-boundary reduction without changing the
-rank.  Strong collapse re-checks, after one full pass, only the vertices
-whose closed neighbourhood shrank.
+neither deletes anything; no simplex of the full complex is counted or
+listed.  The rank of the core's 1-boundary is its vertex count less its
+component count, so a core with no triangle lists no clique.  Otherwise its
+cliques are listed and the boundary maps from the top dimension down to the
+2-boundary are ranked by Gaussian elimination on Python-int bitset rows
+(fast XOR of whole rows, no numerics), with clearing (Chen & Kerber's
+twist): a k-simplex that is the lowest set bit of a reduced row of the
+(k+1)-boundary has a boundary in the span of those of later k-simplices, so
+its row is left out of the k-boundary reduction without changing the rank.
+Strong collapse re-checks, after one full pass, only the vertices whose
+closed neighbourhood shrank.
 
 ``homology_from_bitsets`` computes every Betti number; the other entry
 points only find or unpack the graph.  Its checks: the alternating sum of
@@ -34,7 +36,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .cliques import chi_from_bitsets, components, enumerate_cliques, rows_bitsets
+from .cliques import (check_cap, chi_from_bitsets, components, enumerate_cliques,
+                      rows_bitsets)
 from .complexes import GeometricComplex, _check_radius, graphs
 
 
@@ -99,27 +102,39 @@ def homology_from_bitsets(neigh: list[int],
                           chi: int | None = None) -> HomologyResult:
     """Checked Betti numbers of the clique complex of the graph ``neigh``.
 
-    The Betti numbers come from the cliques of the collapsed core
-    (``collapsed_core``) of the strong-collapse core, one per dimension of
-    those cliques, and are checked (``_checked``) against an Euler
-    characteristic and the components of the whole graph; the failed checks
-    are listed in ``violations``.  That Euler characteristic is ``chi``, the
-    whole graph's, when given (by ``complexes.graphs``), so that a wrong
-    collapse cannot pass; else (for ``homology_summary``) the pivoted one of
-    the strong-collapse core.
+    The Betti numbers are those of the collapsed core (``collapsed_core``)
+    of the strong-collapse core, one per dimension of its cliques, and are
+    checked (``_checked``) against an Euler characteristic and the
+    components of the whole graph; the failed checks are listed in
+    ``violations``.  The rank of the 1-boundary is the core's vertex count
+    less its component count; the higher ranks come from its cliques, which
+    are listed only when the core has a triangle: a triangle-free core's
+    simplices are its vertices and edges.  That Euler characteristic is
+    ``chi``, the whole graph's, when given (by ``complexes.graphs``), so
+    that a wrong collapse cannot pass; else (for ``homology_summary``) the
+    pivoted one of the strong-collapse core.
     Raises ``cliques.SimplexCapExceeded`` when the collapsed core has more
     than ``DEFAULT_SIMPLEX_CAP`` cliques.
     """
     strong = _induced(neigh, collapse_from_bitsets(neigh))
-    by_size, _ = enumerate_cliques(collapsed_core(strong))
-    simplices = [s for s in by_size.values() if s]  # by size, from 1
-    ranks = [0] * (len(simplices) + 1)
+    core = collapsed_core(strong)
+    if _has_triangle(core):
+        by_size, _ = enumerate_cliques(core)
+        simplices = [s for s in by_size.values() if s]  # by size, from 1
+        sizes = [len(s_k) for s_k in simplices]
+    else:
+        edges = sum(nb.bit_count() for nb in core) // 2
+        check_cap(len(core) + edges)
+        sizes = [len(core), edges] if edges else [len(core)] if core else []
+    ranks = [0] * (len(sizes) + 1)
+    if len(sizes) > 1:
+        ranks[1] = len(core) - len(components(core))
     cleared: set[tuple[int, ...]] = set()
-    for dim in range(len(simplices) - 1, 0, -1):
+    for dim in range(len(sizes) - 1, 1, -1):
         kept = [s for s in simplices[dim] if s not in cleared]
         cleared = set()
         ranks[dim] = boundary_rank(simplices[dim - 1], kept, cleared)
-    betti = [len(s_k) - ranks[k] - ranks[k + 1] for k, s_k in enumerate(simplices)]
+    betti = [size - ranks[k] - ranks[k + 1] for k, size in enumerate(sizes)]
     return _checked(betti, chi_from_bitsets(strong) if chi is None else chi,
                     neigh)
 
@@ -149,6 +164,19 @@ def collapsed_core(strong: list[int]) -> list[int]:
             break
         core = _induced(core, keep)
     return core
+
+
+def _has_triangle(neigh: list[int]) -> bool:
+    """Whether the graph has a triangle: an edge vu (u < v) whose ends have
+    a common neighbour below u, found by walking the edges to the first."""
+    for v, nb in enumerate(neigh):
+        lower = nb & (1 << v) - 1
+        while lower:
+            u = lower.bit_length() - 1
+            lower ^= 1 << u
+            if lower & neigh[u]:
+                return True
+    return False
 
 
 def _induced(neigh: list[int], keep: np.ndarray) -> list[int]:
@@ -257,14 +285,26 @@ def collapse_from_bitsets(neigh: list[int]) -> np.ndarray:
     alive = (1 << n) - 1
     closed = [m | 1 << v for v, m in enumerate(neigh)]
     outside = [alive ^ c for c in closed]  # the complement of each N[u]
-    scan = alive
+    # the first pass: every vertex above v is live and still to be checked
+    later = 0  # the vertices to check in the next pass
+    for v, nb in enumerate(closed):
+        nb_v = nb & alive
+        # a dominator must be a live neighbour
+        others = cand = nb_v ^ (1 << v)
+        while cand:
+            miss = nb_v & outside[cand.bit_length() - 1]
+            if not miss:
+                alive ^= 1 << v
+                later |= others & ((1 << v) - 1)
+                break
+            cand &= closed[miss.bit_length() - 1]
+    scan = later
     while scan:
-        later = 0  # the vertices to check in the next pass
+        later = 0
         while scan:
             v = (scan & -scan).bit_length() - 1
             scan &= scan - 1
             nb_v = closed[v] & alive
-            # a dominator must be a live neighbour
             others = cand = nb_v ^ (1 << v)
             while cand:
                 miss = nb_v & outside[cand.bit_length() - 1]
@@ -276,8 +316,9 @@ def collapse_from_bitsets(neigh: list[int]) -> np.ndarray:
                     break
                 cand &= closed[miss.bit_length() - 1]
         scan = later
-    core = [v for v in range(n) if alive >> v & 1]
-    return np.array(core, dtype=np.int64)
+    live = np.frombuffer(alive.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    core = np.flatnonzero(np.unpackbits(live, bitorder="little"))
+    return core.astype(np.int64, copy=False)
 
 
 def collapsed_homology(config, params) -> HomologyResult:

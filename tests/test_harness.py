@@ -571,15 +571,24 @@ def test_coverage_experiment_sweeps_once_per_block(monkeypatch):
 
 
 def test_coverage_experiment_at_d2_packs_once_per_block(monkeypatch):
-    # each block is packed once, and each replication collapsed and its
-    # core's cliques listed
+    # each block is packed once, and each replication collapsed; a core's
+    # cliques are listed only when it has a triangle, which 8 of the 20
+    # cores at lambda = 800 have and none at the lower intensities
     _check_coverage_sweeps(monkeypatch, 2, ComplexParams(epsilon=0.05),
-                           [50.0, 100.0, 200.0])
+                           [50.0, 100.0, 200.0, 800.0])
 
 
 def _check_coverage_sweeps(monkeypatch, d, params, lambdas):
     """Check the blocks and the calls of ``coverage_experiment`` at d with
     20 replications an intensity, in blocks of at most 7."""
+    spec = TorusSpec(d=d, a=1.0)
+    # a core is listed when it has a triangle, that is when its Betti list
+    # runs past beta_1
+    listings = 0 if d == 1 else sum(
+        len(homology.collapsed_homology(
+            sample(Poisson(lam=lam), spec, SeedSpec(1).child("coverage", lam, rep)),
+            params).betti) > 2
+        for lam in lambdas for rep in range(20))
     monkeypatch.setattr(complexes, "_BLOCK_REPS", 7)
     calls, blocks = _count_calls(monkeypatch)
     walks = dict.fromkeys(("homology_from_bitsets", "collapse_from_bitsets",
@@ -589,8 +598,7 @@ def _check_coverage_sweeps(monkeypatch, d, params, lambdas):
                          (homology, "enumerate_cliques")):
         monkeypatch.setattr(module, name, _counted(walks, name,
                                                    getattr(module, name)))
-    coverage_experiment(TorusSpec(d=d, a=1.0), params, lambdas, reps=20,
-                        seed=SeedSpec(1))
+    coverage_experiment(spec, params, lambdas, reps=20, seed=SeedSpec(1))
     # at least three blocks of at most 7 configurations per intensity
     reps = 20 * len(lambdas)
     assert sum(map(len, blocks)) == reps
@@ -604,7 +612,7 @@ def _check_coverage_sweeps(monkeypatch, d, params, lambdas):
         assert walks == dict.fromkeys(walks, 0)
     else:
         assert walks["homology_from_bitsets"] == reps
-        assert walks["enumerate_cliques"] == reps
+        assert walks["enumerate_cliques"] == listings
         assert walks["collapse_from_bitsets"] >= reps
 
 

@@ -200,11 +200,16 @@ def trimmed(betti):
 
 def check_against_direct_reduction(neigh):
     """The entry point's Betti numbers are those of the full reduction, up to
-    trailing zeros, and its chi_counts is the alternating sum of the clique
-    counts, a chi found without the pivoted sum it uses."""
+    trailing zeros, and exactly those of the full reduction of the
+    collapsed core, to its top dimension (a tree's core is a vertex: [1],
+    where the whole tree reduces to [1, 0]); its chi_counts is the
+    alternating sum of the clique counts, a chi found without the pivoted
+    sum it uses."""
     res = homology_from_bitsets(neigh)
     assert res.violations == []
     assert trimmed(res.betti) == trimmed(direct_betti_numbers(neigh))
+    strong = homology._induced(neigh, homology.collapse_from_bitsets(neigh))
+    assert res.betti == direct_betti_numbers(homology.collapsed_core(strong))
     counts, _ = count_cliques(neigh)
     assert res.chi_counts == sum((-1) ** (k - 1) * int(c)
                                  for k, c in enumerate(counts) if k)
@@ -432,6 +437,47 @@ def test_collapse_keeps_flag_complexes_without_dominated_faces(adj, betti):
     assert homology_from_bitsets(neigh).betti == betti == direct_betti_numbers(neigh)
 
 
+@st.composite
+def union_graphs(draw):
+    """Disjoint unions, relabelled at random, of up to three parts: isolated
+    vertices, trees, cycles (odd and even, the triangle included),
+    octahedra, whose core is the whole octahedron and has triangles, and
+    random graphs on 3 to 6 vertices; the empty graph has no part."""
+    rng = np.random.default_rng(draw(st.integers(0, 10 ** 6)))
+    edges, n = [], 0
+    for kind in draw(st.lists(st.sampled_from(
+            ["point", "tree", "cycle", "octahedron", "random"]), max_size=3)):
+        if kind == "point":
+            size, part = 1, []
+        elif kind == "tree":
+            size = draw(st.integers(2, 6))
+            part = [(v, int(rng.integers(v))) for v in range(1, size)]
+        elif kind == "cycle":
+            size = draw(st.integers(3, 7))
+            part = _cycle_edges(size)
+        elif kind == "octahedron":
+            size = 6
+            part = list(zip(*np.nonzero(np.triu(_cross_polytope(3)))))
+        else:
+            size = draw(st.integers(3, 6))
+            p = draw(st.floats(0.2, 1.0))
+            part = [(u, v) for u in range(size) for v in range(u) if rng.random() < p]
+        edges += [(n + u, n + v) for u, v in part]
+        n += size
+    label = rng.permutation(n)
+    return _graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+@settings(max_examples=200, deadline=None)
+@given(union_graphs())
+@example(_graph(0, []))
+@example(_graph(3, []))
+@example(_cross_polytope(3))
+def test_property_betti_equal_the_direct_reduction_untrimmed(adj):
+    # rank d_1 is a component count, and a triangle-free core lists no clique
+    check_against_direct_reduction(bitsets(adj))
+
+
 def test_strong_collapse_large_draws_match_rescans():
     rng = np.random.default_rng(2012)
     for d, n, eps in ((2, 1600, 0.025), (3, 2000, 0.05)):
@@ -536,7 +582,7 @@ def test_homology_lists_and_reduces_only_the_core(monkeypatch):
     listed, rows = [], []
 
     def listing(neigh, *args, **kwargs):
-        listed.append(len(neigh))
+        listed.append(list(neigh))
         return enumerate_cliques(neigh, *args, **kwargs)
 
     def reducing(low, high, pivots=None):
@@ -548,10 +594,18 @@ def test_homology_lists_and_reduces_only_the_core(monkeypatch):
     cfg = sample(Poisson(lam=1600.0), SPEC2, SeedSpec(1))
     gc = build_complex(cfg, ComplexParams(epsilon=0.025), homology_mode=True)
     assert listed == []
-    assert homology_summary(gc).violations == []
-    # the full complex has about 437k simplices
-    assert len(listed) == 1 and listed[0] < cfg.n
-    assert sum(rows) < 5000
+    # the full complex has about 437k simplices, and its core no triangle:
+    # nothing is listed and nothing reduced
+    assert homology_summary(gc).betti == [1, 81]
+    assert listed == [] and rows == []
+    # at eps = 0.05 the core is a triangulated torus, listed once; its only
+    # reduction is that of its triangles' boundaries
+    gc = build_complex(cfg, ComplexParams(epsilon=0.05), homology_mode=True)
+    result = homology_summary(gc)
+    assert result.betti == [1, 2, 1] and result.violations == []
+    assert len(listed) == 1 and len(listed[0]) < cfg.n
+    counts, _ = count_cliques(listed[0])
+    assert len(counts) == 4 and rows == [counts[3]]
 
 
 def test_cap_bounds_the_listing_of_the_core(monkeypatch):
