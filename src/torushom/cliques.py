@@ -9,15 +9,15 @@ counting every clique (Jain & Seshadhri, WSDM 2020).
 
 A graph is passed as its neighbour bitsets: a list with one Python int per
 vertex, whose bit u is set when u is a neighbour.  ``neighbour_bitsets``
-packs them straight from an edge list (``complexes.threshold_edges``), in
-n * ceil(width / 8) bytes, of one graph or of a whole block of graphs at
-once; no (n, n) boolean matrix is built.  Every walker takes them: clique
-counting, clique enumeration and the connected components (``components``,
+makes them from an edge list (``complexes.threshold_edges``) of one graph or
+a block by the one checked pack of arcs into n * ceil(width / 64) words
+(``_packed_rows``); no (n, n) boolean matrix is built.  Every walker takes
+them: clique counting, enumeration and connected components (``components``,
 of configurations and of patterns alike) here, strong collapse in
-``homology``, pattern counting in ``subcomplex``.  The triangles of a whole
-block of graphs are counted from its edges instead (``triangle_counts``),
-in numpy, with no walk and no Python ints, so the clique walk is needed for
-N_4 and up only; a count by either way is capped alike (``check_cap``).
+``homology``, pattern counting in ``subcomplex``.  The triangles of a block
+are counted from the same pack of later neighbours (``triangle_counts``), in
+numpy, with no walk and no Python ints, so the clique walk is needed for N_4
+and up only; a count by either way is capped alike (``check_cap``).
 """
 
 from __future__ import annotations
@@ -31,25 +31,33 @@ class SimplexCapExceeded(ValueError):
     """A clique walk passed ``DEFAULT_SIMPLEX_CAP`` cliques."""
 
 
+def _packed_rows(tail: np.ndarray, head: np.ndarray, n: int,
+                column: np.ndarray | None = None) -> np.ndarray:
+    """The arcs tail[a] -> head[a] as an (n, ceil(width / 64)) uint64 array,
+    at least one word wide, whose row x has bit column[y] (default y) set
+    for each arc x -> y, width being the largest column plus one (default
+    n).  ``np.add.at`` ORs the bits only if they are distinct, so unless the
+    rows' popcount is the arc count (no arc is repeated, no two heads of one
+    tail share a column) a ``ValueError`` is raised."""
+    cols = head if column is None else column[head]
+    width = n if column is None else int(column.max(initial=-1)) + 1
+    words = max(1, -(-width // 64))
+    rows = np.zeros(n * words, dtype="<u8")
+    np.add.at(rows, tail * words + (cols >> 6),
+              np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64)))
+    if int(np.bitwise_count(rows).sum()) != tail.size:
+        raise ValueError("an arc is repeated, or shares a column and a tail")
+    return rows.reshape(n, words)
+
+
 def neighbour_bitsets(u: np.ndarray, v: np.ndarray, n: int,
                       column: np.ndarray | None = None) -> list[int]:
     """The bitsets of the graph on the vertices 0..n-1 whose edges are
     (u[e], v[e]), each listed once: vertex x's int has bit column[y] set for
-    each neighbour y (by default bit y).  The bits are ORed into an
-    (n, ceil(width / 8)) byte array, width being the largest column plus one
-    (default n)."""
-    rows = np.concatenate((u, v))
-    cols = np.concatenate((v, u))
-    if column is None:
-        width = n
-    else:
-        cols = column[cols]
-        width = int(column.max(initial=-1)) + 1
-    nbytes = (width + 7) // 8
-    packed = np.zeros(n * nbytes, dtype=np.uint8)
-    np.bitwise_or.at(packed, rows * nbytes + (cols >> 3),
-                     (1 << (cols & 7)).astype(np.uint8))
-    return _row_ints(packed.reshape(n, nbytes))
+    each neighbour y (by default bit y), from the ``_packed_rows`` of the
+    arcs both ways."""
+    return _row_ints(_packed_rows(np.concatenate((u, v)),
+                                 np.concatenate((v, u)), n, column))
 
 
 def triangle_counts(u: np.ndarray, v: np.ndarray, column: np.ndarray,
@@ -59,25 +67,18 @@ def triangle_counts(u: np.ndarray, v: np.ndarray, column: np.ndarray,
     at its local column column[x].  The edges (u[e], v[e]) are each listed
     once, in any order and orientation.
 
-    Each vertex x's later neighbours (y > x) are packed by column into row
-    x of an (n, ceil(width / 64)) array of uint64 words, width being the
-    largest column plus one.  A triangle x < y < z is then counted once, at
-    its lowest edge xy, as the bit z of row x AND row y: the popcounts of
-    those ANDs, summed over the edges, are the triangle counts.  The edges
-    are ANDed in runs of at most ``run`` words, so that the join holds the
-    rows and one run."""
+    Each vertex x's later neighbours (y > x) are the row x of the
+    ``_packed_rows`` of the arcs x -> y, by column.  A triangle x < y < z is
+    then counted once, at its lowest edge xy, as the bit z of row x AND
+    row y: the popcounts of those ANDs, summed over the edges, are the
+    triangle counts.  The edges are ANDed in runs of at most ``run`` words,
+    so that the join holds the rows and one run."""
     found = np.zeros(groups, dtype=np.int64)
     if u.size == 0:
         return found
     x, y = np.minimum(u, v), np.maximum(u, v)
-    words = (int(column.max()) >> 6) + 1
-    later = np.zeros(column.size * words, dtype=np.uint64)
-    cols = column[y]
-    # bits of one word come from distinct edges, so adding them ORs them
-    np.add.at(later, x * words + (cols >> 6),
-              np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64)))
-    later = later.reshape(column.size, words)
-    step = max(1, run // words)
+    later = _packed_rows(x, y, column.size, column)
+    step = max(1, run // later.shape[1])
     for first in range(0, x.size, step):
         xs = x[first:first + step]
         common = later.take(xs, axis=0)
@@ -94,28 +95,29 @@ def triangle_counts(u: np.ndarray, v: np.ndarray, column: np.ndarray,
 # 2000 x 2000 matrix takes 1.4 ms, np.nonzero to find its edges 9 ms.  The
 # benchmark change of ROADMAP item 1 removes those wrappers, and this.
 def rows_bitsets(rows: np.ndarray) -> list[int]:
-    """Row v of a boolean matrix as an int whose bit u is rows[v, u]."""
-    return _row_ints(np.packbits(rows, axis=1, bitorder="little"))
+    """Row v of a boolean matrix as an int whose bit u is rows[v, u], from
+    its ``np.packbits`` bytes, padded to whole 64-bit words where they are
+    not (padding 1,600 rows of whole words took 1.3x longer, on 2 cores)."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    if packed.shape[1] % 8 or not packed.shape[1]:
+        packed = np.pad(packed, ((0, 0), (0, 8 - packed.shape[1] % 8)))
+    return _row_ints(packed.view("<u8"))
 
 
-def _row_ints(packed: np.ndarray) -> list[int]:
-    """Row r of an (n, bytes) uint8 array as a little-endian int.
+def _row_ints(rows: np.ndarray) -> list[int]:
+    """Row r of an (n, words) array of little-endian uint64 words as an int,
+    word 0 lowest.
 
-    A row of up to three 64-bit words is zero-padded to whole words, which
-    numpy converts to Python ints a column at a time, and the words are
-    joined high to low (``hi << 64 | lo``).  Against ``int.from_bytes``
-    (paired medians of 9 shuffled passes over 40 and 5,000 rows), this
-    takes 0.07-0.23 of its time at one word, 0.35-0.58 at two and
-    0.63-0.95 at three, but 1.05-1.17 at four and about 1.5 at five, so
-    wider rows keep ``int.from_bytes``, converted row by row rather than
-    through a ``tobytes()`` copy of the whole array."""
-    n, nbytes = packed.shape
-    words = max(1, -(-nbytes // 8))
-    if words > 3:
-        return [int.from_bytes(row, "little") for row in packed]
-    padded = np.zeros((n, 8 * words), dtype=np.uint8)
-    padded[:, :nbytes] = packed
-    *low, ints = padded.view("<u8").T.tolist()
+    A row of up to three words is joined high to low (``hi << 64 | lo``)
+    from the words, which numpy converts to Python ints a column at a time.
+    Against ``int.from_bytes`` (paired medians of 9 shuffled passes over 40
+    and 5,000 rows), this takes 0.07-0.23 of its time at one word,
+    0.35-0.58 at two and 0.63-0.95 at three, but 1.05-1.17 at four and
+    about 1.5 at five, so wider rows keep ``int.from_bytes``, converted row
+    by row rather than through a ``tobytes()`` copy of the whole array."""
+    if rows.shape[1] > 3:
+        return [int.from_bytes(row, "little") for row in rows]
+    *low, ints = rows.T.tolist()
     for word in reversed(low):
         ints = [hi << 64 | lo for hi, lo in zip(ints, word)]
     return ints
@@ -246,10 +248,17 @@ def count_cliques(neigh: list[int], max_size: int | None = None):
     (counts[1] = vertex count), trimmed after the largest nonzero size.
     Raises ``SimplexCapExceeded`` as ``counts_from_bitsets`` does.
     """
-    counts = np.array(counts_from_bitsets(
-        neigh, len(neigh) if max_size is None else max_size), dtype=np.int64)
-    top = max(1, int(np.nonzero(counts)[0].max(initial=1)))
-    return counts[: top + 1], True
+    counts = counts_from_bitsets(
+        neigh, len(neigh) if max_size is None else max_size)
+    return np.concatenate(([0], _trimmed(counts[1:]))), True
+
+
+def _trimmed(counts: list[int]) -> np.ndarray:
+    """Clique counts N_1, N_2, ... trimmed after the largest nonzero one."""
+    top = len(counts)
+    while top and not counts[top - 1]:
+        top -= 1
+    return np.array(counts[:top], dtype=np.int64)
 
 
 def chi_from_bitsets(neigh: list[int]) -> int:

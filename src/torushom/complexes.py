@@ -12,25 +12,25 @@ coordinate at a time before the exact distance test, without the dense
 (n, n, d) distance tensor, in runs of at most ``_RUN_PAIRS`` candidates, so
 that the cost grows with n times the degree and memory with that budget
 plus the edges; one search also finds the edges of a whole block of
-configurations.  The edges are packed once into neighbour bitsets (see
-``cliques``), which a complex keeps and every walker reads; the (n, n)
-boolean matrix of ``adjacency_matrix`` is only a way in, built nowhere
-else.  ``simplex_counts`` counts a complex's simplices up to triangles from
-its edges (``cliques.triangle_counts``), packing no bitsets, and above them
+configurations.  The edges are packed once, by one routine, into rows of
+64-bit words (see ``cliques``): neighbour bitsets, which a complex keeps and
+every walker reads, or the later-neighbour rows of the triangle join; the
+(n, n) boolean matrix of ``adjacency_matrix`` is only a way in, built nowhere
+else.  ``simplex_counts`` counts a complex's simplices up to triangles by
+that join (``cliques.triangle_counts``), packing no bitsets, and above them
 by a clique walk; ``build_complex`` counts only its vertices and edges and
 keeps its graph, from which homology (see ``homology``) lists at most the
-cliques of a collapsed core.  Neither stores a list of simplices.  Under
-the max-norm at d <= 2 with 3t < a (``windowed``), a clique is a set that
-fits in a window of length t in each coordinate, and ``window_chi`` gets
-the Euler characteristic of a whole block from its edges alone, by
-counting each clique at its anchors (its first point in each coordinate),
-with no clique walk: each edge is oriented by the sign of the wrapped
-difference that the search tests, ties going to the larger row.  On the
-circle (d = 1) there, ``circle_covered`` tells from a sort of each
-configuration's coordinates whether every circular gap passes the
-threshold, which with chi gives every Betti number (see ``harness``);
-``homology.collapsed_homology`` and the ``homology`` command always run the
-collapse.
+cliques of a collapsed core.  Neither stores a list of simplices.  Under the
+max-norm at d <= 2 with 3t < a (``windowed``), a clique is a set that fits in
+a window of length t in each coordinate, and ``window_chi`` gets the Euler
+characteristic of a whole block from its edges alone, by counting each clique
+at its anchors (its first point in each coordinate), with no clique walk:
+each edge is oriented by the sign of the wrapped difference that the search
+tests, ties going to the larger row.  On the circle (d = 1) there,
+``circle_covered`` tells from a sort of each configuration's coordinates
+whether every circular gap passes the threshold, which with chi gives every
+Betti number (see ``harness``); ``homology.collapsed_homology`` and the
+``homology`` command always run the collapse.
 
 ``sweeps`` and ``graphs`` are the one way from point arrays to graphs for
 ``harness``, ``homology.collapsed_homology``, ``simplex_counts`` and the
@@ -68,7 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cliques import (check_cap, chi_from_bitsets, count_cliques,
+from .cliques import (_trimmed, check_cap, chi_from_bitsets, count_cliques,
                       neighbour_bitsets, triangle_counts)
 from .sampling import PointConfiguration
 # pairwise_distances is not called here; perfbench's import-site test
@@ -503,7 +503,7 @@ def _arcs(col: np.ndarray, a: float, u: np.ndarray, v: np.ndarray):
 # and _BLOCK_CELLS cells.  A block that keeps a row of bits a point (its
 # bitsets, or the words of its triangle join) has a cell per (point, largest
 # configuration), which bounds those rows (a bit a cell, 8 KB, padded to
-# whole bytes or words); larger such blocks were no faster and raised the
+# whole 64-bit words); larger such blocks were no faster and raised the
 # peak memory of a run.  A block that keeps none has a cell per point, which
 # bounds the search's arrays of a few words a point (with one run of
 # _RUN_PAIRS candidates, 5 MB traced at 20,000 points, d=2).  A
@@ -560,14 +560,14 @@ def sweeps(draws, spec: TorusSpec, params: ComplexParams, bitsets: bool,
            chi: bool = False, gaps: bool = False, triangles: bool = False):
     """Each block of the configurations drawn on the torus ``spec``
     (``_blocks``), after one neighbour search over the whole block, as a
-    ``Sweep``: the point counts and edge counts of its configurations, the
-    degree of each of its points in order, the ``neighbour_bitsets`` pack of
-    a bitset per point, keyed by its configuration's local columns, if
-    packed (else None), if ``chi``, the Euler characteristic of the whole
-    graph of each of its configurations, if ``gaps``, whether each passes at
-    every circular gap (``circle_covered``, on the circle under ``windowed``
-    only), and if ``triangles``, the triangle count of each
-    (``cliques.triangle_counts`` of the block's edges), each else None.
+    ``Sweep``: the point and edge counts of its configurations, the degree
+    of each of its points in order, a bitset per point by its
+    configuration's local columns (``neighbour_bitsets``) if packed, else
+    None, if ``chi``, the Euler characteristic of the whole graph of each of
+    its configurations, if ``gaps``, whether each passes at every circular
+    gap (``circle_covered``, on the circle under ``windowed`` only), and if
+    ``triangles``, the triangle count of each (``cliques.triangle_counts``,
+    from word rows packed as the bitsets are), each else None.
     That chi is the block's ``window_chi`` where ``windowed`` holds, else
     ``chi_from_bitsets`` of each configuration's bitsets; so the bitsets are
     packed if ``bitsets``, or if ``chi`` is asked for outside the windows."""
@@ -665,15 +665,6 @@ def simplex_counts(config: PointConfiguration, params: ComplexParams,
     counts = [graph.n, graph.edges, graph.triangles][:max_dim + 1]
     check_cap(sum(counts), max_dim + 1)
     return GeometricComplex(counts=_trimmed(counts))
-
-
-def _trimmed(counts: list[int]) -> np.ndarray:
-    """Clique counts N_1, N_2, ... trimmed after the largest nonzero one, as
-    by ``cliques.count_cliques``."""
-    top = len(counts)
-    while top and not counts[top - 1]:
-        top -= 1
-    return np.array(counts[:top], dtype=np.int64)
 
 
 def build_complex(config: PointConfiguration, params: ComplexParams,

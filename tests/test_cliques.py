@@ -11,7 +11,7 @@ from oracles import bitsets, brute_force_clique_counts, chi_from_counts
 from torushom import cliques
 from torushom.cliques import (SimplexCapExceeded, chi_from_bitsets, components,
                               count_cliques, counts_from_bitsets, enumerate_cliques,
-                              neighbour_bitsets, rows_bitsets)
+                              neighbour_bitsets, rows_bitsets, triangle_counts)
 from torushom.complexes import ComplexParams, adjacency_matrix
 from torushom.homology import collapsed_homology
 from torushom.sampling import Poisson, SeedSpec, sample
@@ -99,7 +99,7 @@ def test_enumerate_matches_counts():
             assert all(adj[i, j] for i in cl for j in cl if i < j)
 
 
-@pytest.mark.parametrize("n", [0, 1, 7, 64, 65, 70])
+@pytest.mark.parametrize("n", [0, 1, 7, 64, 65, 70, 192, 193, 256, 257])
 def test_neighbour_bitsets_round_trip(n):
     adj = random_graph(n, 0.4, 5)
     u, v = np.nonzero(np.triu(adj, 1))
@@ -174,9 +174,36 @@ def packings(draw):
           np.array([5, 63, 64, 127, 128, 191, 192, 0])))
 def test_property_neighbour_bitsets_equal_bit_by_bit(packing):
     # rows of one to three words are joined from numpy words, wider ones go
-    # through int.from_bytes: both equal the bits set one at a time
+    # through int.from_bytes: both equal the bits set one at a time, when
+    # no (row, column) bit is set twice, by a repeated pair or by two
+    # neighbours in one column; else the pack raises
     u, v, n, column = packing
-    assert neighbour_bitsets(u, v, n, column) == _bit_by_bit(u, v, n, column)
+    col = np.arange(n) if column is None else column
+    bits = set(zip(np.concatenate((u, v)).tolist(),
+                   col[np.concatenate((v, u))].tolist()))
+    if len(bits) == 2 * len(u):
+        assert neighbour_bitsets(u, v, n, column) == _bit_by_bit(u, v, n,
+                                                                 column)
+    else:
+        with pytest.raises(ValueError):
+            neighbour_bitsets(u, v, n, column)
+
+
+@pytest.mark.parametrize("u, v, column", [
+    ([0, 0, 0, 1], [1, 1, 2, 2], [0, 1, 2]),     # edge (0, 1) twice
+    ([0, 1, 0, 1], [1, 0, 2, 2], [0, 1, 2]),     # and both ways
+    ([0, 0, 1], [1, 2, 2], [0, 1, 1]),           # 1 and 2 in one column
+])
+def test_a_bit_set_twice_raises_from_both_packs(u, v, column):
+    u, v, column = (np.array(a, dtype=np.intp) for a in (u, v, column))
+    seg = np.zeros(3, dtype=np.intp)
+    with pytest.raises(ValueError):
+        triangle_counts(u, v, column, seg, 1, 64)
+    with pytest.raises(ValueError):
+        neighbour_bitsets(u, v, 3, column)
+    # the triangle 0 1 2, each edge listed once
+    once = np.array([0, 0, 1]), np.array([1, 2, 2])
+    assert triangle_counts(*once, np.arange(3), seg, 1, 64).tolist() == [1]
 
 
 @pytest.mark.parametrize("width", [1, 64, 65, 128, 129, 192, 193, 256, 257,

@@ -689,27 +689,33 @@ def _width_block(width):
 
 @settings(max_examples=100, deadline=None)
 @given(triangle_blocks(), st.sampled_from([1, 1024]),
-       st.sampled_from([64, 1 << 16]))
-@example(_width_block(63), 1024, 64)
-@example(_width_block(64), 1024, 64)
-@example(_width_block(65), 1024, 64)
-@example(_width_block(127), 1, 1 << 16)
-@example(_width_block(128), 1024, 64)
-@example(_width_block(129), 1024, 1 << 16)
+       st.sampled_from([64, 1 << 16]), st.booleans())
+@example(_width_block(63), 1024, 64, False)
+@example(_width_block(64), 1024, 64, True)
+@example(_width_block(65), 1024, 64, False)
+@example(_width_block(127), 1, 1 << 16, False)
+@example(_width_block(128), 1024, 64, False)
+@example(_width_block(129), 1024, 1 << 16, True)
+@example(_width_block(192), 1024, 64, True)
+@example(_width_block(193), 1024, 1 << 16, True)
+@example(_width_block(257), 1024, 64, True)
 def test_block_triangle_counts_equal_the_walk_and_networkx(block, block_reps,
-                                                          run):
+                                                          run, bitsets):
     # blocks of one configuration or of many, each ANDed in runs of at
-    # least one edge: each configuration's triangle count is its own graph's
+    # least one edge: each configuration's triangle count is its own graph's,
+    # and so are its bitsets where the same block packs them too
     spec, configs, params = block
     with mock.patch.object(complexes, "_BLOCK_REPS", block_reps), \
             mock.patch.object(complexes, "_RUN_PAIRS", run):
-        out = list(complexes.graphs(iter(configs), spec, params, False,
+        out = list(complexes.graphs(iter(configs), spec, params, bitsets,
                                     triangles=True))
     assert len(out) == len(configs)
     for graph, pts in zip(out, configs):
-        assert (graph.neigh, graph.chi, graph.covered) == (None, None, None)
+        assert (graph.chi, graph.covered) == (None, None)
         u, v = threshold_edges(pts, spec.a, params)
-        walked = counts_from_bitsets(neighbour_bitsets(u, v, graph.n), 3)
+        neigh = neighbour_bitsets(u, v, graph.n)
+        assert graph.neigh == (neigh if bitsets else None)
+        walked = counts_from_bitsets(neigh, 3)
         nx_graph = nx.Graph(zip(u.tolist(), v.tolist()))
         assert graph.triangles == (walked + [0] * 3)[3] == sum(
             nx.triangles(nx_graph).values()) // 3
