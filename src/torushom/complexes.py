@@ -16,32 +16,26 @@ configurations.  The edges are packed once, by one routine, into rows of
 64-bit words (see ``cliques``): neighbour bitsets, which a complex keeps and
 every walker reads, or the later-neighbour rows of the triangle join; the
 (n, n) boolean matrix of ``adjacency_matrix`` is only a way in, built nowhere
-else.  ``simplex_counts`` counts a complex's simplices up to triangles by
-that join (``cliques.triangle_counts``), packing no bitsets, and above them
-by a clique walk; ``build_complex`` counts only its vertices and edges and
-keeps its graph, from which homology (see ``homology``) lists at most the
-cliques of a collapsed core.  Neither stores a list of simplices.  Under the
-max-norm at d <= 2 with 3t < a (``windowed``), a clique is a set that fits in
-a window of length t in each coordinate, and ``window_chi`` gets the Euler
-characteristic of a whole block from its edges alone, by counting each clique
-at its anchors (its first point in each coordinate), with no clique walk:
-each edge is oriented by the sign of the wrapped difference that the search
-tests, ties going to the larger row.  On the circle (d = 1) there,
-``circle_covered`` tells from a sort of each configuration's coordinates
-whether every circular gap passes the threshold, which with chi gives every
-Betti number (see ``harness``); ``homology.collapsed_homology`` and the
-``homology`` command always run the collapse.
+else.  Neither ``simplex_counts`` nor ``build_complex`` stores a list of
+simplices; homology (see ``homology``) lists at most the cliques of a
+collapsed core.  Under the max-norm at d <= 2 with 3t < a (``windowed``), a
+clique is a set that fits in a window of length t in each coordinate, and
+``window_chi`` gets the Euler characteristic of a whole block from its edges
+alone, by counting each clique at its anchors (its first point in each
+coordinate), with no clique walk: each edge is oriented by the sign of the
+wrapped difference that the search tests, ties going to the larger row.  On
+the circle (d = 1) there, ``circle_covered`` tells from a sort of each
+configuration's coordinates whether every circular gap passes the threshold,
+which with chi gives every Betti number (see ``harness``);
+``homology.collapsed_homology`` and the ``homology`` command always run the
+collapse.
 
 ``sweeps`` and ``graphs`` are the one way from point arrays to graphs for
 ``harness``, ``homology.collapsed_homology``, ``simplex_counts`` and the
-``subcount`` command: one neighbour search finds the edges of a block of
-configurations, and one ``neighbour_bitsets`` packs their bitsets where
-asked.  chi, when asked for, is each configuration's whole graph's, never
-None: the block's ``window_chi`` under ``windowed``, packing no bitsets for
-it, else ``cliques.chi_from_bitsets`` of bitsets the builder packs itself;
-so are the gaps' verdicts of ``circle_covered`` and the triangle counts of
-``cliques.triangle_counts``, each of a whole block from its edges, when
-asked for.
+``subcount`` command, and the one place where a route is chosen: a caller
+names what it needs (the bitsets, chi, the Betti numbers' inputs, the clique
+counts up to a size) and ``sweeps`` picks how each is found, from one
+neighbour search of a block of configurations.
 
 Two threshold conventions are supported:
 
@@ -68,11 +62,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cliques import (_trimmed, check_cap, chi_from_bitsets, count_cliques,
-                      neighbour_bitsets, triangle_counts)
+# count_cliques and pairwise_distances are not called here; perfbench's
+# import-site test expects this module to hold them.
+from .cliques import (_trimmed, check_cap, chi_from_bitsets,  # noqa: F401
+                      count_cliques, counts_from_bitsets, neighbour_bitsets,
+                      triangle_counts)
 from .sampling import PointConfiguration
-# pairwise_distances is not called here; perfbench's import-site test
-# expects this module to hold it.
 from .torus import Metric, TorusSpec, pairwise_distances, torus_distance  # noqa: F401
 
 
@@ -535,7 +530,7 @@ def _blocks(draws, rows: bool):
 class Sweep(NamedTuple):
     """One block of ``sweeps``: per configuration, its point count, edge
     count, chi, gaps' verdict and triangle count, and per point, its degree
-    and bitset; an item not asked for is None."""
+    and bitset; an item not found is None."""
     sizes: np.ndarray
     edges: np.ndarray
     degrees: np.ndarray
@@ -546,34 +541,46 @@ class Sweep(NamedTuple):
 
 
 class Graph(NamedTuple):
-    """One configuration's threshold graph, cut from its ``Sweep``."""
+    """One configuration's threshold graph, cut from its ``Sweep``: counts[k]
+    is its number of k-cliques, up to the size asked for."""
     n: int
-    edges: int
+    counts: list[int]
     degrees: np.ndarray
     neigh: list[int] | None
     chi: int | None
     covered: bool | None
-    triangles: int | None
 
 
-def sweeps(draws, spec: TorusSpec, params: ComplexParams, bitsets: bool,
-           chi: bool = False, gaps: bool = False, triangles: bool = False):
+def sweeps(draws, spec: TorusSpec, params: ComplexParams, bitsets: bool = False,
+           chi: bool = False, betti: bool = False, max_size: int | None = 0):
     """Each block of the configurations drawn on the torus ``spec``
     (``_blocks``), after one neighbour search over the whole block, as a
-    ``Sweep``: the point and edge counts of its configurations, the degree
-    of each of its points in order, a bitset per point by its
-    configuration's local columns (``neighbour_bitsets``) if packed, else
-    None, if ``chi``, the Euler characteristic of the whole graph of each of
-    its configurations, if ``gaps``, whether each passes at every circular
-    gap (``circle_covered``, on the circle under ``windowed`` only), and if
-    ``triangles``, the triangle count of each (``cliques.triangle_counts``,
-    from word rows packed as the bitsets are), each else None.
-    That chi is the block's ``window_chi`` where ``windowed`` holds, else
-    ``chi_from_bitsets`` of each configuration's bitsets; so the bitsets are
-    packed if ``bitsets``, or if ``chi`` is asked for outside the windows."""
-    windows = chi and windowed(spec.d, spec.a, params)
-    pack = bitsets or (chi and not windows)
-    for block in _blocks(draws, pack or triangles):
+    ``Sweep`` of what the caller needs and of the route this function picks
+    for it, each item else None:
+
+    * the point and edge counts of its configurations and the degree of
+      each of its points in order, always;
+    * a bitset per point by its configuration's local columns
+      (``neighbour_bitsets``), if ``bitsets``, or if a route below needs
+      them;
+    * with ``chi``, the Euler characteristic of the whole graph of each of
+      its configurations: the block's ``window_chi`` where ``windowed``
+      holds, else ``chi_from_bitsets`` of each configuration's bitsets;
+    * with ``betti``, the inputs of the Betti numbers: on the circle under
+      ``windowed``, chi and whether each configuration passes at every
+      circular gap (``circle_covered``), with no bitsets; elsewhere, the
+      bitsets;
+    * with ``max_size`` 3, the triangle count of each configuration
+      (``cliques.triangle_counts``, from word rows packed as the bitsets
+      are); above 3, or None (every size), the bitsets, which ``graphs``
+      walks."""
+    windows = windowed(spec.d, spec.a, params)
+    circle = betti and windows and spec.d == 1
+    chi = chi or circle
+    join = max_size == 3
+    pack = (bitsets or (betti and not circle) or (chi and not windows)
+            or max_size is None or max_size > 3)
+    for block in _blocks(draws, pack or join):
         sizes = np.array([pts.shape[0] for pts in block])
         starts = np.concatenate(([0], np.cumsum(sizes)))
         points = np.concatenate(block)
@@ -582,33 +589,39 @@ def sweeps(draws, spec: TorusSpec, params: ComplexParams, bitsets: bool,
         seg = np.repeat(np.arange(len(block)), sizes)
         edges = np.bincount(seg[u], minlength=len(block))
         neigh = chis = covered = found = None
-        if pack or triangles:
+        if pack or join:
             local = np.arange(starts[-1]) - starts[seg]
         if pack:
             neigh = neighbour_bitsets(u, v, starts[-1], local)
-        if triangles:
+        if join:
             found = triangle_counts(u, v, local, seg, len(block),
                                     _RUN_PAIRS).tolist()
-        if windows:
+        if chi and windows:
             chis = window_chi(points, spec.a, params, starts, u, v).tolist()
         elif chi:
             bounds = starts.tolist()
             chis = [chi_from_bitsets(neigh[first:last])
                     for first, last in zip(bounds, bounds[1:])]
-        if gaps:
+        if circle:
             covered = circle_covered(points, spec.a, params, starts).tolist()
         yield Sweep(sizes, edges, degrees, neigh, chis, covered, found)
 
 
-def graphs(draws, spec: TorusSpec, params: ComplexParams, bitsets: bool,
-           chi: bool = False, gaps: bool = False, triangles: bool = False):
+def graphs(draws, spec: TorusSpec, params: ComplexParams, bitsets: bool = False,
+           chi: bool = False, betti: bool = False, max_size: int | None = 0):
     """The threshold graph of each configuration drawn, in order, as a
-    ``Graph``: its point count, edge count, degree sequence, neighbour
-    bitsets, Euler characteristic, whether it passes at every circular gap
-    and triangle count, cut from its block's ``sweeps`` (the bitsets if
-    packed, the chi if ``chi``, the gaps' verdict if ``gaps`` and the
-    triangles if ``triangles``, each else None)."""
-    for block in sweeps(draws, spec, params, bitsets, chi, gaps, triangles):
+    ``Graph`` cut from its block's ``sweeps`` (the same requests): its
+    point count, clique counts, degree sequence, neighbour bitsets, Euler
+    characteristic and gaps' verdict, each else None.
+
+    The counts are [0, n, edges] up to ``max_size`` 2, with the triangles
+    of the block's join at 3, and ``counts_from_bitsets(neigh, max_size)``
+    above it (n for None), walked as the graph is yielded.  A count is
+    capped as its walk would be, when the graph is yielded: N_1 and N_2
+    never, N_3 when N_1 + N_2 + N_3 passes ``DEFAULT_SIMPLEX_CAP``
+    (``check_cap``), and the walk by itself."""
+    walk = max_size is None or max_size > 3
+    for block in sweeps(draws, spec, params, bitsets, chi, betti, max_size):
         first, neigh = 0, block.neigh
         nones = [None] * len(block.sizes)
         for n, e, c, cov, tri in zip(
@@ -616,9 +629,15 @@ def graphs(draws, spec: TorusSpec, params: ComplexParams, bitsets: bool,
                 nones if block.chi is None else block.chi,
                 nones if block.covered is None else block.covered,
                 nones if block.triangles is None else block.triangles):
-            yield Graph(n, e, block.degrees[first:first + n],
-                        None if neigh is None else neigh[first:first + n], c,
-                        cov, tri)
+            own = None if neigh is None else neigh[first:first + n]
+            if walk:
+                counts = counts_from_bitsets(own, max_size or n)
+            else:
+                counts = [0, n, e]
+                if tri is not None:
+                    counts.append(tri)
+                    check_cap(n + e + tri, 3)
+            yield Graph(n, counts, block.degrees[first:first + n], own, c, cov)
             first += n
 
 
@@ -646,24 +665,22 @@ def _check_radius(spec: TorusSpec, params: ComplexParams,
 
 def simplex_counts(config: PointConfiguration, params: ComplexParams,
                    max_dim: int | None = None) -> GeometricComplex:
-    """Count simplices up to ``max_dim`` (default: all) without storing them;
-    raises ``cliques.SimplexCapExceeded`` when they pass
-    ``DEFAULT_SIMPLEX_CAP``.  Up to max_dim = 2 they are the point count,
-    the edge count and ``cliques.triangle_counts``, with no bitsets and no
-    clique walk; above it, or with no max_dim, the bitsets are packed and
-    walked (``cliques.count_cliques``)."""
+    """Count simplices up to ``max_dim`` (default: all) without storing them,
+    by the routes of ``graphs``; raises ``cliques.SimplexCapExceeded`` when
+    they pass ``DEFAULT_SIMPLEX_CAP``, as a walk to them would: ``graphs``
+    caps from the triangles up, and up to max_dim = 1 the point and edge
+    counts are capped here."""
     if max_dim is not None and max_dim < 0:
         raise ValueError(f"max_dim must be >= 0, got {max_dim}")
     _check_radius(config.spec, params, homology_mode=False)
-    if max_dim is None or max_dim > 2:
-        (graph,) = graphs([config.points], config.spec, params, True)
-        counts, _ = count_cliques(
-            graph.neigh, max_size=None if max_dim is None else max_dim + 1)
-        return GeometricComplex(counts=counts[1:])  # drop the size-0 slot
-    (graph,) = graphs([config.points], config.spec, params, False,
-                      triangles=max_dim == 2)
-    counts = [graph.n, graph.edges, graph.triangles][:max_dim + 1]
-    check_cap(sum(counts), max_dim + 1)
+    size = None if max_dim is None else max_dim + 1
+    (graph,) = graphs([config.points], config.spec, params, max_size=size)
+    if max_dim is None:
+        counts = graph.counts[1:]
+    else:
+        counts = graph.counts[1:size + 1]
+        if max_dim < 2:
+            check_cap(sum(counts), size)
     return GeometricComplex(counts=_trimmed(counts))
 
 

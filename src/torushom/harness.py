@@ -11,30 +11,23 @@ bit-identical for a fixed configuration regardless of scheduling; the
 experiments draw them through ``sampling.sample_run``, one run per
 experiment or intensity.
 All three experiments take their graphs from ``complexes.sweeps`` and
-``complexes.graphs``, a block of replications at a time (see
-``complexes``).  N_1 and N_2 are a configuration's point and edge counts,
-N_3 is counted for a whole block at once from its edges
-(``cliques.triangle_counts``), as a star pattern is from its degrees.
-Where more is asked for, each configuration's neighbour bitsets are walked
-for N_k with k >= 4 (counted only up to the largest k asked for, walking
-no candidate set of one vertex), beta_0 (a flood fill), any pattern other
-than a star (a bitset search) and Betti numbers above beta_0
-(``homology.homology_from_bitsets``, which lists at most the cliques of a
-collapsed core, none for a core with no triangle, and counts none of the
-full complex).  chi is the whole
-graph's, from the builder, and the Betti numbers are checked against it.
-On the circle (d = 1) under ``complexes.windowed`` (the max-norm, 3t < a),
-every Betti number comes instead from chi and the circular gaps, a block at
-a time, with no bitsets, no collapse and no clique listing: the complex is
-a circle, (1, 1), when every gap passes the threshold, else a disjoint union
-of chi contractible pieces (Adamaszek & Adams, Pacific J. Math. 290, 2017).
-chi comes from the edges' orientation and the gaps from a sort
-(``complexes.circle_covered``), and a replication raises unless every gap
-passes exactly when chi = 0 and it has a point; tier-1 tests check the rule
-against the collapse on the same graphs.
+``complexes.graphs``, a block of replications at a time, and name only what
+they need: the bitsets, chi, the Betti numbers' inputs and the clique counts
+up to the largest N_k asked for.  ``complexes`` picks every route (see its
+docstring): N_3 by a block's triangle join and N_4 and up by a clique walk,
+chi by the windows or the pivot, and the Betti numbers' inputs, which on the
+circle (d = 1) under ``complexes.windowed`` are chi and the circular gaps,
+else the bitsets.  ``_betti`` reads which it was given.  With the gaps, the
+complex is a circle, (1, 1), when every gap passes the threshold, else a
+disjoint union of chi contractible pieces (Adamaszek & Adams, Pacific J.
+Math. 290, 2017), and a replication raises unless every gap passes exactly
+when chi = 0 and it has a point; with the bitsets they are
+``homology.homology_from_bitsets``'s (which lists at most the cliques of a
+collapsed core, none for a core with no triangle), checked against the whole
+graph's chi.  beta_0 alone, without the gaps, is a flood fill of the
+bitsets, and a star pattern is counted for a whole block from its degrees.
 Every replication counts: a cap overrun raises ``SimplexCapExceeded`` and a
-failed homology check ``RuntimeError``, naming the replication.  N_3 from
-the join is capped as the walk to it would be (``cliques.check_cap``).
+failed homology check ``RuntimeError``, naming the replication.
 """
 
 from __future__ import annotations
@@ -44,12 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cliques import (SimplexCapExceeded, check_cap, components,
-                      counts_from_bitsets)
+from .cliques import SimplexCapExceeded, components
 # simplex_counts and sample are not called here; perfbench's import-site
 # test expects this module to hold them.
 from .complexes import (ComplexParams, Graph, _check_radius,  # noqa: F401
-                        graphs, simplex_counts, sweeps, windowed)
+                        graphs, simplex_counts, sweeps)
 from .homology import homology_from_bitsets
 from .sampling import (Poisson, ProcessLaw, SeedSpec, sample,  # noqa: F401
                        sample_run)
@@ -142,17 +134,22 @@ def run_experiment(config: ExperimentConfig) -> ReplicationReport:
     plan = _Plan(config)
     if plan.needs_counts:
         _check_radius(config.spec, config.params, homology_mode=False)
-    if plan.needs_full_homology:
+    if plan.full_homology:
         _check_radius(config.spec, config.params, homology_mode=True)
     values: dict[str, list[float]] = {q: [] for q in config.quantities}
     draws = sample_run(config.law, config.spec, SeedSpec(config.master_seed),
                        ("experiment",), config.replications)
-    for rep, graph in enumerate(graphs(
-            draws, config.spec, config.params, plan.needs_bitsets,
-            plan.needs_chi, plan.circle, plan.triangles)):
-        row = _row(plan, graph, f"replication {rep}")
-        for q, value in zip(config.quantities, row):
-            values[q].append(value)
+    rep = 0
+    try:
+        for graph in graphs(draws, config.spec, config.params,
+                            chi=plan.chi, betti=plan.betti,
+                            max_size=plan.max_size):
+            for q, value in zip(config.quantities,
+                                _row(plan, graph, f"replication {rep}")):
+                values[q].append(value)
+            rep += 1
+    except SimplexCapExceeded as exc:
+        raise SimplexCapExceeded(f"replication {rep}: {exc}") from None
 
     raw = {q: np.asarray(v, dtype=float) for q, v in values.items()}
     n = config.replications
@@ -165,75 +162,55 @@ def run_experiment(config: ExperimentConfig) -> ReplicationReport:
 
 
 class _Plan:
-    """What each replication of an experiment computes."""
+    """What each replication of an experiment needs."""
 
     def __init__(self, config: ExperimentConfig):
         self.parsed = [_parse_quantity(q) for q in config.quantities]
         kinds = {p[0] for p in self.parsed}
         beta_indices = sorted({p[1] for p in self.parsed if p[0] == "beta"})
         self.needs_counts = bool(kinds & {"N", "chi"})
-        self.needs_full_homology = bool(beta_indices) and beta_indices != [0]
-        # every Betti number from chi and the gaps (``_betti``)
-        self.circle = bool(beta_indices) and _on_circle(config.spec,
-                                                        config.params)
-        self.betti = self.needs_full_homology or self.circle
-        # N_k is counted to the largest k asked for; up to N_2 the counts
-        # are the point and edge counts, to N_3 the block's triangle join
-        # adds the triangles, and beyond it the clique walk counts them all
+        self.betti = bool(beta_indices)
+        # beta_0 alone is a flood fill wherever the builder gives no gaps
+        self.full_homology = self.betti and beta_indices != [0]
+        # N_k is counted to the largest k asked for
         self.max_size = max([p[1] for p in self.parsed if p[0] == "N"], default=0)
-        self.triangles = self.max_size == 3
-        self.clique_walk = self.max_size > 3
         # the whole graph's chi, for itself and for the homology check
-        self.needs_chi = "chi" in kinds or self.betti
-        self.needs_bitsets = (("beta" in kinds and not self.circle)
-                              or self.clique_walk)
-
-
-def _on_circle(spec: TorusSpec, params: ComplexParams) -> bool:
-    """Whether the Betti numbers come from chi and the circular gaps: on
-    the circle (d = 1) under ``complexes.windowed``."""
-    return spec.d == 1 and windowed(spec.d, spec.a, params)
+        self.chi = "chi" in kinds or self.full_homology
 
 
 def _row(plan: _Plan, graph: Graph, where: str) -> list[float]:
     """The values of one configuration, in the order of ``plan.parsed``,
     from its ``complexes.Graph``; ``where`` names the configuration in the
-    errors raised.  N_3 from the join is capped as the walk to it would
-    be."""
-    n, neigh, chi = graph.n, graph.neigh, graph.chi
-    counts = [0, n, graph.edges]
-    if plan.clique_walk:
-        counts = _named(where, counts_from_bitsets, neigh, plan.max_size)
-    elif plan.triangles:
-        counts.append(graph.triangles)
-        _named(where, check_cap, sum(counts), 3)
-    betti = _betti(n, neigh, chi, graph.covered, where) if plan.betti else None
+    errors raised."""
+    counts = graph.counts
+    betti = (_betti(graph, where)
+             if plan.full_homology or graph.covered is not None else None)
     row = []
     for kind, i in plan.parsed:
         if kind == "n_points":
-            row.append(float(n))
+            row.append(float(graph.n))
         elif kind == "N":
             row.append(float(counts[i]) if i < len(counts) else 0.0)
         elif kind == "chi":
-            row.append(float(chi))
+            row.append(float(graph.chi))
         elif betti is not None:
             row.append(float(betti[i]) if i < len(betti) else 0.0)
         else:
-            row.append(float(len(components(neigh))))
+            row.append(float(len(components(graph.neigh))))
     return row
 
 
-def _betti(n: int, neigh: list[int] | None, chi: int, covered: bool | None,
-           where: str) -> list[int]:
-    """The checked Betti numbers of a configuration of n points, with its
-    whole graph's ``chi``; errors name ``where``.
+def _betti(graph: Graph, where: str) -> list[int]:
+    """The checked Betti numbers of a configuration's ``complexes.Graph``,
+    built with its whole graph's chi; errors name ``where``.
 
-    Given the verdict ``covered`` of ``complexes.circle_covered`` (on the
-    circle, under ``windowed``), they are (1, 1) when every circular gap
-    passes, else (chi,), or () with no point, and every gap must pass
-    exactly when chi = 0 and n >= 1.  Else (``covered`` None) they are
-    ``homology_from_bitsets``'s of the bitsets ``neigh``, checked against
-    ``chi``."""
+    Given the verdict ``graph.covered`` of ``complexes.circle_covered`` (on
+    the circle, under ``complexes.windowed``), they are (1, 1) when every
+    circular gap passes, else (chi,), or () with no point, and every gap
+    must pass exactly when chi = 0 and n >= 1.  Else (``covered`` None) they
+    are ``homology_from_bitsets``'s of the graph's bitsets, checked against
+    its chi."""
+    n, chi, covered = graph.n, graph.chi, graph.covered
     if covered is not None:
         if covered != (chi == 0 and n > 0):
             raise RuntimeError(
@@ -241,19 +218,11 @@ def _betti(n: int, neigh: list[int] | None, chi: int, covered: bool | None,
                 f"{chi}, but {'every' if covered else 'not every'} circular "
                 "gap passes")
         return [1, 1] if covered else [chi] if n else []
-    result = _named(where, homology_from_bitsets, neigh, chi)
+    result = homology_from_bitsets(graph.neigh, chi)
     if result.violations:
         raise RuntimeError(f"homology check failed at {where}: "
                            f"{'; '.join(result.violations)}")
     return result.betti
-
-
-def _named(where: str, walk, *args):
-    """``walk(*args)``, with a cap overrun's message led by ``where``."""
-    try:
-        return walk(*args)
-    except SimplexCapExceeded as exc:
-        raise SimplexCapExceeded(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -370,18 +339,19 @@ def coverage_experiment(spec: TorusSpec, params: ComplexParams, lambdas,
             raise ValueError(f"intensity {law.lam} is repeated")
     _check_radius(spec, params, homology_mode=True)
     target = torus_betti(spec.d)
-    circle = _on_circle(spec, params)
     points = []
     for law in laws:
         draws = sample_run(law, spec, seed, ("coverage", law.lam), reps)
-        matches = 0
-        for rep, graph in enumerate(
-                graphs(draws, spec, params, not circle, True, circle)):
-            # a match may differ from the target only by trailing zeros
-            betti = tuple(_betti(graph.n, graph.neigh, graph.chi,
-                                 graph.covered,
-                                 f"lambda={law.lam}, replication {rep}"))
-            matches += betti == target + (0,) * (len(betti) - len(target))
+        matches = rep = 0
+        where = f"lambda={law.lam}, replication"
+        try:
+            for graph in graphs(draws, spec, params, chi=True, betti=True):
+                # a match may differ from the target only by trailing zeros
+                betti = tuple(_betti(graph, f"{where} {rep}"))
+                matches += betti == target + (0,) * (len(betti) - len(target))
+                rep += 1
+        except SimplexCapExceeded as exc:
+            raise SimplexCapExceeded(f"{where} {rep}: {exc}") from None
         freq = matches / reps
         se = math.sqrt(freq * (1.0 - freq) / reps)
         points.append(CoveragePoint(lam=law.lam, match_frequency=freq, stderr=se))

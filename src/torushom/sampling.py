@@ -25,28 +25,26 @@ import numpy as np
 
 from .torus import TorusSpec
 
-_MASK64 = (1 << 64) - 1
-
-
 @dataclass(frozen=True)
 class SeedSpec:
-    """A reproducible random stream: master seed plus stream index."""
+    """A reproducible random stream: master seed plus stream index, each a
+    64-bit word of the Philox key, so each must lie in [0, 2^64)."""
 
     master_seed: int
     stream_index: int = 0
 
     def __post_init__(self):
-        if self.stream_index < 0:
-            raise ValueError("stream_index must be nonnegative")
+        if not (0 <= self.master_seed < 1 << 64
+                and 0 <= self.stream_index < 1 << 64):
+            raise ValueError("master_seed and stream_index must be in "
+                             f"[0, 2**64), got {self.master_seed} and "
+                             f"{self.stream_index}")
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self._key()))
 
     def _key(self) -> np.ndarray:
-        return np.array(
-            [self.master_seed & _MASK64, self.stream_index & _MASK64],
-            dtype=np.uint64,
-        )
+        return np.array([self.master_seed, self.stream_index], dtype=np.uint64)
 
     def child(self, *tokens) -> "SeedSpec":
         """Derive a stream index from arbitrary hashable tokens.
@@ -166,8 +164,8 @@ def _seeded_generator(seed: SeedSpec) -> np.random.Generator:
         }
     state = _reused.state
     key = state["state"]["key"]
-    key[0] = seed.master_seed & _MASK64
-    key[1] = seed.stream_index & _MASK64
+    key[0] = seed.master_seed
+    key[1] = seed.stream_index
     rng.bit_generator.state = state
     return rng
 

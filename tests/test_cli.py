@@ -53,6 +53,15 @@ def test_sample_requires_exactly_one_law(capsys):
     assert code == 1 and "error" in doc
 
 
+@pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+def test_seed_outside_64_bits_exits_with_one_error_line(capsys, seed):
+    # reduced mod 2^64, the first would print the points of --seed 0
+    code = main(["sample", "--lambda", "10", "--seed", seed])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert "must be in [0, 2**64)" in json.loads(lines[0])["error"]
+
+
 def test_sample_deterministic(capsys):
     code1, doc1 = run_cli(capsys, "sample", "--lambda", "20", "--seed", "9")
     code2, doc2 = run_cli(capsys, "sample", "--lambda", "20", "--seed", "9")

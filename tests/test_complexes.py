@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -547,7 +548,7 @@ def _rule_and_collapse(spec, configs, params, block_reps=1024):
                                     True))
     rule, collapse = [], []
     for graph in out:
-        rule.append(_betti(graph.n, None, graph.chi, graph.covered, "here"))
+        rule.append(_betti(graph, "here"))
         result = homology_from_bitsets(graph.neigh, graph.chi)
         assert result.violations == []
         collapse.append(result.betti)
@@ -620,18 +621,31 @@ _THIRDS = (TorusSpec(d=1, a=3.0), [np.zeros((0, 1)), np.array([[1.5]]),
 @settings(max_examples=200, deadline=None)
 @given(lattice_blocks(), st.sampled_from(list(Metric)),
        st.sampled_from(list(Convention)), st.booleans(), st.booleans(),
+       st.booleans(), st.sampled_from([0, 2, 3, 4, 5, None]),
        st.sampled_from([1, 3, 1024]))
-@example(_THIRDS, Metric.MAX_NORM, Convention.SUBCOMPLEX_EPS, False, True, 1024)
-@example(_THIRDS, Metric.MAX_NORM, Convention.SUBCOMPLEX_EPS, True, True, 1)
+@example(_THIRDS, Metric.MAX_NORM, Convention.SUBCOMPLEX_EPS, False, True,
+         False, 0, 1024)
+@example(_THIRDS, Metric.MAX_NORM, Convention.SUBCOMPLEX_EPS, True, True,
+         True, None, 1)
+@example((SPEC1, _CIRCLE_CASES["empty-first"][0], 0.2), Metric.MAX_NORM,
+         Convention.SUBCOMPLEX_EPS, False, False, True, 3, 1024)
 def test_graph_builder_gives_each_configuration_its_own_graph_and_chi(
-        block, metric, convention, bitsets, chi, block_reps):
+        block, metric, convention, bitsets, chi, betti, max_size, block_reps):
     # blocks of one configuration or of many, in or out of the windows:
-    # each graph is that of a fresh sweep of its own configuration, the chi
-    # (when asked for) is its whole graph's, and bitsets are packed, once a
-    # block, exactly when asked for or needed for that chi
+    # each graph is that of a fresh sweep of its own configuration, its
+    # counts are the walk's up to max_size (capped where the walk is), the
+    # chi (when asked for, or needed by the gaps) is its whole graph's, the
+    # gaps' verdict is given for the Betti numbers on the windowed circle,
+    # and bitsets are packed, once a block, exactly when asked for, walked,
+    # needed for the Betti numbers off that circle or for chi outside the
+    # windows.  A cap low enough to stop a walk of a dense configuration
+    # quickly must stop the builder at the same configuration.
     spec, configs, epsilon = block
     params = ComplexParams(epsilon=epsilon, metric=metric, convention=convention)
-    packs = bitsets or (chi and not windowed(spec.d, spec.a, params))
+    windows = windowed(spec.d, spec.a, params)
+    circle = betti and windows and spec.d == 1
+    walks = max_size is None or max_size > 3
+    packs = bitsets or walks or (betti and not circle) or (chi and not windows)
     calls = {"threshold_edges": 0, "neighbour_bitsets": 0}
 
     def counting(name):
@@ -642,23 +656,48 @@ def test_graph_builder_gives_each_configuration_its_own_graph_and_chi(
             return fn(*args)
         return wrapped
 
-    with mock.patch.object(complexes, "_BLOCK_REPS", block_reps), \
-            mock.patch.object(complexes, "threshold_edges",
-                              counting("threshold_edges")), \
-            mock.patch.object(complexes, "neighbour_bitsets",
-                              counting("neighbour_bitsets")):
-        out = list(complexes.graphs(iter(configs), spec, params, bitsets, chi))
+    with mock.patch.object(cliques, "DEFAULT_SIMPLEX_CAP", 1 << 16):
+        expected, overrun = [], None
+        for pts in configs:
+            u, v = threshold_edges(pts, spec.a, params)
+            fresh = neighbour_bitsets(u, v, len(pts))
+            counts = [0, len(pts), len(u)]
+            try:
+                if max_size is not None and max_size >= 3:
+                    counts = counts_from_bitsets(fresh, max_size)
+                    if max_size == 3:
+                        counts = (counts + [0] * 3)[:4]
+                elif max_size is None:
+                    counts = counts_from_bitsets(fresh, len(pts))
+            except SimplexCapExceeded as exc:
+                overrun = overrun or str(exc)
+            expected.append((pts, u, v, fresh, counts))
+        with mock.patch.object(complexes, "_BLOCK_REPS", block_reps), \
+                mock.patch.object(complexes, "threshold_edges",
+                                  counting("threshold_edges")), \
+                mock.patch.object(complexes, "neighbour_bitsets",
+                                  counting("neighbour_bitsets")):
+            out = complexes.graphs(iter(configs), spec, params, bitsets, chi,
+                                   betti, max_size)
+            if overrun is not None:
+                with pytest.raises(SimplexCapExceeded,
+                                   match=f"^{re.escape(overrun)}$"):
+                    list(out)
+                return
+            out = list(out)
     assert len(out) == len(configs)
     assert calls["neighbour_bitsets"] == (calls["threshold_edges"] if packs else 0)
-    for graph, pts in zip(out, configs):
-        u, v = threshold_edges(pts, spec.a, params)
-        fresh = neighbour_bitsets(u, v, len(pts))
-        assert (graph.n, graph.edges) == (len(pts), len(u))
+    for graph, (pts, u, v, fresh, counts) in zip(out, expected):
+        assert (graph.n, graph.counts) == (len(pts), counts)
         assert graph.degrees.tolist() == np.bincount(
             np.concatenate((u, v)), minlength=len(pts)).tolist()
         assert graph.neigh == (fresh if packs else None)
-        assert graph.chi == (chi_from_bitsets(fresh) if chi else None)
-        assert graph.covered is None and graph.triangles is None
+        assert graph.chi == (chi_from_bitsets(fresh) if chi or circle else None)
+        if circle:
+            assert graph.covered == bool(circle_covered(
+                pts, spec.a, params, np.array([0, len(pts)]))[0])
+        else:
+            assert graph.covered is None
 
 
 @st.composite
@@ -708,7 +747,7 @@ def test_block_triangle_counts_equal_the_walk_and_networkx(block, block_reps,
     with mock.patch.object(complexes, "_BLOCK_REPS", block_reps), \
             mock.patch.object(complexes, "_RUN_PAIRS", run):
         out = list(complexes.graphs(iter(configs), spec, params, bitsets,
-                                    triangles=True))
+                                    max_size=3))
     assert len(out) == len(configs)
     for graph, pts in zip(out, configs):
         assert (graph.chi, graph.covered) == (None, None)
@@ -717,7 +756,7 @@ def test_block_triangle_counts_equal_the_walk_and_networkx(block, block_reps,
         assert graph.neigh == (neigh if bitsets else None)
         walked = counts_from_bitsets(neigh, 3)
         nx_graph = nx.Graph(zip(u.tolist(), v.tolist()))
-        assert graph.triangles == (walked + [0] * 3)[3] == sum(
+        assert graph.counts[3] == (walked + [0] * 3)[3] == sum(
             nx.triangles(nx_graph).values()) // 3
 
 

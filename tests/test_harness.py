@@ -151,6 +151,36 @@ def test_n3_from_the_join_is_capped_as_the_walk_to_it(monkeypatch):
     assert run_experiment(cfg).estimates["N_3"].n == 12
 
 
+@pytest.mark.parametrize("block_reps", (1024, 7))
+def test_n4_walk_passes_the_cap_inside_a_block(monkeypatch, block_reps):
+    # the builder walks each graph of a block as it yields it, so the walk to
+    # N_4 raises at the first replication past the cap, named by the
+    # experiment, wherever the block boundaries fall (seed 9 puts it at
+    # replication 4, inside a block of 7 or of 1024)
+    cfg = ExperimentConfig(law=Poisson(40.0), spec=TorusSpec(d=2, a=1.0),
+                           params=ComplexParams(epsilon=0.08), replications=12,
+                           master_seed=9, quantities=("N_4",))
+    totals = []
+    for rep in range(12):
+        pts = sample(cfg.law, cfg.spec,
+                     SeedSpec(9).child("experiment", rep)).points
+        u, v = complexes.threshold_edges(pts, 1.0, cfg.params)
+        totals.append(sum(cliques.counts_from_bitsets(
+            cliques.neighbour_bitsets(u, v, len(pts)), 4)))
+    cap = sorted(totals)[len(totals) // 2]
+    first = next(rep for rep, total in enumerate(totals) if total > cap)
+    assert 0 < first < 7
+    monkeypatch.setattr(complexes, "_BLOCK_REPS", block_reps)
+    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", cap)
+    with pytest.raises(cliques.SimplexCapExceeded,
+                       match=f"^replication {first}: more than "
+                             f"DEFAULT_SIMPLEX_CAP = {cap} cliques of at most "
+                             "4 vertices$"):
+        run_experiment(cfg)
+    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", max(totals))
+    assert run_experiment(cfg).estimates["N_4"].n == 12
+
+
 def _count_walks(monkeypatch) -> list[int]:
     """The vertex count of each clique walk from now on."""
     walks = []
@@ -160,7 +190,7 @@ def _count_walks(monkeypatch) -> list[int]:
         walks.append(len(args[0]))
         return walk(*args)
 
-    for module in (cliques, harness):
+    for module in (cliques, complexes):
         monkeypatch.setattr(module, "counts_from_bitsets", counting)
     return walks
 

@@ -33,6 +33,16 @@ def test_child_streams_stable_and_distinct():
     assert a.master_seed == 42
 
 
+@pytest.mark.parametrize("master, index", [(-1, 0), (2 ** 64, 0), (0, -1),
+                                           (0, 2 ** 64)])
+def test_seed_outside_64_bits_is_rejected(master, index):
+    # each is one 64-bit word of the Philox key: reduced mod 2^64, 2^64 would
+    # draw the stream of 0 and -1 that of 2^64 - 1
+    with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\)"):
+        SeedSpec(master, index)
+    assert SeedSpec(2 ** 64 - 1, 2 ** 64 - 1).generator() is not None
+
+
 def test_streams_independentish():
     s = SeedSpec(99)
     x = sample(Binomial(n=50), SPEC1, s.child("e", 0)).points
