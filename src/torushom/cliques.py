@@ -17,10 +17,15 @@ of configurations and of patterns alike) here, strong collapse in
 ``homology``, pattern counting in ``subcomplex``.  The triangles of a block
 are counted from the same pack of later neighbours (``triangle_counts``), in
 numpy, with no walk and no Python ints, so the clique walk is needed for N_4
-and up only; a count by either way is capped alike (``check_cap``).
+and up only; where every clique is a vertex and a subset of its later
+neighbours (the circle's nerve of arcs), every N_k of a block comes from the
+later-neighbour counts alone (``anchored_counts``).  A count by any way is
+capped alike (``check_cap``).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -90,6 +95,45 @@ def triangle_counts(u: np.ndarray, v: np.ndarray, column: np.ndarray,
     return found
 
 
+def anchored_counts(later: np.ndarray, seg: np.ndarray, groups: int,
+                    max_size: int | None) -> tuple[list[list[int]], list[int]]:
+    """The clique counts of ``groups`` graphs whose vertices lie in one
+    array (vertex x in graph seg[x]) and whose cliques are each a vertex x
+    and any subset of its later[x] later neighbours (the circle's nerve of
+    arcs), so that N_k = sum_x C(later[x], k - 1).
+
+    Returns (rows, totals): rows[s] is N_2, N_3, ... of graph s, up to
+    ``max_size`` (None: every size), all rows padded to one length; totals[s]
+    is N_1 + N_2 + ... up to ``max_size``, for ``check_cap``.  A vertex
+    whose own cliques pass ``DEFAULT_SIMPLEX_CAP`` (read at the call) adds
+    cap + 1 to its total and nothing to its row, so no large binomial is
+    formed.  The counts are a (graph, later count) histogram times a table
+    of binomials, in int64 where no sum reaches 2^63, else in Python ints."""
+    cap = DEFAULT_SIMPLEX_CAP
+    present = np.bincount(later) > 0
+    values, index = np.flatnonzero(present), (present.cumsum() - 1)[later]
+    table, weights = [], []
+    for m in values.tolist():
+        row, total = [], 0
+        for j in range(1, m + 1 if max_size is None else min(m, max_size - 1) + 1):
+            row.append(math.comb(m, j))
+            total += row[-1]
+            if total > cap:
+                row, total = [], cap + 1
+                break
+        table.append(row)
+        weights.append(total)
+    width = max(map(len, table), default=0)
+    matrix = [row + [0] * (width - len(row)) + [w] for row, w in zip(table, weights)]
+    sizes = np.bincount(seg, minlength=groups)
+    hist = np.bincount(seg * values.size + index,
+                       minlength=groups * values.size).reshape(groups, values.size)
+    dtype = np.int64 if int(sizes.max(initial=0)) * (cap + 2) < 1 << 63 else object
+    counts = hist.astype(dtype) @ np.array(matrix, dtype=dtype).reshape(
+        values.size, width + 1)
+    return counts[:, :-1].tolist(), (counts[:, -1] + sizes).tolist()
+
+
 # Only the adjacency-matrix wrappers that perfbench calls (strong_collapse,
 # connected_components, count_gamma_adj) pack boolean rows: np.packbits of a
 # 2000 x 2000 matrix takes 1.4 ms, np.nonzero to find its edges 9 ms.  The
@@ -108,15 +152,18 @@ def _row_ints(rows: np.ndarray) -> list[int]:
     """Row r of an (n, words) array of little-endian uint64 words as an int,
     word 0 lowest.
 
-    A row of up to three words is joined high to low (``hi << 64 | lo``)
-    from the words, which numpy converts to Python ints a column at a time.
-    Against ``int.from_bytes`` (paired medians of 9 shuffled passes over 40
-    and 5,000 rows), this takes 0.07-0.23 of its time at one word,
-    0.35-0.58 at two and 0.63-0.95 at three, but 1.05-1.17 at four and
-    about 1.5 at five, so wider rows keep ``int.from_bytes``, converted row
-    by row rather than through a ``tobytes()`` copy of the whole array."""
-    if rows.shape[1] > 3:
-        return [int.from_bytes(row, "little") for row in rows]
+    A row of up to two words is joined high to low (``hi << 64 | lo``) from
+    the words, which numpy converts to Python ints a column at a time; a
+    wider one is ``int.from_bytes`` of its bytes, which one view of the
+    rows as ``V{8 * words}`` items converts to ``bytes`` all at once.
+    Against ``int.from_bytes`` of each numpy row (paired medians of 9
+    shuffled passes over 40 to 5,000 rows), the join takes 0.07-0.11 of its
+    time at one word, 0.41-0.46 at two, 0.63-0.74 at three and 1.04-1.13 at
+    four; the view 0.45-0.57 from one word to five, 0.54-0.61 at eight and
+    0.64-0.91 at 25."""
+    if rows.shape[1] > 2:
+        return [int.from_bytes(row, "little")
+                for row in rows.view(f"V{8 * rows.shape[1]}").ravel().tolist()]
     *low, ints = rows.T.tolist()
     for word in reversed(low):
         ints = [hi << 64 | lo for hi, lo in zip(ints, word)]

@@ -24,9 +24,13 @@ clique is a set that fits in a window of length t in each coordinate, and
 alone, by counting each clique at its anchors (its first point in each
 coordinate), with no clique walk: each edge is oriented by the sign of the
 wrapped difference that the search tests, ties going to the larger row.  On
-the circle (d = 1) there, ``circle_covered`` tells from a sort of each
-configuration's coordinates whether every circular gap passes the threshold,
-which with chi gives every Betti number (see ``harness``);
+the circle (d = 1) there, the cliques anchored at a point i are i and any
+subset of its m_i neighbours after it, so every clique count of a block,
+N_k = sum_i C(m_i, k - 1), comes from the same oriented edges
+(``cliques.anchored_counts``), with no bitsets, walk or join; and
+``circle_covered`` tells from a sort of each configuration's coordinates
+whether every circular gap passes the threshold, which with chi gives every
+Betti number (see ``harness``);
 ``homology.collapsed_homology`` and the ``homology`` command always run the
 collapse.
 
@@ -35,7 +39,9 @@ collapse.
 ``subcount`` command, and the one place where a route is chosen: a caller
 names what it needs (the bitsets, chi, the Betti numbers' inputs, the clique
 counts up to a size) and ``sweeps`` picks how each is found, from one
-neighbour search of a block of configurations.
+neighbour search of a block of configurations.  Counts found with no walk
+(the join's N_3, the circle's anchored N_k) are capped at
+``DEFAULT_SIMPLEX_CAP`` where the walk would cap them, with its message.
 
 Two threshold conventions are supported:
 
@@ -64,9 +70,9 @@ import numpy as np
 
 # count_cliques and pairwise_distances are not called here; perfbench's
 # import-site test expects this module to hold them.
-from .cliques import (_trimmed, check_cap, chi_from_bitsets,  # noqa: F401
-                      count_cliques, counts_from_bitsets, neighbour_bitsets,
-                      triangle_counts)
+from .cliques import (_trimmed, anchored_counts, check_cap,  # noqa: F401
+                      chi_from_bitsets, count_cliques, counts_from_bitsets,
+                      neighbour_bitsets, triangle_counts)
 from .sampling import PointConfiguration
 from .torus import Metric, TorusSpec, pairwise_distances, torus_distance  # noqa: F401
 
@@ -529,15 +535,17 @@ def _blocks(draws, rows: bool):
 
 class Sweep(NamedTuple):
     """One block of ``sweeps``: per configuration, its point count, edge
-    count, chi, gaps' verdict and triangle count, and per point, its degree
-    and bitset; an item not found is None."""
+    count, chi, gaps' verdict, and clique counts N_2, N_3, ... with their
+    total, and per point, its degree and bitset; an item not found is
+    None."""
     sizes: np.ndarray
     edges: np.ndarray
     degrees: np.ndarray
     neigh: list[int] | None
     chi: list[int] | None
     covered: list[bool] | None
-    triangles: list[int] | None
+    counts: list[list[int]] | None
+    totals: list[int] | None
 
 
 class Graph(NamedTuple):
@@ -570,16 +578,23 @@ def sweeps(draws, spec: TorusSpec, params: ComplexParams, bitsets: bool = False,
       ``windowed``, chi and whether each configuration passes at every
       circular gap (``circle_covered``), with no bitsets; elsewhere, the
       bitsets;
-    * with ``max_size`` 3, the triangle count of each configuration
-      (``cliques.triangle_counts``, from word rows packed as the bitsets
-      are); above 3, or None (every size), the bitsets, which ``graphs``
+    * with ``max_size`` 3 or more, or None (every size), on the circle under
+      ``windowed``, the anchored counts N_k = sum_i C(m_i, k - 1), m_i being
+      the number of neighbours after point i by the ``_arcs`` that orient
+      ``window_chi`` (``cliques.anchored_counts``), with no bitsets, walk or
+      join; the same ``_arcs`` call gives chi (the points with m_i = 0);
+    * elsewhere, with ``max_size`` 3, the triangle count of each
+      configuration (``cliques.triangle_counts``, from word rows packed as
+      the bitsets are); above 3, or None, the bitsets, which ``graphs``
       walks."""
     windows = windowed(spec.d, spec.a, params)
-    circle = betti and windows and spec.d == 1
-    chi = chi or circle
-    join = max_size == 3
-    pack = (bitsets or (betti and not circle) or (chi and not windows)
-            or max_size is None or max_size > 3)
+    circle = windows and spec.d == 1
+    gaps = betti and circle
+    chi = chi or gaps
+    anchored = circle and (max_size is None or max_size > 2)
+    join = max_size == 3 and not circle
+    walk = not circle and (max_size is None or max_size > 3)
+    pack = bitsets or (betti and not circle) or (chi and not windows) or walk
     for block in _blocks(draws, pack or join):
         sizes = np.array([pts.shape[0] for pts in block])
         starts = np.concatenate(([0], np.cumsum(sizes)))
@@ -588,23 +603,31 @@ def sweeps(draws, spec: TorusSpec, params: ComplexParams, bitsets: bool = False,
         degrees = np.bincount(np.concatenate((u, v)), minlength=starts[-1])
         seg = np.repeat(np.arange(len(block)), sizes)
         edges = np.bincount(seg[u], minlength=len(block))
-        neigh = chis = covered = found = None
+        neigh = chis = covered = counts = totals = None
         if pack or join:
             local = np.arange(starts[-1]) - starts[seg]
         if pack:
             neigh = neighbour_bitsets(u, v, starts[-1], local)
         if join:
-            found = triangle_counts(u, v, local, seg, len(block),
-                                    _RUN_PAIRS).tolist()
-        if chi and windows:
+            tri = triangle_counts(u, v, local, seg, len(block), _RUN_PAIRS)
+            counts = np.stack((edges, tri), axis=1).tolist()
+            totals = (sizes + edges + tri).tolist()
+        if circle and (chi or anchored):
+            later = np.bincount(_arcs(points[:, 0], spec.a, u, v)[0],
+                                minlength=starts[-1])
+            if chi:
+                chis = np.bincount(seg[later == 0], minlength=len(block)).tolist()
+            if anchored:
+                counts, totals = anchored_counts(later, seg, len(block), max_size)
+        elif chi and windows:
             chis = window_chi(points, spec.a, params, starts, u, v).tolist()
         elif chi:
             bounds = starts.tolist()
             chis = [chi_from_bitsets(neigh[first:last])
                     for first, last in zip(bounds, bounds[1:])]
-        if circle:
+        if gaps:
             covered = circle_covered(points, spec.a, params, starts).tolist()
-        yield Sweep(sizes, edges, degrees, neigh, chis, covered, found)
+        yield Sweep(sizes, edges, degrees, neigh, chis, covered, counts, totals)
 
 
 def graphs(draws, spec: TorusSpec, params: ComplexParams, bitsets: bool = False,
@@ -614,29 +637,31 @@ def graphs(draws, spec: TorusSpec, params: ComplexParams, bitsets: bool = False,
     point count, clique counts, degree sequence, neighbour bitsets, Euler
     characteristic and gaps' verdict, each else None.
 
-    The counts are [0, n, edges] up to ``max_size`` 2, with the triangles
-    of the block's join at 3, and ``counts_from_bitsets(neigh, max_size)``
-    above it (n for None), walked as the graph is yielded.  A count is
-    capped as its walk would be, when the graph is yielded: N_1 and N_2
-    never, N_3 when N_1 + N_2 + N_3 passes ``DEFAULT_SIMPLEX_CAP``
-    (``check_cap``), and the walk by itself."""
-    walk = max_size is None or max_size > 3
+    The counts are [0, n, edges] up to ``max_size`` 2, [0, n, N_2, N_3] at
+    3, and n + 1 long above it (every size for None), in the walk's layout:
+    from the block's anchored counts or join where it found them, else
+    ``counts_from_bitsets(neigh, max_size)`` (n for None), walked as the
+    graph is yielded.  They are capped as the walk would be, when the graph
+    is yielded: N_1 and N_2 never, found counts by ``check_cap`` of their
+    total, and the walk by itself."""
     for block in sweeps(draws, spec, params, bitsets, chi, betti, max_size):
         first, neigh = 0, block.neigh
         nones = [None] * len(block.sizes)
-        for n, e, c, cov, tri in zip(
+        for n, e, c, cov, found, total in zip(
                 block.sizes.tolist(), block.edges.tolist(),
                 nones if block.chi is None else block.chi,
                 nones if block.covered is None else block.covered,
-                nones if block.triangles is None else block.triangles):
+                nones if block.counts is None else block.counts,
+                nones if block.totals is None else block.totals):
             own = None if neigh is None else neigh[first:first + n]
-            if walk:
+            if found is not None:
+                check_cap(total, max_size or n)
+                length = 4 if max_size == 3 else n + 1
+                counts = ([0, n, *found] + [0] * length)[:length]
+            elif max_size is None or max_size > 3:
                 counts = counts_from_bitsets(own, max_size or n)
             else:
                 counts = [0, n, e]
-                if tri is not None:
-                    counts.append(tri)
-                    check_cap(n + e + tri, 3)
             yield Graph(n, counts, block.degrees[first:first + n], own, c, cov)
             first += n
 

@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .torus import TorusSpec
+from .torus import TorusSpec, is_integer
 
 @dataclass(frozen=True)
 class SeedSpec:
@@ -34,6 +34,10 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self):
+        # a float or a bool would be truncated into the key (1.5 draws as 1)
+        if not (is_integer(self.master_seed) and is_integer(self.stream_index)):
+            raise ValueError("master_seed and stream_index must be integers, "
+                             f"got {self.master_seed!r} and {self.stream_index!r}")
         if not (0 <= self.master_seed < 1 << 64
                 and 0 <= self.stream_index < 1 << 64):
             raise ValueError("master_seed and stream_index must be in "
@@ -74,8 +78,9 @@ class Binomial:
     n: int
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"point count must be nonnegative, got {self.n}")
+        if not is_integer(self.n) or self.n < 0:
+            raise ValueError(f"point count must be a nonnegative integer, "
+                             f"got {self.n!r}")
 
 
 ProcessLaw = Union[Poisson, Binomial]

@@ -22,6 +22,13 @@ class Metric(enum.Enum):
     EUCLIDEAN = "euclidean"
 
 
+def is_integer(x) -> bool:
+    """Whether ``x`` is a Python or numpy integer, and not a bool (a plain
+    int is tested first: ``SeedSpec`` tests each replication's seed)."""
+    return type(x) is int or (isinstance(x, (int, np.integer))
+                               and not isinstance(x, bool))
+
+
 @dataclass(frozen=True)
 class TorusSpec:
     """The flat torus T_a^d: dimension ``d`` and side length ``a``."""
@@ -31,8 +38,7 @@ class TorusSpec:
 
     def __post_init__(self):
         # a float or a bool would pass int(d) == d, and fail later as a shape
-        if (not isinstance(self.d, (int, np.integer)) or isinstance(self.d, bool)
-                or self.d < 1):
+        if not is_integer(self.d) or self.d < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.d}")
         if not (0 < self.a < math.inf):
             raise ValueError(f"side length must be positive and finite, got {self.a}")

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 from unittest import mock
@@ -636,15 +637,16 @@ def test_graph_builder_gives_each_configuration_its_own_graph_and_chi(
     # counts are the walk's up to max_size (capped where the walk is), the
     # chi (when asked for, or needed by the gaps) is its whole graph's, the
     # gaps' verdict is given for the Betti numbers on the windowed circle,
-    # and bitsets are packed, once a block, exactly when asked for, walked,
-    # needed for the Betti numbers off that circle or for chi outside the
-    # windows.  A cap low enough to stop a walk of a dense configuration
-    # quickly must stop the builder at the same configuration.
+    # and bitsets are packed, once a block, exactly when asked for, walked
+    # (off that circle, where the counts are anchored), needed for the Betti
+    # numbers off that circle or for chi outside the windows.  A cap low
+    # enough to stop a walk of a dense configuration quickly must stop the
+    # builder at the same configuration.
     spec, configs, epsilon = block
     params = ComplexParams(epsilon=epsilon, metric=metric, convention=convention)
     windows = windowed(spec.d, spec.a, params)
     circle = betti and windows and spec.d == 1
-    walks = max_size is None or max_size > 3
+    walks = (max_size is None or max_size > 3) and not (windows and spec.d == 1)
     packs = bitsets or walks or (betti and not circle) or (chi and not windows)
     calls = {"threshold_edges": 0, "neighbour_bitsets": 0}
 
@@ -758,6 +760,115 @@ def test_block_triangle_counts_equal_the_walk_and_networkx(block, block_reps,
         nx_graph = nx.Graph(zip(u.tolist(), v.tolist()))
         assert graph.counts[3] == (walked + [0] * 3)[3] == sum(
             nx.triangles(nx_graph).values()) // 3
+
+
+def _refused(name):
+    def refused(*args):
+        raise AssertionError(f"{name} on the windowed circle")
+    return refused
+
+
+@settings(max_examples=150, deadline=None)
+@given(window_blocks(max_d=1), st.sampled_from([3, 4, 5, 6, 7, None]),
+       st.sampled_from([1, 2, 1024]))
+@example((SPEC1, [_ROUNDING_EDGE[0].points],
+          ComplexParams(epsilon=_ROUNDING_EDGE[1],
+                        convention=Convention.SUBCOMPLEX_EPS)), None, 1024)
+@example((SPEC1, *_CIRCLE_CASES["empty-first"][:2]), 4, 1024)
+@example((SPEC1, *_CIRCLE_CASES["n<=3"][:2]), 3, 1)
+@example((SPEC1, *_CIRCLE_CASES["tie-rips2eps"][:2]), 7, 2)
+@example((SPEC1, *_CIRCLE_CASES["tie-subeps"][:2]), None, 2)
+@example((TorusSpec(d=1, a=2.5), _circle([], [0.5], [0.0, 0.5, 0.75, 1.0, 2.25]),
+          ComplexParams(epsilon=0.75, convention=Convention.SUBCOMPLEX_EPS)),
+         None, 1024)
+def test_anchored_counts_on_the_circle_equal_the_walk_and_networkx(
+        block, max_size, block_reps):
+    # both conventions, a in {0.7, 1, 2.5}, thresholds up to just below a/3,
+    # ties on a lattice, empty and one-point configurations, blocks of one
+    # configuration or many: every N_k up to max_size (every k for None) is
+    # the walk's, with no bitsets, walk or join, and networkx's; a cap low
+    # enough to stop a walk of a dense configuration quickly stops the
+    # builder at the same configuration, with the same message
+    spec, configs, params = block
+    assert windowed(1, spec.a, params)
+    expected, overrun = [], None
+    with mock.patch.object(cliques, "DEFAULT_SIMPLEX_CAP", 1 << 12):
+        for pts in configs:
+            u, v = threshold_edges(pts, spec.a, params)
+            try:
+                walked = counts_from_bitsets(neighbour_bitsets(u, v, len(pts)),
+                                             max_size or len(pts))
+            except SimplexCapExceeded as exc:
+                overrun = str(exc)
+                break
+            graph = nx.Graph()
+            graph.add_nodes_from(range(len(pts)))
+            graph.add_edges_from(zip(u.tolist(), v.tolist()))
+            by_nx = [0] * (len(pts) + 1)
+            for clique in nx.enumerate_all_cliques(graph):
+                if max_size is not None and len(clique) > max_size:
+                    break
+                by_nx[len(clique)] += 1
+            assert walked == by_nx
+            expected.append(walked if max_size != 3 else (walked + [0] * 3)[:4])
+        out = []
+        with mock.patch.object(complexes, "_BLOCK_REPS", block_reps), \
+                mock.patch.object(complexes, "neighbour_bitsets",
+                                  _refused("neighbour_bitsets")), \
+                mock.patch.object(complexes, "counts_from_bitsets",
+                                  _refused("counts_from_bitsets")), \
+                mock.patch.object(complexes, "triangle_counts",
+                                  _refused("triangle_counts")):
+            graphs = complexes.graphs(iter(configs), spec, params,
+                                      max_size=max_size)
+            if overrun is None:
+                out = [graph.counts for graph in graphs]
+            else:
+                with pytest.raises(SimplexCapExceeded,
+                                   match=f"^{re.escape(overrun)}$"):
+                    for graph in graphs:
+                        out.append(graph.counts)
+    assert out == expected
+
+
+def test_anchored_counts_are_exact_past_int64():
+    # three anchors of 3e6 later neighbours each: their N_4 alone,
+    # 3 C(3e6, 3), passes 2^63, and each anchor's own cliques pass the
+    # default cap, which refuses its graph without forming the binomials
+    later = np.array([2, 1, 0, 3_000_000, 3_000_000, 3_000_000, 0])
+    seg = np.array([0, 0, 0, 1, 1, 1, 1])
+    m = 3_000_000
+    n4 = 3 * math.comb(m, 3)
+    assert n4 > 1 << 63
+    # each row ends at the largest size any graph of the block reaches
+    rows, totals = cliques.anchored_counts(later, seg, 3, 4)
+    assert rows[0] == [3, 1] and totals[0] == 7
+    assert totals[1] > cliques.DEFAULT_SIMPLEX_CAP
+    assert (rows[2], totals[2]) == ([0, 0], 0)
+    total = 4 + 3 * (m + math.comb(m, 2) + math.comb(m, 3))
+    with mock.patch.object(cliques, "DEFAULT_SIMPLEX_CAP", total):
+        rows, totals = cliques.anchored_counts(later, seg, 3, 4)
+    assert rows == [[3, 1, 0], [3 * m, 3 * math.comb(m, 2), n4], [0, 0, 0]]
+    assert totals == [7, total, 0]
+    assert all(type(c) is int for c in rows[1] + totals)
+    with mock.patch.object(cliques, "DEFAULT_SIMPLEX_CAP", total - 1):
+        assert cliques.anchored_counts(later, seg, 3, 4)[1][1] > total - 1
+
+
+@pytest.mark.parametrize("max_dim, counts", [(None, [4, 3, 1]), (2, [4, 3, 1]),
+                                             (3, [4, 3, 1])])
+def test_anchored_counts_are_capped_at_their_total(monkeypatch, max_dim, counts):
+    # a triangle and a point, 8 simplices: a cap of 8 passes, 7 refuses
+    cfg = config_1d(0.0, 0.05, 0.10, 0.5)
+    params = ComplexParams(epsilon=0.1)
+    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 8)
+    assert simplex_counts(cfg, params, max_dim).counts.tolist() == counts
+    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", 7)
+    size = 4 if max_dim is None else max_dim + 1
+    with pytest.raises(SimplexCapExceeded, match=(
+            f"^more than DEFAULT_SIMPLEX_CAP = 7 cliques of at most {size} "
+            "vertices$")):
+        simplex_counts(cfg, params, max_dim)
 
 
 def _traced_peak(fn, *args, **kwargs) -> int:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -179,6 +180,53 @@ def test_n4_walk_passes_the_cap_inside_a_block(monkeypatch, block_reps):
         run_experiment(cfg)
     monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", max(totals))
     assert run_experiment(cfg).estimates["N_4"].n == 12
+
+
+def _later_counts(x: np.ndarray, t: float) -> list[int]:
+    """The number of points within t after each point of a uniform draw on
+    the unit circle, from its dense wrapped forward differences."""
+    forward = (x[None, :] - x[:, None]) % 1.0
+    return ((forward > 0) & (forward < t)).sum(axis=1).tolist()
+
+
+def test_dense_circle_passes_the_cap_at_once(monkeypatch):
+    # t = 0.3 at lambda = 200: N_1..N_4 of each draw is 3.5e6 to 1.5e7
+    # cliques, the first past DEFAULT_SIMPLEX_CAP = 10^7 being replication 1
+    # (seed 4).  The anchored counts refuse it as the walk would, with the
+    # walk's message, at once, where a walk would take seconds a draw.
+    params = ComplexParams(epsilon=0.15)
+    cfg = ExperimentConfig(law=Poisson(200.0), spec=SPEC1, params=params,
+                           replications=8, master_seed=4, quantities=("N_4",))
+    draws = [sample(cfg.law, SPEC1, SeedSpec(4).child("experiment", rep))
+             for rep in range(2)]
+    counts = []
+    for draw in draws:
+        later = _later_counts(draw.points[:, 0], 0.3)
+        counts.append([draw.n] + [sum(math.comb(m, j) for m in later)
+                                  for j in (1, 2, 3)])
+    cap = cliques.DEFAULT_SIMPLEX_CAP
+    assert sum(counts[0]) <= cap < sum(counts[1])
+    over = draws[1]
+    start = time.perf_counter()
+    with pytest.raises(cliques.SimplexCapExceeded,
+                       match=f"^replication 1: more than DEFAULT_SIMPLEX_CAP = "
+                             f"{cap} cliques of at most 4 vertices$"):
+        run_experiment(cfg)
+    with pytest.raises(cliques.SimplexCapExceeded,
+                       match=f"^more than DEFAULT_SIMPLEX_CAP = {cap} cliques "
+                             "of at most 4 vertices$"):
+        simplex_counts(over, params, max_dim=3)
+    with pytest.raises(cliques.SimplexCapExceeded,
+                       match=f"^more than DEFAULT_SIMPLEX_CAP = {cap} cliques "
+                             f"of at most {over.n} vertices$"):
+        simplex_counts(over, params)
+    assert time.perf_counter() - start < 1.0
+    # a cap at the draw's exact total passes it, one below refuses it
+    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", sum(counts[1]))
+    assert simplex_counts(over, params, max_dim=3).counts.tolist() == counts[1]
+    monkeypatch.setattr(cliques, "DEFAULT_SIMPLEX_CAP", sum(counts[1]) - 1)
+    with pytest.raises(cliques.SimplexCapExceeded):
+        simplex_counts(over, params, max_dim=3)
 
 
 def _count_walks(monkeypatch) -> list[int]:

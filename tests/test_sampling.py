@@ -43,6 +43,26 @@ def test_seed_outside_64_bits_is_rejected(master, index):
     assert SeedSpec(2 ** 64 - 1, 2 ** 64 - 1).generator() is not None
 
 
+@pytest.mark.parametrize("master, index", [(1.5, 0), (1.0, 0), (True, 0),
+                                           (0, 2.0), (0, False), ("1", 0)])
+def test_seed_that_is_not_an_integer_is_rejected(master, index):
+    # a float was truncated into the key, so SeedSpec(1.5) drew the points
+    # of SeedSpec(1) while the two compared unequal
+    with pytest.raises(ValueError, match="must be integers"):
+        SeedSpec(master, index)
+
+
+def test_integer_seeds_keep_their_streams():
+    # a numpy integer is an integer: it draws the stream of the same int
+    expected = sample(Binomial(n=5), SPEC2, SeedSpec(7, 3)).points
+    for master, index in ((np.uint64(7), np.int64(3)), (np.int32(7), 3)):
+        seed = SeedSpec(master, index)
+        assert np.array_equal(sample(Binomial(n=5), SPEC2, seed).points,
+                              expected)
+    assert np.array_equal(
+        sample(Binomial(n=np.int64(5)), SPEC2, SeedSpec(7, 3)).points, expected)
+
+
 def test_streams_independentish():
     s = SeedSpec(99)
     x = sample(Binomial(n=50), SPEC1, s.child("e", 0)).points
@@ -136,6 +156,10 @@ def test_law_validation():
         Poisson(lam=0.0)
     with pytest.raises(ValueError):
         Binomial(n=-1)
+    # a non-integer count is refused when the law is built, not at the draw
+    for n in (2.5, 2.0, True, "3", None):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            Binomial(n=n)
 
 
 def test_count_in_box_wraps():
